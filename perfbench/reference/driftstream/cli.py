@@ -1,0 +1,576 @@
+"""Command-line front end: run | generate | gridsearch | matrix | inspect.
+
+Exit codes: 0 success, 2 config/usage error, 3 data error. All outputs are
+CSV (floats fixed to 6 decimals) plus JSON for best parameters and the
+resolved configuration; identical flags and inputs yield byte-identical
+files. A flat key=value config file may supply defaults; command-line flags
+override it. The DRIFTSTREAM_OUT environment variable overrides the default
+output directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import dataclasses
+import itertools
+import json
+import os
+import sys
+from pathlib import Path
+
+from . import __version__
+from .evaluation import (
+    ConfigError,
+    CsvSource,
+    ExperimentConfig,
+    SynthSource,
+    experiment_matrix,
+    grid_search,
+    rolling_mean,
+    run_experiment,
+    write_curves_csv,
+    write_events_csv,
+    write_records_csv,
+    write_summary_csv,
+)
+from .preprocess import BinBoundaries, bin_target
+from .stream_core import (
+    CATEGORICAL,
+    NUMERIC,
+    FeatureSchema,
+    LabeledInstance,
+    SchemaError,
+    StreamParseError,
+    open_csv_stream,
+)
+from .synth import (
+    PROFILES,
+    DriftSpec,
+    SynthConfig,
+    SynthConfigError,
+    generate,
+    write_concept_sidecar,
+    write_csv,
+)
+
+EXIT_OK = 0
+EXIT_CONFIG = 2
+EXIT_DATA = 3
+
+_SNIFF_ROWS = 200
+
+
+class _CliError(Exception):
+    def __init__(self, message: str, code: int):
+        super().__init__(message)
+        self.code = code
+
+
+def _fail_config(msg: str) -> "_CliError":
+    return _CliError(msg, EXIT_CONFIG)
+
+
+def _fail_data(msg: str) -> "_CliError":
+    return _CliError(msg, EXIT_DATA)
+
+
+# -- config file ----------------------------------------------------------
+
+
+def _config_file_args(path: str) -> list[str]:
+    """Translate key=value lines into CLI arguments (prepended, so explicit
+    flags win)."""
+    args: list[str] = []
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise _fail_config(f"cannot read config file {path}: {e}")
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise _fail_config(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        flag = "--" + key.replace("_", "-")
+        if value.lower() in ("true", "yes", "1") and key in _BOOL_KEYS:
+            args.append(flag)
+        elif value.lower() in ("false", "no", "0") and key in _BOOL_KEYS:
+            pass
+        else:
+            args.extend([flag, value])
+    return args
+
+
+_BOOL_KEYS = {"incremental", "quiet", "hidden-context", "hidden_context"}
+
+
+# -- input handling -------------------------------------------------------
+
+
+def _infer_schema(path: str, label: str, exclude: tuple[str, ...]) -> FeatureSchema:
+    """Sniff column kinds from a sample: a column is numeric when every
+    sampled non-empty token parses as a float."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise _fail_data(f"{path} is empty")
+            sample = list(itertools.islice(reader, _SNIFF_ROWS))
+    except OSError as e:
+        raise _fail_data(f"cannot read {path}: {e}")
+    if label not in header:
+        raise _fail_data(f"{path} lacks the label column {label!r}")
+    feats = []
+    for i, name in enumerate(header):
+        if name == label or name in exclude:
+            continue
+        tokens = [row[i] for row in sample if i < len(row) and row[i] != ""]
+        numeric = bool(tokens) and all(_is_float(t) for t in tokens)
+        feats.append((name, NUMERIC if numeric else CATEGORICAL))
+    return FeatureSchema(tuple(feats), label_column=label)
+
+
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+        return True
+    except ValueError:
+        return False
+
+
+def _synth_config(args) -> SynthConfig:
+    if args.profile:
+        if args.profile not in PROFILES:
+            raise _fail_config(
+                f"unknown profile {args.profile!r}; available: {', '.join(PROFILES)}"
+            )
+        return PROFILES[args.profile](args.seed)
+    drift = ()
+    if args.drift_kind != "none":
+        if args.drift_at is None:
+            raise _fail_config("--drift-at is required for a drifting stream")
+        drift = (
+            DriftSpec(args.drift_kind, args.drift_at, args.drift_width, args.magnitude),
+        )
+    return SynthConfig(
+        n_instances=args.n,
+        n_categorical=args.n_categorical,
+        n_numeric=args.n_numeric,
+        n_classes=args.n_classes,
+        n_categories=args.n_categories,
+        drift=drift,
+        hidden_context=args.hidden_context,
+        seed=args.seed,
+    )
+
+
+def _load_source(args):
+    """Resolve --input/--synth into (source, predictive schema)."""
+    if bool(args.input) == bool(args.synth):
+        raise _fail_config("exactly one of --input or --synth must be given")
+    if args.input:
+        label = args.label
+        if not label:
+            raise _fail_config("--label is required with --input")
+        schema = _infer_schema(args.input, label, tuple(args.exclude))
+        edges = ()
+        if getattr(args, "bin_days", None):
+            edges = tuple(float(d) for d in args.bin_days.split(","))
+        return CsvSource(args.input, schema, edges), schema
+    cfg = PROFILES[args.synth](args.seed) if args.synth in PROFILES else None
+    if cfg is None:
+        raise _fail_config(f"unknown synth profile {args.synth!r}")
+    src = SynthSource(cfg)
+    return src, cfg.schema(include_hidden=False)
+
+
+def _load_records(args):
+    source, _ = _load_source(args)
+    records, schema = source.load()
+    return source, records, schema
+
+
+def _label_mapper(args):
+    bin_days = getattr(args, "bin_days", None)
+    if bin_days:
+        bins = BinBoundaries(tuple(float(d) for d in bin_days.split(",")), unit_divisor=24.0)
+        return lambda token: bin_target(float(token), bins)
+    return int
+
+
+def _experiment_config(args) -> ExperimentConfig:
+    detector = args.detector.replace("-", "_") if args.detector else "none"
+    strategy = args.strategy if getattr(args, "strategy", None) else None
+    boxcox = tuple(t for t in getattr(args, "boxcox", "").split(",") if t)
+    prefix_len = []
+    for part in (p for p in getattr(args, "prefix_len", "").split(",") if p):
+        if "=" not in part:
+            raise _fail_config(f"--prefix-len expects feature=length, got {part!r}")
+        name, _, plen = part.partition("=")
+        prefix_len.append((name, int(plen)))
+    try:
+        return ExperimentConfig(
+            detector=detector,
+            strategy=strategy,
+            batch_size=args.batch_size,
+            incremental=args.incremental,
+            warmup=args.warmup,
+            window=args.window,
+            mini_batch_size=args.mini_batch,
+            ph_delta=args.ph_delta,
+            ph_lambda=args.ph_lambda,
+            ph_burn_in=args.burn_in,
+            adwin_delta=args.adwin_delta,
+            boxcox=boxcox,
+            prefix_len=tuple(prefix_len),
+        )
+    except ConfigError as e:
+        raise _fail_config(str(e))
+
+
+def _out_dir(args) -> Path:
+    out = Path(args.out or os.environ.get("DRIFTSTREAM_OUT", "out"))
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _write_resolved_config(out: Path, args) -> None:
+    doc = {
+        k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None
+    }
+    doc["version"] = __version__
+    (out / "resolved-config.json").write_text(
+        json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
+
+
+def _say(args, message: str) -> None:
+    if not args.quiet:
+        print(message)
+
+
+# -- commands -------------------------------------------------------------
+
+
+def cmd_run(args) -> int:
+    out = _out_dir(args)
+    _, records, schema = _load_records(args)
+    cfg = _experiment_config(args)
+    try:
+        recs, summary = run_experiment(records, schema, cfg)
+    except ConfigError as e:
+        raise _fail_config(str(e))
+    _write_resolved_config(out, args)
+    write_records_csv(recs, out / "records.csv")
+    write_curves_csv(recs, out / "curves.csv")
+    write_events_csv(recs, out / "events.csv")
+    write_summary_csv(
+        [
+            {
+                "detector": cfg.detector,
+                "batch_size": cfg.batch_size,
+                "strategy": cfg.strategy or "none",
+                "incremental": int(cfg.incremental),
+                "accuracy": summary.overall_accuracy,
+                "n_predictions": summary.n_predictions,
+                "n_drifts": summary.n_drifts,
+                "n_retrains": summary.n_retrains,
+            }
+        ],
+        out / "summary.csv",
+    )
+    _say(
+        args,
+        f"accuracy {summary.overall_accuracy:.6f} over {summary.n_predictions} predictions "
+        f"({summary.n_drifts} drifts, {summary.n_retrains} retrains) -> {out}",
+    )
+    return EXIT_OK
+
+
+def cmd_generate(args) -> int:
+    out = _out_dir(args)
+    cfg = _synth_config(args)
+    stream = generate(cfg)
+    _write_resolved_config(out, args)
+    write_csv(stream.instances, stream.schema, out / "stream.csv")
+    write_concept_sidecar(stream.concept_ids, out / "concepts.csv")
+    _say(args, f"wrote {cfg.n_instances} instances to {out / 'stream.csv'}")
+    return EXIT_OK
+
+
+def cmd_gridsearch(args) -> int:
+    out = _out_dir(args)
+    _, records, schema = _load_records(args)
+    prefix = records[: args.prefix]
+    detector = args.detector.replace("-", "_") if args.detector else ""
+    if detector not in ("page_hinkley", "adwin"):
+        raise _fail_config("gridsearch needs --detector page-hinkley or adwin")
+    raw = args.grid_lambda if detector == "page_hinkley" else args.grid_delta
+    values = [v for v in raw.split(",") if v]
+    if not values:
+        raise _fail_config("empty parameter grid")
+    key = "ph_lambda" if detector == "page_hinkley" else "adwin_delta"
+    param_grid = [{key: float(v)} for v in values]
+    base = _experiment_config_for_grid(args, detector)
+    best, table = grid_search(prefix, schema, param_grid, base)
+    _write_resolved_config(out, args)
+    rows = [
+        {
+            "detector": detector,
+            key: params[key],
+            "accuracy": summary.overall_accuracy,
+            "n_drifts": summary.n_drifts,
+            "n_retrains": summary.n_retrains,
+        }
+        for params, summary in table
+    ]
+    write_summary_csv(rows, out / "grid.csv")
+    (out / "best.json").write_text(
+        json.dumps({"detector": detector, **best}, indent=2, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
+    best_acc = max(s.overall_accuracy for _, s in table)
+    _say(args, f"best {key}={best[key]} (accuracy {best_acc:.6f}) -> {out}")
+    return EXIT_OK
+
+
+def _experiment_config_for_grid(args, detector: str) -> ExperimentConfig:
+    ns = argparse.Namespace(**vars(args))
+    ns.detector = detector
+    ns.ph_lambda = 0.6
+    ns.adwin_delta = 0.001
+    if not ns.strategy:
+        ns.strategy = "last"
+    return _experiment_config(ns)
+
+
+def cmd_matrix(args) -> int:
+    out = _out_dir(args)
+    source, records, schema = _load_records(args)
+    detectors = [d.replace("-", "_") for d in args.detectors.split(",") if d]
+    batch_sizes = [int(b) for b in args.batch_sizes.split(",") if b]
+    strategies = [s for s in args.strategies.split(",") if s]
+    if not detectors or not batch_sizes or not strategies:
+        raise _fail_config("matrix needs non-empty detectors, batch sizes, and strategies")
+    ns = argparse.Namespace(**vars(args))
+    ns.detector, ns.strategy = "none", None
+    base = _experiment_config(ns)
+
+    _, baseline = run_experiment(records, schema, dataclasses.replace(base, incremental=False))
+    _, inc_only = run_experiment(records, schema, dataclasses.replace(base, incremental=True))
+    det0, b0, s0 = detectors[0], batch_sizes[0], strategies[0]
+    det_cfg = dataclasses.replace(
+        base, detector=det0, strategy=s0, batch_size=b0, incremental=False
+    )
+    _, det_only = run_experiment(records, schema, det_cfg)
+    _, det_inc = run_experiment(
+        records, schema, dataclasses.replace(det_cfg, incremental=True)
+    )
+
+    try:
+        cells = experiment_matrix(
+            source,
+            detectors=detectors,
+            batch_sizes=batch_sizes,
+            strategies=strategies,
+            incremental=args.incremental,
+            base=base,
+            workers=args.workers,
+        )
+    except ConfigError as e:
+        raise _fail_config(str(e))
+
+    def row(detector, batch, strategy, incremental, summary):
+        s = summary.against_baseline(baseline.overall_accuracy)
+        return {
+            "detector": detector,
+            "batch_size": batch,
+            "strategy": strategy,
+            "incremental": int(incremental),
+            "accuracy": s.overall_accuracy,
+            "n_drifts": s.n_drifts,
+            "n_retrains": s.n_retrains,
+            "performance_increase": s.performance_increase_vs_baseline,
+        }
+
+    rows = [
+        row("none", 0, "none", False, baseline),
+        row("none", 0, "none", True, inc_only),
+        row(det0, b0, s0, False, det_only),
+        row(det0, b0, s0, True, det_inc),
+    ]
+    for d in detectors:
+        for b in batch_sizes:
+            for s in strategies:
+                rows.append(row(d, b, s, args.incremental, cells[(d, b, s)]))
+    _write_resolved_config(out, args)
+    write_summary_csv(rows, out / "summary.csv")
+    _say(args, f"wrote {len(rows)} rows to {out / 'summary.csv'}")
+    return EXIT_OK
+
+
+def cmd_inspect(args) -> int:
+    out = _out_dir(args)
+    if args.window < 1:
+        raise _fail_config("--window must be >= 1")
+    if args.synth:
+        if args.synth not in PROFILES:
+            raise _fail_config(f"unknown synth profile {args.synth!r}")
+        cfg = PROFILES[args.synth](args.seed)
+        schema = cfg.schema(include_hidden=True)
+        records = generate(cfg).instances
+    else:
+        if not args.input:
+            raise _fail_config("exactly one of --input or --synth must be given")
+        if not args.label:
+            raise _fail_config("--label is required with --input")
+        schema = _infer_schema(args.input, args.label, ())
+        records = list(open_csv_stream(args.input, schema, _label_mapper(args)))
+    if args.feature not in schema.numeric_names:
+        raise _fail_config(f"unknown or non-numeric feature {args.feature!r}")
+    series = [
+        float((r.instance if isinstance(r, LabeledInstance) else r).values[args.feature])
+        for r in records
+    ]
+    means = rolling_mean(series, args.window)
+    _write_resolved_config(out, args)
+    path = out / f"inspect_{args.feature}.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["index", "rolling_mean"])
+        for i, m in enumerate(means):
+            w.writerow([i, f"{m:.6f}"])
+    _say(args, f"wrote {len(means)} rows to {path}")
+    return EXIT_OK
+
+
+# -- parser ---------------------------------------------------------------
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", "-o", default=None, help="output directory")
+    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--config", default=None, help="key=value config file")
+    p.add_argument("--quiet", action="store_true")
+
+
+def _add_source(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--input", default=None, help="chronological CSV stream")
+    p.add_argument("--synth", default=None, help="synthetic profile (paper-like)")
+    p.add_argument("--label", default=None, help="label column for --input")
+    p.add_argument("--exclude", default=[], nargs="*", help="input columns to drop")
+    p.add_argument("--bin-days", default=None, help="day edges binning an hours-valued label, e.g. 6,39")
+
+
+def _add_experiment(p: argparse.ArgumentParser, detector_params: bool = True) -> None:
+    p.add_argument("--detector", choices=["none", "page-hinkley", "adwin"], default="none")
+    p.add_argument("--strategy", choices=["last", "mixed", "next"], default=None)
+    p.add_argument("--batch-size", type=int, default=500)
+    p.add_argument("--incremental", action="store_true")
+    p.add_argument("--warmup", type=int, default=2000)
+    p.add_argument("--window", type=int, default=1000)
+    p.add_argument("--mini-batch", type=int, default=10)
+    if detector_params:
+        p.add_argument("--lambda", dest="ph_lambda", type=float, default=0.6)
+        p.add_argument("--ph-delta", type=float, default=0.005)
+        p.add_argument("--burn-in", type=int, default=30)
+        p.add_argument("--delta", dest="adwin_delta", type=float, default=0.001)
+    p.add_argument("--boxcox", default="", help="numeric features to transform, comma-separated")
+    p.add_argument("--prefix-len", default="", help="category truncation, feature=len[,..]")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="driftstream",
+        description="Drift-aware stream learning experiments.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("run", help="single prequential experiment")
+    _add_common(p)
+    _add_source(p)
+    _add_experiment(p)
+    p.set_defaults(func=cmd_run)
+
+    p = sub.add_parser("generate", help="synthetic drift stream + concept sidecar")
+    _add_common(p)
+    p.add_argument("--profile", default=None, help="named profile (paper-like)")
+    p.add_argument("--n", type=int, default=10000)
+    p.add_argument("--n-categorical", type=int, default=3)
+    p.add_argument("--n-numeric", type=int, default=2)
+    p.add_argument("--n-classes", type=int, default=3)
+    p.add_argument("--n-categories", type=int, default=6)
+    p.add_argument("--drift-kind", choices=["none", "sudden", "gradual", "recurring"], default="none")
+    p.add_argument("--drift-at", type=int, default=None)
+    p.add_argument("--drift-width", type=int, default=0)
+    p.add_argument("--magnitude", type=float, default=1.0)
+    p.add_argument("--hidden-context", action="store_true")
+    p.set_defaults(func=cmd_generate)
+
+    p = sub.add_parser("gridsearch", help="parameter grid search on a stream prefix")
+    _add_common(p)
+    _add_source(p)
+    _add_experiment(p, detector_params=False)
+    p.add_argument("--prefix", type=int, default=10000)
+    p.add_argument("--lambda", dest="grid_lambda", default="", help="PH thresholds, comma-separated")
+    p.add_argument("--delta", dest="grid_delta", default="", help="ADWIN deltas, comma-separated")
+    p.add_argument("--ph-delta", type=float, default=0.005)
+    p.add_argument("--burn-in", type=int, default=30)
+    p.set_defaults(func=cmd_gridsearch)
+
+    p = sub.add_parser("matrix", help="detector x batch-size x strategy grid")
+    _add_common(p)
+    _add_source(p)
+    _add_experiment(p)
+    p.add_argument("--detectors", default="page-hinkley,adwin")
+    p.add_argument("--batch-sizes", default="500,1000,2000,5000")
+    p.add_argument("--strategies", default="last,mixed,next")
+    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.set_defaults(func=cmd_matrix, incremental=True)
+    p.add_argument("--no-incremental", dest="incremental", action="store_false")
+
+    p = sub.add_parser("inspect", help="rolling mean of a numeric feature")
+    _add_common(p)
+    _add_source(p)
+    p.add_argument("--feature", required=True)
+    p.add_argument("--window", type=int, default=1000)
+    p.set_defaults(func=cmd_inspect)
+
+    return parser
+
+
+def main(argv=None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    parser = build_parser()
+    try:
+        # pre-scan for --config so file values become overridable defaults
+        if "--config" in argv:
+            i = argv.index("--config")
+            if i + 1 >= len(argv):
+                raise _fail_config("--config needs a file argument")
+            if argv and argv[0] not in ("-h", "--help", "--version"):
+                file_args = _config_file_args(argv[i + 1])
+                argv = argv[:1] + file_args + argv[1:]
+        args = parser.parse_args(argv)
+        return args.func(args)
+    except _CliError as e:
+        print(f"driftstream: {e}", file=sys.stderr)
+        return e.code
+    except (SchemaError, StreamParseError) as e:
+        print(f"driftstream: data error: {e}", file=sys.stderr)
+        return EXIT_DATA
+    except (ConfigError, SynthConfigError) as e:
+        print(f"driftstream: config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as e:
+        print(f"driftstream: {e}", file=sys.stderr)
+        return EXIT_DATA
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,280 @@
+"""Feature pipeline: category prefix truncation, categorical index encoding,
+Box-Cox transformation of skewed numerics, and target binning.
+
+The encoder is fitted on warm-up data and then frozen; categories unseen at
+freeze time share one reserved index so model dimensionality stays fixed
+across retrainings.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from dataclasses import dataclass, field
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
+
+from .stream_core import CATEGORICAL, NUMERIC, FeatureSchema, Instance
+
+_SERIAL_VERSION = 1
+_EPS = 1e-6
+_LAMBDA_LO, _LAMBDA_HI = -5.0, 5.0
+_GOLDEN_TOL = 1e-4
+
+
+class DegenerateInputError(ValueError):
+    """Fitting input carries no usable variation."""
+
+
+def truncate_category(value: str, prefix_len: int) -> str:
+    """First ``prefix_len`` characters of ``value``; shorter values pass
+    through unchanged."""
+    if prefix_len < 1:
+        raise ValueError("prefix_len must be >= 1")
+    return value[:prefix_len]
+
+
+@dataclass(frozen=True)
+class BoxCoxParams:
+    lam: float
+    shift: float = 0.0
+
+
+def boxcox_log_likelihood(values: np.ndarray, lam: float) -> float:
+    """Profile log-likelihood of the power transform for positive data."""
+    n = len(values)
+    logs = np.log(values)
+    if abs(lam) < 1e-8:
+        t = logs
+    else:
+        t = (np.power(values, lam) - 1.0) / lam
+    var = t.var()
+    if var <= 0:
+        return -math.inf
+    return -0.5 * n * math.log(var) + (lam - 1.0) * logs.sum()
+
+
+def fit_boxcox(values: Sequence[float]) -> BoxCoxParams:
+    """Fit lambda by maximizing the profile log-likelihood over [-5, 5] with
+    golden-section search (tolerance 1e-4). A shift of max(0, 1e-6 - min(x))
+    is applied first so all values are positive."""
+    x = np.asarray(values, dtype=float)
+    if len(x) < 10:
+        raise ValueError("need at least 10 values to fit a transform")
+    if np.all(x == x[0]):
+        raise DegenerateInputError("all values equal")
+    shift = max(0.0, _EPS - float(x.min()))
+    xs = x + shift
+
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = _LAMBDA_LO, _LAMBDA_HI
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc = boxcox_log_likelihood(xs, c)
+    fd = boxcox_log_likelihood(xs, d)
+    while b - a > _GOLDEN_TOL:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = boxcox_log_likelihood(xs, c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = boxcox_log_likelihood(xs, d)
+    return BoxCoxParams(lam=(a + b) / 2.0, shift=shift)
+
+
+def apply_boxcox(x: float, params: BoxCoxParams) -> float:
+    v = x + params.shift
+    if v <= 0:
+        raise ValueError(f"value {x} not positive after shift {params.shift}")
+    if abs(params.lam) > 1e-8:
+        return (v ** params.lam - 1.0) / params.lam
+    return math.log(v)
+
+
+def inverse_boxcox(y: float, params: BoxCoxParams) -> float:
+    if abs(params.lam) > 1e-8:
+        base = params.lam * y + 1.0
+        if base <= 0.0:
+            raise ValueError(f"value {y} outside the transform's range for lam={params.lam}")
+        return base ** (1.0 / params.lam) - params.shift
+    return math.exp(y) - params.shift
+
+
+TERTILE = "tertile"
+FIXED_DAYS = "fixed_days"
+
+
+@dataclass(frozen=True)
+class BinBoundaries:
+    """Upper class edges; with ``unit_divisor`` > 1 the target is first
+    floor-divided into that unit (hours -> days for divisor 24)."""
+
+    upper_edges: tuple[float, ...]
+    unit_divisor: float = 1.0
+
+    def __post_init__(self):
+        edges = tuple(float(e) for e in self.upper_edges)
+        object.__setattr__(self, "upper_edges", edges)
+        if len(edges) < 1 or any(b <= a for a, b in zip(edges, edges[1:])):
+            raise ValueError("upper_edges must be strictly ascending, K >= 2")
+
+    @property
+    def n_classes(self) -> int:
+        return len(self.upper_edges) + 1
+
+
+def fit_target_bins(
+    values: Sequence[float],
+    mode: str = TERTILE,
+    day_edges: Sequence[float] = (6, 39),
+    hours_per_day: float = 24.0,
+) -> BinBoundaries:
+    """Tertile mode: edges at the empirical 1/3 and 2/3 quantiles (linear
+    interpolation). fixed_days mode: the given day edges with unit divisor
+    ``hours_per_day``."""
+    if mode == FIXED_DAYS:
+        return BinBoundaries(tuple(day_edges), unit_divisor=hours_per_day)
+    if mode != TERTILE:
+        raise ValueError(f"unknown binning mode {mode!r}")
+    x = np.asarray(values, dtype=float)
+    if len(x) < 3:
+        raise ValueError("need at least as many values as classes")
+    edges = (float(np.quantile(x, 1 / 3)), float(np.quantile(x, 2 / 3)))
+    if edges[1] <= edges[0]:
+        raise DegenerateInputError("collapsed tertile edges (tied values)")
+    return BinBoundaries(edges, unit_divisor=1.0)
+
+
+def bin_target(hours: float, bins: BinBoundaries) -> int:
+    """Class label for a non-negative target value. With a unit divisor the
+    value is floored into whole units first, making integer day edges exact."""
+    if hours < 0:
+        raise ValueError("target must be >= 0")
+    u = math.floor(hours / bins.unit_divisor) if bins.unit_divisor != 1.0 else hours
+    return sum(1 for e in bins.upper_edges if e < u)
+
+
+@dataclass
+class EncodedInstance:
+    """Classifier-ready view: category indices plus transformed numerics."""
+
+    index: int
+    cat: np.ndarray  # int indices, one per categorical feature
+    num: np.ndarray  # floats, one per numeric feature
+    label: Optional[int] = None
+
+
+class EncoderState:
+    """Category-index maps plus optional Box-Cox parameters per numeric
+    feature. Fit on warm-up data, then frozen; unseen categories map to the
+    reserved index ``len(categories)``.
+    """
+
+    def __init__(
+        self,
+        schema: FeatureSchema,
+        boxcox_features: Sequence[str] = (),
+        prefix_len: Optional[dict[str, int]] = None,
+    ):
+        self.schema = schema
+        self.prefix_len = dict(prefix_len or {})
+        self.boxcox_features = tuple(boxcox_features)
+        unknown = set(self.boxcox_features) - set(schema.numeric_names)
+        if unknown:
+            raise ValueError(f"box-cox configured for non-numeric features: {sorted(unknown)}")
+        self.cat_maps: dict[str, dict[str, int]] = {n: {} for n in schema.categorical_names}
+        self.boxcox: dict[str, BoxCoxParams] = {}
+        self.frozen = False
+
+    def _token(self, name: str, value: str) -> str:
+        plen = self.prefix_len.get(name)
+        return truncate_category(str(value), plen) if plen else str(value)
+
+    def fit(self, instances: Iterable[Instance]) -> "EncoderState":
+        """Build category maps (first-appearance order) and fit Box-Cox
+        parameters on the warm-up sample, then freeze."""
+        if self.frozen:
+            raise RuntimeError("encoder already frozen")
+        numeric_samples: dict[str, list[float]] = {n: [] for n in self.boxcox_features}
+        for inst in instances:
+            for name in self.schema.categorical_names:
+                tok = self._token(name, inst.values[name])
+                m = self.cat_maps[name]
+                if tok not in m:
+                    m[tok] = len(m)
+            for name in self.boxcox_features:
+                numeric_samples[name].append(float(inst.values[name]))
+        for name, vals in numeric_samples.items():
+            self.boxcox[name] = fit_boxcox(vals)
+        self.frozen = True
+        return self
+
+    def n_categories(self, name: str) -> int:
+        """Cardinality including the reserved unseen slot."""
+        return len(self.cat_maps[name]) + 1
+
+    @property
+    def cat_cardinalities(self) -> tuple[int, ...]:
+        return tuple(self.n_categories(n) for n in self.schema.categorical_names)
+
+    @property
+    def n_numeric(self) -> int:
+        return len(self.schema.numeric_names)
+
+    def encode(self, inst: Instance, label: Optional[int] = None) -> EncodedInstance:
+        if not self.frozen:
+            raise RuntimeError("encoder must be fitted before encoding")
+        cat = np.empty(len(self.schema.categorical_names), dtype=np.int64)
+        for i, name in enumerate(self.schema.categorical_names):
+            m = self.cat_maps[name]
+            cat[i] = m.get(self._token(name, inst.values[name]), len(m))
+        num = np.empty(len(self.schema.numeric_names))
+        for j, name in enumerate(self.schema.numeric_names):
+            x = float(inst.values[name])
+            params = self.boxcox.get(name)
+            num[j] = apply_boxcox(x, params) if params is not None else x
+        return EncodedInstance(inst.index, cat, num, label)
+
+    def one_hot(self, enc: EncodedInstance) -> np.ndarray:
+        """Export view: concatenated one-hot slots plus numeric values."""
+        parts = []
+        for i, name in enumerate(self.schema.categorical_names):
+            slot = np.zeros(self.n_categories(name))
+            slot[enc.cat[i]] = 1.0
+            parts.append(slot)
+        parts.append(enc.num)
+        return np.concatenate(parts) if parts else np.empty(0)
+
+    def to_json(self) -> str:
+        return json.dumps(
+            {
+                "version": _SERIAL_VERSION,
+                "features": list(self.schema.features),
+                "label_column": self.schema.label_column,
+                "prefix_len": self.prefix_len,
+                "cat_maps": self.cat_maps,
+                "boxcox": {
+                    n: {"lam": p.lam, "shift": p.shift} for n, p in self.boxcox.items()
+                },
+                "frozen": self.frozen,
+            }
+        )
+
+    @classmethod
+    def from_json(cls, text: str) -> "EncoderState":
+        doc = json.loads(text)
+        if doc.get("version") != _SERIAL_VERSION:
+            raise ValueError(f"unsupported encoder version {doc.get('version')!r}")
+        schema = FeatureSchema(
+            tuple((n, k) for n, k in doc["features"]), doc["label_column"]
+        )
+        enc = cls(schema, tuple(doc["boxcox"]), doc["prefix_len"])
+        enc.cat_maps = {n: dict(m) for n, m in doc["cat_maps"].items()}
+        enc.boxcox = {
+            n: BoxCoxParams(p["lam"], p["shift"]) for n, p in doc["boxcox"].items()
+        }
+        enc.frozen = doc["frozen"]
+        return enc
