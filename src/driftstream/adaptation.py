@@ -13,6 +13,11 @@ completes 0 / floor(B/2) / B steps after the alarm respectively.
 
 While a collection is outstanding the detector is not fed and incremental
 updates pause; the detector is reset after every retraining.
+
+``Controller.steps`` walks a stream in that order but scores it in blocks:
+the model is constant within a block, and a block that a refit cuts short
+at row j has its scores after j dropped and computed again with the new
+model, so its results equal those of ``step`` called row by row.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .detectors import NoDetector
 from .naive_bayes import NaiveBayesModel
@@ -34,6 +40,12 @@ STRATEGIES = (LAST, MIXED, NEXT)
 
 STABLE = "stable"
 COLLECTING = "collecting"
+
+# Block lengths for ``Controller.steps``: rows are encoded _MAX_BLOCK at a
+# time; while an alarm can refit the model on any row, blocks are at most
+# _MIN_BLOCK rows long.
+_MIN_BLOCK = 16
+_MAX_BLOCK = 4096
 
 
 class ControllerError(RuntimeError):
@@ -123,7 +135,11 @@ class Controller:
         encoder.fit([r.instance for r in warmup])
         if n_classes is None:
             n_classes = max(r.label for r in warmup) + 1
-        encoded = [encoder.encode(r.instance, r.label) for r in warmup]
+        cats, nums = encoder.encode_many([r.instance for r in warmup])
+        encoded = [
+            EncodedInstance(r.instance.index, cats[i], nums[i], r.label)
+            for i, r in enumerate(warmup)
+        ]
         model = NaiveBayesModel.fit(
             encoded,
             n_classes,
@@ -170,13 +186,56 @@ class Controller:
         self.mini_batch.clear()
         return True
 
+    def _rows_to_change(self) -> int:
+        """How many of the next rows the current model can score before it
+        can next change: the end of an outstanding collection, the row that
+        fills the mini-batch, or at most _MIN_BLOCK rows when an alarm could
+        refit the model on any row."""
+        if self.mode == COLLECTING:
+            return self.remaining
+        n = _MIN_BLOCK if self.config.strategy is not None else _MAX_BLOCK
+        if self.config.incremental:
+            n = min(n, self.config.mini_batch_size - len(self.mini_batch))
+        return n
+
     def step(self, labeled: LabeledInstance) -> StepResult:
+        """Test then train on one row."""
         if self.model.n_trained < 1:
             raise ControllerError("step before warm-up")
-        cfg = self.config
         enc = self.encoder.encode(labeled.instance, labeled.label)
         pred, _ = self.model.predict(enc)
-        correct = pred == labeled.label
+        return self._advance(enc, pred)
+
+    def steps(self, rows: Iterable[LabeledInstance]) -> Iterator[StepResult]:
+        """Test then train on each row in turn, yielding what ``step`` would
+        return for it. Rows are encoded in chunks and scored in blocks: a
+        block is scored with one ``predict_many`` call and runs up to the
+        next row at which the model can change, so the model is constant
+        within it. When the model changes at a row anyway (a refit at an
+        alarm), the scores after that row are dropped and the rest of the
+        block is scored again with the new model."""
+        it = iter(rows)
+        while chunk := list(islice(it, _MAX_BLOCK)):
+            if self.model.n_trained < 1:
+                raise ControllerError("step before warm-up")
+            cats, nums = self.encoder.encode_many([r.instance for r in chunk])
+            start = 0
+            while start < len(chunk):
+                stop = min(len(chunk), start + self._rows_to_change())
+                preds = self.model.predict_many(cats[start:stop], nums[start:stop]).tolist()
+                for i in range(start, stop):
+                    row = chunk[i]
+                    enc = EncodedInstance(row.instance.index, cats[i], nums[i], row.label)
+                    r = self._advance(enc, preds[i - start])
+                    yield r
+                    if r.retrained:  # updates fall on a block's last row; refits may not
+                        break
+                start = i + 1
+
+    def _advance(self, enc: EncodedInstance, pred: int) -> StepResult:
+        """The state machine: everything a step does after scoring."""
+        cfg = self.config
+        correct = pred == enc.label
         drift = False
         retrained = False
 
@@ -222,4 +281,4 @@ class Controller:
                 self.mode = STABLE
 
         self.buffer.append(enc)
-        return StepResult(enc.index, pred, labeled.label, correct, drift, retrained)
+        return StepResult(enc.index, pred, enc.label, correct, drift, retrained)

@@ -363,13 +363,12 @@ def cmd_matrix(args) -> int:
     _, baseline = run_experiment(records, schema, dataclasses.replace(base, incremental=False))
     _, inc_only = run_experiment(records, schema, dataclasses.replace(base, incremental=True))
     det0, b0, s0 = detectors[0], batch_sizes[0], strategies[0]
-    det_cfg = dataclasses.replace(
-        base, detector=det0, strategy=s0, batch_size=b0, incremental=False
+    # the first grid cell already runs (det0, b0, s0) with --incremental as
+    # given; only the other learning mode needs a run of its own
+    det_other = dataclasses.replace(
+        base, detector=det0, strategy=s0, batch_size=b0, incremental=not args.incremental
     )
-    _, det_only = run_experiment(records, schema, det_cfg)
-    _, det_inc = run_experiment(
-        records, schema, dataclasses.replace(det_cfg, incremental=True)
-    )
+    _, other = run_experiment(records, schema, det_other)
 
     try:
         cells = experiment_matrix(
@@ -397,6 +396,8 @@ def cmd_matrix(args) -> int:
             "performance_increase": s.performance_increase_vs_baseline,
         }
 
+    cell0 = cells[(det0, b0, s0)]
+    det_only, det_inc = (other, cell0) if args.incremental else (cell0, other)
     rows = [
         row("none", 0, "none", False, baseline),
         row("none", 0, "none", True, inc_only),

@@ -148,10 +148,9 @@ def run_experiment(
     win_sum = 0
     confusion = np.zeros((K, K), dtype=np.int64)
     n_correct = 0
-    for rec in it:
-        if not isinstance(rec, LabeledInstance):
-            continue  # unlabeled records cannot be scored prequentially
-        r = controller.step(rec)
+    # unlabeled records cannot be scored prequentially
+    labeled = (rec for rec in it if isinstance(rec, LabeledInstance))
+    for r in controller.steps(labeled):
         c = 1 if r.correct else 0
         if len(win) == win.maxlen:
             win_sum -= win[0]

@@ -96,7 +96,7 @@ class NaiveBayesModel:
             raise ValueError("label id outside [0, n_classes)")
         model.class_counts = np.bincount(labels, minlength=n_classes).astype(np.int64)
         if model.cat_cardinalities:
-            cats = np.stack([e.cat for e in instances])
+            cats = np.array([e.cat for e in instances])
             for f, c in enumerate(model.cat_cardinalities):
                 flat = labels * c + cats[:, f]
                 model.cat_counts[f] = (
@@ -105,7 +105,7 @@ class NaiveBayesModel:
                     .astype(np.int64)
                 )
         if n_numeric:
-            nums = np.stack([e.num for e in instances])
+            nums = np.array([e.num for e in instances])
             for k in range(n_classes):
                 xs = nums[labels == k]
                 if len(xs) == 0:
@@ -144,21 +144,31 @@ class NaiveBayesModel:
         np.divide(self.g_m2, np.maximum(self.g_count - 1, 1), out=var, where=ok)
         return np.maximum(var, self.var_floor)
 
-    def log_scores(self, enc: EncodedInstance) -> np.ndarray:
-        """Per-class unnormalized log posterior."""
+    def log_scores_many(self, cats: np.ndarray, nums: np.ndarray) -> np.ndarray:
+        """Per-class unnormalized log posteriors, one row per probe: ``cats``
+        is an (n, n_categorical) index matrix and ``nums`` an (n, n_numeric)
+        value matrix. The only scoring routine; every row is computed with
+        the same elementwise operations in the same order whatever n is, so
+        a row's scores do not depend on the block it is scored in."""
+        n = len(cats) if self.cat_cardinalities else len(nums)
         N = self.n_trained
         K = self.n_classes
-        scores = np.log(self.class_counts + self.alpha) - np.log(N + self.alpha * K)
+        scores = np.empty((n, K))
+        scores[:] = np.log(self.class_counts + self.alpha) - np.log(N + self.alpha * K)
         for f, c in enumerate(self.cat_cardinalities):
-            col = self.cat_counts[f][:, enc.cat[f]]
-            scores = scores + np.log(col + self.alpha) - np.log(
+            log_counts = np.log(self.cat_counts[f] + self.alpha).T  # (c, K)
+            scores = (scores + log_counts[cats[:, f]]) - np.log(
                 self.class_counts + self.alpha * c
             )
         if self.n_numeric:
             var = self._variances()
-            diff = enc.num[None, :] - self.g_mean
-            scores = scores - 0.5 * (np.log(2.0 * np.pi * var) + diff * diff / var).sum(axis=1)
+            diff = nums[:, None, :] - self.g_mean
+            scores = scores - 0.5 * (np.log(2.0 * np.pi * var) + diff * diff / var).sum(axis=-1)
         return scores
+
+    def log_scores(self, enc: EncodedInstance) -> np.ndarray:
+        """Per-class unnormalized log posterior of one instance."""
+        return self.log_scores_many(enc.cat[None, :], enc.num[None, :])[0]
 
     def predict(self, enc: EncodedInstance) -> tuple[int, np.ndarray]:
         if self.n_trained < 1:
@@ -167,29 +177,11 @@ class NaiveBayesModel:
         return int(np.argmax(scores)), scores
 
     def predict_many(self, cats: np.ndarray, nums: np.ndarray) -> np.ndarray:
-        """Vectorized argmax predictions for a probe matrix; equivalent to
-        calling ``predict`` row by row."""
+        """Argmax predictions for a probe matrix; row i is bit-for-bit the
+        prediction ``predict`` makes for probe i."""
         if self.n_trained < 1:
             raise ValueError("model has no training data")
-        n = len(cats) if len(self.cat_cardinalities) else len(nums)
-        N = self.n_trained
-        K = self.n_classes
-        scores = np.tile(
-            np.log(self.class_counts + self.alpha) - np.log(N + self.alpha * K), (n, 1)
-        )
-        for f, c in enumerate(self.cat_cardinalities):
-            logtab = np.log(self.cat_counts[f] + self.alpha) - np.log(
-                self.class_counts + self.alpha * c
-            )[:, None]
-            scores += logtab[:, cats[:, f]].T
-        if self.n_numeric:
-            var = self._variances()
-            for j in range(self.n_numeric):
-                diff = nums[:, j][:, None] - self.g_mean[None, :, j]
-                scores -= 0.5 * (
-                    np.log(2.0 * np.pi * var[None, :, j]) + diff * diff / var[None, :, j]
-                )
-        return np.argmax(scores, axis=1)
+        return np.argmax(self.log_scores_many(cats, nums), axis=1)
 
     def posterior(self, enc: EncodedInstance) -> np.ndarray:
         """Normalized class posterior (max-subtracted softmax of log scores)."""

@@ -189,26 +189,25 @@ class EncoderState:
         self.boxcox: dict[str, BoxCoxParams] = {}
         self.frozen = False
 
-    def _token(self, name: str, value: str) -> str:
+    def _tokens(self, name: str, instances: Sequence[Instance]) -> list[str]:
+        """The category tokens of feature ``name``, one per instance,
+        prefix-truncated where configured."""
+        tokens = [str(inst.values[name]) for inst in instances]
         plen = self.prefix_len.get(name)
-        return truncate_category(str(value), plen) if plen else str(value)
+        return [truncate_category(t, plen) for t in tokens] if plen else tokens
 
     def fit(self, instances: Iterable[Instance]) -> "EncoderState":
         """Build category maps (first-appearance order) and fit Box-Cox
         parameters on the warm-up sample, then freeze."""
         if self.frozen:
             raise RuntimeError("encoder already frozen")
-        numeric_samples: dict[str, list[float]] = {n: [] for n in self.boxcox_features}
-        for inst in instances:
-            for name in self.schema.categorical_names:
-                tok = self._token(name, inst.values[name])
-                m = self.cat_maps[name]
-                if tok not in m:
-                    m[tok] = len(m)
-            for name in self.boxcox_features:
-                numeric_samples[name].append(float(inst.values[name]))
-        for name, vals in numeric_samples.items():
-            self.boxcox[name] = fit_boxcox(vals)
+        instances = list(instances)
+        for name in self.schema.categorical_names:
+            m = self.cat_maps[name]
+            for tok in self._tokens(name, instances):
+                m.setdefault(tok, len(m))
+        for name in self.boxcox_features:
+            self.boxcox[name] = fit_boxcox([float(inst.values[name]) for inst in instances])
         self.frozen = True
         return self
 
@@ -224,19 +223,32 @@ class EncoderState:
     def n_numeric(self) -> int:
         return len(self.schema.numeric_names)
 
-    def encode(self, inst: Instance, label: Optional[int] = None) -> EncodedInstance:
+    def encode_many(self, instances: Sequence[Instance]) -> tuple[np.ndarray, np.ndarray]:
+        """Columnar encode: an (n, n_categorical) int64 index matrix and an
+        (n, n_numeric) float64 value matrix, row i holding the encoding of
+        ``instances[i]``. The encoder is frozen, so each row is a pure
+        function of its instance; numerics go through ``float`` and the
+        scalar ``apply_boxcox`` one value at a time."""
         if not self.frozen:
             raise RuntimeError("encoder must be fitted before encoding")
-        cat = np.empty(len(self.schema.categorical_names), dtype=np.int64)
-        for i, name in enumerate(self.schema.categorical_names):
+        cat_names, num_names = self.schema.categorical_names, self.schema.numeric_names
+        cats = np.empty((len(instances), len(cat_names)), dtype=np.int64)
+        for i, name in enumerate(cat_names):
             m = self.cat_maps[name]
-            cat[i] = m.get(self._token(name, inst.values[name]), len(m))
-        num = np.empty(len(self.schema.numeric_names))
-        for j, name in enumerate(self.schema.numeric_names):
-            x = float(inst.values[name])
+            cats[:, i] = [m.get(t, len(m)) for t in self._tokens(name, instances)]
+        nums = np.empty((len(instances), len(num_names)))
+        for j, name in enumerate(num_names):
+            column = [float(inst.values[name]) for inst in instances]
             params = self.boxcox.get(name)
-            num[j] = apply_boxcox(x, params) if params is not None else x
-        return EncodedInstance(inst.index, cat, num, label)
+            if params is not None:
+                column = [apply_boxcox(x, params) for x in column]
+            nums[:, j] = column
+        return cats, nums
+
+    def encode(self, inst: Instance, label: Optional[int] = None) -> EncodedInstance:
+        """One-row ``encode_many``."""
+        cats, nums = self.encode_many((inst,))
+        return EncodedInstance(inst.index, cats[0], nums[0], label)
 
     def one_hot(self, enc: EncodedInstance) -> np.ndarray:
         """Export view: concatenated one-hot slots plus numeric values."""

@@ -7,6 +7,7 @@ and observe exactly what the controller feeds back to it.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +24,13 @@ from driftstream.adaptation import (
 from driftstream.detectors import NoDetector
 from driftstream.naive_bayes import NaiveBayesModel
 from driftstream.preprocess import EncoderState
-from driftstream.stream_core import CATEGORICAL, FeatureSchema, Instance, LabeledInstance
+from driftstream.stream_core import (
+    CATEGORICAL,
+    NUMERIC,
+    FeatureSchema,
+    Instance,
+    LabeledInstance,
+)
 
 SCHEMA = FeatureSchema((("tok", CATEGORICAL),), "label")
 
@@ -276,6 +283,111 @@ def test_static_prediction_is_pure_function_of_instance():
     assert ctrl.step(probe).prediction == first
 
 
+# -- block walk ---------------------------------------------------------------
+
+MIXED_SCHEMA = FeatureSchema((("tok", CATEGORICAL), ("x", NUMERIC)), "label")
+
+
+class CountingDetector:
+    """Fires on the observe calls whose 1-based number is in ``fire_on``;
+    a pure function of the call count, so two controllers fed alike see the
+    same alarms."""
+
+    def __init__(self, fire_on):
+        self.fire_on = set(fire_on)
+        self.calls = 0
+
+    def observe(self, x):
+        self.calls += 1
+        return self.calls in self.fire_on
+
+    def reset(self):
+        return self
+
+
+def noisy_stream(n, seed=0):
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        y = int(rng.integers(3))
+        tok = "abcd"[y] if rng.random() < 0.6 else "abcd"[int(rng.integers(4))]
+        out.append(LabeledInstance(Instance(i, {"tok": tok, "x": float(y + rng.normal())}), y))
+    return out
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("batch_size", [1, 12])
+@pytest.mark.parametrize("incremental,mini_batch_size", [(False, 10), (True, 1), (True, 10)])
+def test_block_walk_equals_step_loop(monkeypatch, strategy, batch_size, incremental, mini_batch_size):
+    stream = noisy_stream(900)
+    rng = np.random.default_rng(batch_size + mini_batch_size)
+    # dense alarms, some in runs, so that they land on block edges too
+    fire_on = {c for c in range(1, 900) if rng.random() < 0.08 or c % 37 in (0, 1)}
+    cfg = ControllerConfig(
+        strategy=strategy,
+        batch_size=batch_size,
+        incremental=incremental,
+        mini_batch_size=mini_batch_size,
+    )
+    block = Controller.from_warmup(stream[:60], MIXED_SCHEMA, CountingDetector(fire_on), cfg)
+    plain = Controller.from_warmup(stream[:60], MIXED_SCHEMA, CountingDetector(fire_on), cfg)
+
+    walked, blocks = [], []
+    predict_many = NaiveBayesModel.predict_many
+
+    def spy(model, cats, nums):
+        blocks.append((len(walked), len(cats)))  # first row, length
+        return predict_many(model, cats, nums)
+
+    monkeypatch.setattr(NaiveBayesModel, "predict_many", spy)
+    for r in block.steps(stream[60:]):
+        walked.append(r)
+    monkeypatch.undo()
+    stepped = [plain.step(rec) for rec in stream[60:]]
+
+    assert walked == stepped
+    assert block.retrain_history == plain.retrain_history
+    assert block.event_log == plain.event_log
+    assert (block.n_drifts, block.n_retrains) == (plain.n_drifts, plain.n_retrains)
+    assert block.model.to_json() == plain.model.to_json()
+    assert len(block.buffer) == len(plain.buffer)
+    for a, b in zip(block.buffer, plain.buffer):
+        assert (a.index, a.label) == (b.index, b.label)
+        assert np.array_equal(a.cat, b.cat) and np.array_equal(a.num, b.num)
+    # the stream exercises what it is meant to: alarms on the first and on
+    # the last row of a block, and (where blocks exceed one row) blocks cut
+    # short by a refit at an alarm, whose rest is scored again
+    alarms = {i for i, r in enumerate(walked) if r.drift}
+    assert alarms & {start for start, _ in blocks}
+    assert alarms & {start + n - 1 for start, n in blocks}
+    refits_at_alarm = strategy == LAST or (strategy == MIXED and batch_size == 1)
+    if refits_at_alarm and mini_batch_size > 1:
+        assert any(nxt < start + n for (start, n), (nxt, _) in zip(blocks, blocks[1:]))
+
+
+@pytest.mark.parametrize("incremental,mini_batch_size", [(False, 10), (True, 1), (True, 7)])
+def test_block_walk_scores_each_row_once_when_no_alarm_can_refit(
+    monkeypatch, incremental, mini_batch_size
+):
+    # without a strategy the model changes only where a mini-batch fills,
+    # and blocks end there, also across an encode-chunk edge (4,096 rows)
+    # that leaves a mini-batch part-filled: no score is computed and dropped
+    stream = noisy_stream(4560)
+    cfg = ControllerConfig(incremental=incremental, mini_batch_size=mini_batch_size)
+    ctrl = Controller.from_warmup(stream[:60], MIXED_SCHEMA, NoDetector(), cfg)
+    sizes = []
+    predict_many = NaiveBayesModel.predict_many
+
+    def spy(model, cats, nums):
+        sizes.append(len(cats))
+        return predict_many(model, cats, nums)
+
+    monkeypatch.setattr(NaiveBayesModel, "predict_many", spy)
+    assert sum(1 for _ in ctrl.steps(stream[60:])) == 4500
+    assert sum(sizes) == 4500
+    assert max(sizes) == (mini_batch_size if incremental else 4096)
+
+
 # -- protocol -----------------------------------------------------------------
 
 
@@ -308,6 +420,8 @@ def test_step_before_warmup_rejected():
     )
     with pytest.raises(ControllerError):
         ctrl.step(make_stream(1)[0])
+    with pytest.raises(ControllerError):
+        next(ctrl.steps(make_stream(1)))
 
 
 def test_warmup_requires_labeled_instances():

@@ -1,10 +1,12 @@
 """End-to-end tests for the command-line interface (exit codes, output
 files, determinism). Commands run in-process through main()."""
 
+import csv
 import json
 
 import pytest
 
+from driftstream import cli, evaluation
 from driftstream.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 
 
@@ -219,6 +221,34 @@ def test_matrix_worker_count_invariance(tmp_path, small_stream):
         assert code == EXIT_OK
         outs.append((out / "summary.csv").read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("mode", [[], ["--no-incremental"]])
+def test_matrix_runs_each_distinct_config_once(tmp_path, small_stream, monkeypatch, mode):
+    runs = []
+    run_experiment = evaluation.run_experiment
+
+    def counting(records, schema, cfg):
+        runs.append(cfg)
+        return run_experiment(records, schema, cfg)
+
+    monkeypatch.setattr(cli, "run_experiment", counting)
+    monkeypatch.setattr(evaluation, "run_experiment", counting)
+    out = tmp_path / "m"
+    code = run_cli(
+        "matrix", "--input", str(small_stream), "--label", "label",
+        "--warmup", "300", "--batch-sizes", "100", "--workers", "1", *mode, "-o", str(out),
+    )
+    assert code == EXIT_OK
+    # 2 no-detector baselines, the first cell in the other learning mode,
+    # and 2 detectors x 1 batch size x 3 strategies
+    assert len(runs) == len(set(runs)) == 3 + 6
+    with open(out / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    # the first cell's baseline row is that cell's own result
+    incremental = "0" if mode else "1"
+    baseline = next(r for r in rows[2:4] if r["incremental"] == incremental)
+    assert baseline == rows[4]
 
 
 # -- inspect ------------------------------------------------------------------

@@ -7,6 +7,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+from driftstream import evaluation
+from driftstream.adaptation import Controller
 from driftstream.evaluation import (
     ConfigError,
     CsvSource,
@@ -123,6 +125,70 @@ def test_drift_handling_beats_static_on_drifting_stream():
     _, handled = run_experiment(stream.instances, stream.predictive_schema, handled_cfg)
     assert handled.overall_accuracy > static.overall_accuracy
     assert handled.n_drifts >= 1 and handled.n_retrains >= 1
+
+
+_BUILD_CONTROLLER = evaluation._build_controller
+
+
+def _run_capturing(monkeypatch, records, schema, cfg):
+    """run_experiment plus the controller it drove."""
+    built = []
+
+    def capture(*args):
+        built.append(_BUILD_CONTROLLER(*args))
+        return built[-1]
+
+    monkeypatch.setattr(evaluation, "_build_controller", capture)
+    out, summary = run_experiment(records, schema, cfg)
+    return out, summary, built[0]
+
+
+@pytest.fixture(scope="module")
+def drifting_stream():
+    return generate(
+        SynthConfig(
+            n_instances=2000,
+            n_categorical=2,
+            n_numeric=3,
+            drift=(DriftSpec(SUDDEN, 700, 0, 1.0), DriftSpec(SUDDEN, 1300, 0, 1.0)),
+            seed=3,
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "detector,strategy",
+    [("none", None)]
+    + [(d, s) for d in ("page_hinkley", "adwin") for s in ("last", "mixed", "next")],
+)
+@pytest.mark.parametrize("incremental", [False, True])
+@pytest.mark.parametrize("batch_size,mini_batch_size", [(1, 1), (1, 10), (40, 10), (40, 1)])
+def test_block_path_equals_step_loop(
+    monkeypatch, drifting_stream, detector, strategy, incremental, batch_size, mini_batch_size
+):
+    cfg = ExperimentConfig(
+        detector=detector,
+        strategy=strategy,
+        batch_size=batch_size,
+        incremental=incremental,
+        mini_batch_size=mini_batch_size,
+        warmup=200,
+        window=50,
+        ph_lambda=2.0,
+        adwin_delta=0.5,
+        n_classes=3,
+    )
+    records, schema = drifting_stream.instances, drifting_stream.predictive_schema
+    block = _run_capturing(monkeypatch, records, schema, cfg)
+    monkeypatch.setattr(Controller, "steps", lambda self, rows: map(self.step, rows))
+    plain = _run_capturing(monkeypatch, records, schema, cfg)
+
+    assert block[0] == plain[0]  # every prequential record
+    assert block[1] == plain[1]  # summary, confusion included
+    assert block[2].retrain_history == plain[2].retrain_history
+    assert block[2].n_drifts == plain[2].n_drifts
+    if detector != "none":
+        assert plain[2].n_drifts >= 2
 
 
 # -- config validation --------------------------------------------------------

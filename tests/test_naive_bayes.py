@@ -245,6 +245,45 @@ def test_predict_many_matches_predict():
     np.testing.assert_array_equal(batch, single)
 
 
+@pytest.mark.parametrize("n_num", [0, 2, 3, 9])
+def test_predict_scores_are_rows_of_the_shared_routine(n_num):
+    # categories 2 and 4 are the reserved unseen slots: never trained on
+    rng = np.random.default_rng(8)
+    data = random_instances(rng, 300, cards=(2, 4), n_num=n_num)
+    m = NaiveBayesModel.fit(data, 3, (3, 5), n_num)
+    probes = random_instances(rng, 60, cards=(3, 5), n_num=n_num)
+    assert {2} <= {int(p.cat[0]) for p in probes} and {4} <= {int(p.cat[1]) for p in probes}
+    cats = np.stack([p.cat for p in probes])
+    nums = np.stack([p.num for p in probes]).reshape(len(probes), n_num)
+    scores = m.log_scores_many(cats, nums)
+    preds = m.predict_many(cats, nums)
+    for i, p in enumerate(probes):
+        pred, row = m.predict(p)
+        assert np.array_equal(row, scores[i])
+        assert pred == preds[i]
+
+
+def test_tied_scores_are_bitwise_rows_of_the_shared_routine():
+    # mirrored classes: any probe on the unseen slot, or with equal values,
+    # ties classes 0 and 1 exactly
+    data = [
+        enc(0, cats=[0], nums=[1.0, -2.0, 0.5], label=0),
+        enc(1, cats=[1], nums=[1.0, -2.0, 0.5], label=1),
+        enc(2, cats=[0], nums=[3.0, 0.0, -1.5], label=0),
+        enc(3, cats=[1], nums=[3.0, 0.0, -1.5], label=1),
+    ]
+    m = NaiveBayesModel.fit(data, 2, [3], 3)
+    probes = [enc(9, cats=[2], nums=[2.0, -1.0, -0.5]), enc(9, cats=[2], nums=[0.0, 0.0, 0.0])]
+    cats = np.stack([p.cat for p in probes])
+    nums = np.stack([p.num for p in probes])
+    scores = m.log_scores_many(cats, nums)
+    for i, p in enumerate(probes):
+        pred, row = m.predict(p)
+        assert row[0] == row[1]
+        assert np.array_equal(row, scores[i])
+        assert pred == m.predict_many(cats, nums)[i] == 0
+
+
 def test_predict_untrained_rejected():
     m = NaiveBayesModel(2, [2], 0)
     with pytest.raises(ValueError):
