@@ -2,7 +2,7 @@
 Page-Hinkley / ADWIN drift detection, and retraining data-selection
 strategies (last / mixed / next) under prequential evaluation."""
 
-from .adaptation import Controller, ControllerConfig, RetrainEvent, StepResult
+from .adaptation import Controller, ControllerConfig, LabelError, RetrainEvent, Rows, StepResult
 from .detectors import Adwin, NoDetector, PageHinkley, make_detector
 from .evaluation import (
     ConfigError,

@@ -18,20 +18,27 @@ updates pause; the detector is reset after every retraining.
 the model is constant within a block, and a block that a refit cuts short
 at row j has its scores after j dropped and computed again with the new
 model, so its results equal those of ``step`` called row by row.
+
+The controller keeps its rows as encoded columns (stream index, label,
+category indices, numeric values): the current chunk plus the tail of the
+previous ones that a window can still use. The ring buffer, the mini-batch
+and an outstanding collection are positions into those columns, so a refit
+or an update reads a slice of them.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .detectors import NoDetector
 from .naive_bayes import NaiveBayesModel
-from .preprocess import EncodedInstance, EncoderState
-from .stream_core import FeatureSchema, LabeledInstance
+from .preprocess import EncoderState
+from .stream_core import FeatureSchema, LabeledInstance, csv_row
 
 LAST = "last"
 MIXED = "mixed"
@@ -50,6 +57,33 @@ _MAX_BLOCK = 4096
 
 class ControllerError(RuntimeError):
     pass
+
+
+class LabelError(ControllerError):
+    """A stream row whose label the controller cannot learn from: missing
+    in the warm-up prefix, or outside [0, n_classes). Names the row by its
+    stream index and by its row in the stream's CSV file."""
+
+    def __init__(self, message: str, index: int, row: int):
+        super().__init__(message, index, row)
+        self.index = index
+        self.row = row
+
+    def __str__(self) -> str:
+        return f"stream index {self.index} (CSV row {self.row}): {self.args[0]}"
+
+
+def _check_labels(
+    rows: Sequence[LabeledInstance], labels: list[int], n_classes: int, schema: FeatureSchema
+) -> None:
+    """Raise ``LabelError`` for the first row whose label is outside
+    [0, n_classes)."""
+    if min(labels) < 0 or max(labels) >= n_classes:
+        i = next(i for i, y in enumerate(labels) if not 0 <= y < n_classes)
+        index = rows[i].instance.index
+        raise LabelError(
+            f"label {labels[i]} outside [0, {n_classes})", index, csv_row(schema, index)
+        )
 
 
 @dataclass(frozen=True)
@@ -85,8 +119,25 @@ class RetrainEvent:
     used_indices: tuple[int, ...]
 
 
+class Rows(NamedTuple):
+    """Encoded rows as columns, in stream order: stream indices, labels, an
+    (n, n_categorical) category index matrix and an (n, n_numeric) value
+    matrix. The stream indices are a list of the stream's own int objects,
+    which retrain records then share instead of holding copies."""
+
+    index: list[int]
+    label: np.ndarray
+    cats: np.ndarray
+    nums: np.ndarray
+
+
 class Controller:
-    """One controller per stream; single-threaded stepping."""
+    """One controller per stream; single-threaded stepping.
+
+    Rows are numbered by position: the initial buffer holds positions
+    0 .. len-1 and each stepped row takes the next one. ``_cols`` holds the
+    rows from position ``_base`` on.
+    """
 
     def __init__(
         self,
@@ -94,18 +145,29 @@ class Controller:
         encoder: EncoderState,
         detector,
         config: ControllerConfig,
-        buffer: Optional[Iterable[EncodedInstance]] = None,
+        buffer: Optional[Rows] = None,
     ):
         self.model = model
         self.encoder = encoder
         self.detector = detector
         self.config = config
-        self.buffer: deque[EncodedInstance] = deque(buffer or (), maxlen=config.batch_size)
+        if buffer is None:
+            buffer = Rows(
+                [],
+                np.empty(0, dtype=np.int64),
+                np.empty((0, len(encoder.cat_cardinalities)), dtype=np.int64),
+                np.empty((0, encoder.n_numeric)),
+            )
+        self._cols = Rows._make(c[-config.batch_size :] for c in buffer)
+        self._base = 0
+        self._next = len(self._cols.index)
         self.mode = STABLE
         self.remaining = 0
-        self.pending_pre: list[EncodedInstance] = []
-        self.collected: list[EncodedInstance] = []
-        self.mini_batch: list[EncodedInstance] = []
+        self.mini_batch: list[int] = []  # positions
+        # an outstanding collection retrains on [_window_lo, _alarm_pos)
+        # plus the rows collected after _alarm_pos
+        self._window_lo = 0
+        self._alarm_pos = 0
         self._alarm_index: Optional[int] = None
         self.n_drifts = 0
         self.n_retrains = 0
@@ -129,27 +191,34 @@ class Controller:
         model on it, and pre-fill the buffer with its tail."""
         if not warmup:
             raise ControllerError("warm-up requires at least one labeled instance")
-        if any(not isinstance(r, LabeledInstance) for r in warmup):
-            raise ControllerError("warm-up data must be fully labeled")
+        for r in warmup:
+            if not isinstance(r, LabeledInstance):
+                raise LabelError("warm-up row has no label", r.index, csv_row(schema, r.index))
+        instances = [r.instance for r in warmup]
         encoder = EncoderState(schema, boxcox_features, prefix_len)
-        encoder.fit([r.instance for r in warmup])
+        encoder.fit(instances)
+        labels = [r.label for r in warmup]
         if n_classes is None:
-            n_classes = max(r.label for r in warmup) + 1
-        cats, nums = encoder.encode_many([r.instance for r in warmup])
-        encoded = [
-            EncodedInstance(r.instance.index, cats[i], nums[i], r.label)
-            for i, r in enumerate(warmup)
-        ]
+            n_classes = max(labels) + 1
+        _check_labels(warmup, labels, n_classes, schema)
+        cats, nums = encoder.encode_many(instances)
+        rows = Rows(
+            [inst.index for inst in instances],
+            np.array(labels, dtype=np.int64),
+            cats,
+            nums,
+        )
         model = NaiveBayesModel.fit(
-            encoded,
+            rows.label,
+            rows.cats,
+            rows.nums,
             n_classes,
             encoder.cat_cardinalities,
             encoder.n_numeric,
             config.smoothing_alpha,
             config.var_floor,
         )
-        tail = encoded[-config.batch_size :]
-        return cls(model, encoder, detector, config, buffer=tail)
+        return cls(model, encoder, detector, config, buffer=rows)
 
     def make_static(self) -> "Controller":
         """Disable detection and incremental updates; the model is frozen."""
@@ -164,13 +233,64 @@ class Controller:
         )
         return self
 
+    # -- rows -------------------------------------------------------------
+
+    @property
+    def buffer(self) -> Rows:
+        """The labeled ring buffer: the last ``batch_size`` rows stepped,
+        the warm-up tail counting as stepped."""
+        return self._rows(slice(max(0, self._next - self.config.batch_size), self._next))
+
+    def _rows(self, pos) -> Rows:
+        """The rows at positions ``pos``, a slice or an integer array."""
+        b = self._base
+        index, label, cats, nums = self._cols
+        if isinstance(pos, slice):
+            sel = slice(pos.start - b, pos.stop - b)
+            return Rows(index[sel], label[sel], cats[sel], nums[sel])
+        sel = pos - b
+        return Rows([index[i] for i in sel.tolist()], label[sel], cats[sel], nums[sel])
+
+    def _append(
+        self, chunk: list[LabeledInstance]
+    ) -> tuple[list[int], list[int], np.ndarray, np.ndarray]:
+        """Check and encode the rows of ``chunk`` and append them to the
+        columns at positions ``_next`` on. Rows that neither the buffer nor
+        a part-filled mini-batch can use any more are dropped first, so at
+        most ``batch_size + mini_batch_size`` rows before ``_next`` stay.
+        An outstanding collection needs no more: its window spans
+        ``batch_size + 1`` positions, the alarm row included, and its last
+        row is not stepped yet.
+        Returns the chunk's stream indices and labels as lists and its
+        category and value matrices."""
+        labels = [r.label for r in chunk]
+        _check_labels(chunk, labels, self.model.n_classes, self.encoder.schema)
+        index = [r.instance.index for r in chunk]
+        cats, nums = self.encoder.encode_many([r.instance for r in chunk])
+        keep = self._next - self.config.batch_size
+        if self.mini_batch:
+            keep = min(keep, self.mini_batch[0])
+        keep = max(keep, self._base)
+        old = slice(keep - self._base, self._next - self._base)
+        kept = self._cols
+        self._cols = Rows(
+            kept.index[old] + index,
+            np.concatenate((kept.label[old], np.array(labels, dtype=np.int64))),
+            np.concatenate((kept.cats[old], cats)),
+            np.concatenate((kept.nums[old], nums)),
+        )
+        self._base = keep
+        return index, labels, cats, nums
+
     # -- stepping ---------------------------------------------------------
 
-    def _refit(self, instances: Sequence[EncodedInstance], alarm_index: int, now: int) -> bool:
-        if not instances:
+    def _refit(self, rows: Rows, alarm_index: int, now: int) -> bool:
+        if not len(rows.index):
             return False  # nothing usable; keep the old model
         self.model = NaiveBayesModel.fit(
-            instances,
+            rows.label,
+            rows.cats,
+            rows.nums,
             self.model.n_classes,
             self.model.cat_cardinalities,
             self.model.n_numeric,
@@ -178,9 +298,7 @@ class Controller:
             self.config.var_floor,
         )
         self.n_retrains += 1
-        self.retrain_history.append(
-            RetrainEvent(alarm_index, now, tuple(e.index for e in instances))
-        )
+        self.retrain_history.append(RetrainEvent(alarm_index, now, tuple(rows.index)))
         self.event_log.append((now, "retrain_done"))
         self.detector.reset()
         self.mini_batch.clear()
@@ -202,9 +320,9 @@ class Controller:
         """Test then train on one row."""
         if self.model.n_trained < 1:
             raise ControllerError("step before warm-up")
-        enc = self.encoder.encode(labeled.instance, labeled.label)
-        pred, _ = self.model.predict(enc)
-        return self._advance(enc, pred)
+        index, labels, cats, nums = self._append([labeled])
+        pred = self.model.predict_many(cats, nums).tolist()[0]
+        return self._advance(index[0], labels[0], pred)
 
     def steps(self, rows: Iterable[LabeledInstance]) -> Iterator[StepResult]:
         """Test then train on each row in turn, yielding what ``step`` would
@@ -213,29 +331,31 @@ class Controller:
         next row at which the model can change, so the model is constant
         within it. When the model changes at a row anyway (a refit at an
         alarm), the scores after that row are dropped and the rest of the
-        block is scored again with the new model."""
+        block is scored again with the new model. A chunk holding a label
+        outside [0, n_classes) raises ``LabelError`` before any of its rows
+        is stepped."""
         it = iter(rows)
         while chunk := list(islice(it, _MAX_BLOCK)):
             if self.model.n_trained < 1:
                 raise ControllerError("step before warm-up")
-            cats, nums = self.encoder.encode_many([r.instance for r in chunk])
+            index, labels, cats, nums = self._append(chunk)
             start = 0
             while start < len(chunk):
                 stop = min(len(chunk), start + self._rows_to_change())
                 preds = self.model.predict_many(cats[start:stop], nums[start:stop]).tolist()
                 for i in range(start, stop):
-                    row = chunk[i]
-                    enc = EncodedInstance(row.instance.index, cats[i], nums[i], row.label)
-                    r = self._advance(enc, preds[i - start])
+                    r = self._advance(index[i], labels[i], preds[i - start])
                     yield r
                     if r.retrained:  # updates fall on a block's last row; refits may not
                         break
                 start = i + 1
 
-    def _advance(self, enc: EncodedInstance, pred: int) -> StepResult:
-        """The state machine: everything a step does after scoring."""
+    def _advance(self, index: int, label: int, pred: int) -> StepResult:
+        """The state machine: everything a step does after scoring the row
+        at position ``_next``."""
         cfg = self.config
-        correct = pred == enc.label
+        p = self._next
+        correct = pred == label
         drift = False
         retrained = False
 
@@ -244,41 +364,35 @@ class Controller:
             if alarm and cfg.strategy is not None:
                 drift = True
                 self.n_drifts += 1
-                self._alarm_index = enc.index
-                self.event_log.append((enc.index, "drift"))
+                self._alarm_index = index
+                self.event_log.append((index, "drift"))
                 if cfg.strategy == LAST:
-                    retrained = self._refit(list(self.buffer), enc.index, enc.index)
+                    retrained = self._refit(self.buffer, index, index)
                 else:
-                    pre = math.ceil(cfg.batch_size / 2)
-                    post = cfg.batch_size - pre
-                    if cfg.strategy == MIXED:
-                        self.pending_pre = list(self.buffer)[-pre:]
-                        self.remaining = post
-                    else:  # NEXT
-                        self.pending_pre = []
-                        self.remaining = cfg.batch_size
-                    self.collected = []
+                    # mixed keeps the last ceil(B/2) buffered rows; next none
+                    pre = math.ceil(cfg.batch_size / 2) if cfg.strategy == MIXED else 0
+                    self._window_lo = max(0, p - pre)
+                    self._alarm_pos = p
+                    self.remaining = cfg.batch_size - pre
                     if self.remaining == 0:  # mixed with B == 1: no post half
-                        retrained = self._refit(self.pending_pre, enc.index, enc.index)
-                        self.pending_pre = []
+                        window = self._rows(slice(self._window_lo, p))
+                        retrained = self._refit(window, index, index)
                     else:
                         self.mode = COLLECTING
-                        self.event_log.append((enc.index, "retrain_start"))
+                        self.event_log.append((index, "retrain_start"))
             elif cfg.incremental:
-                self.mini_batch.append(enc)
+                self.mini_batch.append(p)
                 if len(self.mini_batch) >= cfg.mini_batch_size:
-                    self.model.update(self.mini_batch)
+                    _, labels, cats, nums = self._rows(np.array(self.mini_batch))
+                    self.model.update(labels, cats, nums)
                     self.mini_batch.clear()
-        else:  # COLLECTING
-            self.collected.append(enc)
+        else:  # COLLECTING: the alarm row belongs to no window
             self.remaining -= 1
             if self.remaining == 0:
-                retrained = self._refit(
-                    self.pending_pre + self.collected, self._alarm_index, enc.index
-                )
-                self.pending_pre = []
-                self.collected = []
+                a = self._alarm_pos
+                window = np.concatenate((np.arange(self._window_lo, a), np.arange(a + 1, p + 1)))
+                retrained = self._refit(self._rows(window), self._alarm_index, index)
                 self.mode = STABLE
 
-        self.buffer.append(enc)
-        return StepResult(enc.index, pred, enc.label, correct, drift, retrained)
+        self._next = p + 1
+        return StepResult(index, pred, label, correct, drift, retrained)

@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from .adaptation import LabelError
 from .evaluation import (
     ConfigError,
     CsvSource,
@@ -562,7 +563,7 @@ def main(argv=None) -> int:
     except _CliError as e:
         print(f"driftstream: {e}", file=sys.stderr)
         return e.code
-    except (SchemaError, StreamParseError) as e:
+    except (SchemaError, StreamParseError, LabelError) as e:
         print(f"driftstream: data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (ConfigError, SynthConfigError) as e:

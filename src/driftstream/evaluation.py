@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import multiprocessing
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -252,14 +253,30 @@ class SynthSource:
 MatrixKey = tuple[str, int, str]
 
 
-def _run_cell(args) -> tuple[MatrixKey, ExperimentSummary]:
-    source, base, detector, batch_size, strategy = args
-    records, schema = source.load()
+def _run_cell(
+    stream: tuple[list[Record], FeatureSchema], job
+) -> tuple[MatrixKey, ExperimentSummary]:
+    records, schema = stream
+    base, detector, batch_size, strategy = job
     cfg = dataclasses.replace(
         base, detector=detector, strategy=strategy, batch_size=batch_size
     )
     _, summary = run_experiment(records, schema, cfg)
     return (detector, batch_size, strategy), summary
+
+
+# The loaded matrix source of a worker process; set once per worker by the
+# pool initializer, never in the parent.
+_worker_stream: Optional[tuple[list[Record], FeatureSchema]] = None
+
+
+def _load_worker_source(source) -> None:
+    global _worker_stream
+    _worker_stream = source.load()
+
+
+def _run_worker_cell(job) -> tuple[MatrixKey, ExperimentSummary]:
+    return _run_cell(_worker_stream, job)
 
 
 def experiment_matrix(
@@ -273,7 +290,9 @@ def experiment_matrix(
 ) -> dict[MatrixKey, ExperimentSummary]:
     """Independent deterministic run per (detector, batch size, strategy)
     cell. Cells share no state, so they may run across worker processes;
-    the result is keyed, not appended, and identical for any worker count."""
+    the result is keyed, not appended, and identical for any worker count.
+    The source is loaded once: in this process when ``workers`` <= 1, else
+    once in each worker."""
     if not hasattr(source, "load"):
         raise ConfigError("matrix needs a replayable source (CsvSource or SynthSource)")
     if base is None:
@@ -281,20 +300,21 @@ def experiment_matrix(
     base = dataclasses.replace(
         base, incremental=incremental, detector="none", strategy=None
     )
-    jobs = [
-        (source, base, d, b, s)
-        for d in detectors
-        for b in batch_sizes
-        for s in strategies
-    ]
+    jobs = [(base, d, b, s) for d in detectors for b in batch_sizes for s in strategies]
     results: dict[MatrixKey, ExperimentSummary] = {}
     if workers <= 1:
+        stream = source.load()
         for job in jobs:
-            key, summary = _run_cell(job)
+            key, summary = _run_cell(stream, job)
             results[key] = summary
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for key, summary in pool.map(_run_cell, jobs):
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("spawn"),
+            initializer=_load_worker_source,
+            initargs=(source,),
+        ) as pool:
+            for key, summary in pool.map(_run_worker_cell, jobs):
                 results[key] = summary
     return results
 

@@ -10,7 +10,7 @@ Gaussian parameters. All likelihood math is carried out in log space.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -18,6 +18,19 @@ from .preprocess import EncodedInstance
 
 _SERIAL_VERSION = 1
 _LOG_2PI = float(np.log(2.0 * np.pi))
+
+
+def _columns(
+    instances: Sequence[EncodedInstance], n_categorical: int, n_numeric: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stack encoded instances into the (labels, cats, nums) columns that
+    ``fit`` and ``update`` take."""
+    if any(e.label is None for e in instances):
+        raise ValueError("every instance needs a label")
+    labels = np.array([e.label for e in instances], dtype=np.int64)
+    cats = np.array([e.cat for e in instances], dtype=np.int64).reshape(len(labels), n_categorical)
+    nums = np.array([e.num for e in instances], dtype=float).reshape(len(labels), n_numeric)
+    return labels, cats, nums
 
 
 class Welford:
@@ -74,38 +87,42 @@ class NaiveBayesModel:
         self.g_count = np.zeros((K, n_numeric), dtype=np.int64)
         self.g_mean = np.zeros((K, n_numeric))
         self.g_m2 = np.zeros((K, n_numeric))
+        # scoring constants: row offset of each feature in the stacked log
+        # table, and alpha * cardinality as a (n_categorical, 1) column
+        cards = np.array(self.cat_cardinalities, dtype=np.int64)
+        self._cat_offsets = np.cumsum(cards) - cards
+        self._alpha_cards = (self.alpha * cards)[:, None]
 
     # -- training ---------------------------------------------------------
 
     @classmethod
     def fit(
         cls,
-        instances: Sequence[EncodedInstance],
+        labels: np.ndarray,
+        cats: np.ndarray,
+        nums: np.ndarray,
         n_classes: int,
         cat_cardinalities: Sequence[int],
         n_numeric: int,
         smoothing_alpha: float = 1.0,
         var_floor: float = 1e-9,
     ) -> "NaiveBayesModel":
-        """Batch fit; counts exactly reflect the instance list."""
-        if not instances:
+        """Batch fit on columns: ``labels`` (n,), ``cats`` an (n,
+        n_categorical) index matrix and ``nums`` an (n, n_numeric) value
+        matrix, row i one instance. Counts exactly reflect the rows; the
+        Gaussian parameters are a two-pass mean and M2 per class over the
+        class's rows in row order."""
+        if not len(labels):
             raise ValueError("cannot fit on an empty instance list")
         model = cls(n_classes, cat_cardinalities, n_numeric, smoothing_alpha, var_floor)
-        labels = np.array([e.label for e in instances], dtype=np.int64)
+        labels = np.asarray(labels, dtype=np.int64)
         if labels.min() < 0 or labels.max() >= n_classes:
             raise ValueError("label id outside [0, n_classes)")
-        model.class_counts = np.bincount(labels, minlength=n_classes).astype(np.int64)
-        if model.cat_cardinalities:
-            cats = np.array([e.cat for e in instances])
-            for f, c in enumerate(model.cat_cardinalities):
-                flat = labels * c + cats[:, f]
-                model.cat_counts[f] = (
-                    np.bincount(flat, minlength=n_classes * c)
-                    .reshape(n_classes, c)
-                    .astype(np.int64)
-                )
+        model.class_counts = np.bincount(labels, minlength=n_classes)
+        for f, c in enumerate(model.cat_cardinalities):
+            flat = labels * c + cats[:, f]
+            model.cat_counts[f] = np.bincount(flat, minlength=n_classes * c).reshape(n_classes, c)
         if n_numeric:
-            nums = np.array([e.num for e in instances])
             for k in range(n_classes):
                 xs = nums[labels == k]
                 if len(xs) == 0:
@@ -116,21 +133,56 @@ class NaiveBayesModel:
                 model.g_m2[k] = ((xs - mean) ** 2).sum(axis=0)
         return model
 
-    def update(self, batch: Iterable[EncodedInstance]) -> "NaiveBayesModel":
-        """Advance counts and accumulators with new labeled instances."""
-        for e in batch:
-            k = e.label
-            if k is None or not 0 <= k < self.n_classes:
-                raise ValueError(f"label {k!r} outside [0, {self.n_classes})")
-            self.class_counts[k] += 1
-            for f in range(len(self.cat_cardinalities)):
-                self.cat_counts[f][k, e.cat[f]] += 1
-            n = self.g_count[k] + 1
-            delta = e.num - self.g_mean[k]
-            self.g_mean[k] = self.g_mean[k] + delta / n
-            self.g_m2[k] = self.g_m2[k] + delta * (e.num - self.g_mean[k])
-            self.g_count[k] = n
+    @classmethod
+    def fit_instances(
+        cls,
+        instances: Sequence[EncodedInstance],
+        n_classes: int,
+        cat_cardinalities: Sequence[int],
+        n_numeric: int,
+        smoothing_alpha: float = 1.0,
+        var_floor: float = 1e-9,
+    ) -> "NaiveBayesModel":
+        """``fit`` on a list of encoded instances."""
+        return cls.fit(
+            *_columns(instances, len(cat_cardinalities), n_numeric),
+            n_classes, cat_cardinalities, n_numeric, smoothing_alpha, var_floor,
+        )
+
+    def update(self, labels: np.ndarray, cats: np.ndarray, nums: np.ndarray) -> "NaiveBayesModel":
+        """Advance counts and accumulators with new labeled rows (columns as
+        in ``fit``). Counts are added by ``bincount``; the Gaussian
+        accumulators take one Welford step per row, in row order, on Python
+        floats, which is the float64 arithmetic of a per-row numpy update."""
+        ks = labels.tolist()
+        if not ks:
+            return self
+        K = self.n_classes
+        if min(ks) < 0 or max(ks) >= K:
+            raise ValueError(f"label outside [0, {K})")
+        self.class_counts += np.bincount(labels, minlength=K)
+        for f, c in enumerate(self.cat_cardinalities):
+            flat = labels * c + cats[:, f]
+            self.cat_counts[f] += np.bincount(flat, minlength=K * c).reshape(K, c)
+        if self.n_numeric:
+            # g_count is the same in every column of a class row
+            counts = self.g_count[:, 0].tolist()
+            means, m2s = self.g_mean.tolist(), self.g_m2.tolist()
+            for k, row in zip(ks, nums.tolist()):
+                n = counts[k] = counts[k] + 1
+                mean, m2 = means[k], m2s[k]
+                for d, x in enumerate(row):
+                    delta = x - mean[d]
+                    mean[d] += delta / n
+                    m2[d] += delta * (x - mean[d])
+            self.g_count[:] = np.array(counts)[:, None]
+            self.g_mean[:] = means
+            self.g_m2[:] = m2s
         return self
+
+    def update_instances(self, batch: Sequence[EncodedInstance]) -> "NaiveBayesModel":
+        """``update`` with a list of encoded instances."""
+        return self.update(*_columns(batch, len(self.cat_cardinalities), self.n_numeric))
 
     # -- prediction -------------------------------------------------------
 
@@ -149,21 +201,29 @@ class NaiveBayesModel:
         is an (n, n_categorical) index matrix and ``nums`` an (n, n_numeric)
         value matrix. The only scoring routine; every row is computed with
         the same elementwise operations in the same order whatever n is, so
-        a row's scores do not depend on the block it is scored in."""
+        a row's scores do not depend on the block it is scored in.
+
+        The smoothed log counts of all categorical features are taken in one
+        ``np.log`` over a (sum of cardinalities, K) table and their
+        per-feature denominators in another; each feature then adds its
+        gathered rows and subtracts its denominator, in feature order."""
         n = len(cats) if self.cat_cardinalities else len(nums)
-        N = self.n_trained
         K = self.n_classes
         scores = np.empty((n, K))
-        scores[:] = np.log(self.class_counts + self.alpha) - np.log(N + self.alpha * K)
-        for f, c in enumerate(self.cat_cardinalities):
-            log_counts = np.log(self.cat_counts[f] + self.alpha).T  # (c, K)
-            scores = (scores + log_counts[cats[:, f]]) - np.log(
-                self.class_counts + self.alpha * c
-            )
+        scores[:] = np.log(self.class_counts + self.alpha) - np.log(
+            self.n_trained + self.alpha * K
+        )
+        if self.cat_cardinalities:
+            table = np.log(np.concatenate([a.T for a in self.cat_counts]) + self.alpha)
+            denoms = np.log(self.class_counts + self._alpha_cards)
+            gathered = table[(cats + self._cat_offsets).T]  # (n_categorical, n, K)
+            for f in range(len(self.cat_cardinalities)):
+                scores += gathered[f]
+                scores -= denoms[f]
         if self.n_numeric:
             var = self._variances()
             diff = nums[:, None, :] - self.g_mean
-            scores = scores - 0.5 * (np.log(2.0 * np.pi * var) + diff * diff / var).sum(axis=-1)
+            scores -= 0.5 * (np.log(2.0 * np.pi * var) + diff * diff / var).sum(axis=-1)
         return scores
 
     def log_scores(self, enc: EncodedInstance) -> np.ndarray:

@@ -169,6 +169,12 @@ def open_csv_stream(
             index += 1
 
 
+def csv_row(schema: FeatureSchema, index: int) -> int:
+    """The file row (1-based, the header being row 1) that ``open_csv_stream``
+    reads stream index ``index`` from."""
+    return index - schema.index_origin + 2
+
+
 def take(stream: Iterable[Record], n: int) -> list[Record]:
     """Consume and return the first ``n`` records (fewer if the stream ends)."""
     if n < 0:

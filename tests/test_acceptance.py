@@ -74,9 +74,9 @@ def test_criterion_1_incremental_batch_equivalence():
     rng = np.random.default_rng(0)
     ok = True
     for split in rng.integers(1, 1000, size=200):
-        whole = NaiveBayesModel.fit(data, 3, cards, 2)
-        parts = NaiveBayesModel.fit(data[:split], 3, cards, 2)
-        parts.update(data[split:])
+        whole = NaiveBayesModel.fit_instances(data, 3, cards, 2)
+        parts = NaiveBayesModel.fit_instances(data[:split], 3, cards, 2)
+        parts.update_instances(data[split:])
         ok &= bool((whole.predict_many(cats, nums) == parts.predict_many(cats, nums)).all())
         ok &= np.allclose(whole.g_mean, parts.g_mean, atol=1e-9)
         ok &= np.allclose(whole.g_m2, parts.g_m2, atol=1e-9)

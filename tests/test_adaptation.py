@@ -20,6 +20,7 @@ from driftstream.adaptation import (
     Controller,
     ControllerConfig,
     ControllerError,
+    LabelError,
 )
 from driftstream.detectors import NoDetector
 from driftstream.naive_bayes import NaiveBayesModel
@@ -167,7 +168,7 @@ def test_buffer_clamped_to_warmup_size():
     stream = make_stream(60)
     cfg = ControllerConfig(strategy=LAST, batch_size=5000)
     ctrl = Controller.from_warmup(stream[:50], SCHEMA, ScriptedDetector(), cfg)
-    assert len(ctrl.buffer) == 50
+    assert len(ctrl.buffer.index) == 50
 
 
 # -- detector interaction -----------------------------------------------------
@@ -350,10 +351,9 @@ def test_block_walk_equals_step_loop(monkeypatch, strategy, batch_size, incremen
     assert block.event_log == plain.event_log
     assert (block.n_drifts, block.n_retrains) == (plain.n_drifts, plain.n_retrains)
     assert block.model.to_json() == plain.model.to_json()
-    assert len(block.buffer) == len(plain.buffer)
-    for a, b in zip(block.buffer, plain.buffer):
-        assert (a.index, a.label) == (b.index, b.label)
-        assert np.array_equal(a.cat, b.cat) and np.array_equal(a.num, b.num)
+    assert len(block.buffer.index) == len(plain.buffer.index)
+    for a, b in zip(block.buffer, plain.buffer):  # index, label, cats, nums columns
+        assert np.array_equal(a, b)
     # the stream exercises what it is meant to: alarms on the first and on
     # the last row of a block, and (where blocks exceed one row) blocks cut
     # short by a refit at an alarm, whose rest is scored again
@@ -430,6 +430,29 @@ def test_warmup_requires_labeled_instances():
     bare = [Instance(0, {"tok": "a"})]
     with pytest.raises(ControllerError):
         Controller.from_warmup(bare, SCHEMA, NoDetector(), ControllerConfig())
+
+
+@pytest.mark.parametrize("walk", ["steps", "step"])
+def test_label_outside_classes_rejected_before_its_chunk_is_stepped(walk):
+    stream = make_stream(120)
+    stream[90] = LabeledInstance(stream[90].instance, 2)  # 2 classes seen in warm-up
+    ctrl = Controller.from_warmup(stream[:50], SCHEMA, NoDetector(), ControllerConfig())
+    stepped = []
+    with pytest.raises(LabelError) as info:
+        if walk == "steps":  # rows 50..119 form one chunk
+            stepped.extend(ctrl.steps(stream[50:]))
+        else:
+            stepped.extend(ctrl.step(rec) for rec in stream[50:])
+    assert (info.value.index, info.value.row) == (90, 92)
+    assert len(stepped) == (0 if walk == "steps" else 40)
+
+
+def test_unlabeled_warmup_row_named_in_the_error():
+    stream = make_stream(50)
+    stream[7] = stream[7].instance
+    with pytest.raises(LabelError) as info:
+        Controller.from_warmup(stream, SCHEMA, NoDetector(), ControllerConfig())
+    assert (info.value.index, info.value.row) == (7, 9)
 
 
 def test_n_classes_inferred_from_warmup():

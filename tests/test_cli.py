@@ -166,6 +166,35 @@ def test_run_env_var_output_dir(tmp_path, small_stream, monkeypatch):
     assert (tmp_path / "envout" / "summary.csv").exists()
 
 
+def write_labeled_csv(path, labels):
+    """A 3-class CSV stream, one row per label token ('' for no label)."""
+    rows = [f"{'abc'[i % 3]},{i % 7}.5,{y}" for i, y in enumerate(labels)]
+    path.write_text("tok,x,label\n" + "\n".join(rows) + "\n")
+    return path
+
+
+@pytest.mark.parametrize(
+    "row,token,where",
+    [
+        (350, "7", "stream index 350 (CSV row 352)"),  # after warm-up; 3 classes inferred
+        (10, "", "stream index 10 (CSV row 12)"),  # unlabeled inside the warm-up
+        (5, "-1", "stream index 5 (CSV row 7)"),  # negative inside the warm-up
+    ],
+    ids=["out-of-range-after-warmup", "unlabeled-in-warmup", "negative-in-warmup"],
+)
+def test_run_unusable_label_is_a_data_error(tmp_path, capsys, row, token, where):
+    labels = [str(i % 3) for i in range(400)]
+    labels[row] = token
+    stream = write_labeled_csv(tmp_path / "s.csv", labels)
+    code = run_cli(
+        "run", "--input", str(stream), "--label", "label", "--warmup", "300",
+        "-o", str(tmp_path / "x"),
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert where in err and "Traceback" not in err
+
+
 # -- gridsearch ---------------------------------------------------------------
 
 

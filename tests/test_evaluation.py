@@ -3,6 +3,7 @@ experiment matrix."""
 
 import csv
 import dataclasses
+import os
 
 import numpy as np
 import pytest
@@ -343,6 +344,32 @@ def test_matrix_worker_count_does_not_change_results():
     assert serial.keys() == parallel.keys()
     for k in serial:
         assert serial[k].overall_accuracy == parallel[k].overall_accuracy
+
+
+@dataclasses.dataclass(frozen=True)
+class LoadLoggingSource:
+    """A synthetic source that appends the loading process id to a file."""
+
+    config: SynthConfig
+    log: str
+
+    def load(self):
+        with open(self.log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return SynthSource(self.config).load()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_matrix_loads_its_source_once_per_worker(tmp_path, workers):
+    log = tmp_path / "loads.txt"
+    source = LoadLoggingSource(small_synth(), str(log))
+    base = dataclasses.replace(STATIC, detector="none", strategy=None)
+    results = experiment_matrix(
+        source, detectors=("page_hinkley",), batch_sizes=(100, 200), base=base, workers=workers
+    )
+    assert len(results) == 6
+    pids = log.read_text(encoding="utf-8").split()
+    assert 1 <= len(pids) == len(set(pids)) <= workers
 
 
 def test_matrix_requires_replayable_source():
