@@ -2,7 +2,7 @@
 Page-Hinkley / ADWIN drift detection, and retraining data-selection
 strategies (last / mixed / next) under prequential evaluation."""
 
-from .adaptation import Controller, ControllerConfig, LabelError, RetrainEvent, Rows, StepResult
+from .adaptation import Controller, LabelError, RetrainEvent, Rows
 from .detectors import Adwin, NoDetector, PageHinkley, make_detector
 from .evaluation import (
     ConfigError,
@@ -16,7 +16,7 @@ from .evaluation import (
     rolling_mean,
     run_experiment,
 )
-from .naive_bayes import NaiveBayesModel, Welford
+from .naive_bayes import NaiveBayesModel
 from .preprocess import (
     BinBoundaries,
     BoxCoxParams,
@@ -33,10 +33,10 @@ from .stream_core import (
     FeatureSchema,
     Instance,
     LabeledInstance,
+    RowError,
     SchemaError,
     StreamParseError,
     open_csv_stream,
-    take,
 )
 from .synth import (
     DriftSpec,

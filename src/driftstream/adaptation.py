@@ -24,6 +24,11 @@ category indices, numeric values): the current chunk plus the tail of the
 previous ones that a window can still use. The ring buffer, the mini-batch
 and an outstanding collection are positions into those columns, so a refit
 or an update reads a slice of them.
+
+One ``ExperimentConfig`` describes a run: the detector, the strategy, the
+batch and mini-batch sizes, the learning mode and the encoder settings. The
+controller reads its part of it; each step yields the row's
+``PrequentialRecord``, whose rolling accuracy the evaluation fills in.
 """
 
 from __future__ import annotations
@@ -35,15 +40,16 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .detectors import NoDetector
 from .naive_bayes import NaiveBayesModel
 from .preprocess import EncoderState
-from .stream_core import FeatureSchema, LabeledInstance, csv_row
+from .stream_core import FeatureSchema, LabeledInstance, RowError, csv_row
 
 LAST = "last"
 MIXED = "mixed"
 NEXT = "next"
 STRATEGIES = (LAST, MIXED, NEXT)
+
+DETECTORS = ("none", "page_hinkley", "adwin")
 
 STABLE = "stable"
 COLLECTING = "collecting"
@@ -55,22 +61,17 @@ _MIN_BLOCK = 16
 _MAX_BLOCK = 4096
 
 
+class ConfigError(ValueError):
+    """Invalid experiment configuration."""
+
+
 class ControllerError(RuntimeError):
     pass
 
 
-class LabelError(ControllerError):
+class LabelError(RowError, ControllerError):
     """A stream row whose label the controller cannot learn from: missing
-    in the warm-up prefix, or outside [0, n_classes). Names the row by its
-    stream index and by its row in the stream's CSV file."""
-
-    def __init__(self, message: str, index: int, row: int):
-        super().__init__(message, index, row)
-        self.index = index
-        self.row = row
-
-    def __str__(self) -> str:
-        return f"stream index {self.index} (CSV row {self.row}): {self.args[0]}"
+    in the warm-up prefix, or outside [0, n_classes)."""
 
 
 def _check_labels(
@@ -87,29 +88,58 @@ def _check_labels(
 
 
 @dataclass(frozen=True)
-class ControllerConfig:
+class ExperimentConfig:
+    """One run: detector and its parameters, data-selection strategy,
+    retraining batch size, learning mode (incremental mini-batches or
+    not), warm-up and rolling-window lengths, and encoder settings."""
+
+    detector: str = "none"
     strategy: Optional[str] = None
     batch_size: int = 500
     incremental: bool = False
+    warmup: int = 2000
+    window: int = 1000
     mini_batch_size: int = 10
-    smoothing_alpha: float = 1.0
-    var_floor: float = 1e-9
+    ph_delta: float = 0.005
+    ph_lambda: float = 0.6
+    ph_burn_in: int = 30
+    adwin_delta: float = 0.001
+    boxcox: tuple[str, ...] = ()
+    prefix_len: tuple[tuple[str, int], ...] = ()
+    n_classes: Optional[int] = None
 
     def __post_init__(self):
+        if self.detector not in DETECTORS:
+            raise ConfigError(f"unknown detector {self.detector!r}")
         if self.strategy is not None and self.strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.batch_size < 1 or self.mini_batch_size < 1:
-            raise ValueError("batch_size and mini_batch_size must be >= 1")
+            raise ConfigError(f"unknown strategy {self.strategy!r}")
+        if self.detector == "none" and self.strategy is not None:
+            raise ConfigError("a data-selection strategy requires a detector")
+        if self.detector != "none" and self.strategy is None:
+            raise ConfigError("a detector requires a data-selection strategy")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.mini_batch_size < 1:
+            raise ConfigError(f"mini_batch_size must be >= 1, got {self.mini_batch_size}")
+        if self.warmup < 1:
+            raise ConfigError("warmup must be >= 1")
+        if self.window < 1:
+            raise ConfigError("rolling window must be >= 1")
 
 
 @dataclass
-class StepResult:
+class PrequentialRecord:
+    """One scored row, with 0/1 ints as the CSV files hold them.
+    ``rolling_accuracy`` is 0.0 as the controller yields the record and is
+    filled in by ``run_experiment``."""
+
     index: int
-    prediction: int
+    predicted: int
     actual: int
-    correct: bool
-    drift: bool
-    retrained: bool
+    correct: int
+    rolling_accuracy: float
+    drift_flag: int
+    retrain_flag: int
 
 
 @dataclass(frozen=True)
@@ -144,7 +174,7 @@ class Controller:
         model: NaiveBayesModel,
         encoder: EncoderState,
         detector,
-        config: ControllerConfig,
+        config: ExperimentConfig,
         buffer: Optional[Rows] = None,
     ):
         self.model = model
@@ -182,22 +212,25 @@ class Controller:
         warmup: Sequence[LabeledInstance],
         schema: FeatureSchema,
         detector,
-        config: ControllerConfig,
-        n_classes: Optional[int] = None,
-        boxcox_features: Sequence[str] = (),
-        prefix_len: Optional[dict[str, int]] = None,
+        config: ExperimentConfig,
     ) -> "Controller":
-        """Fit and freeze the encoder on the warm-up data, train the initial
-        model on it, and pre-fill the buffer with its tail."""
+        """Fit and freeze the encoder on the warm-up data (with the
+        config's Box-Cox features and prefix lengths), train the initial
+        model on it (``config.n_classes`` classes, or as many as the warm-up
+        labels imply), and pre-fill the buffer with its tail."""
         if not warmup:
             raise ControllerError("warm-up requires at least one labeled instance")
         for r in warmup:
             if not isinstance(r, LabeledInstance):
                 raise LabelError("warm-up row has no label", r.index, csv_row(schema, r.index))
         instances = [r.instance for r in warmup]
-        encoder = EncoderState(schema, boxcox_features, prefix_len)
+        try:
+            encoder = EncoderState(schema, config.boxcox, dict(config.prefix_len))
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         encoder.fit(instances)
         labels = [r.label for r in warmup]
+        n_classes = config.n_classes
         if n_classes is None:
             n_classes = max(labels) + 1
         _check_labels(warmup, labels, n_classes, schema)
@@ -209,29 +242,10 @@ class Controller:
             nums,
         )
         model = NaiveBayesModel.fit(
-            rows.label,
-            rows.cats,
-            rows.nums,
-            n_classes,
-            encoder.cat_cardinalities,
-            encoder.n_numeric,
-            config.smoothing_alpha,
-            config.var_floor,
+            rows.label, rows.cats, rows.nums,
+            n_classes, encoder.cat_cardinalities, encoder.n_numeric,
         )
         return cls(model, encoder, detector, config, buffer=rows)
-
-    def make_static(self) -> "Controller":
-        """Disable detection and incremental updates; the model is frozen."""
-        self.detector = NoDetector()
-        self.config = ControllerConfig(
-            strategy=None,
-            batch_size=self.config.batch_size,
-            incremental=False,
-            mini_batch_size=self.config.mini_batch_size,
-            smoothing_alpha=self.config.smoothing_alpha,
-            var_floor=self.config.var_floor,
-        )
-        return self
 
     # -- rows -------------------------------------------------------------
 
@@ -284,25 +298,21 @@ class Controller:
 
     # -- stepping ---------------------------------------------------------
 
-    def _refit(self, rows: Rows, alarm_index: int, now: int) -> bool:
+    def _refit(self, rows: Rows, alarm_index: int, now: int) -> int:
+        """Replace the model by one fitted on ``rows``; 1 if it did, 0 if
+        ``rows`` is empty and the old model stays."""
         if not len(rows.index):
-            return False  # nothing usable; keep the old model
+            return 0
+        m = self.model
         self.model = NaiveBayesModel.fit(
-            rows.label,
-            rows.cats,
-            rows.nums,
-            self.model.n_classes,
-            self.model.cat_cardinalities,
-            self.model.n_numeric,
-            self.config.smoothing_alpha,
-            self.config.var_floor,
+            rows.label, rows.cats, rows.nums, m.n_classes, m.cat_cardinalities, m.n_numeric
         )
         self.n_retrains += 1
         self.retrain_history.append(RetrainEvent(alarm_index, now, tuple(rows.index)))
         self.event_log.append((now, "retrain_done"))
         self.detector.reset()
         self.mini_batch.clear()
-        return True
+        return 1
 
     def _rows_to_change(self) -> int:
         """How many of the next rows the current model can score before it
@@ -316,7 +326,7 @@ class Controller:
             n = min(n, self.config.mini_batch_size - len(self.mini_batch))
         return n
 
-    def step(self, labeled: LabeledInstance) -> StepResult:
+    def step(self, labeled: LabeledInstance) -> PrequentialRecord:
         """Test then train on one row."""
         if self.model.n_trained < 1:
             raise ControllerError("step before warm-up")
@@ -324,7 +334,7 @@ class Controller:
         pred = self.model.predict_many(cats, nums).tolist()[0]
         return self._advance(index[0], labels[0], pred)
 
-    def steps(self, rows: Iterable[LabeledInstance]) -> Iterator[StepResult]:
+    def steps(self, rows: Iterable[LabeledInstance]) -> Iterator[PrequentialRecord]:
         """Test then train on each row in turn, yielding what ``step`` would
         return for it. Rows are encoded in chunks and scored in blocks: a
         block is scored with one ``predict_many`` call and runs up to the
@@ -346,23 +356,23 @@ class Controller:
                 for i in range(start, stop):
                     r = self._advance(index[i], labels[i], preds[i - start])
                     yield r
-                    if r.retrained:  # updates fall on a block's last row; refits may not
+                    if r.retrain_flag:  # updates fall on a block's last row; refits may not
                         break
                 start = i + 1
 
-    def _advance(self, index: int, label: int, pred: int) -> StepResult:
+    def _advance(self, index: int, label: int, pred: int) -> PrequentialRecord:
         """The state machine: everything a step does after scoring the row
         at position ``_next``."""
         cfg = self.config
         p = self._next
-        correct = pred == label
-        drift = False
-        retrained = False
+        correct = 1 if pred == label else 0
+        drift = 0
+        retrained = 0
 
         if self.mode == STABLE:
             alarm = self.detector.observe(0.0 if correct else 1.0)
             if alarm and cfg.strategy is not None:
-                drift = True
+                drift = 1
                 self.n_drifts += 1
                 self._alarm_index = index
                 self.event_log.append((index, "drift"))
@@ -395,4 +405,4 @@ class Controller:
                 self.mode = STABLE
 
         self._next = p + 1
-        return StepResult(index, pred, label, correct, drift, retrained)
+        return PrequentialRecord(index, pred, label, correct, 0.0, drift, retrained)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import itertools
 import json
 import os
@@ -20,7 +19,6 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .adaptation import LabelError
 from .evaluation import (
     ConfigError,
     CsvSource,
@@ -35,15 +33,15 @@ from .evaluation import (
     write_records_csv,
     write_summary_csv,
 )
-from .preprocess import BinBoundaries, bin_target
+from .preprocess import BinBoundaries
 from .stream_core import (
     CATEGORICAL,
     NUMERIC,
     FeatureSchema,
     LabeledInstance,
+    RowError,
     SchemaError,
     StreamParseError,
-    open_csv_stream,
 )
 from .synth import (
     PROFILES,
@@ -135,6 +133,14 @@ def _infer_schema(path: str, label: str, exclude: tuple[str, ...]) -> FeatureSch
     return FeatureSchema(tuple(feats), label_column=label)
 
 
+def _count(token: str) -> int:
+    """argparse type of the size flags: an integer >= 1."""
+    n = int(token) if token.lstrip("-").isdecimal() else 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {token!r}")
+    return n
+
+
 def _is_float(token: str) -> bool:
     try:
         float(token)
@@ -179,8 +185,12 @@ def _load_source(args):
             raise _fail_config("--label is required with --input")
         schema = _infer_schema(args.input, label, tuple(args.exclude))
         edges = ()
-        if getattr(args, "bin_days", None):
-            edges = tuple(float(d) for d in args.bin_days.split(","))
+        if args.bin_days:
+            try:
+                edges = tuple(float(d) for d in args.bin_days.split(","))
+                BinBoundaries(edges)
+            except ValueError as e:
+                raise _fail_config(f"--bin-days expects ascending day edges such as 6,39: {e}")
         return CsvSource(args.input, schema, edges), schema
     cfg = PROFILES[args.synth](args.seed) if args.synth in PROFILES else None
     if cfg is None:
@@ -189,46 +199,32 @@ def _load_source(args):
     return src, cfg.schema(include_hidden=False)
 
 
-def _load_records(args):
-    source, _ = _load_source(args)
-    records, schema = source.load()
-    return source, records, schema
-
-
-def _label_mapper(args):
-    bin_days = getattr(args, "bin_days", None)
-    if bin_days:
-        bins = BinBoundaries(tuple(float(d) for d in bin_days.split(",")), unit_divisor=24.0)
-        return lambda token: bin_target(float(token), bins)
-    return int
-
-
-def _experiment_config(args) -> ExperimentConfig:
-    detector = args.detector.replace("-", "_") if args.detector else "none"
-    strategy = args.strategy if getattr(args, "strategy", None) else None
-    boxcox = tuple(t for t in getattr(args, "boxcox", "").split(",") if t)
+def _experiment_config(args, **overrides) -> ExperimentConfig:
+    """The experiment config the flags give, with ``overrides`` replacing
+    fields; a field whose flag the command lacks keeps its default."""
     prefix_len = []
-    for part in (p for p in getattr(args, "prefix_len", "").split(",") if p):
-        if "=" not in part:
-            raise _fail_config(f"--prefix-len expects feature=length, got {part!r}")
+    for part in (p for p in args.prefix_len.split(",") if p):
         name, _, plen = part.partition("=")
+        if not plen.isdecimal() or int(plen) < 1:
+            raise _fail_config(f"--prefix-len expects feature=length >= 1, got {part!r}")
         prefix_len.append((name, int(plen)))
+    fields = dict(
+        detector=args.detector.replace("-", "_") if args.detector else "none",
+        strategy=args.strategy or None,
+        batch_size=args.batch_size,
+        incremental=args.incremental,
+        warmup=args.warmup,
+        window=args.window,
+        mini_batch_size=args.mini_batch,
+        ph_delta=args.ph_delta,
+        ph_burn_in=args.burn_in,
+        boxcox=tuple(t for t in args.boxcox.split(",") if t),
+        prefix_len=tuple(prefix_len),
+    )
+    if hasattr(args, "ph_lambda"):  # gridsearch reads --lambda/--delta as grids
+        fields.update(ph_lambda=args.ph_lambda, adwin_delta=args.adwin_delta)
     try:
-        return ExperimentConfig(
-            detector=detector,
-            strategy=strategy,
-            batch_size=args.batch_size,
-            incremental=args.incremental,
-            warmup=args.warmup,
-            window=args.window,
-            mini_batch_size=args.mini_batch,
-            ph_delta=args.ph_delta,
-            ph_lambda=args.ph_lambda,
-            ph_burn_in=args.burn_in,
-            adwin_delta=args.adwin_delta,
-            boxcox=boxcox,
-            prefix_len=tuple(prefix_len),
-        )
+        return ExperimentConfig(**{**fields, **overrides})
     except ConfigError as e:
         raise _fail_config(str(e))
 
@@ -259,12 +255,9 @@ def _say(args, message: str) -> None:
 
 def cmd_run(args) -> int:
     out = _out_dir(args)
-    _, records, schema = _load_records(args)
     cfg = _experiment_config(args)
-    try:
-        recs, summary = run_experiment(records, schema, cfg)
-    except ConfigError as e:
-        raise _fail_config(str(e))
+    records, schema = _load_source(args)[0].load()
+    recs, summary = run_experiment(records, schema, cfg)
     _write_resolved_config(out, args)
     write_records_csv(recs, out / "records.csv")
     write_curves_csv(recs, out / "curves.csv")
@@ -305,8 +298,6 @@ def cmd_generate(args) -> int:
 
 def cmd_gridsearch(args) -> int:
     out = _out_dir(args)
-    _, records, schema = _load_records(args)
-    prefix = records[: args.prefix]
     detector = args.detector.replace("-", "_") if args.detector else ""
     if detector not in ("page_hinkley", "adwin"):
         raise _fail_config("gridsearch needs --detector page-hinkley or adwin")
@@ -316,8 +307,9 @@ def cmd_gridsearch(args) -> int:
         raise _fail_config("empty parameter grid")
     key = "ph_lambda" if detector == "page_hinkley" else "adwin_delta"
     param_grid = [{key: float(v)} for v in values]
-    base = _experiment_config_for_grid(args, detector)
-    best, table = grid_search(prefix, schema, param_grid, base)
+    base = _experiment_config(args, strategy=args.strategy or "last")
+    records, schema = _load_source(args)[0].load()
+    best, table = grid_search(records[: args.prefix], schema, param_grid, base)
     _write_resolved_config(out, args)
     rows = [
         {
@@ -339,76 +331,47 @@ def cmd_gridsearch(args) -> int:
     return EXIT_OK
 
 
-def _experiment_config_for_grid(args, detector: str) -> ExperimentConfig:
-    ns = argparse.Namespace(**vars(args))
-    ns.detector = detector
-    ns.ph_lambda = 0.6
-    ns.adwin_delta = 0.001
-    if not ns.strategy:
-        ns.strategy = "last"
-    return _experiment_config(ns)
-
-
 def cmd_matrix(args) -> int:
     out = _out_dir(args)
-    source, records, schema = _load_records(args)
+    source, _ = _load_source(args)
     detectors = [d.replace("-", "_") for d in args.detectors.split(",") if d]
     batch_sizes = [int(b) for b in args.batch_sizes.split(",") if b]
     strategies = [s for s in args.strategies.split(",") if s]
     if not detectors or not batch_sizes or not strategies:
         raise _fail_config("matrix needs non-empty detectors, batch sizes, and strategies")
-    ns = argparse.Namespace(**vars(args))
-    ns.detector, ns.strategy = "none", None
-    base = _experiment_config(ns)
-
-    _, baseline = run_experiment(records, schema, dataclasses.replace(base, incremental=False))
-    _, inc_only = run_experiment(records, schema, dataclasses.replace(base, incremental=True))
-    det0, b0, s0 = detectors[0], batch_sizes[0], strategies[0]
-    # the first grid cell already runs (det0, b0, s0) with --incremental as
-    # given; only the other learning mode needs a run of its own
-    det_other = dataclasses.replace(
-        base, detector=det0, strategy=s0, batch_size=b0, incremental=not args.incremental
-    )
-    _, other = run_experiment(records, schema, det_other)
-
-    try:
-        cells = experiment_matrix(
-            source,
-            detectors=detectors,
-            batch_sizes=batch_sizes,
-            strategies=strategies,
-            incremental=args.incremental,
-            base=base,
-            workers=args.workers,
-        )
-    except ConfigError as e:
-        raise _fail_config(str(e))
-
-    def row(detector, batch, strategy, incremental, summary):
-        s = summary.against_baseline(baseline.overall_accuracy)
-        return {
-            "detector": detector,
-            "batch_size": batch,
-            "strategy": strategy,
-            "incremental": int(incremental),
-            "accuracy": s.overall_accuracy,
-            "n_drifts": s.n_drifts,
-            "n_retrains": s.n_retrains,
-            "performance_increase": s.performance_increase_vs_baseline,
-        }
-
-    cell0 = cells[(det0, b0, s0)]
-    det_only, det_inc = (other, cell0) if args.incremental else (cell0, other)
-    rows = [
-        row("none", 0, "none", False, baseline),
-        row("none", 0, "none", True, inc_only),
-        row(det0, b0, s0, False, det_only),
-        row(det0, b0, s0, True, det_inc),
+    # baseline rows: no detector in either learning mode, then the first
+    # grid cell in either learning mode; then the grid in the given one
+    cell0 = dict(detector=detectors[0], batch_size=batch_sizes[0], strategy=strategies[0])
+    configs = [
+        _experiment_config(args, detector="none", strategy=None, incremental=False),
+        _experiment_config(args, detector="none", strategy=None, incremental=True),
+        _experiment_config(args, **cell0, incremental=False),
+        _experiment_config(args, **cell0, incremental=True),
     ]
-    for d in detectors:
-        for b in batch_sizes:
-            for s in strategies:
-                rows.append(row(d, b, s, args.incremental, cells[(d, b, s)]))
+    configs += [
+        _experiment_config(args, detector=d, batch_size=b, strategy=s)
+        for d in detectors
+        for b in batch_sizes
+        for s in strategies
+    ]
+    distinct = list(dict.fromkeys(configs))  # a config runs once, however many rows show it
+    summaries = dict(zip(distinct, experiment_matrix(source, distinct, args.workers)))
+    baseline = summaries[configs[0]].overall_accuracy
+    rows = []
+    for cfg in configs:
+        s = summaries[cfg].against_baseline(baseline)
+        rows.append(
+            {
+                "detector": cfg.detector,
+                "batch_size": cfg.batch_size if cfg.strategy else 0,
+                "strategy": cfg.strategy or "none",
+                "incremental": int(cfg.incremental),
+                "accuracy": s.overall_accuracy,
+                "n_drifts": s.n_drifts,
+                "n_retrains": s.n_retrains,
+                "performance_increase": s.performance_increase_vs_baseline,
+            }
+        )
     _write_resolved_config(out, args)
     write_summary_csv(rows, out / "summary.csv")
     _say(args, f"wrote {len(rows)} rows to {out / 'summary.csv'}")
@@ -417,21 +380,10 @@ def cmd_matrix(args) -> int:
 
 def cmd_inspect(args) -> int:
     out = _out_dir(args)
-    if args.window < 1:
-        raise _fail_config("--window must be >= 1")
-    if args.synth:
-        if args.synth not in PROFILES:
-            raise _fail_config(f"unknown synth profile {args.synth!r}")
-        cfg = PROFILES[args.synth](args.seed)
-        schema = cfg.schema(include_hidden=True)
-        records = generate(cfg).instances
-    else:
-        if not args.input:
-            raise _fail_config("exactly one of --input or --synth must be given")
-        if not args.label:
-            raise _fail_config("--label is required with --input")
-        schema = _infer_schema(args.input, args.label, ())
-        records = list(open_csv_stream(args.input, schema, _label_mapper(args)))
+    source, schema = _load_source(args)
+    records, _ = source.load()
+    if isinstance(source, SynthSource):
+        schema = source.config.schema(include_hidden=True)
     if args.feature not in schema.numeric_names:
         raise _fail_config(f"unknown or non-numeric feature {args.feature!r}")
     series = [
@@ -471,11 +423,11 @@ def _add_source(p: argparse.ArgumentParser) -> None:
 def _add_experiment(p: argparse.ArgumentParser, detector_params: bool = True) -> None:
     p.add_argument("--detector", choices=["none", "page-hinkley", "adwin"], default="none")
     p.add_argument("--strategy", choices=["last", "mixed", "next"], default=None)
-    p.add_argument("--batch-size", type=int, default=500)
+    p.add_argument("--batch-size", type=_count, default=500)
     p.add_argument("--incremental", action="store_true")
-    p.add_argument("--warmup", type=int, default=2000)
-    p.add_argument("--window", type=int, default=1000)
-    p.add_argument("--mini-batch", type=int, default=10)
+    p.add_argument("--warmup", type=_count, default=2000)
+    p.add_argument("--window", type=_count, default=1000)
+    p.add_argument("--mini-batch", type=_count, default=10)
     if detector_params:
         p.add_argument("--lambda", dest="ph_lambda", type=float, default=0.6)
         p.add_argument("--ph-delta", type=float, default=0.005)
@@ -540,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_source(p)
     p.add_argument("--feature", required=True)
-    p.add_argument("--window", type=int, default=1000)
+    p.add_argument("--window", type=_count, default=1000)
     p.set_defaults(func=cmd_inspect)
 
     return parser
@@ -563,7 +515,7 @@ def main(argv=None) -> int:
     except _CliError as e:
         print(f"driftstream: {e}", file=sys.stderr)
         return e.code
-    except (SchemaError, StreamParseError, LabelError) as e:
+    except (SchemaError, StreamParseError, RowError) as e:
         print(f"driftstream: data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (ConfigError, SynthConfigError) as e:

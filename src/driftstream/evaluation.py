@@ -13,71 +13,17 @@ import dataclasses
 import multiprocessing
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .adaptation import Controller, ControllerConfig, STRATEGIES
+from .adaptation import ConfigError, Controller, ExperimentConfig, PrequentialRecord
 from .detectors import make_detector
 from .preprocess import BinBoundaries, bin_target
-from .stream_core import (
-    FeatureSchema,
-    Instance,
-    LabeledInstance,
-    Record,
-    open_csv_stream,
-)
+from .stream_core import FeatureSchema, LabeledInstance, Record, open_csv_stream
 from .synth import SynthConfig, generate
-
-DETECTORS = ("none", "page_hinkley", "adwin")
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration."""
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    detector: str = "none"
-    strategy: Optional[str] = None
-    batch_size: int = 500
-    incremental: bool = False
-    warmup: int = 2000
-    window: int = 1000
-    mini_batch_size: int = 10
-    ph_delta: float = 0.005
-    ph_lambda: float = 0.6
-    ph_burn_in: int = 30
-    adwin_delta: float = 0.001
-    boxcox: tuple[str, ...] = ()
-    prefix_len: tuple[tuple[str, int], ...] = ()
-    n_classes: Optional[int] = None
-
-    def __post_init__(self):
-        if self.detector not in DETECTORS:
-            raise ConfigError(f"unknown detector {self.detector!r}")
-        if self.strategy is not None and self.strategy not in STRATEGIES:
-            raise ConfigError(f"unknown strategy {self.strategy!r}")
-        if self.detector == "none" and self.strategy is not None:
-            raise ConfigError("a data-selection strategy requires a detector")
-        if self.detector != "none" and self.strategy is None:
-            raise ConfigError("a detector requires a data-selection strategy")
-        if self.warmup < 1:
-            raise ConfigError("warmup must be >= 1")
-        if self.window < 1:
-            raise ConfigError("rolling window must be >= 1")
-
-
-@dataclass
-class PrequentialRecord:
-    index: int
-    predicted: int
-    actual: int
-    correct: int
-    rolling_accuracy: float
-    drift_flag: int
-    retrain_flag: int
 
 
 @dataclass
@@ -94,35 +40,6 @@ class ExperimentSummary:
         return dataclasses.replace(self, performance_increase_vs_baseline=rel)
 
 
-def _build_controller(
-    warmup_records: Sequence[LabeledInstance],
-    schema: FeatureSchema,
-    config: ExperimentConfig,
-) -> Controller:
-    detector = make_detector(
-        config.detector,
-        ph_delta=config.ph_delta,
-        ph_lambda=config.ph_lambda,
-        ph_burn_in=config.ph_burn_in,
-        adwin_delta=config.adwin_delta,
-    )
-    ctrl_config = ControllerConfig(
-        strategy=config.strategy,
-        batch_size=config.batch_size,
-        incremental=config.incremental,
-        mini_batch_size=config.mini_batch_size,
-    )
-    return Controller.from_warmup(
-        warmup_records,
-        schema,
-        detector,
-        ctrl_config,
-        n_classes=config.n_classes,
-        boxcox_features=config.boxcox,
-        prefix_len=dict(config.prefix_len),
-    )
-
-
 def run_experiment(
     records: Iterable[Record],
     schema: FeatureSchema,
@@ -132,16 +49,19 @@ def run_experiment(
     prequential record per labeled prediction. Deterministic given the
     stream and config."""
     it = iter(records)
-    warmup_records = []
-    for rec in it:
-        warmup_records.append(rec)
-        if len(warmup_records) >= config.warmup:
-            break
+    warmup_records = list(islice(it, config.warmup))
     if len(warmup_records) < config.warmup:
         raise ConfigError(
             f"stream has only {len(warmup_records)} records, warm-up needs {config.warmup}"
         )
-    controller = _build_controller(warmup_records, schema, config)
+    detector = make_detector(
+        config.detector,
+        ph_delta=config.ph_delta,
+        ph_lambda=config.ph_lambda,
+        ph_burn_in=config.ph_burn_in,
+        adwin_delta=config.adwin_delta,
+    )
+    controller = Controller.from_warmup(warmup_records, schema, detector, config)
     K = controller.model.n_classes
 
     out: list[PrequentialRecord] = []
@@ -152,24 +72,15 @@ def run_experiment(
     # unlabeled records cannot be scored prequentially
     labeled = (rec for rec in it if isinstance(rec, LabeledInstance))
     for r in controller.steps(labeled):
-        c = 1 if r.correct else 0
+        c = r.correct
         if len(win) == win.maxlen:
             win_sum -= win[0]
         win.append(c)
         win_sum += c
         n_correct += c
-        confusion[r.actual, r.prediction] += 1
-        out.append(
-            PrequentialRecord(
-                r.index,
-                r.prediction,
-                r.actual,
-                c,
-                win_sum / len(win),
-                1 if r.drift else 0,
-                1 if r.retrained else 0,
-            )
-        )
+        confusion[r.actual, r.predicted] += 1
+        r.rolling_accuracy = win_sum / len(win)
+        out.append(r)
     n = len(out)
     summary = ExperimentSummary(
         overall_accuracy=n_correct / n if n else 0.0,
@@ -250,19 +161,11 @@ class SynthSource:
         return stream.instances, stream.config.schema(include_hidden=False)
 
 
-MatrixKey = tuple[str, int, str]
-
-
 def _run_cell(
-    stream: tuple[list[Record], FeatureSchema], job
-) -> tuple[MatrixKey, ExperimentSummary]:
+    stream: tuple[list[Record], FeatureSchema], config: ExperimentConfig
+) -> ExperimentSummary:
     records, schema = stream
-    base, detector, batch_size, strategy = job
-    cfg = dataclasses.replace(
-        base, detector=detector, strategy=strategy, batch_size=batch_size
-    )
-    _, summary = run_experiment(records, schema, cfg)
-    return (detector, batch_size, strategy), summary
+    return run_experiment(records, schema, config)[1]
 
 
 # The loaded matrix source of a worker process; set once per worker by the
@@ -275,48 +178,30 @@ def _load_worker_source(source) -> None:
     _worker_stream = source.load()
 
 
-def _run_worker_cell(job) -> tuple[MatrixKey, ExperimentSummary]:
-    return _run_cell(_worker_stream, job)
+def _run_worker_cell(config: ExperimentConfig) -> ExperimentSummary:
+    return _run_cell(_worker_stream, config)
 
 
 def experiment_matrix(
-    source,
-    detectors: Sequence[str] = ("page_hinkley", "adwin"),
-    batch_sizes: Sequence[int] = (500, 1000, 2000, 5000),
-    strategies: Sequence[str] = STRATEGIES,
-    incremental: bool = True,
-    base: Optional[ExperimentConfig] = None,
-    workers: int = 1,
-) -> dict[MatrixKey, ExperimentSummary]:
-    """Independent deterministic run per (detector, batch size, strategy)
-    cell. Cells share no state, so they may run across worker processes;
-    the result is keyed, not appended, and identical for any worker count.
-    The source is loaded once: in this process when ``workers`` <= 1, else
-    once in each worker."""
+    source, configs: Sequence[ExperimentConfig], workers: int = 1
+) -> list[ExperimentSummary]:
+    """One independent deterministic run per config, on the stream that
+    ``source`` replays; the summaries come back in config order. Runs share
+    no state, so they may run across worker processes, with results
+    identical for any worker count. The source is loaded once: in this
+    process when ``workers`` <= 1, else once in each worker."""
     if not hasattr(source, "load"):
         raise ConfigError("matrix needs a replayable source (CsvSource or SynthSource)")
-    if base is None:
-        base = ExperimentConfig()
-    base = dataclasses.replace(
-        base, incremental=incremental, detector="none", strategy=None
-    )
-    jobs = [(base, d, b, s) for d in detectors for b in batch_sizes for s in strategies]
-    results: dict[MatrixKey, ExperimentSummary] = {}
     if workers <= 1:
         stream = source.load()
-        for job in jobs:
-            key, summary = _run_cell(stream, job)
-            results[key] = summary
-    else:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("spawn"),
-            initializer=_load_worker_source,
-            initargs=(source,),
-        ) as pool:
-            for key, summary in pool.map(_run_worker_cell, jobs):
-                results[key] = summary
-    return results
+        return [_run_cell(stream, config) for config in configs]
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("spawn"),
+        initializer=_load_worker_source,
+        initargs=(source,),
+    ) as pool:
+        return list(pool.map(_run_worker_cell, configs))
 
 
 # -- CSV output (fixed 6-decimal float formatting for reproducible files) --

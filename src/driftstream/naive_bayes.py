@@ -33,28 +33,6 @@ def _columns(
     return labels, cats, nums
 
 
-class Welford:
-    """Streaming (count, mean, M2) accumulator."""
-
-    __slots__ = ("count", "mean", "m2")
-
-    def __init__(self):
-        self.count = 0
-        self.mean = 0.0
-        self.m2 = 0.0
-
-    def push(self, x: float) -> None:
-        self.count += 1
-        delta = x - self.mean
-        self.mean += delta / self.count
-        self.m2 += delta * (x - self.mean)
-
-    def variance(self, floor: float = 0.0) -> float:
-        if self.count >= 2:
-            return max(self.m2 / (self.count - 1), floor)
-        return floor
-
-
 class NaiveBayesModel:
     """Class priors plus per-class categorical counts and Gaussian
     accumulators.
@@ -250,17 +228,6 @@ class NaiveBayesModel:
         return s / s.sum()
 
     # -- plumbing ---------------------------------------------------------
-
-    def clone(self) -> "NaiveBayesModel":
-        m = NaiveBayesModel(
-            self.n_classes, self.cat_cardinalities, self.n_numeric, self.alpha, self.var_floor
-        )
-        m.class_counts = self.class_counts.copy()
-        m.cat_counts = [a.copy() for a in self.cat_counts]
-        m.g_count = self.g_count.copy()
-        m.g_mean = self.g_mean.copy()
-        m.g_m2 = self.g_m2.copy()
-        return m
 
     def to_json(self) -> str:
         return json.dumps(

@@ -15,7 +15,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .stream_core import CATEGORICAL, NUMERIC, FeatureSchema, Instance
+from .stream_core import FeatureSchema, Instance, RowError, csv_row
 
 _SERIAL_VERSION = 1
 _EPS = 1e-6
@@ -184,7 +184,9 @@ class EncoderState:
         self.boxcox_features = tuple(boxcox_features)
         unknown = set(self.boxcox_features) - set(schema.numeric_names)
         if unknown:
-            raise ValueError(f"box-cox configured for non-numeric features: {sorted(unknown)}")
+            raise ValueError(f"boxcox names features that are not numeric: {sorted(unknown)}")
+        if any(n < 1 for n in self.prefix_len.values()):
+            raise ValueError(f"prefix lengths must be >= 1, got {self.prefix_len}")
         self.cat_maps: dict[str, dict[str, int]] = {n: {} for n in schema.categorical_names}
         self.boxcox: dict[str, BoxCoxParams] = {}
         self.frozen = False
@@ -228,7 +230,8 @@ class EncoderState:
         (n, n_numeric) float64 value matrix, row i holding the encoding of
         ``instances[i]``. The encoder is frozen, so each row is a pure
         function of its instance; numerics go through ``float`` and the
-        scalar ``apply_boxcox`` one value at a time."""
+        scalar ``apply_boxcox`` one value at a time. A value outside the
+        fitted Box-Cox support raises ``RowError`` naming its row."""
         if not self.frozen:
             raise RuntimeError("encoder must be fitted before encoding")
         cat_names, num_names = self.schema.categorical_names, self.schema.numeric_names
@@ -241,7 +244,12 @@ class EncoderState:
             column = [float(inst.values[name]) for inst in instances]
             params = self.boxcox.get(name)
             if params is not None:
-                column = [apply_boxcox(x, params) for x in column]
+                try:
+                    column = [apply_boxcox(x, params) for x in column]
+                except ValueError as e:
+                    i = next(i for i, x in enumerate(column) if x + params.shift <= 0)
+                    index = instances[i].index
+                    raise RowError(f"{name}: {e}", index, csv_row(self.schema, index)) from None
             nums[:, j] = column
         return cats, nums
 
@@ -249,16 +257,6 @@ class EncoderState:
         """One-row ``encode_many``."""
         cats, nums = self.encode_many((inst,))
         return EncodedInstance(inst.index, cats[0], nums[0], label)
-
-    def one_hot(self, enc: EncodedInstance) -> np.ndarray:
-        """Export view: concatenated one-hot slots plus numeric values."""
-        parts = []
-        for i, name in enumerate(self.schema.categorical_names):
-            slot = np.zeros(self.n_categories(name))
-            slot[enc.cat[i]] = 1.0
-            parts.append(slot)
-        parts.append(enc.num)
-        return np.concatenate(parts) if parts else np.empty(0)
 
     def to_json(self) -> str:
         return json.dumps(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterator, Union
 
 CATEGORICAL = "categorical"
 NUMERIC = "numeric"
@@ -30,6 +30,19 @@ class StreamParseError(ValueError):
     def __init__(self, message: str, row: int):
         super().__init__(f"row {row}: {message}")
         self.row = row
+
+
+class RowError(ValueError):
+    """A stream row the engine cannot use, named by its stream index and by
+    its row in the stream's CSV file (``csv_row``)."""
+
+    def __init__(self, message: str, index: int, row: int):
+        super().__init__(message, index, row)
+        self.index = index
+        self.row = row
+
+    def __str__(self) -> str:
+        return f"stream index {self.index} (CSV row {self.row}): {self.args[0]}"
 
 
 @dataclass(frozen=True)
@@ -69,14 +82,6 @@ class FeatureSchema:
     @property
     def numeric_names(self) -> tuple[str, ...]:
         return tuple(n for n, k in self.features if k == NUMERIC)
-
-    def drop(self, *names: str) -> "FeatureSchema":
-        """Schema with the given features removed (e.g. hidden-context columns)."""
-        return FeatureSchema(
-            tuple((n, k) for n, k in self.features if n not in names),
-            self.label_column,
-            self.index_origin,
-        )
 
 
 @dataclass
@@ -173,17 +178,3 @@ def csv_row(schema: FeatureSchema, index: int) -> int:
     """The file row (1-based, the header being row 1) that ``open_csv_stream``
     reads stream index ``index`` from."""
     return index - schema.index_origin + 2
-
-
-def take(stream: Iterable[Record], n: int) -> list[Record]:
-    """Consume and return the first ``n`` records (fewer if the stream ends)."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    out = []
-    it = iter(stream)
-    for _ in range(n):
-        try:
-            out.append(next(it))
-        except StopIteration:
-            break
-    return out

@@ -15,7 +15,6 @@ from driftstream.adaptation import (
     NEXT,
     STRATEGIES,
     Controller,
-    ControllerConfig,
 )
 from driftstream.detectors import Adwin, PageHinkley
 from driftstream.evaluation import (
@@ -194,7 +193,7 @@ def test_criterion_4_window_algebra():
             det = ArmedDetector()
             ctrl = Controller.from_warmup(
                 stream[:warmup], schema, det,
-                ControllerConfig(strategy=strategy, batch_size=B),
+                ExperimentConfig(detector="page_hinkley", strategy=strategy, batch_size=B),
             )
             for rec in stream[warmup:]:
                 if rec.index == t:
@@ -255,8 +254,17 @@ def test_criterion_5_handling_beats_static(paper_records):
 
 def test_criterion_6_matrix_orderings(paper_source):
     start = time.perf_counter()
-    base = ExperimentConfig(warmup=2000, n_classes=3)
-    results = experiment_matrix(paper_source, base=base, workers=8)
+    base = ExperimentConfig(warmup=2000, n_classes=3, incremental=True)
+    keys = [
+        (d, b, s)
+        for d in ("page_hinkley", "adwin")
+        for b in (500, 1000, 2000, 5000)
+        for s in STRATEGIES
+    ]
+    configs = [
+        dataclasses.replace(base, detector=d, batch_size=b, strategy=s) for d, b, s in keys
+    ]
+    results = dict(zip(keys, experiment_matrix(paper_source, configs, workers=8)))
     elapsed = time.perf_counter() - start
     ok = len(results) == 24
 

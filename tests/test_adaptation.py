@@ -18,8 +18,8 @@ from driftstream.adaptation import (
     NEXT,
     STRATEGIES,
     Controller,
-    ControllerConfig,
     ControllerError,
+    ExperimentConfig,
     LabelError,
 )
 from driftstream.detectors import NoDetector
@@ -54,6 +54,14 @@ class ScriptedDetector:
         return self
 
 
+def make_config(strategy=None, **kw):
+    """An ExperimentConfig for ``strategy``. The tests hand the controller
+    its detector, so the detector named here only satisfies the config."""
+    return ExperimentConfig(
+        detector="none" if strategy is None else "page_hinkley", strategy=strategy, **kw
+    )
+
+
 def make_stream(n):
     return [
         LabeledInstance(Instance(i, {"tok": "ab"[i % 2]}), i % 2) for i in range(n)
@@ -63,7 +71,7 @@ def make_stream(n):
 def run_with_alarm(strategy, batch_size, alarm_at, n=300, warmup=50, **cfg_kw):
     stream = make_stream(n)
     det = ScriptedDetector()
-    cfg = ControllerConfig(strategy=strategy, batch_size=batch_size, **cfg_kw)
+    cfg = make_config(strategy=strategy, batch_size=batch_size, **cfg_kw)
     ctrl = Controller.from_warmup(stream[:warmup], SCHEMA, det, cfg)
     results = []
     for rec in stream[warmup:]:
@@ -83,7 +91,7 @@ def test_last_uses_the_b_instances_before_the_alarm():
     assert event.retrain_index == 100  # zero collection delay
     assert event.used_indices == tuple(range(90, 100))
     r = next(r for r in results if r.index == 100)
-    assert r.drift and r.retrained
+    assert r.drift_flag and r.retrain_flag
 
 
 def test_next_uses_the_b_instances_after_the_alarm():
@@ -92,8 +100,8 @@ def test_next_uses_the_b_instances_after_the_alarm():
     assert event.alarm_index == 100
     assert event.retrain_index == 110
     assert event.used_indices == tuple(range(101, 111))
-    assert not next(r for r in results if r.index == 100).retrained
-    assert next(r for r in results if r.index == 110).retrained
+    assert not next(r for r in results if r.index == 100).retrain_flag
+    assert next(r for r in results if r.index == 110).retrain_flag
 
 
 def test_mixed_splits_half_and_half_around_the_alarm():
@@ -166,7 +174,7 @@ def test_stream_end_mid_collection_skips_retraining():
 
 def test_buffer_clamped_to_warmup_size():
     stream = make_stream(60)
-    cfg = ControllerConfig(strategy=LAST, batch_size=5000)
+    cfg = make_config(strategy=LAST, batch_size=5000)
     ctrl = Controller.from_warmup(stream[:50], SCHEMA, ScriptedDetector(), cfg)
     assert len(ctrl.buffer.index) == 50
 
@@ -177,7 +185,7 @@ def test_buffer_clamped_to_warmup_size():
 def test_detector_suppressed_during_collection():
     stream = make_stream(300)
     det = ScriptedDetector()
-    cfg = ControllerConfig(strategy=NEXT, batch_size=20)
+    cfg = make_config(strategy=NEXT, batch_size=20)
     ctrl = Controller.from_warmup(stream[:50], SCHEMA, det, cfg)
     for rec in stream[50:]:
         if rec.index == 100:
@@ -199,7 +207,7 @@ def test_detector_reset_after_each_retraining():
 def test_at_most_one_outstanding_retraining():
     stream = make_stream(300)
     det = ScriptedDetector()
-    cfg = ControllerConfig(strategy=NEXT, batch_size=30)
+    cfg = make_config(strategy=NEXT, batch_size=30)
     ctrl = Controller.from_warmup(stream[:50], SCHEMA, det, cfg)
     results = []
     for rec in stream[50:]:
@@ -208,7 +216,7 @@ def test_at_most_one_outstanding_retraining():
         results.append(ctrl.step(rec))
     # the alarm armed at 110 cannot fire until collection ends at 130, so
     # the second drift lands at 131, not inside the first collection
-    assert [r.index for r in results if r.drift] == [100, 131]
+    assert [r.index for r in results if r.drift_flag] == [100, 131]
     assert [e.retrain_index for e in ctrl.retrain_history] == [130, 161]
 
 
@@ -217,7 +225,7 @@ def test_at_most_one_outstanding_retraining():
 
 def test_incremental_updates_apply_every_mini_batch():
     stream = make_stream(100)
-    cfg = ControllerConfig(strategy=None, incremental=True, mini_batch_size=10)
+    cfg = make_config(strategy=None, incremental=True, mini_batch_size=10)
     ctrl = Controller.from_warmup(stream[:50], SCHEMA, NoDetector(), cfg)
     for rec in stream[50:65]:
         ctrl.step(rec)
@@ -229,7 +237,7 @@ def test_incremental_updates_apply_every_mini_batch():
 def test_incremental_pauses_during_collection():
     stream = make_stream(300)
     det = ScriptedDetector()
-    cfg = ControllerConfig(
+    cfg = make_config(
         strategy=NEXT, batch_size=20, incremental=True, mini_batch_size=5
     )
     ctrl = Controller.from_warmup(stream[:50], SCHEMA, det, cfg)
@@ -240,7 +248,7 @@ def test_incremental_pauses_during_collection():
         r = ctrl.step(rec)
         if 100 < rec.index < 120:
             assert ctrl.model.n_trained == before
-        if r.retrained:
+        if r.retrain_flag:
             # new model trained on exactly the collected batch
             assert ctrl.model.n_trained == 20
             break
@@ -249,39 +257,39 @@ def test_incremental_pauses_during_collection():
 def test_retraining_replaces_incrementally_updated_model():
     stream = make_stream(300)
     det = ScriptedDetector()
-    cfg = ControllerConfig(strategy=LAST, batch_size=10, incremental=True)
+    cfg = make_config(strategy=LAST, batch_size=10, incremental=True)
     ctrl = Controller.from_warmup(stream[:50], SCHEMA, det, cfg)
     for rec in stream[50:]:
         if rec.index == 100:
             det.fire = True
         r = ctrl.step(rec)
-        if r.retrained:
+        if r.retrain_flag:
             break
     # the incrementally grown model (50 warm-up + updates) was discarded
     assert ctrl.model.n_trained == 10
 
 
-def test_make_static_freezes_everything():
+def test_static_config_freezes_everything():
     stream = make_stream(200)
-    cfg = ControllerConfig(strategy=LAST, batch_size=10, incremental=True)
-    ctrl = Controller.from_warmup(stream[:50], SCHEMA, ScriptedDetector(), cfg)
-    ctrl.make_static()
+    det = ScriptedDetector()
+    ctrl = Controller.from_warmup(stream[:50], SCHEMA, det, make_config(batch_size=10))
+    det.fire = True  # an alarm without a strategy changes nothing
     trained = ctrl.model.n_trained
     results = [ctrl.step(rec) for rec in stream[50:]]
     assert ctrl.model.n_trained == trained
-    assert not any(r.drift or r.retrained for r in results)
+    assert not any(r.drift_flag or r.retrain_flag for r in results)
     assert ctrl.event_log == []
 
 
 def test_static_prediction_is_pure_function_of_instance():
     stream = make_stream(100)
-    cfg = ControllerConfig()
+    cfg = make_config()
     ctrl = Controller.from_warmup(stream[:50], SCHEMA, NoDetector(), cfg)
     probe = stream[60]
-    first = ctrl.step(probe).prediction
+    first = ctrl.step(probe).predicted
     for rec in stream[51:60]:
         ctrl.step(rec)
-    assert ctrl.step(probe).prediction == first
+    assert ctrl.step(probe).predicted == first
 
 
 # -- block walk ---------------------------------------------------------------
@@ -324,7 +332,7 @@ def test_block_walk_equals_step_loop(monkeypatch, strategy, batch_size, incremen
     rng = np.random.default_rng(batch_size + mini_batch_size)
     # dense alarms, some in runs, so that they land on block edges too
     fire_on = {c for c in range(1, 900) if rng.random() < 0.08 or c % 37 in (0, 1)}
-    cfg = ControllerConfig(
+    cfg = make_config(
         strategy=strategy,
         batch_size=batch_size,
         incremental=incremental,
@@ -357,7 +365,7 @@ def test_block_walk_equals_step_loop(monkeypatch, strategy, batch_size, incremen
     # the stream exercises what it is meant to: alarms on the first and on
     # the last row of a block, and (where blocks exceed one row) blocks cut
     # short by a refit at an alarm, whose rest is scored again
-    alarms = {i for i, r in enumerate(walked) if r.drift}
+    alarms = {i for i, r in enumerate(walked) if r.drift_flag}
     assert alarms & {start for start, _ in blocks}
     assert alarms & {start + n - 1 for start, n in blocks}
     refits_at_alarm = strategy == LAST or (strategy == MIXED and batch_size == 1)
@@ -373,7 +381,7 @@ def test_block_walk_scores_each_row_once_when_no_alarm_can_refit(
     # and blocks end there, also across an encode-chunk edge (4,096 rows)
     # that leaves a mini-batch part-filled: no score is computed and dropped
     stream = noisy_stream(4560)
-    cfg = ControllerConfig(incremental=incremental, mini_batch_size=mini_batch_size)
+    cfg = make_config(incremental=incremental, mini_batch_size=mini_batch_size)
     ctrl = Controller.from_warmup(stream[:60], MIXED_SCHEMA, NoDetector(), cfg)
     sizes = []
     predict_many = NaiveBayesModel.predict_many
@@ -393,18 +401,18 @@ def test_block_walk_scores_each_row_once_when_no_alarm_can_refit(
 
 def test_test_then_train_label_cannot_leak():
     stream = make_stream(100)
-    cfg = ControllerConfig(strategy=None, incremental=True, mini_batch_size=1)
+    cfg = make_config(strategy=None, incremental=True, mini_batch_size=1)
     a = Controller.from_warmup(stream[:50], SCHEMA, NoDetector(), cfg)
     b = Controller.from_warmup(stream[:50], SCHEMA, NoDetector(), cfg)
     probe = stream[50]
     flipped = LabeledInstance(probe.instance, 1 - probe.label)
-    assert a.step(probe).prediction == b.step(flipped).prediction
+    assert a.step(probe).predicted == b.step(flipped).predicted
 
 
 def test_replay_reproduces_events_and_predictions():
     def run():
         ctrl, _, results = run_with_alarm(MIXED, 10, alarm_at=100)
-        return ctrl.retrain_history, [(r.index, r.prediction) for r in results]
+        return ctrl.retrain_history, [(r.index, r.predicted) for r in results]
 
     assert run() == run()
 
@@ -416,7 +424,7 @@ def test_step_before_warmup_rejected():
         NaiveBayesModel(2, encoder.cat_cardinalities, 0),
         encoder,
         NoDetector(),
-        ControllerConfig(),
+        make_config(),
     )
     with pytest.raises(ControllerError):
         ctrl.step(make_stream(1)[0])
@@ -426,17 +434,17 @@ def test_step_before_warmup_rejected():
 
 def test_warmup_requires_labeled_instances():
     with pytest.raises(ControllerError):
-        Controller.from_warmup([], SCHEMA, NoDetector(), ControllerConfig())
+        Controller.from_warmup([], SCHEMA, NoDetector(), make_config())
     bare = [Instance(0, {"tok": "a"})]
     with pytest.raises(ControllerError):
-        Controller.from_warmup(bare, SCHEMA, NoDetector(), ControllerConfig())
+        Controller.from_warmup(bare, SCHEMA, NoDetector(), make_config())
 
 
 @pytest.mark.parametrize("walk", ["steps", "step"])
 def test_label_outside_classes_rejected_before_its_chunk_is_stepped(walk):
     stream = make_stream(120)
     stream[90] = LabeledInstance(stream[90].instance, 2)  # 2 classes seen in warm-up
-    ctrl = Controller.from_warmup(stream[:50], SCHEMA, NoDetector(), ControllerConfig())
+    ctrl = Controller.from_warmup(stream[:50], SCHEMA, NoDetector(), make_config())
     stepped = []
     with pytest.raises(LabelError) as info:
         if walk == "steps":  # rows 50..119 form one chunk
@@ -451,19 +459,21 @@ def test_unlabeled_warmup_row_named_in_the_error():
     stream = make_stream(50)
     stream[7] = stream[7].instance
     with pytest.raises(LabelError) as info:
-        Controller.from_warmup(stream, SCHEMA, NoDetector(), ControllerConfig())
+        Controller.from_warmup(stream, SCHEMA, NoDetector(), make_config())
     assert (info.value.index, info.value.row) == (7, 9)
 
 
 def test_n_classes_inferred_from_warmup():
     ctrl = Controller.from_warmup(
-        make_stream(50), SCHEMA, NoDetector(), ControllerConfig()
+        make_stream(50), SCHEMA, NoDetector(), make_config()
     )
     assert ctrl.model.n_classes == 2
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        ControllerConfig(strategy="newest")
+        ExperimentConfig(strategy="newest")
     with pytest.raises(ValueError):
-        ControllerConfig(batch_size=0)
+        ExperimentConfig(batch_size=0)
+    with pytest.raises(ValueError):
+        ExperimentConfig(mini_batch_size=0)

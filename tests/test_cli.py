@@ -195,6 +195,55 @@ def test_run_unusable_label_is_a_data_error(tmp_path, capsys, row, token, where)
     assert where in err and "Traceback" not in err
 
 
+# the flags each command needs besides the source
+_COMMAND_FLAGS = {
+    "run": (),
+    "gridsearch": ("--detector", "page-hinkley", "--lambda", "0.6"),
+    "matrix": ("--workers", "1"),
+}
+
+
+@pytest.mark.parametrize(
+    "command,flags,named",
+    [
+        (command, (flag, value, *extra), flag)
+        for command, extra in _COMMAND_FLAGS.items()
+        for flag, value in (("--batch-size", "0"), ("--batch-size", "-3"), ("--mini-batch", "0"))
+    ]
+    + [
+        ("run", ("--prefix-len", "cat0=abc"), "--prefix-len"),
+        ("run", ("--prefix-len", "cat0=0"), "--prefix-len"),
+        ("run", ("--bin-days", "39,6"), "--bin-days"),
+        ("run", ("--bin-days", "x"), "--bin-days"),
+        ("run", ("--boxcox", "nope"), "boxcox"),
+    ],
+)
+def test_bad_config_value_is_a_config_error(tmp_path, small_stream, capsys, command, flags, named):
+    code = run_cli(
+        command, "--input", str(small_stream), "--label", "label", "--warmup", "300",
+        *flags, "-o", str(tmp_path / "x"),
+    )
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
+def test_boxcox_value_out_of_support_is_a_data_error(tmp_path, capsys):
+    gen = tmp_path / "gen"
+    assert run_cli(
+        "generate", "-o", str(gen), "--n", "3000", "--drift-kind", "sudden",
+        "--drift-at", "1500", "--seed", "3",
+    ) == EXIT_OK
+    code = run_cli(
+        "run", "--input", str(gen / "stream.csv"), "--label", "label", "--warmup", "300",
+        "--boxcox", "num0", "-o", str(tmp_path / "x"),
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    # the first post-warm-up value below the warm-up minimum by more than 1e-6
+    assert "stream index 415 (CSV row 417): num0:" in err and "Traceback" not in err
+
+
 # -- gridsearch ---------------------------------------------------------------
 
 
@@ -280,7 +329,35 @@ def test_matrix_runs_each_distinct_config_once(tmp_path, small_stream, monkeypat
     assert baseline == rows[4]
 
 
+def test_matrix_loads_its_source_once(tmp_path, small_stream, monkeypatch):
+    loads = []
+    load = evaluation.CsvSource.load
+
+    def counting(source):
+        loads.append(source.path)
+        return load(source)
+
+    monkeypatch.setattr(evaluation.CsvSource, "load", counting)
+    code = run_cli(
+        "matrix", "--input", str(small_stream), "--label", "label",
+        "--warmup", "300", "--batch-sizes", "100", "--workers", "1", "-o", str(tmp_path / "m"),
+    )
+    assert code == EXIT_OK
+    assert loads == [str(small_stream)]
+
+
 # -- inspect ------------------------------------------------------------------
+
+
+def test_inspect_synth_hidden_context_column(tmp_path):
+    out = tmp_path / "ins"
+    code = run_cli(
+        "inspect", "--synth", "paper-like", "--feature", "automation",
+        "--window", "1000", "-o", str(out),
+    )
+    assert code == EXIT_OK
+    rows = (out / "inspect_automation.csv").read_text().splitlines()
+    assert len(rows) == 1 + 70774
 
 
 def test_inspect_constant_feature(tmp_path):

@@ -8,8 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from driftstream import evaluation
-from driftstream.adaptation import Controller
+from driftstream.adaptation import STRATEGIES, Controller
 from driftstream.evaluation import (
     ConfigError,
     CsvSource,
@@ -128,7 +127,7 @@ def test_drift_handling_beats_static_on_drifting_stream():
     assert handled.n_drifts >= 1 and handled.n_retrains >= 1
 
 
-_BUILD_CONTROLLER = evaluation._build_controller
+_FROM_WARMUP = Controller.from_warmup
 
 
 def _run_capturing(monkeypatch, records, schema, cfg):
@@ -136,10 +135,10 @@ def _run_capturing(monkeypatch, records, schema, cfg):
     built = []
 
     def capture(*args):
-        built.append(_BUILD_CONTROLLER(*args))
+        built.append(_FROM_WARMUP(*args))
         return built[-1]
 
-    monkeypatch.setattr(evaluation, "_build_controller", capture)
+    monkeypatch.setattr(Controller, "from_warmup", staticmethod(capture))
     out, summary = run_experiment(records, schema, cfg)
     return out, summary, built[0]
 
@@ -306,15 +305,20 @@ def test_csv_source_bins_hour_labels(tmp_path):
     assert [r.label for r in records] == [0, 1, 2]
 
 
+def matrix(source, detectors, batch_sizes, workers=1):
+    """``experiment_matrix`` over the incremental detector x batch size x
+    strategy grid on STATIC, keyed by (detector, batch size, strategy)."""
+    keys = [(d, b, s) for d in detectors for b in batch_sizes for s in STRATEGIES]
+    configs = [
+        dataclasses.replace(STATIC, detector=d, batch_size=b, strategy=s, incremental=True)
+        for d, b, s in keys
+    ]
+    return dict(zip(keys, experiment_matrix(source, configs, workers)))
+
+
 def test_matrix_shape_and_keys():
     source = SynthSource(small_synth())
-    base = dataclasses.replace(STATIC, detector="none", strategy=None)
-    results = experiment_matrix(
-        source,
-        detectors=("page_hinkley", "adwin"),
-        batch_sizes=(100, 200),
-        base=base,
-    )
+    results = matrix(source, ("page_hinkley", "adwin"), (100, 200))
     assert len(results) == 2 * 2 * 3
     assert ("page_hinkley", 100, "last") in results
 
@@ -322,9 +326,7 @@ def test_matrix_shape_and_keys():
 def test_matrix_cells_match_separate_runs():
     source = SynthSource(small_synth())
     base = dataclasses.replace(STATIC, detector="none", strategy=None)
-    results = experiment_matrix(
-        source, detectors=("adwin",), batch_sizes=(200,), base=base
-    )
+    results = matrix(source, ("adwin",), (200,))
     records, schema = source.load()
     for (det, b, strat), summary in results.items():
         cfg = dataclasses.replace(
@@ -337,10 +339,8 @@ def test_matrix_cells_match_separate_runs():
 
 def test_matrix_worker_count_does_not_change_results():
     source = SynthSource(small_synth())
-    base = dataclasses.replace(STATIC, detector="none", strategy=None)
-    kw = dict(detectors=("page_hinkley",), batch_sizes=(100,), base=base)
-    serial = experiment_matrix(source, workers=1, **kw)
-    parallel = experiment_matrix(source, workers=2, **kw)
+    serial = matrix(source, ("page_hinkley",), (100,), workers=1)
+    parallel = matrix(source, ("page_hinkley",), (100,), workers=2)
     assert serial.keys() == parallel.keys()
     for k in serial:
         assert serial[k].overall_accuracy == parallel[k].overall_accuracy
@@ -363,10 +363,7 @@ class LoadLoggingSource:
 def test_matrix_loads_its_source_once_per_worker(tmp_path, workers):
     log = tmp_path / "loads.txt"
     source = LoadLoggingSource(small_synth(), str(log))
-    base = dataclasses.replace(STATIC, detector="none", strategy=None)
-    results = experiment_matrix(
-        source, detectors=("page_hinkley",), batch_sizes=(100, 200), base=base, workers=workers
-    )
+    results = matrix(source, ("page_hinkley",), (100, 200), workers=workers)
     assert len(results) == 6
     pids = log.read_text(encoding="utf-8").split()
     assert 1 <= len(pids) == len(set(pids)) <= workers
@@ -374,7 +371,7 @@ def test_matrix_loads_its_source_once_per_worker(tmp_path, workers):
 
 def test_matrix_requires_replayable_source():
     with pytest.raises(ConfigError):
-        experiment_matrix([1, 2, 3])
+        experiment_matrix([1, 2, 3], [STATIC])
 
 
 # -- CSV writers --------------------------------------------------------------

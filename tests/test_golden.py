@@ -3,7 +3,9 @@ writing byte-identical ``records.csv`` and ``summary.csv`` across changes to
 the engine. The digests were recorded before the columnar adaptive path
 (column windows, column fit/update, one log-table pass per score) landed;
 a change that moves one must say why and record the new digest (a failing
-case prints the digests it got).
+case prints the digests it got). The ``matrix`` digests were recorded before
+the baseline rows joined the grid cells in one ``experiment_matrix`` call;
+they pin the rows' order and values, for either worker count.
 """
 
 import hashlib
@@ -108,3 +110,25 @@ def test_run_outputs_match_recorded_digests(tmp_path, stream_csv, detector, stra
     assert main(flags + (["--incremental"] if incremental else [])) == EXIT_OK
     got = tuple(sha256(p) for p in (stream_csv, out / "records.csv", out / "summary.csv"))
     assert got == GOLDEN[(detector, strategy, incremental)], f"digests now {got}"
+
+
+# learning mode -> sha256 of matrix summary.csv (4 baseline rows, then
+# 2 detectors x 1 batch size x 3 strategies)
+GOLDEN_MATRIX = {
+    True: "05b759ba7a6a17d585d5557a7e10b98142e3ebd178e429e726a00959bf8b6799",
+    False: "45a5ccc1b7461fac611e6fe4c8b089c2214632fcce90fcb816ecf92946ea26fb",
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("incremental", [True, False], ids=["incremental", "retrain-only"])
+def test_matrix_summary_matches_recorded_digest(tmp_path, stream_csv, incremental, workers):
+    out = tmp_path / "matrix"
+    flags = [
+        "matrix", "--input", str(stream_csv), "--label", "label",
+        "--warmup", WARMUP, "--batch-sizes", BATCH_SIZE, "--workers", workers,
+        "--quiet", "-o", str(out),
+    ]
+    assert main(flags + ([] if incremental else ["--no-incremental"])) == EXIT_OK
+    got = sha256(out / "summary.csv")
+    assert got == GOLDEN_MATRIX[incremental], f"digest now {got}"

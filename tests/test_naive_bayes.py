@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftstream.naive_bayes import NaiveBayesModel, Welford
+from driftstream.naive_bayes import NaiveBayesModel
 from driftstream.preprocess import EncodedInstance
 
 
@@ -35,36 +35,35 @@ def brute_force_posterior(instances, probe_cats, n_classes, cards, alpha=1.0):
     return [p / total for p in post]
 
 
-# -- Welford ------------------------------------------------------------------
+# -- Welford accumulators ----------------------------------------------------
 
 
-def test_welford_textbook_values():
-    w = Welford()
-    for x in [1.0, 2.0, 3.0]:
-        w.push(x)
-    assert w.count == 3
-    assert w.mean == pytest.approx(2.0)
-    assert w.variance() == pytest.approx(1.0)
+def one_numeric(values, label=0):
+    return [enc(i, nums=[x], label=label) for i, x in enumerate(values)]
 
 
-def test_welford_chunked_equivalence():
-    a = Welford()
-    for x in [1.0, 2.0]:
-        a.push(x)
-    for x in [3.0]:
-        a.push(x)
-    b = Welford()
-    for x in [1.0, 2.0, 3.0]:
-        b.push(x)
-    assert a.count == b.count
-    assert a.mean == pytest.approx(b.mean, abs=1e-12)
-    assert a.m2 == pytest.approx(b.m2, abs=1e-12)
+def test_update_welford_textbook_values():
+    m = NaiveBayesModel.fit_instances(one_numeric([1.0]), 1, (), 1)
+    m.update_instances(one_numeric([2.0, 3.0]))
+    assert m.g_count[0, 0] == 3
+    assert m.g_mean[0, 0] == pytest.approx(2.0)
+    assert m._variances()[0, 0] == pytest.approx(1.0)
 
 
-def test_welford_variance_floor():
-    w = Welford()
-    w.push(5.0)
-    assert w.variance(1e-9) == 1e-9
+def test_update_chunked_equivalence():
+    a = NaiveBayesModel.fit_instances(one_numeric([1.0]), 1, (), 1)
+    a.update_instances(one_numeric([2.0]))
+    a.update_instances(one_numeric([3.0]))
+    b = NaiveBayesModel.fit_instances(one_numeric([1.0]), 1, (), 1)
+    b.update_instances(one_numeric([2.0, 3.0]))
+    assert (a.g_count == b.g_count).all()
+    assert a.g_mean[0, 0] == pytest.approx(b.g_mean[0, 0], abs=1e-12)
+    assert a.g_m2[0, 0] == pytest.approx(b.g_m2[0, 0], abs=1e-12)
+
+
+def test_single_row_variance_is_the_floor():
+    m = NaiveBayesModel.fit_instances(one_numeric([5.0]), 1, (), 1, var_floor=1e-9)
+    assert m._variances()[0, 0] == 1e-9
 
 
 # -- fit ----------------------------------------------------------------------
@@ -299,14 +298,6 @@ def test_absent_class_keeps_smoothed_prior_but_never_wins():
 
 
 # -- plumbing -----------------------------------------------------------------
-
-
-def test_clone_is_independent():
-    data = [enc(i, cats=[i % 2], nums=[float(i)], label=i % 2) for i in range(10)]
-    m = NaiveBayesModel.fit_instances(data, 2, [3], 1)
-    c = m.clone()
-    c.update_instances([enc(10, cats=[0], nums=[3.0], label=0)])
-    assert m.n_trained == 10 and c.n_trained == 11
 
 
 def test_json_round_trip():

@@ -314,13 +314,6 @@ def test_boxcox_on_non_numeric_feature_rejected():
         EncoderState(SCHEMA, boxcox_features=("mat",))
 
 
-def test_one_hot_view():
-    enc = EncoderState(SCHEMA)
-    enc.fit(insts([("A", 1.0), ("B", 2.0)]))
-    v = enc.one_hot(enc.encode(Instance(0, {"mat": "B", "value": 3.5})))
-    np.testing.assert_allclose(v, [0.0, 1.0, 0.0, 3.5])
-
-
 def test_encoder_json_round_trip():
     enc = EncoderState(SCHEMA, boxcox_features=("value",), prefix_len={"mat": 4})
     enc.fit(insts([("10234567", float(v)) for v in range(1, 21)]))

@@ -14,7 +14,6 @@ from driftstream.stream_core import (
     SchemaError,
     StreamParseError,
     open_csv_stream,
-    take,
 )
 
 SCHEMA = FeatureSchema(
@@ -137,45 +136,10 @@ def test_label_column_not_a_feature():
         FeatureSchema((("a", CATEGORICAL),), label_column="a")
 
 
-def test_schema_drop():
-    s = FeatureSchema((("a", CATEGORICAL), ("b", NUMERIC)), "label")
-    assert s.drop("b").names == ("a",)
-    assert s.drop("b").label_column == "label"
-
-
 def test_name_views():
     assert SCHEMA.names == ("color", "size")
     assert SCHEMA.categorical_names == ("color",)
     assert SCHEMA.numeric_names == ("size",)
-
-
-# -- take ---------------------------------------------------------------------
-
-
-def four_record_stream():
-    for i in range(4):
-        yield LabeledInstance(Instance(i, {"color": "red", "size": 1.0}), 0)
-
-
-def test_take_zero():
-    assert take(four_record_stream(), 0) == []
-
-
-def test_take_exhaustion():
-    assert len(take(four_record_stream(), 10)) == 4
-
-
-def test_take_advances_cursor():
-    s = four_record_stream()
-    first = take(s, 2)
-    rest = take(s, 10)
-    assert [r.index for r in first] == [0, 1]
-    assert [r.index for r in rest] == [2, 3]
-
-
-def test_take_negative_rejected():
-    with pytest.raises(ValueError):
-        take(four_record_stream(), -1)
 
 
 @settings(max_examples=50)
