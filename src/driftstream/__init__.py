@@ -31,11 +31,10 @@ from .preprocess import (
 )
 from .stream_core import (
     FeatureSchema,
-    Instance,
-    LabeledInstance,
     RowError,
     SchemaError,
     StreamParseError,
+    Table,
     open_csv_stream,
 )
 from .synth import (

@@ -35,14 +35,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from .naive_bayes import NaiveBayesModel
 from .preprocess import EncoderState
-from .stream_core import FeatureSchema, LabeledInstance, RowError, csv_row
+from .stream_core import FeatureSchema, RowError, Table, csv_row
 
 LAST = "last"
 MIXED = "mixed"
@@ -74,14 +73,16 @@ class LabelError(RowError, ControllerError):
     in the warm-up prefix, or outside [0, n_classes)."""
 
 
-def _check_labels(
-    rows: Sequence[LabeledInstance], labels: list[int], n_classes: int, schema: FeatureSchema
-) -> None:
-    """Raise ``LabelError`` for the first row whose label is outside
-    [0, n_classes)."""
+def _check_labels(rows: Table, n_classes: int, schema: FeatureSchema) -> None:
+    """Raise ``LabelError`` for the first row of ``rows`` without a label,
+    else for the first whose label is outside [0, n_classes)."""
+    labels = rows.label
+    if None in labels:
+        index = rows.index[labels.index(None)]
+        raise LabelError("row has no label", index, csv_row(schema, index))
     if min(labels) < 0 or max(labels) >= n_classes:
         i = next(i for i, y in enumerate(labels) if not 0 <= y < n_classes)
-        index = rows[i].instance.index
+        index = rows.index[i]
         raise LabelError(
             f"label {labels[i]} outside [0, {n_classes})", index, csv_row(schema, index)
         )
@@ -209,38 +210,30 @@ class Controller:
     @classmethod
     def from_warmup(
         cls,
-        warmup: Sequence[LabeledInstance],
+        warmup: Table,
         schema: FeatureSchema,
         detector,
         config: ExperimentConfig,
     ) -> "Controller":
-        """Fit and freeze the encoder on the warm-up data (with the
+        """Fit and freeze the encoder on the warm-up rows (with the
         config's Box-Cox features and prefix lengths), train the initial
-        model on it (``config.n_classes`` classes, or as many as the warm-up
-        labels imply), and pre-fill the buffer with its tail."""
-        if not warmup:
+        model on them (``config.n_classes`` classes, or as many as the
+        warm-up labels imply), and pre-fill the buffer with their tail.
+        Encoder settings that cannot apply to these rows raise
+        ``ConfigError``; a row without a label raises ``LabelError``."""
+        if not len(warmup):
             raise ControllerError("warm-up requires at least one labeled instance")
-        for r in warmup:
-            if not isinstance(r, LabeledInstance):
-                raise LabelError("warm-up row has no label", r.index, csv_row(schema, r.index))
-        instances = [r.instance for r in warmup]
         try:
             encoder = EncoderState(schema, config.boxcox, dict(config.prefix_len))
+            encoder.fit(warmup)
         except ValueError as e:
             raise ConfigError(str(e)) from None
-        encoder.fit(instances)
-        labels = [r.label for r in warmup]
         n_classes = config.n_classes
         if n_classes is None:
-            n_classes = max(labels) + 1
-        _check_labels(warmup, labels, n_classes, schema)
-        cats, nums = encoder.encode_many(instances)
-        rows = Rows(
-            [inst.index for inst in instances],
-            np.array(labels, dtype=np.int64),
-            cats,
-            nums,
-        )
+            n_classes = max((y for y in warmup.label if y is not None), default=0) + 1
+        _check_labels(warmup, n_classes, schema)
+        cats, nums = encoder.encode_many(warmup)
+        rows = Rows(warmup.index, np.array(warmup.label, dtype=np.int64), cats, nums)
         model = NaiveBayesModel.fit(
             rows.label, rows.cats, rows.nums,
             n_classes, encoder.cat_cardinalities, encoder.n_numeric,
@@ -265,9 +258,7 @@ class Controller:
         sel = pos - b
         return Rows([index[i] for i in sel.tolist()], label[sel], cats[sel], nums[sel])
 
-    def _append(
-        self, chunk: list[LabeledInstance]
-    ) -> tuple[list[int], list[int], np.ndarray, np.ndarray]:
+    def _append(self, chunk: Table) -> tuple[list[int], list[int], np.ndarray, np.ndarray]:
         """Check and encode the rows of ``chunk`` and append them to the
         columns at positions ``_next`` on. Rows that neither the buffer nor
         a part-filled mini-batch can use any more are dropped first, so at
@@ -277,10 +268,9 @@ class Controller:
         row is not stepped yet.
         Returns the chunk's stream indices and labels as lists and its
         category and value matrices."""
-        labels = [r.label for r in chunk]
-        _check_labels(chunk, labels, self.model.n_classes, self.encoder.schema)
-        index = [r.instance.index for r in chunk]
-        cats, nums = self.encoder.encode_many([r.instance for r in chunk])
+        _check_labels(chunk, self.model.n_classes, self.encoder.schema)
+        index, labels = chunk.index, chunk.label
+        cats, nums = self.encoder.encode_many(chunk)
         keep = self._next - self.config.batch_size
         if self.mini_batch:
             keep = min(keep, self.mini_batch[0])
@@ -326,28 +316,28 @@ class Controller:
             n = min(n, self.config.mini_batch_size - len(self.mini_batch))
         return n
 
-    def step(self, labeled: LabeledInstance) -> PrequentialRecord:
-        """Test then train on one row."""
+    def step(self, row: Table) -> PrequentialRecord:
+        """Test then train on the row of a one-row table."""
         if self.model.n_trained < 1:
             raise ControllerError("step before warm-up")
-        index, labels, cats, nums = self._append([labeled])
+        index, labels, cats, nums = self._append(row)
         pred = self.model.predict_many(cats, nums).tolist()[0]
         return self._advance(index[0], labels[0], pred)
 
-    def steps(self, rows: Iterable[LabeledInstance]) -> Iterator[PrequentialRecord]:
+    def steps(self, table: Table) -> Iterator[PrequentialRecord]:
         """Test then train on each row in turn, yielding what ``step`` would
         return for it. Rows are encoded in chunks and scored in blocks: a
         block is scored with one ``predict_many`` call and runs up to the
         next row at which the model can change, so the model is constant
         within it. When the model changes at a row anyway (a refit at an
         alarm), the scores after that row are dropped and the rest of the
-        block is scored again with the new model. A chunk holding a label
-        outside [0, n_classes) raises ``LabelError`` before any of its rows
-        is stepped."""
-        it = iter(rows)
-        while chunk := list(islice(it, _MAX_BLOCK)):
+        block is scored again with the new model. A chunk holding a row
+        without a label or with one outside [0, n_classes) raises
+        ``LabelError`` before any of its rows is stepped."""
+        for lo in range(0, len(table), _MAX_BLOCK):
             if self.model.n_trained < 1:
                 raise ControllerError("step before warm-up")
+            chunk = table[lo : lo + _MAX_BLOCK]
             index, labels, cats, nums = self._append(chunk)
             start = 0
             while start < len(chunk):

@@ -38,7 +38,6 @@ from .stream_core import (
     CATEGORICAL,
     NUMERIC,
     FeatureSchema,
-    LabeledInstance,
     RowError,
     SchemaError,
     StreamParseError,
@@ -139,6 +138,19 @@ def _count(token: str) -> int:
     if n < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {token!r}")
     return n
+
+
+def _counts(token: str) -> list[int]:
+    """argparse type of the size-list flags: comma-separated integers >= 1."""
+    return [_count(part) for part in token.split(",") if part]
+
+
+def _floats(token: str) -> list[float]:
+    """argparse type of the grid flags: comma-separated numbers."""
+    try:
+        return [float(part) for part in token.split(",") if part]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {token!r}") from None
 
 
 def _is_float(token: str) -> bool:
@@ -256,8 +268,8 @@ def _say(args, message: str) -> None:
 def cmd_run(args) -> int:
     out = _out_dir(args)
     cfg = _experiment_config(args)
-    records, schema = _load_source(args)[0].load()
-    recs, summary = run_experiment(records, schema, cfg)
+    table, schema = _load_source(args)[0].load()
+    recs, summary = run_experiment(table, schema, cfg)
     _write_resolved_config(out, args)
     write_records_csv(recs, out / "records.csv")
     write_curves_csv(recs, out / "curves.csv")
@@ -290,7 +302,7 @@ def cmd_generate(args) -> int:
     cfg = _synth_config(args)
     stream = generate(cfg)
     _write_resolved_config(out, args)
-    write_csv(stream.instances, stream.schema, out / "stream.csv")
+    write_csv(stream.table, stream.schema, out / "stream.csv")
     write_concept_sidecar(stream.concept_ids, out / "concepts.csv")
     _say(args, f"wrote {cfg.n_instances} instances to {out / 'stream.csv'}")
     return EXIT_OK
@@ -301,15 +313,14 @@ def cmd_gridsearch(args) -> int:
     detector = args.detector.replace("-", "_") if args.detector else ""
     if detector not in ("page_hinkley", "adwin"):
         raise _fail_config("gridsearch needs --detector page-hinkley or adwin")
-    raw = args.grid_lambda if detector == "page_hinkley" else args.grid_delta
-    values = [v for v in raw.split(",") if v]
+    values = args.grid_lambda if detector == "page_hinkley" else args.grid_delta
     if not values:
         raise _fail_config("empty parameter grid")
     key = "ph_lambda" if detector == "page_hinkley" else "adwin_delta"
-    param_grid = [{key: float(v)} for v in values]
+    param_grid = [{key: v} for v in values]
     base = _experiment_config(args, strategy=args.strategy or "last")
-    records, schema = _load_source(args)[0].load()
-    best, table = grid_search(records[: args.prefix], schema, param_grid, base)
+    stream, schema = _load_source(args)[0].load()
+    best, table = grid_search(stream[: args.prefix], schema, param_grid, base)
     _write_resolved_config(out, args)
     rows = [
         {
@@ -335,7 +346,7 @@ def cmd_matrix(args) -> int:
     out = _out_dir(args)
     source, _ = _load_source(args)
     detectors = [d.replace("-", "_") for d in args.detectors.split(",") if d]
-    batch_sizes = [int(b) for b in args.batch_sizes.split(",") if b]
+    batch_sizes = args.batch_sizes
     strategies = [s for s in args.strategies.split(",") if s]
     if not detectors or not batch_sizes or not strategies:
         raise _fail_config("matrix needs non-empty detectors, batch sizes, and strategies")
@@ -381,16 +392,12 @@ def cmd_matrix(args) -> int:
 def cmd_inspect(args) -> int:
     out = _out_dir(args)
     source, schema = _load_source(args)
-    records, _ = source.load()
+    table, _ = source.load()
     if isinstance(source, SynthSource):
         schema = source.config.schema(include_hidden=True)
     if args.feature not in schema.numeric_names:
         raise _fail_config(f"unknown or non-numeric feature {args.feature!r}")
-    series = [
-        float((r.instance if isinstance(r, LabeledInstance) else r).values[args.feature])
-        for r in records
-    ]
-    means = rolling_mean(series, args.window)
+    means = rolling_mean(table.columns[args.feature], args.window)
     _write_resolved_config(out, args)
     path = out / f"inspect_{args.feature}.csv"
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -471,8 +478,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source(p)
     _add_experiment(p, detector_params=False)
     p.add_argument("--prefix", type=int, default=10000)
-    p.add_argument("--lambda", dest="grid_lambda", default="", help="PH thresholds, comma-separated")
-    p.add_argument("--delta", dest="grid_delta", default="", help="ADWIN deltas, comma-separated")
+    p.add_argument("--lambda", dest="grid_lambda", type=_floats, default="",
+                   help="PH thresholds, comma-separated")
+    p.add_argument("--delta", dest="grid_delta", type=_floats, default="",
+                   help="ADWIN deltas, comma-separated")
     p.add_argument("--ph-delta", type=float, default=0.005)
     p.add_argument("--burn-in", type=int, default=30)
     p.set_defaults(func=cmd_gridsearch)
@@ -482,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source(p)
     _add_experiment(p)
     p.add_argument("--detectors", default="page-hinkley,adwin")
-    p.add_argument("--batch-sizes", default="500,1000,2000,5000")
+    p.add_argument("--batch-sizes", type=_counts, default="500,1000,2000,5000")
     p.add_argument("--strategies", default="last,mixed,next")
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_matrix, incremental=True)
@@ -515,7 +524,7 @@ def main(argv=None) -> int:
     except _CliError as e:
         print(f"driftstream: {e}", file=sys.stderr)
         return e.code
-    except (SchemaError, StreamParseError, RowError) as e:
+    except (SchemaError, StreamParseError, RowError, csv.Error, UnicodeDecodeError) as e:
         print(f"driftstream: data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (ConfigError, SynthConfigError) as e:

@@ -14,15 +14,14 @@ import multiprocessing
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .adaptation import ConfigError, Controller, ExperimentConfig, PrequentialRecord
 from .detectors import make_detector
 from .preprocess import BinBoundaries, bin_target
-from .stream_core import FeatureSchema, LabeledInstance, Record, open_csv_stream
+from .stream_core import FeatureSchema, Table, open_csv_stream
 from .synth import SynthConfig, generate
 
 
@@ -41,19 +40,15 @@ class ExperimentSummary:
 
 
 def run_experiment(
-    records: Iterable[Record],
+    table: Table,
     schema: FeatureSchema,
     config: ExperimentConfig,
 ) -> tuple[list[PrequentialRecord], ExperimentSummary]:
     """Drive the adaptation controller over the post-warm-up stream; one
     prequential record per labeled prediction. Deterministic given the
     stream and config."""
-    it = iter(records)
-    warmup_records = list(islice(it, config.warmup))
-    if len(warmup_records) < config.warmup:
-        raise ConfigError(
-            f"stream has only {len(warmup_records)} records, warm-up needs {config.warmup}"
-        )
+    if len(table) < config.warmup:
+        raise ConfigError(f"stream has only {len(table)} rows, warm-up needs {config.warmup}")
     detector = make_detector(
         config.detector,
         ph_delta=config.ph_delta,
@@ -61,7 +56,7 @@ def run_experiment(
         ph_burn_in=config.ph_burn_in,
         adwin_delta=config.adwin_delta,
     )
-    controller = Controller.from_warmup(warmup_records, schema, detector, config)
+    controller = Controller.from_warmup(table[: config.warmup], schema, detector, config)
     K = controller.model.n_classes
 
     out: list[PrequentialRecord] = []
@@ -69,9 +64,8 @@ def run_experiment(
     win_sum = 0
     confusion = np.zeros((K, K), dtype=np.int64)
     n_correct = 0
-    # unlabeled records cannot be scored prequentially
-    labeled = (rec for rec in it if isinstance(rec, LabeledInstance))
-    for r in controller.steps(labeled):
+    # unlabeled rows cannot be scored prequentially
+    for r in controller.steps(table[config.warmup :].labeled()):
         c = r.correct
         if len(win) == win.maxlen:
             win_sum -= win[0]
@@ -106,7 +100,7 @@ def rolling_mean(series: Sequence[float], window: int) -> list[float]:
 
 
 def grid_search(
-    prefix: Sequence[Record],
+    prefix: Table,
     schema: FeatureSchema,
     param_grid: Sequence[dict],
     fixed: ExperimentConfig,
@@ -140,13 +134,14 @@ class CsvSource:
     schema: FeatureSchema
     bin_day_edges: tuple[float, ...] = ()
 
-    def load(self) -> tuple[list[Record], FeatureSchema]:
+    def load(self) -> tuple[Table, FeatureSchema]:
         if self.bin_day_edges:
             bins = BinBoundaries(self.bin_day_edges, unit_divisor=24.0)
             label_map = lambda token: bin_target(float(token), bins)
         else:
             label_map = int
-        return list(open_csv_stream(self.path, self.schema, label_map)), self.schema
+        chunks = open_csv_stream(self.path, self.schema, label_map)
+        return Table.concat(self.schema, chunks), self.schema
 
 
 @dataclass(frozen=True)
@@ -156,21 +151,19 @@ class SynthSource:
 
     config: SynthConfig
 
-    def load(self) -> tuple[list[Record], FeatureSchema]:
+    def load(self) -> tuple[Table, FeatureSchema]:
         stream = generate(self.config)
-        return stream.instances, stream.config.schema(include_hidden=False)
+        return stream.table, stream.config.schema(include_hidden=False)
 
 
-def _run_cell(
-    stream: tuple[list[Record], FeatureSchema], config: ExperimentConfig
-) -> ExperimentSummary:
-    records, schema = stream
-    return run_experiment(records, schema, config)[1]
+def _run_cell(stream: tuple[Table, FeatureSchema], config: ExperimentConfig) -> ExperimentSummary:
+    table, schema = stream
+    return run_experiment(table, schema, config)[1]
 
 
 # The loaded matrix source of a worker process; set once per worker by the
 # pool initializer, never in the parent.
-_worker_stream: Optional[tuple[list[Record], FeatureSchema]] = None
+_worker_stream: Optional[tuple[Table, FeatureSchema]] = None
 
 
 def _load_worker_source(source) -> None:

@@ -11,11 +11,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .stream_core import FeatureSchema, Instance, RowError, csv_row
+from .stream_core import FeatureSchema, RowError, Table, csv_row
 
 _SERIAL_VERSION = 1
 _EPS = 1e-6
@@ -185,31 +185,39 @@ class EncoderState:
         unknown = set(self.boxcox_features) - set(schema.numeric_names)
         if unknown:
             raise ValueError(f"boxcox names features that are not numeric: {sorted(unknown)}")
+        unknown = set(self.prefix_len) - set(schema.categorical_names)
+        if unknown:
+            raise ValueError(
+                f"prefix-len names features that are not categorical: {sorted(unknown)}"
+            )
         if any(n < 1 for n in self.prefix_len.values()):
             raise ValueError(f"prefix lengths must be >= 1, got {self.prefix_len}")
         self.cat_maps: dict[str, dict[str, int]] = {n: {} for n in schema.categorical_names}
         self.boxcox: dict[str, BoxCoxParams] = {}
         self.frozen = False
 
-    def _tokens(self, name: str, instances: Sequence[Instance]) -> list[str]:
-        """The category tokens of feature ``name``, one per instance,
-        prefix-truncated where configured."""
-        tokens = [str(inst.values[name]) for inst in instances]
+    def _tokens(self, name: str, table: Table) -> list[str]:
+        """The category tokens of feature ``name``, prefix-truncated where
+        configured."""
+        tokens = table.columns[name]
         plen = self.prefix_len.get(name)
         return [truncate_category(t, plen) for t in tokens] if plen else tokens
 
-    def fit(self, instances: Iterable[Instance]) -> "EncoderState":
+    def fit(self, table: Table) -> "EncoderState":
         """Build category maps (first-appearance order) and fit Box-Cox
-        parameters on the warm-up sample, then freeze."""
+        parameters on the warm-up rows, then freeze. A Box-Cox fit that
+        fails raises the fit's error, naming the feature."""
         if self.frozen:
             raise RuntimeError("encoder already frozen")
-        instances = list(instances)
         for name in self.schema.categorical_names:
             m = self.cat_maps[name]
-            for tok in self._tokens(name, instances):
+            for tok in self._tokens(name, table):
                 m.setdefault(tok, len(m))
         for name in self.boxcox_features:
-            self.boxcox[name] = fit_boxcox([float(inst.values[name]) for inst in instances])
+            try:
+                self.boxcox[name] = fit_boxcox(table.columns[name])
+            except ValueError as e:
+                raise type(e)(f"cannot fit boxcox to {name!r} on the warm-up rows: {e}") from None
         self.frozen = True
         return self
 
@@ -225,38 +233,40 @@ class EncoderState:
     def n_numeric(self) -> int:
         return len(self.schema.numeric_names)
 
-    def encode_many(self, instances: Sequence[Instance]) -> tuple[np.ndarray, np.ndarray]:
+    def encode_many(self, table: Table) -> tuple[np.ndarray, np.ndarray]:
         """Columnar encode: an (n, n_categorical) int64 index matrix and an
         (n, n_numeric) float64 value matrix, row i holding the encoding of
-        ``instances[i]``. The encoder is frozen, so each row is a pure
-        function of its instance; numerics go through ``float`` and the
-        scalar ``apply_boxcox`` one value at a time. A value outside the
-        fitted Box-Cox support raises ``RowError`` naming its row."""
+        row i of ``table``. The encoder is frozen, so each row is a pure
+        function of its values; Box-Cox goes through the scalar
+        ``apply_boxcox`` one value at a time. A value outside the fitted
+        Box-Cox support raises ``RowError`` naming its row."""
         if not self.frozen:
             raise RuntimeError("encoder must be fitted before encoding")
         cat_names, num_names = self.schema.categorical_names, self.schema.numeric_names
-        cats = np.empty((len(instances), len(cat_names)), dtype=np.int64)
+        cats = np.empty((len(table), len(cat_names)), dtype=np.int64)
         for i, name in enumerate(cat_names):
             m = self.cat_maps[name]
-            cats[:, i] = [m.get(t, len(m)) for t in self._tokens(name, instances)]
-        nums = np.empty((len(instances), len(num_names)))
+            unseen = len(m)
+            cats[:, i] = [m.get(t, unseen) for t in self._tokens(name, table)]
+        nums = np.empty((len(table), len(num_names)))
         for j, name in enumerate(num_names):
-            column = [float(inst.values[name]) for inst in instances]
+            column = table.columns[name]
             params = self.boxcox.get(name)
             if params is not None:
+                column = column.tolist()
                 try:
                     column = [apply_boxcox(x, params) for x in column]
                 except ValueError as e:
                     i = next(i for i, x in enumerate(column) if x + params.shift <= 0)
-                    index = instances[i].index
+                    index = table.index[i]
                     raise RowError(f"{name}: {e}", index, csv_row(self.schema, index)) from None
             nums[:, j] = column
         return cats, nums
 
-    def encode(self, inst: Instance, label: Optional[int] = None) -> EncodedInstance:
-        """One-row ``encode_many``."""
-        cats, nums = self.encode_many((inst,))
-        return EncodedInstance(inst.index, cats[0], nums[0], label)
+    def encode(self, row: Table) -> EncodedInstance:
+        """``encode_many`` of a one-row table, its label included."""
+        cats, nums = self.encode_many(row)
+        return EncodedInstance(row.index[0], cats[0], nums[0], row.label[0])
 
     def to_json(self) -> str:
         return json.dumps(

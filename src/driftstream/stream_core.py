@@ -1,16 +1,19 @@
 """Data model for chronological feature streams and the CSV stream source.
 
-A stream is a sequence of records in strict chronological order, one record
-per index. Records are either bare ``Instance`` objects (no label available)
-or ``LabeledInstance`` objects when the label column is populated.
+A stream is a sequence of rows in strict chronological order, one row per
+index, held as columns in a ``Table``: the stream indices, the labels
+(``None`` for an unlabeled row) and one column per feature.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Union
+from dataclasses import dataclass
+from itertools import chain, islice
+from typing import Callable, Iterable, Iterator, Optional, Union
+
+import numpy as np
 
 CATEGORICAL = "categorical"
 NUMERIC = "numeric"
@@ -84,46 +87,109 @@ class FeatureSchema:
         return tuple(n for n, k in self.features if k == NUMERIC)
 
 
-@dataclass
-class Instance:
-    """One chronological record: a stream position and per-feature values."""
-
-    index: int
-    values: dict[str, Union[str, float]]
+#: Rows per table that ``open_csv_stream`` yields.
+CHUNK_ROWS = 4096
 
 
-@dataclass
-class LabeledInstance:
-    """An instance together with its class label (an integer in [0, K))."""
+class Table:
+    """Rows of a stream as columns, in stream order: ``index``, a list of
+    stream indices; ``label``, a list of integer class ids with ``None``
+    for an unlabeled row; and ``columns``, one column per feature name,
+    category tokens as a list of ``str`` and numeric values as a float64
+    array.
 
-    instance: Instance
-    label: int
+    Indexing with a slice gives the rows it selects, and with an integer
+    the one-row table of that row; either shares the stream index ``int``
+    objects and the tokens of this table. Iterating gives the one-row
+    tables in turn.
+    """
 
-    @property
-    def index(self) -> int:
-        return self.instance.index
+    __slots__ = ("index", "label", "columns")
 
+    def __init__(
+        self,
+        index: list[int],
+        label: list[Optional[int]],
+        columns: dict[str, Union[list[str], np.ndarray]],
+    ):
+        self.index = index
+        self.label = label
+        self.columns = columns
 
-Record = Union[Instance, LabeledInstance]
+    def __len__(self) -> int:
+        return len(self.index)
 
+    def __getitem__(self, rows: Union[slice, int]) -> "Table":
+        if not isinstance(rows, slice):
+            i = range(len(self.index))[rows]  # IndexError past either end
+            rows = slice(i, i + 1)
+        return Table(
+            self.index[rows], self.label[rows], {n: c[rows] for n, c in self.columns.items()}
+        )
 
-def _parse_int_label(token: str) -> int:
-    return int(token)
+    def __iter__(self) -> Iterator["Table"]:
+        return (self[i] for i in range(len(self.index)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Table):
+            return NotImplemented
+        return (
+            self.index == other.index
+            and self.label == other.label
+            and self.columns.keys() == other.columns.keys()
+            and all(np.array_equal(c, other.columns[n]) for n, c in self.columns.items())
+        )
+
+    def labeled(self) -> "Table":
+        """The rows that carry a label (this table if all do)."""
+        if None not in self.label:
+            return self
+        keep = [i for i, y in enumerate(self.label) if y is not None]
+        return Table(
+            [self.index[i] for i in keep],
+            [self.label[i] for i in keep],
+            {
+                n: c[keep] if isinstance(c, np.ndarray) else [c[i] for i in keep]
+                for n, c in self.columns.items()
+            },
+        )
+
+    @classmethod
+    def concat(cls, schema: FeatureSchema, tables: Iterable["Table"]) -> "Table":
+        """One table of the rows of ``tables`` in turn, with the columns of
+        ``schema``'s features."""
+        tables = list(tables)
+        columns: dict[str, Union[list[str], np.ndarray]] = {}
+        for name, kind in schema.features:
+            parts = [t.columns[name] for t in tables]
+            if kind == NUMERIC:
+                columns[name] = np.concatenate([np.empty(0), *parts])
+            else:
+                columns[name] = list(chain.from_iterable(parts))
+        return cls(
+            list(chain.from_iterable(t.index for t in tables)),
+            list(chain.from_iterable(t.label for t in tables)),
+            columns,
+        )
 
 
 def open_csv_stream(
     path,
     schema: FeatureSchema,
-    label_map: Callable[[str], int] = _parse_int_label,
-) -> Iterator[Record]:
-    """Yield records from a CSV file in file order, indices starting at
-    ``schema.index_origin``.
+    label_map: Callable[[str], int] = int,
+) -> Iterator[Table]:
+    """Yield the stream of a CSV file as tables of at most ``CHUNK_ROWS``
+    rows, in file order, indices starting at ``schema.index_origin``.
 
     The header row must contain every schema column (extra columns are
-    ignored). Empty categorical cells become ``MISSING_TOKEN``; empty numeric
-    cells are a parse error. An empty label cell yields a bare ``Instance``.
-    ``label_map`` converts a non-empty label token to a class id; the default
-    expects integer tokens.
+    ignored); an empty file or a header alone is an empty stream. A row
+    shorter than the header reads its missing cells as empty. Empty
+    categorical cells become ``MISSING_TOKEN``; numeric cells are parsed
+    with ``float`` and an empty or non-finite one is a parse error. An
+    empty label cell leaves the row unlabeled; ``label_map`` converts a
+    non-empty label token to a class id (the default expects integer
+    tokens). A parse error names the first bad cell in row order (the
+    features in schema order, then the label).
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -137,41 +203,71 @@ def open_csv_stream(
                 raise SchemaError(f"missing column {name!r} in {path}")
         if schema.label_column and schema.label_column not in col:
             raise SchemaError(f"missing label column {schema.label_column!r} in {path}")
+        cells = [col[name] for name in schema.names]
+        if schema.label_column:
+            cells.append(col[schema.label_column])
+        width = max(cells, default=-1) + 1
 
-        index = schema.index_origin
-        for rownum, row in enumerate(reader, start=2):
-            values: dict[str, Union[str, float]] = {}
-            for name, kind in schema.features:
-                token = row[col[name]] if col[name] < len(row) else ""
-                if kind == CATEGORICAL:
-                    values[name] = token if token != "" else MISSING_TOKEN
-                else:
-                    if token == "":
-                        raise StreamParseError(f"empty numeric cell in column {name!r}", rownum)
-                    try:
-                        x = float(token)
-                    except ValueError:
-                        raise StreamParseError(
-                            f"non-numeric value {token!r} in column {name!r}", rownum
-                        ) from None
-                    if not math.isfinite(x):
-                        raise StreamParseError(
-                            f"non-finite value {token!r} in column {name!r}", rownum
-                        )
-                    values[name] = x
-            inst = Instance(index, values)
-            label_token = row[col[schema.label_column]] if schema.label_column else ""
-            if label_token != "":
-                try:
-                    label = label_map(label_token)
-                except ValueError:
-                    raise StreamParseError(
-                        f"bad label {label_token!r} in column {schema.label_column!r}", rownum
-                    ) from None
-                yield LabeledInstance(inst, label)
-            else:
-                yield inst
-            index += 1
+        index, rownum = schema.index_origin, 2
+        while rows := list(islice(reader, CHUNK_ROWS)):
+            if min(map(len, rows)) < width:
+                rows = [r + [""] * (width - len(r)) for r in rows]
+            try:
+                table = _parse_rows(rows, index, col, schema, label_map)
+            except (ValueError, OverflowError):
+                _raise_first_bad_cell(rows, rownum, col, schema, label_map)
+                raise
+            yield table
+            index += len(rows)
+            rownum += len(rows)
+
+
+def _parse_rows(rows, index, col, schema, label_map) -> Table:
+    """The table of ``rows`` (each long enough to hold every used column),
+    the first at stream index ``index``; raises ``ValueError`` or
+    ``OverflowError`` if a cell is bad."""
+    columns: dict[str, Union[list[str], np.ndarray]] = {}
+    for name, kind in schema.features:
+        c = col[name]
+        if kind == CATEGORICAL:
+            columns[name] = [r[c] or MISSING_TOKEN for r in rows]
+        else:
+            values = np.fromiter((float(r[c]) for r in rows), np.float64, len(rows))
+            if not np.isfinite(values).all():
+                raise ValueError("non-finite value")
+            columns[name] = values
+    if schema.label_column:
+        c = col[schema.label_column]
+        labels = [label_map(r[c]) if r[c] else None for r in rows]
+    else:
+        labels = [None] * len(rows)
+    return Table(list(range(index, index + len(rows))), labels, columns)
+
+
+def _raise_first_bad_cell(rows, first_row, col, schema, label_map) -> None:
+    """Raise ``StreamParseError`` for the first bad cell of ``rows``, the
+    first of which is file row ``first_row``, in row order."""
+    for rownum, row in enumerate(rows, start=first_row):
+        for name in schema.numeric_names:
+            token = row[col[name]]
+            if token == "":
+                raise StreamParseError(f"empty numeric cell in column {name!r}", rownum)
+            try:
+                x = float(token)
+            except ValueError:
+                raise StreamParseError(
+                    f"non-numeric value {token!r} in column {name!r}", rownum
+                ) from None
+            if not math.isfinite(x):
+                raise StreamParseError(f"non-finite value {token!r} in column {name!r}", rownum)
+        token = row[col[schema.label_column]] if schema.label_column else ""
+        if token != "":
+            try:
+                label_map(token)
+            except (ValueError, OverflowError):
+                raise StreamParseError(
+                    f"bad label {token!r} in column {schema.label_column!r}", rownum
+                ) from None
 
 
 def csv_row(schema: FeatureSchema, index: int) -> int:

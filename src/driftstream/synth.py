@@ -15,18 +15,12 @@ given config.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .stream_core import (
-    CATEGORICAL,
-    NUMERIC,
-    FeatureSchema,
-    Instance,
-    LabeledInstance,
-)
+from .stream_core import CATEGORICAL, NUMERIC, FeatureSchema, Table
 
 SUDDEN = "sudden"
 GRADUAL = "gradual"
@@ -179,7 +173,7 @@ def concept_schedule(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:
 @dataclass
 class SynthStream:
     config: SynthConfig
-    instances: list[LabeledInstance]
+    table: Table  # every row labeled; the hidden-context column included
     concept_ids: np.ndarray
     concepts: list[Concept]
 
@@ -221,32 +215,23 @@ def generate(cfg: SynthConfig) -> SynthStream:
                     0, cfg.n_categories - 1
                 )
 
-    num_vals = np.empty((cfg.n_numeric, n))
+    columns: dict = {}
+    tokens = np.array([f"c{v}" for v in range(cfg.n_categories)], dtype=object)
+    for f in range(cfg.n_categorical):
+        columns[f"cat{f}"] = tokens[cat_vals[f]].tolist()
+    means = np.stack([c.means for c in concepts])  # (concept, feature, class)
     for j in range(cfg.n_numeric):
-        rng_f = feat_rngs[cfg.n_categorical + j]
-        z = rng_f.standard_normal(n)
-        mean_per_row = np.array([concepts[c].means[j, k] for c, k in zip(cid, y)])
-        num_vals[j] = mean_per_row + _SIGMA * z
+        z = feat_rngs[cfg.n_categorical + j].standard_normal(n)
+        columns[f"num{j}"] = means[cid, j, y] + _SIGMA * z
 
-    hidden = None
     if cfg.hidden_context:
         first_pos = min(
             (d.position for d in cfg.drift if d.kind != NONE), default=n
         )
         level = np.where(np.arange(n) < first_pos, 0.25, 0.75)
-        hidden = np.clip(level + 0.05 * rng_hidden.standard_normal(n), 0.0, 1.0)
+        columns[HIDDEN_FEATURE] = np.clip(level + 0.05 * rng_hidden.standard_normal(n), 0.0, 1.0)
 
-    instances = []
-    for i in range(n):
-        values: dict = {}
-        for f in range(cfg.n_categorical):
-            values[f"cat{f}"] = f"c{cat_vals[f, i]}"
-        for j in range(cfg.n_numeric):
-            values[f"num{j}"] = float(num_vals[j, i])
-        if hidden is not None:
-            values[HIDDEN_FEATURE] = float(hidden[i])
-        instances.append(LabeledInstance(Instance(i, values), int(y[i])))
-    return SynthStream(cfg, instances, cid, concepts)
+    return SynthStream(cfg, Table(list(range(n)), y.tolist(), columns), cid, concepts)
 
 
 def bayes_predict(concept: Concept, cat_idx: Sequence[int], num: Sequence[float]) -> int:
@@ -296,21 +281,19 @@ def monte_carlo_accuracy(
     return correct / n
 
 
-def write_csv(instances: Iterable[LabeledInstance], schema: FeatureSchema, path) -> None:
-    """Write a stream to CSV; round-trips through ``open_csv_stream`` to an
-    identical record sequence (floats serialized via ``repr``)."""
+def write_csv(table: Table, schema: FeatureSchema, path) -> None:
+    """Write a stream to CSV; reads back through ``open_csv_stream`` to an
+    equal table (floats serialized via ``repr``)."""
+    cells = [
+        list(map(repr, table.columns[name].tolist())) if kind == NUMERIC else table.columns[name]
+        for name, kind in schema.features
+    ]
+    labels = ["" if y is None else y for y in table.label]
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             w = csv.writer(fh)
             w.writerow(list(schema.names) + [schema.label_column])
-            for rec in instances:
-                inst = rec.instance if isinstance(rec, LabeledInstance) else rec
-                row = []
-                for name, kind in schema.features:
-                    v = inst.values[name]
-                    row.append(repr(float(v)) if kind == NUMERIC else str(v))
-                row.append(rec.label if isinstance(rec, LabeledInstance) else "")
-                w.writerow(row)
+            w.writerows(zip(*cells, labels))
     except OSError as e:
         raise OSError(f"cannot write stream to {path}: {e}") from e
 
@@ -320,8 +303,7 @@ def write_concept_sidecar(concept_ids: np.ndarray, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["index", "concept_id"])
-        for i, c in enumerate(concept_ids):
-            w.writerow([i, int(c)])
+        w.writerows(enumerate(concept_ids.tolist()))
 
 
 def paper_like_config(seed: int = 42) -> SynthConfig:

@@ -33,7 +33,7 @@ from driftstream.preprocess import (
     fit_target_bins,
     inverse_boxcox,
 )
-from driftstream.stream_core import CATEGORICAL, FeatureSchema, Instance, LabeledInstance
+from driftstream.stream_core import CATEGORICAL, FeatureSchema, Table
 from driftstream.synth import SynthConfig, generate, paper_like_config
 from driftstream.cli import EXIT_OK, main as cli_main
 
@@ -63,8 +63,8 @@ def test_criterion_1_incremental_batch_equivalence():
     from driftstream.preprocess import EncoderState
 
     encoder = EncoderState(stream.predictive_schema)
-    encoder.fit([r.instance for r in stream.instances])
-    encoded = [encoder.encode(r.instance, r.label) for r in stream.instances]
+    encoder.fit(stream.table)
+    encoded = [encoder.encode(row) for row in stream.table]
     data, probe = encoded[:1000], encoded[1000:]
     cats = np.stack([p.cat for p in probe])
     nums = np.stack([p.num for p in probe])
@@ -186,17 +186,16 @@ def test_criterion_4_window_algebra():
             warmup = B + 50
             t = warmup + int(rng.integers(10, 60))
             n = t + B + 10
-            stream = [
-                LabeledInstance(Instance(i, {"tok": "ab"[i % 2]}), i % 2)
-                for i in range(n)
-            ]
+            stream = Table(
+                list(range(n)), [i % 2 for i in range(n)], {"tok": ["ab"[i % 2] for i in range(n)]}
+            )
             det = ArmedDetector()
             ctrl = Controller.from_warmup(
                 stream[:warmup], schema, det,
                 ExperimentConfig(detector="page_hinkley", strategy=strategy, batch_size=B),
             )
             for rec in stream[warmup:]:
-                if rec.index == t:
+                if rec.index[0] == t:
                     det.fire = True
                 ctrl.step(rec)
             (event,) = ctrl.retrain_history

@@ -29,8 +29,7 @@ from driftstream.stream_core import (
     CATEGORICAL,
     NUMERIC,
     FeatureSchema,
-    Instance,
-    LabeledInstance,
+    Table,
 )
 
 SCHEMA = FeatureSchema((("tok", CATEGORICAL),), "label")
@@ -63,9 +62,9 @@ def make_config(strategy=None, **kw):
 
 
 def make_stream(n):
-    return [
-        LabeledInstance(Instance(i, {"tok": "ab"[i % 2]}), i % 2) for i in range(n)
-    ]
+    return Table(
+        list(range(n)), [i % 2 for i in range(n)], {"tok": ["ab"[i % 2] for i in range(n)]}
+    )
 
 
 def run_with_alarm(strategy, batch_size, alarm_at, n=300, warmup=50, **cfg_kw):
@@ -75,7 +74,7 @@ def run_with_alarm(strategy, batch_size, alarm_at, n=300, warmup=50, **cfg_kw):
     ctrl = Controller.from_warmup(stream[:warmup], SCHEMA, det, cfg)
     results = []
     for rec in stream[warmup:]:
-        if rec.index == alarm_at:
+        if rec.index[0] == alarm_at:
             det.fire = True
         results.append(ctrl.step(rec))
     return ctrl, det, results
@@ -188,11 +187,11 @@ def test_detector_suppressed_during_collection():
     cfg = make_config(strategy=NEXT, batch_size=20)
     ctrl = Controller.from_warmup(stream[:50], SCHEMA, det, cfg)
     for rec in stream[50:]:
-        if rec.index == 100:
+        if rec.index[0] == 100:
             det.fire = True
         before = det.calls
         r = ctrl.step(rec)
-        if 100 < rec.index <= 120:
+        if 100 < rec.index[0] <= 120:
             assert det.calls == before  # collecting: detector not fed
         else:
             assert det.calls == before + 1
@@ -211,7 +210,7 @@ def test_at_most_one_outstanding_retraining():
     ctrl = Controller.from_warmup(stream[:50], SCHEMA, det, cfg)
     results = []
     for rec in stream[50:]:
-        if rec.index in (100, 110):  # second arm falls inside collection
+        if rec.index[0] in (100, 110):  # second arm falls inside collection
             det.fire = True
         results.append(ctrl.step(rec))
     # the alarm armed at 110 cannot fire until collection ends at 130, so
@@ -242,11 +241,11 @@ def test_incremental_pauses_during_collection():
     )
     ctrl = Controller.from_warmup(stream[:50], SCHEMA, det, cfg)
     for rec in stream[50:]:
-        if rec.index == 100:
+        if rec.index[0] == 100:
             det.fire = True
         before = ctrl.model.n_trained
         r = ctrl.step(rec)
-        if 100 < rec.index < 120:
+        if 100 < rec.index[0] < 120:
             assert ctrl.model.n_trained == before
         if r.retrain_flag:
             # new model trained on exactly the collected batch
@@ -260,7 +259,7 @@ def test_retraining_replaces_incrementally_updated_model():
     cfg = make_config(strategy=LAST, batch_size=10, incremental=True)
     ctrl = Controller.from_warmup(stream[:50], SCHEMA, det, cfg)
     for rec in stream[50:]:
-        if rec.index == 100:
+        if rec.index[0] == 100:
             det.fire = True
         r = ctrl.step(rec)
         if r.retrain_flag:
@@ -316,12 +315,13 @@ class CountingDetector:
 
 def noisy_stream(n, seed=0):
     rng = np.random.default_rng(seed)
-    out = []
+    labels, toks, xs = [], [], []
     for i in range(n):
         y = int(rng.integers(3))
-        tok = "abcd"[y] if rng.random() < 0.6 else "abcd"[int(rng.integers(4))]
-        out.append(LabeledInstance(Instance(i, {"tok": tok, "x": float(y + rng.normal())}), y))
-    return out
+        toks.append("abcd"[y] if rng.random() < 0.6 else "abcd"[int(rng.integers(4))])
+        xs.append(float(y + rng.normal()))
+        labels.append(y)
+    return Table(list(range(n)), labels, {"tok": toks, "x": np.array(xs)})
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -405,7 +405,7 @@ def test_test_then_train_label_cannot_leak():
     a = Controller.from_warmup(stream[:50], SCHEMA, NoDetector(), cfg)
     b = Controller.from_warmup(stream[:50], SCHEMA, NoDetector(), cfg)
     probe = stream[50]
-    flipped = LabeledInstance(probe.instance, 1 - probe.label)
+    flipped = Table(probe.index, [1 - probe.label[0]], probe.columns)
     assert a.step(probe).predicted == b.step(flipped).predicted
 
 
@@ -419,7 +419,7 @@ def test_replay_reproduces_events_and_predictions():
 
 def test_step_before_warmup_rejected():
     encoder = EncoderState(SCHEMA)
-    encoder.fit([Instance(0, {"tok": "a"})])
+    encoder.fit(Table([0], [None], {"tok": ["a"]}))
     ctrl = Controller(
         NaiveBayesModel(2, encoder.cat_cardinalities, 0),
         encoder,
@@ -434,8 +434,8 @@ def test_step_before_warmup_rejected():
 
 def test_warmup_requires_labeled_instances():
     with pytest.raises(ControllerError):
-        Controller.from_warmup([], SCHEMA, NoDetector(), make_config())
-    bare = [Instance(0, {"tok": "a"})]
+        Controller.from_warmup(make_stream(0), SCHEMA, NoDetector(), make_config())
+    bare = Table([0], [None], {"tok": ["a"]})
     with pytest.raises(ControllerError):
         Controller.from_warmup(bare, SCHEMA, NoDetector(), make_config())
 
@@ -443,7 +443,7 @@ def test_warmup_requires_labeled_instances():
 @pytest.mark.parametrize("walk", ["steps", "step"])
 def test_label_outside_classes_rejected_before_its_chunk_is_stepped(walk):
     stream = make_stream(120)
-    stream[90] = LabeledInstance(stream[90].instance, 2)  # 2 classes seen in warm-up
+    stream.label[90] = 2  # 2 classes seen in warm-up
     ctrl = Controller.from_warmup(stream[:50], SCHEMA, NoDetector(), make_config())
     stepped = []
     with pytest.raises(LabelError) as info:
@@ -457,7 +457,7 @@ def test_label_outside_classes_rejected_before_its_chunk_is_stepped(walk):
 
 def test_unlabeled_warmup_row_named_in_the_error():
     stream = make_stream(50)
-    stream[7] = stream[7].instance
+    stream.label[7] = None
     with pytest.raises(LabelError) as info:
         Controller.from_warmup(stream, SCHEMA, NoDetector(), make_config())
     assert (info.value.index, info.value.row) == (7, 9)

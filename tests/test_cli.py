@@ -216,6 +216,13 @@ _COMMAND_FLAGS = {
         ("run", ("--bin-days", "39,6"), "--bin-days"),
         ("run", ("--bin-days", "x"), "--bin-days"),
         ("run", ("--boxcox", "nope"), "boxcox"),
+        ("run", ("--prefix-len", "nope=3"), "nope"),  # not a feature
+        ("run", ("--prefix-len", "num0=3"), "num0"),  # not categorical
+        ("run", ("--boxcox", "num0", "--warmup", "5"), "num0"),  # too few rows to fit
+        ("gridsearch", ("--detector", "page-hinkley", "--lambda", "0.5,x"), "--lambda"),
+        ("gridsearch", ("--detector", "adwin", "--delta", "0.5,x"), "--delta"),
+        ("matrix", ("--workers", "1", "--batch-sizes", "50,abc"), "--batch-sizes"),
+        ("matrix", ("--workers", "1", "--batch-sizes", "50,0"), "--batch-sizes"),
     ],
 )
 def test_bad_config_value_is_a_config_error(tmp_path, small_stream, capsys, command, flags, named):
@@ -226,6 +233,60 @@ def test_bad_config_value_is_a_config_error(tmp_path, small_stream, capsys, comm
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+
+
+def test_boxcox_on_a_constant_warmup_column_is_a_config_error(tmp_path, capsys):
+    stream = tmp_path / "s.csv"
+    rows = ["tok,y,label"] + [f"{'ab'[i % 2]},{2.0 if i < 300 else i},{i % 2}" for i in range(400)]
+    stream.write_text("\n".join(rows) + "\n")
+    code = run_cli(
+        "run", "--input", str(stream), "--label", "label", "--warmup", "100",
+        "--boxcox", "y", "-o", str(tmp_path / "x"),
+    )
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'y'" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "line", [b"a" * 200_000 + b",1.0,0", "caf\xe9,1.0,0".encode("latin-1")],
+    ids=["field-over-csv-limit", "not-utf-8"],
+)
+def test_unreadable_csv_is_a_data_error(tmp_path, capsys, line):
+    rows = [f"{'ab'[i % 2]},{i % 5}.5,{i % 2}".encode() for i in range(300)]
+    rows[150] = line
+    stream = tmp_path / "s.csv"
+    stream.write_bytes(b"tok,x,label\n" + b"\n".join(rows) + b"\n")
+    code = run_cli(
+        "run", "--input", str(stream), "--label", "label", "--warmup", "100",
+        "-o", str(tmp_path / "x"),
+    )
+    assert code == EXIT_DATA
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "row,cells,code",
+    [(252, "p,0.5", EXIT_OK), (52, "p,0.5", EXIT_DATA), (252, "p", EXIT_DATA)],
+    ids=["no-label-after-warmup", "no-label-in-warmup", "no-numeric-cell"],
+)
+def test_short_row_gives_a_documented_exit_code(tmp_path, capsys, row, cells, code):
+    lines = ["tok,x,label"] + [f"{'pq'[i % 2]},{i % 7}.5,{i % 2}" for i in range(300)]
+    lines[row + 1] = cells
+    stream = tmp_path / "s.csv"
+    stream.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "x"
+    assert run_cli(
+        "run", "--input", str(stream), "--label", "label", "--warmup", "100", "-o", str(out)
+    ) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == EXIT_OK:  # the unlabeled row is skipped
+        with open(out / "summary.csv", newline="") as fh:
+            (summary,) = csv.DictReader(fh)
+        assert int(summary["n_predictions"]) == 199
+    else:
+        assert f"row {row + 2}" in err
 
 
 def test_boxcox_value_out_of_support_is_a_data_error(tmp_path, capsys):

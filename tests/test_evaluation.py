@@ -28,8 +28,7 @@ from driftstream.stream_core import (
     CATEGORICAL,
     NUMERIC,
     FeatureSchema,
-    Instance,
-    LabeledInstance,
+    Table,
 )
 from driftstream.synth import SUDDEN, DriftSpec, SynthConfig, generate, write_csv
 
@@ -39,10 +38,8 @@ SCHEMA = FeatureSchema((("tok", CATEGORICAL),), "label")
 def constant_stream(labels, warmup=4):
     """Warm-up of class-0 instances, then one instance per given label, all
     with the same feature value so the model keeps predicting 0."""
-    recs = [LabeledInstance(Instance(i, {"tok": "a"}), 0) for i in range(warmup)]
-    for j, y in enumerate(labels):
-        recs.append(LabeledInstance(Instance(warmup + j, {"tok": "a"}), y))
-    return recs
+    n = warmup + len(labels)
+    return Table(list(range(n)), [0] * warmup + list(labels), {"tok": ["a"] * n})
 
 
 def small_synth(seed=3):
@@ -76,13 +73,13 @@ def test_performance_increase_vs_baseline():
 
 def test_record_count_equals_stream_minus_warmup():
     stream = generate(small_synth())
-    _, summary = run_experiment(stream.instances, stream.predictive_schema, STATIC)
+    _, summary = run_experiment(stream.table, stream.predictive_schema, STATIC)
     assert summary.n_predictions == 3000 - 300
 
 
 def test_unlabeled_rows_skipped_after_warmup():
     recs = constant_stream([0, 1, 0])
-    recs.insert(5, Instance(99, {"tok": "a"}))
+    recs = Table.concat(SCHEMA, [recs[:5], Table([99], [None], {"tok": ["a"]}), recs[5:]])
     cfg = ExperimentConfig(warmup=4, n_classes=2)
     records, summary = run_experiment(recs, SCHEMA, cfg)
     assert summary.n_predictions == 3
@@ -98,7 +95,7 @@ def test_stream_shorter_than_warmup_rejected():
 def test_rolling_accuracy_field_matches_rolling_mean():
     stream = generate(small_synth())
     cfg = dataclasses.replace(STATIC, window=50)
-    records, _ = run_experiment(stream.instances, stream.predictive_schema, cfg)
+    records, _ = run_experiment(stream.table, stream.predictive_schema, cfg)
     expected = rolling_mean([r.correct for r in records], 50)
     got = [r.rolling_accuracy for r in records]
     np.testing.assert_allclose(got, expected, atol=1e-12)
@@ -106,23 +103,23 @@ def test_rolling_accuracy_field_matches_rolling_mean():
 
 def test_confusion_counts_sum_to_predictions():
     stream = generate(small_synth())
-    _, summary = run_experiment(stream.instances, stream.predictive_schema, STATIC)
+    _, summary = run_experiment(stream.table, stream.predictive_schema, STATIC)
     assert sum(map(sum, summary.confusion)) == summary.n_predictions
 
 
 def test_accuracy_is_exact_mean_of_correct_flags():
     stream = generate(small_synth())
-    records, summary = run_experiment(stream.instances, stream.predictive_schema, STATIC)
+    records, summary = run_experiment(stream.table, stream.predictive_schema, STATIC)
     assert summary.overall_accuracy == sum(r.correct for r in records) / len(records)
 
 
 def test_drift_handling_beats_static_on_drifting_stream():
     stream = generate(small_synth())
-    _, static = run_experiment(stream.instances, stream.predictive_schema, STATIC)
+    _, static = run_experiment(stream.table, stream.predictive_schema, STATIC)
     handled_cfg = dataclasses.replace(
         STATIC, detector="page_hinkley", strategy="last", batch_size=200, incremental=True
     )
-    _, handled = run_experiment(stream.instances, stream.predictive_schema, handled_cfg)
+    _, handled = run_experiment(stream.table, stream.predictive_schema, handled_cfg)
     assert handled.overall_accuracy > static.overall_accuracy
     assert handled.n_drifts >= 1 and handled.n_retrains >= 1
 
@@ -178,7 +175,7 @@ def test_block_path_equals_step_loop(
         adwin_delta=0.5,
         n_classes=3,
     )
-    records, schema = drifting_stream.instances, drifting_stream.predictive_schema
+    records, schema = drifting_stream.table, drifting_stream.predictive_schema
     block = _run_capturing(monkeypatch, records, schema, cfg)
     monkeypatch.setattr(Controller, "steps", lambda self, rows: map(self.step, rows))
     plain = _run_capturing(monkeypatch, records, schema, cfg)
@@ -247,7 +244,7 @@ def test_grid_search_cardinality_and_best():
         STATIC, detector="page_hinkley", strategy="last", batch_size=200
     )
     grid = [{"ph_lambda": v} for v in (0.3, 0.6, 0.9)]
-    best, table = grid_search(stream.instances, stream.predictive_schema, grid, fixed)
+    best, table = grid_search(stream.table, stream.predictive_schema, grid, fixed)
     assert len(table) == 3
     assert [p for p, _ in table] == grid
     best_acc = max(s.overall_accuracy for _, s in table)
@@ -289,9 +286,9 @@ def test_synth_source_hides_hidden_feature():
 def test_csv_source_round_trip(tmp_path):
     stream = generate(small_synth())
     p = tmp_path / "s.csv"
-    write_csv(stream.instances, stream.schema, p)
+    write_csv(stream.table, stream.schema, p)
     records, schema = CsvSource(str(p), stream.schema).load()
-    assert records == stream.instances
+    assert records == stream.table
 
 
 def test_csv_source_bins_hour_labels(tmp_path):
@@ -302,7 +299,7 @@ def test_csv_source_bins_hour_labels(tmp_path):
         for hours in (100.0, 936.0, 960.0):
             w.writerow(["a", hours])
     records, _ = CsvSource(str(p), SCHEMA, bin_day_edges=(6, 39)).load()
-    assert [r.label for r in records] == [0, 1, 2]
+    assert records.label == [0, 1, 2]
 
 
 def matrix(source, detectors, batch_sizes, workers=1):

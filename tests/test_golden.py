@@ -132,3 +132,142 @@ def test_matrix_summary_matches_recorded_digest(tmp_path, stream_csv, incrementa
     assert main(flags + ([] if incremental else ["--no-incremental"])) == EXIT_OK
     got = sha256(out / "summary.csv")
     assert got == GOLDEN_MATRIX[incremental], f"digest now {got}"
+
+
+# -- generator, reader and encoder paths --------------------------------------
+# These digests were recorded before the stream sources became columnar
+# (``stream_core.Table``): they pin the generator's values for every drift
+# kind and feature mix, the reader and encoder under --boxcox, --prefix-len
+# and --bin-days, and ``inspect`` on a hidden-context column.
+
+GENERATE_CASES = {
+    "hidden-context": [
+        "--n", "3000", "--drift-kind", "sudden", "--drift-at", "1500", "--hidden-context",
+    ],
+    "gradual": [
+        "--n", "3000", "--drift-kind", "gradual", "--drift-at", "1000", "--drift-width", "800",
+    ],
+    "recurring": [
+        "--n", "3000", "--drift-kind", "recurring", "--drift-at", "1000", "--drift-width", "300",
+    ],
+    "no-numeric": [
+        "--n", "3000", "--n-numeric", "0", "--drift-kind", "sudden", "--drift-at", "1500",
+    ],
+    "no-categorical": [
+        "--n", "3000", "--n-categorical", "0", "--drift-kind", "sudden", "--drift-at", "1500",
+    ],
+}
+
+# case -> sha256 of (stream.csv, concepts.csv)
+GOLDEN_GENERATE = {
+    "hidden-context": (
+        "63dbe4fd599fdef783c051e7613e556c22a0895b56fa7146543fc7b8d27ea46b",
+        "906bd606d7019eaf68ac27aef46cd76220412bd704ede2ddf7ad20fcfd0b496a",
+    ),
+    "gradual": (
+        "72f737e191f0e0f5cdaa4e62342a9a4b1e4946e0f139d8a5f5b72439fdce090c",
+        "48fe282358b0c3d1b3f5b4e1527eb43973a9aef771cf4343114bec9ec020260f",
+    ),
+    "no-categorical": (
+        "f09b0d9764274bb8aea1472e8c34107dc22e69dc2d6079a4c1bf6d5a9df6d38c",
+        "906bd606d7019eaf68ac27aef46cd76220412bd704ede2ddf7ad20fcfd0b496a",
+    ),
+    "no-numeric": (
+        "d192feaa44b99c28a16f31a8268ef9d33279b042c4c43891aec0a9d58df295a2",
+        "906bd606d7019eaf68ac27aef46cd76220412bd704ede2ddf7ad20fcfd0b496a",
+    ),
+    "recurring": (
+        "f517c92dbecfc9e9e55bb84c2ec252edd0aa1fea341d0119e41699488e04ac90",
+        "1bcd516ccb91c3d18d0fdab3a78d55bce00d60cff880efe182f4cc44db39c333",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GENERATE_CASES))
+def test_generate_outputs_match_recorded_digests(tmp_path, case):
+    flags = ["generate", *GENERATE_CASES[case], "--seed", "3", "--quiet", "-o", str(tmp_path)]
+    assert main(flags) == EXIT_OK
+    got = tuple(sha256(tmp_path / name) for name in ("stream.csv", "concepts.csv"))
+    assert got == GOLDEN_GENERATE.get(case), f"digests now {got}"
+
+
+@pytest.fixture(scope="module")
+def hidden_csv(tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden-hidden")
+    flags = ["generate", *GENERATE_CASES["hidden-context"], "--seed", "3", "--quiet"]
+    assert main([*flags, "-o", str(out)]) == EXIT_OK
+    return out / "stream.csv"
+
+
+@pytest.fixture(scope="module")
+def hours_csv(tmp_path_factory, stream_csv):
+    """The golden stream with its class label written as an hours-valued
+    target that ``--bin-days 6,39`` bins back into the same classes."""
+    path = tmp_path_factory.mktemp("golden-hours") / "hours.csv"
+    lines = stream_csv.read_text(encoding="utf-8").splitlines()
+    out = [lines[0]]
+    for i, line in enumerate(lines[1:]):
+        head, _, label = line.rpartition(",")
+        out.append(f"{head},{int(label) * 500 + (i % 7) * 3.5}")
+    path.write_text("\n".join(out) + "\n", encoding="utf-8")
+    return path
+
+
+RUN_CASES = {
+    "boxcox": ["--boxcox", "automation"],
+    "prefix-len": ["--prefix-len", "cat0=1,cat2=1"],
+    "bin-days": ["--bin-days", "6,39"],
+}
+
+# case -> sha256 of (records.csv, summary.csv)
+GOLDEN_RUN_ENCODER = {
+    # the hours target bins back into the golden stream's classes, so this
+    # run writes what the page-hinkley/last/incremental golden run writes
+    "bin-days": (
+        "070997709c88765de52ae882073e70d3e3a3c57f46e7df59cb1f6564c684b64b",
+        "ea4620e9fdfb3d48b2021c93eeb4c40bbaf670408973bdd5740468703b6cef57",
+    ),
+    "boxcox": (
+        "0df7926f8aebc55cd9cd8a68a9f5463d11223cc8e7539e5504b7e267dff95b58",
+        "b838d3d35efdd0c0356c3b6cebe7a1ece4d4b92feb63c78845825b49bb9ae64b",
+    ),
+    "prefix-len": (
+        "a747eea50bf76a7380a241b65599422c4b82e060aac5e259ee1f91dae2617964",
+        "f44929dcefa6dc134e2d9eaa7c8e3fb14c90f2c36f04e318518c599ae675fe15",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_CASES))
+def test_run_encoder_settings_match_recorded_digests(
+    tmp_path, stream_csv, hidden_csv, hours_csv, case
+):
+    source = {"boxcox": hidden_csv, "bin-days": hours_csv}.get(case, stream_csv)
+    flags = [
+        "run", "--input", str(source), "--label", "label", *RUN_CASES[case],
+        "--detector", "page-hinkley", "--strategy", "last", "--batch-size", BATCH_SIZE,
+        "--incremental", "--warmup", WARMUP, "--quiet", "-o", str(tmp_path),
+    ]
+    assert main(flags) == EXIT_OK
+    got = tuple(sha256(tmp_path / name) for name in ("records.csv", "summary.csv"))
+    assert got == GOLDEN_RUN_ENCODER.get(case), f"digests now {got}"
+
+
+# source -> sha256 of inspect_automation.csv
+GOLDEN_INSPECT = {
+    "synth": "79e0e781d011f8ead31f07347010094f2e4a5775086874a40737d50dd8ed3bfe",
+    "input": "f9e3d97f8e63784f0431bcf359e17f3cbf642cfc21c3fbcc1a990d9232ce7580",
+}
+
+
+@pytest.mark.parametrize("source", ["synth", "input"])
+def test_inspect_hidden_context_matches_recorded_digest(tmp_path, hidden_csv, source):
+    if source == "synth":
+        flags = ["--synth", "paper-like", "--seed", "42"]
+    else:
+        flags = ["--input", str(hidden_csv), "--label", "label"]
+    out = tmp_path / "inspect"
+    assert main(["inspect", *flags, "--feature", "automation", "--window", "500",
+                 "--quiet", "-o", str(out)]) == EXIT_OK
+    got = sha256(out / "inspect_automation.csv")
+    assert got == GOLDEN_INSPECT.get(source), f"digest now {got}"

@@ -24,7 +24,7 @@ from driftstream.preprocess import (
     inverse_boxcox,
     truncate_category,
 )
-from driftstream.stream_core import CATEGORICAL, NUMERIC, FeatureSchema, Instance
+from driftstream.stream_core import CATEGORICAL, NUMERIC, FeatureSchema, Table
 
 
 # -- truncate_category --------------------------------------------------------
@@ -266,15 +266,21 @@ SCHEMA = FeatureSchema((("mat", CATEGORICAL), ("value", NUMERIC)), "label")
 
 
 def insts(pairs):
-    return [Instance(i, {"mat": m, "value": v}) for i, (m, v) in enumerate(pairs)]
+    mats, values = zip(*pairs)
+    return Table(list(range(len(pairs))), [None] * len(pairs),
+                 {"mat": list(mats), "value": np.array(values)})
+
+
+def row(index, mat, value):
+    return Table([index], [None], {"mat": [mat], "value": np.array([value])})
 
 
 def test_encode_known_and_unseen_category():
     enc = EncoderState(SCHEMA)
     enc.fit(insts([("A", 1.0), ("B", 2.0)]))
     assert enc.cat_maps["mat"] == {"A": 0, "B": 1}
-    assert enc.encode(Instance(9, {"mat": "B", "value": 0.0})).cat[0] == 1
-    assert enc.encode(Instance(9, {"mat": "C", "value": 0.0})).cat[0] == 2
+    assert enc.encode(row(9, "B", 0.0)).cat[0] == 1
+    assert enc.encode(row(9, "C", 0.0)).cat[0] == 2
     assert enc.n_categories("mat") == 3
 
 
@@ -282,7 +288,7 @@ def test_encode_numeric_boxcox_composition():
     enc = EncoderState(SCHEMA, boxcox_features=("value",))
     enc.fit(insts([("A", float(v)) for v in range(1, 21)]))
     enc.boxcox["value"] = BoxCoxParams(0.5, 0.0)  # pin for the arithmetic check
-    out = enc.encode(Instance(0, {"mat": "A", "value": 4.0}))
+    out = enc.encode(row(0, "A", 4.0))
     assert out.num[0] == pytest.approx(2.0)
 
 
@@ -295,7 +301,7 @@ def test_prefix_truncation_applied_before_mapping():
 def test_encoder_freeze_is_deterministic():
     enc = EncoderState(SCHEMA)
     enc.fit(insts([("A", 1.0), ("B", 2.0)]))
-    probe = Instance(3, {"mat": "A", "value": 7.5})
+    probe = row(3, "A", 7.5)
     a = enc.encode(probe)
     b = enc.encode(probe)
     assert (a.cat == b.cat).all() and (a.num == b.num).all()
@@ -306,7 +312,7 @@ def test_encoder_freeze_is_deterministic():
 def test_encode_before_fit_rejected():
     enc = EncoderState(SCHEMA)
     with pytest.raises(RuntimeError):
-        enc.encode(Instance(0, {"mat": "A", "value": 1.0}))
+        enc.encode(row(0, "A", 1.0))
 
 
 def test_boxcox_on_non_numeric_feature_rejected():
@@ -314,11 +320,28 @@ def test_boxcox_on_non_numeric_feature_rejected():
         EncoderState(SCHEMA, boxcox_features=("mat",))
 
 
+@pytest.mark.parametrize("name", ["value", "nope"])
+def test_prefix_len_on_non_categorical_feature_rejected(name):
+    with pytest.raises(ValueError, match=name):
+        EncoderState(SCHEMA, prefix_len={name: 3})
+
+
+@pytest.mark.parametrize(
+    "values,error",
+    [([2.0] * 20, DegenerateInputError), ([1.0, 2.0, 3.0], ValueError)],
+    ids=["constant", "too-few"],
+)
+def test_failed_boxcox_fit_names_the_feature(values, error):
+    enc = EncoderState(SCHEMA, boxcox_features=("value",))
+    with pytest.raises(error, match="'value'"):
+        enc.fit(insts([("A", v) for v in values]))
+
+
 def test_encoder_json_round_trip():
     enc = EncoderState(SCHEMA, boxcox_features=("value",), prefix_len={"mat": 4})
     enc.fit(insts([("10234567", float(v)) for v in range(1, 21)]))
     back = EncoderState.from_json(enc.to_json())
-    probe = Instance(5, {"mat": "10231111", "value": 12.5})
+    probe = row(5, "10231111", 12.5)
     a, b = enc.encode(probe), back.encode(probe)
     assert (a.cat == b.cat).all()
     np.testing.assert_allclose(a.num, b.num)

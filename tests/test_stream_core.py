@@ -1,5 +1,6 @@
 """Tests for the stream data model and the CSV stream source."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,11 +9,11 @@ from driftstream.stream_core import (
     CATEGORICAL,
     MISSING_TOKEN,
     NUMERIC,
+    CHUNK_ROWS,
     FeatureSchema,
-    Instance,
-    LabeledInstance,
     SchemaError,
     StreamParseError,
+    Table,
     open_csv_stream,
 )
 
@@ -27,14 +28,17 @@ def write(tmp_path, text, name="s.csv"):
     return p
 
 
+def read(p, schema=SCHEMA):
+    return Table.concat(schema, open_csv_stream(p, schema))
+
+
 def test_three_labeled_rows(tmp_path):
     p = write(tmp_path, "color,size,label\nred,1.5,0\nblue,2.0,1\nred,3.5,2\n")
-    recs = list(open_csv_stream(p, SCHEMA))
+    recs = read(p)
     assert len(recs) == 3
-    assert all(isinstance(r, LabeledInstance) for r in recs)
-    assert [r.index for r in recs] == [0, 1, 2]
-    assert [r.label for r in recs] == [0, 1, 2]
-    assert recs[0].instance.values == {"color": "red", "size": 1.5}
+    assert recs.index == [0, 1, 2]
+    assert recs.label == [0, 1, 2]
+    assert recs[0] == Table([0], [0], {"color": ["red"], "size": np.array([1.5])})
 
 
 def test_bad_numeric_cites_row(tmp_path):
@@ -76,16 +80,15 @@ def test_header_only_is_empty_stream(tmp_path):
 
 def test_missing_categorical_becomes_reserved_token(tmp_path):
     p = write(tmp_path, "color,size,label\n,1.0,0\n")
-    (rec,) = list(open_csv_stream(p, SCHEMA))
-    assert rec.instance.values["color"] == MISSING_TOKEN
+    rec = read(p)
+    assert rec.columns["color"] == [MISSING_TOKEN]
 
 
 def test_empty_label_yields_bare_instance(tmp_path):
     p = write(tmp_path, "color,size,label\nred,1.0,\nblue,2.0,1\n")
-    recs = list(open_csv_stream(p, SCHEMA))
-    assert isinstance(recs[0], Instance)
-    assert isinstance(recs[1], LabeledInstance)
-    assert recs[0].index == 0 and recs[1].index == 1
+    recs = read(p)
+    assert recs.label == [None, 1]
+    assert recs.index == [0, 1]
 
 
 def test_bad_label_token_cites_row(tmp_path):
@@ -97,20 +100,19 @@ def test_bad_label_token_cites_row(tmp_path):
 
 def test_extra_columns_ignored(tmp_path):
     p = write(tmp_path, "junk,color,size,label\nx,red,1.0,0\n")
-    (rec,) = list(open_csv_stream(p, SCHEMA))
-    assert set(rec.instance.values) == {"color", "size"}
+    rec = read(p)
+    assert len(rec) == 1 and set(rec.columns) == {"color", "size"}
 
 
 def test_index_origin(tmp_path):
     schema = FeatureSchema(SCHEMA.features, "label", index_origin=2000)
     p = write(tmp_path, "color,size,label\nred,1.0,0\nblue,2.0,1\n")
-    recs = list(open_csv_stream(p, schema))
-    assert [r.index for r in recs] == [2000, 2001]
+    assert read(p, schema).index == [2000, 2001]
 
 
 def test_reopen_is_deterministic(tmp_path):
     p = write(tmp_path, "color,size,label\nred,1.5,0\n,2.0,\nblue,3.0,2\n")
-    assert list(open_csv_stream(p, SCHEMA)) == list(open_csv_stream(p, SCHEMA))
+    assert read(p) == read(p)
 
 
 # -- schema validation --------------------------------------------------------
@@ -153,8 +155,45 @@ def test_indices_increase_by_one_and_schema_covered(tmp_path_factory, rows):
     p = tmp_path_factory.mktemp("s") / "s.csv"
     lines = ["color,size,label"] + [f"{c},{x!r},{y}" for c, x, y in rows]
     p.write_text("\n".join(lines) + "\n")
-    recs = list(open_csv_stream(p, SCHEMA))
-    assert [r.index for r in recs] == list(range(len(rows)))
-    for r in recs:
-        inst = r.instance if isinstance(r, LabeledInstance) else r
-        assert set(inst.values) == set(SCHEMA.names)
+    recs = read(p)
+    assert recs.index == list(range(len(rows)))
+    assert set(recs.columns) == set(SCHEMA.names)
+
+
+# -- chunks, short rows and the first bad cell ---------------------------------
+
+
+def test_chunks_hold_at_most_chunk_rows(tmp_path):
+    n = CHUNK_ROWS + 5
+    p = write(tmp_path, "color,size,label\n" + "red,1.0,0\n" * n)
+    assert [len(t) for t in open_csv_stream(p, SCHEMA)] == [CHUNK_ROWS, 5]
+    assert read(p).index == list(range(n))
+
+
+def test_short_row_reads_missing_cells_as_empty(tmp_path):
+    p = write(tmp_path, "color,size,label\nred,1.0,0\nblue,2.5\n")
+    recs = read(p)
+    assert recs.label == [0, None]
+    assert recs.columns["size"].tolist() == [1.0, 2.5]
+
+
+def test_short_row_without_numeric_cell_cites_row(tmp_path):
+    p = write(tmp_path, "color,size,label\nred,1.0,0\nblue\n")
+    with pytest.raises(StreamParseError, match="empty numeric cell") as exc:
+        list(open_csv_stream(p, SCHEMA))
+    assert exc.value.row == 3
+
+
+@pytest.mark.parametrize(
+    "rows,row,message",
+    [
+        (["red,abc,x"], 2, "non-numeric"),  # a feature before the label of its row
+        (["red,1.0,x", "red,abc,0"], 2, "bad label"),  # an earlier row first
+        (["red,1.0,0", "red,inf,0", "red,,0"], 3, "non-finite"),
+    ],
+)
+def test_first_bad_cell_in_row_order_is_reported(tmp_path, rows, row, message):
+    p = write(tmp_path, "color,size,label\n" + "red,1.0,0\n" * (CHUNK_ROWS - 1) + "\n".join(rows))
+    with pytest.raises(StreamParseError, match=message) as exc:
+        list(open_csv_stream(p, SCHEMA))
+    assert exc.value.row == CHUNK_ROWS - 1 + row

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from driftstream.evaluation import rolling_mean
-from driftstream.stream_core import LabeledInstance, open_csv_stream
+from driftstream.stream_core import Table, open_csv_stream
 from driftstream.synth import (
     GRADUAL,
     HIDDEN_FEATURE,
@@ -110,24 +110,24 @@ def test_recurring_alternates_every_width():
 def test_same_config_bit_identical():
     a = generate(small_config())
     b = generate(small_config())
-    assert a.instances == b.instances
+    assert a.table == b.table
     assert (a.concept_ids == b.concept_ids).all()
 
 
 def test_different_seed_differs():
     a = generate(small_config(seed=1))
     b = generate(small_config(seed=2))
-    assert a.instances != b.instances
+    assert a.table != b.table
 
 
 def test_values_and_labels_in_range():
     cfg = small_config(n_instances=500)
     stream = generate(cfg)
-    for rec in stream.instances:
-        assert isinstance(rec, LabeledInstance)
-        assert 0 <= rec.label < cfg.n_classes
-        for i in range(cfg.n_categorical):
-            tok = rec.instance.values[f"cat{i}"]
+    for i, label in enumerate(stream.table.label):
+        assert label is not None
+        assert 0 <= label < cfg.n_classes
+        for f in range(cfg.n_categorical):
+            tok = stream.table.columns[f"cat{f}"][i]
             assert tok in {f"c{j}" for j in range(cfg.n_categories)}
 
 
@@ -146,22 +146,22 @@ def test_magnitude_zero_keeps_concept_unchanged():
 def test_write_read_round_trip(tmp_path):
     stream = generate(small_config())
     p = tmp_path / "s.csv"
-    write_csv(stream.instances, stream.schema, p)
-    back = list(open_csv_stream(p, stream.schema))
-    assert back == stream.instances
+    write_csv(stream.table, stream.schema, p)
+    back = Table.concat(stream.schema, open_csv_stream(p, stream.schema))
+    assert back == stream.table
 
 
 def test_file_line_count(tmp_path):
     stream = generate(small_config(n_instances=150))
     p = tmp_path / "s.csv"
-    write_csv(stream.instances, stream.schema, p)
+    write_csv(stream.table, stream.schema, p)
     assert len(p.read_text().splitlines()) == 151
 
 
 def test_empty_write_reads_back_empty(tmp_path):
     stream = generate(small_config())
     p = tmp_path / "s.csv"
-    write_csv([], stream.schema, p)
+    write_csv(stream.table[:0], stream.schema, p)
     assert list(open_csv_stream(p, stream.schema)) == []
 
 
@@ -169,7 +169,7 @@ def test_write_to_bad_path_mentions_path(tmp_path):
     stream = generate(small_config())
     bad = tmp_path / "nope" / "s.csv"
     with pytest.raises(OSError, match="nope"):
-        write_csv(stream.instances, stream.schema, bad)
+        write_csv(stream.table, stream.schema, bad)
 
 
 # -- Bayes-rate oracle --------------------------------------------------------
@@ -205,13 +205,13 @@ def test_generated_stream_matches_exact_bayes_rate():
 
     def empirical(segment):
         hits = 0
-        for rec in segment:
-            cats = [int(rec.instance.values[f"cat{i}"][1:]) for i in range(3)]
-            hits += bayes_predict(c0, cats, ()) == rec.label
+        for row in range(len(segment)):
+            cats = [int(segment.columns[f"cat{i}"][row][1:]) for i in range(3)]
+            hits += bayes_predict(c0, cats, ()) == segment.label[row]
         return hits / len(segment)
 
-    assert abs(empirical(stream.instances[:10000]) - exact_bayes_accuracy(c0, c0)) < 0.03
-    assert abs(empirical(stream.instances[10000:]) - exact_bayes_accuracy(c0, c1)) < 0.03
+    assert abs(empirical(stream.table[:10000]) - exact_bayes_accuracy(c0, c0)) < 0.03
+    assert abs(empirical(stream.table[10000:]) - exact_bayes_accuracy(c0, c1)) < 0.03
 
 
 def test_monte_carlo_agrees_with_exact():
@@ -232,7 +232,7 @@ def test_hidden_feature_excluded_from_predictive_schema():
     stream = generate(cfg)
     assert HIDDEN_FEATURE in stream.schema.names
     assert HIDDEN_FEATURE not in stream.predictive_schema.names
-    assert HIDDEN_FEATURE in stream.instances[0].instance.values
+    assert HIDDEN_FEATURE in stream.table.columns
 
 
 def test_hidden_feature_steps_at_drift():
@@ -243,7 +243,7 @@ def test_hidden_feature_steps_at_drift():
         seed=11,
     )
     stream = generate(cfg)
-    series = [r.instance.values[HIDDEN_FEATURE] for r in stream.instances]
+    series = stream.table.columns[HIDDEN_FEATURE]
     rm = rolling_mean(series, 1000)
     assert abs(rm[3999] - 0.25) < 0.02
     assert abs(rm[7999] - 0.75) < 0.02
