@@ -59,6 +59,12 @@ COLLECTING = "collecting"
 _MIN_BLOCK = 16
 _MAX_BLOCK = 4096
 
+# The most classes ``Controller.from_warmup`` infers from the warm-up labels
+# (largest label + 1). The count tables grow with the class count and the
+# confusion matrix with its square, so one stray label must not size them;
+# an explicit ``ExperimentConfig.n_classes`` is not bounded.
+MAX_INFERRED_CLASSES = 1000
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
@@ -128,7 +134,7 @@ class ExperimentConfig:
             raise ConfigError("rolling window must be >= 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class PrequentialRecord:
     """One scored row, with 0/1 ints as the CSV files hold them.
     ``rolling_accuracy`` is 0.0 as the controller yields the record and is
@@ -218,9 +224,10 @@ class Controller:
         """Fit and freeze the encoder on the warm-up rows (with the
         config's Box-Cox features and prefix lengths), train the initial
         model on them (``config.n_classes`` classes, or as many as the
-        warm-up labels imply), and pre-fill the buffer with their tail.
-        Encoder settings that cannot apply to these rows raise
-        ``ConfigError``; a row without a label raises ``LabelError``."""
+        warm-up labels imply, at most ``MAX_INFERRED_CLASSES``), and pre-fill
+        the buffer with their tail. Encoder settings that cannot apply to
+        these rows raise ``ConfigError``; a row without a label, or a label
+        that would infer more classes, raises ``LabelError``."""
         if not len(warmup):
             raise ControllerError("warm-up requires at least one labeled instance")
         try:
@@ -230,7 +237,15 @@ class Controller:
             raise ConfigError(str(e)) from None
         n_classes = config.n_classes
         if n_classes is None:
-            n_classes = max((y for y in warmup.label if y is not None), default=0) + 1
+            top = max((y for y in warmup.label if y is not None), default=0)
+            if top >= MAX_INFERRED_CLASSES:
+                index = warmup.index[warmup.label.index(top)]
+                raise LabelError(
+                    f"label {top} would make {top + 1} classes; at most"
+                    f" {MAX_INFERRED_CLASSES} are inferred from the warm-up labels",
+                    index, csv_row(schema, index),
+                )
+            n_classes = top + 1
         _check_labels(warmup, n_classes, schema)
         cats, nums = encoder.encode_many(warmup)
         rows = Rows(warmup.index, np.array(warmup.label, dtype=np.int64), cats, nums)
@@ -360,8 +375,8 @@ class Controller:
         retrained = 0
 
         if self.mode == STABLE:
-            alarm = self.detector.observe(0.0 if correct else 1.0)
-            if alarm and cfg.strategy is not None:
+            # without a strategy no alarm can act, so the detector is not fed
+            if cfg.strategy is not None and self.detector.observe(0.0 if correct else 1.0):
                 drift = 1
                 self.n_drifts += 1
                 self._alarm_index = index
@@ -383,7 +398,9 @@ class Controller:
             elif cfg.incremental:
                 self.mini_batch.append(p)
                 if len(self.mini_batch) >= cfg.mini_batch_size:
-                    _, labels, cats, nums = self._rows(np.array(self.mini_batch))
+                    # a run of consecutive positions: every refit clears the
+                    # mini-batch, and the rows of a collection join none
+                    _, labels, cats, nums = self._rows(slice(self.mini_batch[0], p + 1))
                     self.model.update(labels, cats, nums)
                     self.mini_batch.clear()
         else:  # COLLECTING: the alarm row belongs to no window

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import multiprocessing
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -59,23 +58,20 @@ def run_experiment(
     controller = Controller.from_warmup(table[: config.warmup], schema, detector, config)
     K = controller.model.n_classes
 
-    out: list[PrequentialRecord] = []
-    win: deque[int] = deque(maxlen=config.window)
-    win_sum = 0
-    confusion = np.zeros((K, K), dtype=np.int64)
-    n_correct = 0
     # unlabeled rows cannot be scored prequentially
-    for r in controller.steps(table[config.warmup :].labeled()):
-        c = r.correct
-        if len(win) == win.maxlen:
-            win_sum -= win[0]
-        win.append(c)
-        win_sum += c
-        n_correct += c
-        confusion[r.actual, r.predicted] += 1
-        r.rolling_accuracy = win_sum / len(win)
-        out.append(r)
+    out = list(controller.steps(table[config.warmup :].labeled()))
     n = len(out)
+    correct = np.array([r.correct for r in out], dtype=np.int64)
+    # rolling accuracy: the correct count of the last `window` rows over
+    # their number, an int/int division that is correctly rounded
+    in_window = np.cumsum(correct)
+    n_correct = int(in_window[-1]) if n else 0
+    in_window[config.window :] -= in_window[: -config.window].copy()
+    lengths = np.minimum(np.arange(1, n + 1), config.window)
+    for r, acc in zip(out, (in_window / lengths).tolist()):
+        r.rolling_accuracy = acc
+    pairs = np.array([r.actual * K + r.predicted for r in out], dtype=np.int64)
+    confusion = np.bincount(pairs, minlength=K * K).reshape(K, K)
     summary = ExperimentSummary(
         overall_accuracy=n_correct / n if n else 0.0,
         n_predictions=n,
@@ -204,36 +200,34 @@ def _fmt(x: float) -> str:
     return f"{x:.6f}"
 
 
+# The per-row files are written with f-strings: the bytes of csv.writer's
+# default dialect (CRLF line ends; ints and fixed-point floats need no quotes).
+
+
 def write_records_csv(records: Sequence[PrequentialRecord], path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["index", "predicted", "actual", "correct", "rolling_accuracy", "drift", "retrain"]
+        fh.write("index,predicted,actual,correct,rolling_accuracy,drift,retrain\r\n")
+        fh.writelines(
+            f"{r.index},{r.predicted},{r.actual},{r.correct},{r.rolling_accuracy:.6f},"
+            f"{r.drift_flag},{r.retrain_flag}\r\n"
+            for r in records
         )
-        for r in records:
-            w.writerow(
-                [r.index, r.predicted, r.actual, r.correct, _fmt(r.rolling_accuracy),
-                 r.drift_flag, r.retrain_flag]
-            )
 
 
 def write_curves_csv(records: Sequence[PrequentialRecord], path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "rolling_accuracy"])
-        for r in records:
-            w.writerow([r.index, _fmt(r.rolling_accuracy)])
+        fh.write("index,rolling_accuracy\r\n")
+        fh.writelines(f"{r.index},{r.rolling_accuracy:.6f}\r\n" for r in records)
 
 
 def write_events_csv(records: Sequence[PrequentialRecord], path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "event"])
+        fh.write("index,event\r\n")
         for r in records:
             if r.drift_flag:
-                w.writerow([r.index, "drift"])
+                fh.write(f"{r.index},drift\r\n")
             if r.retrain_flag:
-                w.writerow([r.index, "retrain_done"])
+                fh.write(f"{r.index},retrain_done\r\n")
 
 
 def write_summary_csv(rows: Sequence[dict], path) -> None:

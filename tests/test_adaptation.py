@@ -19,6 +19,7 @@ from driftstream.adaptation import (
     STRATEGIES,
     Controller,
     ControllerError,
+    MAX_INFERRED_CLASSES,
     ExperimentConfig,
     LabelError,
 )
@@ -461,6 +462,23 @@ def test_unlabeled_warmup_row_named_in_the_error():
     with pytest.raises(LabelError) as info:
         Controller.from_warmup(stream, SCHEMA, NoDetector(), make_config())
     assert (info.value.index, info.value.row) == (7, 9)
+
+
+def test_inferred_class_count_is_bounded_by_the_largest_label_row():
+    stream = make_stream(50)
+    stream.label[7] = MAX_INFERRED_CLASSES
+    stream.label[30] = stream.label[40] = MAX_INFERRED_CLASSES + 5
+    with pytest.raises(LabelError) as info:
+        Controller.from_warmup(stream, SCHEMA, NoDetector(), make_config())
+    assert (info.value.index, info.value.row) == (30, 32)
+
+
+def test_explicit_class_count_is_not_bounded():
+    stream = make_stream(50)
+    stream.label[7] = MAX_INFERRED_CLASSES
+    cfg = make_config(n_classes=MAX_INFERRED_CLASSES + 1)
+    ctrl = Controller.from_warmup(stream, SCHEMA, NoDetector(), cfg)
+    assert ctrl.model.n_classes == cfg.n_classes
 
 
 def test_n_classes_inferred_from_warmup():

@@ -14,6 +14,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from driftstream.adaptation import MAX_INFERRED_CLASSES
 from driftstream.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 
 HEADER = ["cat", "num", "label"]
@@ -66,3 +67,19 @@ def _good(n: int) -> list[list[str]]:
 @example(_good(8) + [["a", "1", "", "x", "y"]] + _good(4))  # long unlabeled row
 def test_any_csv_gives_a_documented_exit_code(rows):
     assert _run(rows) in (EXIT_OK, EXIT_CONFIG, EXIT_DATA)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, WARMUP - 1),
+    st.one_of(
+        st.integers(MAX_INFERRED_CLASSES - 2, MAX_INFERRED_CLASSES + 2), st.integers(0, 10**30)
+    ),
+)
+def test_huge_warmup_label_is_a_data_error(row, label):
+    # the class count is inferred from the warm-up labels, at most
+    # MAX_INFERRED_CLASSES; a larger label must stop the run before it
+    # sizes the count tables or the confusion matrix
+    rows = _good(12)
+    rows[row][2] = str(label)
+    assert _run(rows) == (EXIT_OK if label < MAX_INFERRED_CLASSES else EXIT_DATA)

@@ -4,6 +4,7 @@ experiment matrix."""
 import csv
 import dataclasses
 import os
+from collections import deque
 
 import numpy as np
 import pytest
@@ -99,6 +100,41 @@ def test_rolling_accuracy_field_matches_rolling_mean():
     expected = rolling_mean([r.correct for r in records], 50)
     got = [r.rolling_accuracy for r in records]
     np.testing.assert_allclose(got, expected, atol=1e-12)
+
+
+def per_row_bookkeeping(records, window, n_classes):
+    """Rolling accuracy and confusion matrix the way a per-row loop keeps
+    them: a deque of the last ``window`` correct flags and a running sum."""
+    win, win_sum, rolling = deque(maxlen=window), 0, []
+    confusion = [[0] * n_classes for _ in range(n_classes)]
+    for r in records:
+        if len(win) == window:
+            win_sum -= win[0]
+        win.append(r.correct)
+        win_sum += r.correct
+        rolling.append(win_sum / len(win))
+        confusion[r.actual][r.predicted] += 1
+    return rolling, confusion
+
+
+@pytest.mark.parametrize("window", [1, 50, 10_000])  # 10,000 > the 2,700 predictions
+@pytest.mark.parametrize("unlabeled", [False, True])
+def test_rolling_accuracy_and_confusion_equal_a_per_row_loop(window, unlabeled):
+    stream = generate(small_synth())
+    table = stream.table
+    if unlabeled:  # every 7th post-warm-up row, skipped by the run
+        labels = [None if i > 300 and i % 7 == 0 else y for i, y in enumerate(table.label)]
+        table = Table(table.index, labels, table.columns)
+    cfg = dataclasses.replace(
+        STATIC, window=window, detector="page_hinkley", strategy="last", batch_size=200,
+        incremental=True,
+    )
+    records, summary = run_experiment(table, stream.predictive_schema, cfg)
+    assert len(records) == 2700 - (386 if unlabeled else 0)
+    rolling, confusion = per_row_bookkeeping(records, window, 3)
+    assert [r.rolling_accuracy for r in records] == rolling  # float for float
+    assert summary.confusion == confusion
+    assert summary.overall_accuracy == sum(r.correct for r in records) / len(records)
 
 
 def test_confusion_counts_sum_to_predictions():

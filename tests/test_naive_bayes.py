@@ -345,7 +345,7 @@ def reference_fit(instances, n_classes, cards, n_numeric):
         cats = np.array([e.cat for e in instances])
         for f, c in enumerate(cards):
             flat = labels * c + cats[:, f]
-            model.cat_counts[f] = (
+            model.cat_counts[f][:] = (
                 np.bincount(flat, minlength=n_classes * c).reshape(n_classes, c).astype(np.int64)
             )
     if n_numeric:
@@ -355,7 +355,6 @@ def reference_fit(instances, n_classes, cards, n_numeric):
             if len(xs) == 0:
                 continue
             mean = xs.mean(axis=0)
-            model.g_count[k] = len(xs)
             model.g_mean[k] = mean
             model.g_m2[k] = ((xs - mean) ** 2).sum(axis=0)
     return model
@@ -367,11 +366,10 @@ def reference_update(model, batch):
         model.class_counts[k] += 1
         for f in range(len(model.cat_cardinalities)):
             model.cat_counts[f][k, e.cat[f]] += 1
-        n = model.g_count[k] + 1
+        n = model.class_counts[k]
         delta = e.num - model.g_mean[k]
         model.g_mean[k] = model.g_mean[k] + delta / n
         model.g_m2[k] = model.g_m2[k] + delta * (e.num - model.g_mean[k])
-        model.g_count[k] = n
     return model
 
 
@@ -453,16 +451,32 @@ def reference_log_scores(model, cats, nums):
 
 
 @settings(max_examples=100, deadline=None)
-@given(stream=column_streams(), data=st.data())
-def test_log_scores_are_bitwise_the_per_feature_reference(stream, data):
+@given(
+    stream=column_streams(), mini_batch=st.integers(1, 12), every=st.integers(1, 2), data=st.data()
+)
+def test_log_scores_are_bitwise_the_per_feature_reference(stream, mini_batch, every, data):
+    # scored after the fit and after every update (or every second one, so
+    # that two changes also meet unscored), so that a score state kept from
+    # before a model change would show
     n_classes, cards, n_numeric, labels, cats, nums = stream
-    split = data.draw(st.integers(1, len(labels) - 1))
+    n = len(labels)
+    split = data.draw(st.integers(1, n - 1))
     model = NaiveBayesModel.fit(labels[:split], cats[:split], nums[:split], n_classes, cards, n_numeric)
-    probes = slice(split, None)
-    assert np.array_equal(
-        model.log_scores_many(cats[probes], nums[probes]),
-        reference_log_scores(model, cats[probes], nums[probes]),
-    )
+    probe_cats, probe_nums = cats[split:], nums[split:]
+
+    def assert_reference_scores():
+        assert np.array_equal(
+            model.log_scores_many(probe_cats, probe_nums),
+            reference_log_scores(model, probe_cats, probe_nums),
+        )
+
+    assert_reference_scores()
+    assert_reference_scores()  # again, from the kept score state
+    for i, lo in enumerate(range(split, n, mini_batch), start=1):
+        hi = min(n, lo + mini_batch)
+        model.update(labels[lo:hi], cats[lo:hi], nums[lo:hi])
+        if i % every == 0 or hi == n:
+            assert_reference_scores()
 
 
 def test_instance_adaptors_stack_into_the_column_kernels():
