@@ -39,6 +39,7 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
+from .detectors import make_detector
 from .naive_bayes import NaiveBayesModel
 from .preprocess import EncoderState
 from .stream_core import FeatureSchema, RowError, Table, csv_row
@@ -47,8 +48,6 @@ LAST = "last"
 MIXED = "mixed"
 NEXT = "next"
 STRATEGIES = (LAST, MIXED, NEXT)
-
-DETECTORS = ("none", "page_hinkley", "adwin")
 
 STABLE = "stable"
 COLLECTING = "collecting"
@@ -116,8 +115,11 @@ class ExperimentConfig:
     n_classes: Optional[int] = None
 
     def __post_init__(self):
-        if self.detector not in DETECTORS:
-            raise ConfigError(f"unknown detector {self.detector!r}")
+        try:  # the detectors hold the bounds of their parameters
+            make_detector(self.detector, self.ph_delta, self.ph_lambda, self.ph_burn_in,
+                          self.adwin_delta)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         if self.strategy is not None and self.strategy not in STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.detector == "none" and self.strategy is not None:
@@ -209,7 +211,6 @@ class Controller:
         self.n_drifts = 0
         self.n_retrains = 0
         self.retrain_history: list[RetrainEvent] = []
-        self.event_log: list[tuple[int, str]] = []
 
     # -- construction -----------------------------------------------------
 
@@ -314,7 +315,6 @@ class Controller:
         )
         self.n_retrains += 1
         self.retrain_history.append(RetrainEvent(alarm_index, now, tuple(rows.index)))
-        self.event_log.append((now, "retrain_done"))
         self.detector.reset()
         self.mini_batch.clear()
         return 1
@@ -332,7 +332,8 @@ class Controller:
         return n
 
     def step(self, row: Table) -> PrequentialRecord:
-        """Test then train on the row of a one-row table."""
+        """Test then train on the row of a one-row table. The engine never calls
+        it; it stays as a benchmark hook (``perfbench/tracer.py`` wraps it)."""
         if self.model.n_trained < 1:
             raise ControllerError("step before warm-up")
         index, labels, cats, nums = self._append(row)
@@ -380,7 +381,6 @@ class Controller:
                 drift = 1
                 self.n_drifts += 1
                 self._alarm_index = index
-                self.event_log.append((index, "drift"))
                 if cfg.strategy == LAST:
                     retrained = self._refit(self.buffer, index, index)
                 else:
@@ -394,7 +394,6 @@ class Controller:
                         retrained = self._refit(window, index, index)
                     else:
                         self.mode = COLLECTING
-                        self.event_log.append((index, "retrain_start"))
             elif cfg.incremental:
                 self.mini_batch.append(p)
                 if len(self.mini_batch) >= cfg.mini_batch_size:

@@ -95,7 +95,8 @@ def _config_file_args(path: str) -> list[str]:
         if value.lower() in ("true", "yes", "1") and key in _BOOL_KEYS:
             args.append(flag)
         elif value.lower() in ("false", "no", "0") and key in _BOOL_KEYS:
-            pass
+            if key == "incremental":  # the one with a --no- form; matrix defaults to on
+                args.append("--no-incremental")
         else:
             args.extend([flag, value])
     return args
@@ -431,14 +432,14 @@ def _add_experiment(p: argparse.ArgumentParser, detector_params: bool = True) ->
     p.add_argument("--detector", choices=["none", "page-hinkley", "adwin"], default="none")
     p.add_argument("--strategy", choices=["last", "mixed", "next"], default=None)
     p.add_argument("--batch-size", type=_count, default=500)
-    p.add_argument("--incremental", action="store_true")
+    p.add_argument("--incremental", action=argparse.BooleanOptionalAction, default=False)
     p.add_argument("--warmup", type=_count, default=2000)
     p.add_argument("--window", type=_count, default=1000)
     p.add_argument("--mini-batch", type=_count, default=10)
-    if detector_params:
+    p.add_argument("--ph-delta", type=float, default=0.005)
+    p.add_argument("--burn-in", type=int, default=30)
+    if detector_params:  # gridsearch reads --lambda/--delta as grids
         p.add_argument("--lambda", dest="ph_lambda", type=float, default=0.6)
-        p.add_argument("--ph-delta", type=float, default=0.005)
-        p.add_argument("--burn-in", type=int, default=30)
         p.add_argument("--delta", dest="adwin_delta", type=float, default=0.001)
     p.add_argument("--boxcox", default="", help="numeric features to transform, comma-separated")
     p.add_argument("--prefix-len", default="", help="category truncation, feature=len[,..]")
@@ -477,13 +478,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_source(p)
     _add_experiment(p, detector_params=False)
-    p.add_argument("--prefix", type=int, default=10000)
+    p.add_argument("--prefix", type=_count, default=10000)
     p.add_argument("--lambda", dest="grid_lambda", type=_floats, default="",
                    help="PH thresholds, comma-separated")
     p.add_argument("--delta", dest="grid_delta", type=_floats, default="",
                    help="ADWIN deltas, comma-separated")
-    p.add_argument("--ph-delta", type=float, default=0.005)
-    p.add_argument("--burn-in", type=int, default=30)
     p.set_defaults(func=cmd_gridsearch)
 
     p = sub.add_parser("matrix", help="detector x batch-size x strategy grid")
@@ -495,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strategies", default="last,mixed,next")
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_matrix, incremental=True)
-    p.add_argument("--no-incremental", dest="incremental", action="store_false")
 
     p = sub.add_parser("inspect", help="rolling mean of a numeric feature")
     _add_common(p)

@@ -29,8 +29,12 @@ class PageHinkley:
     """
 
     def __init__(self, delta: float = 0.005, lam: float = 0.6, burn_in: int = 30):
-        if delta < 0 or lam <= 0 or burn_in < 0:
-            raise ValueError("need delta >= 0, lam > 0, burn_in >= 0")
+        if not delta >= 0:  # NaN too
+            raise ValueError(f"Page-Hinkley delta must be >= 0, got {delta}")
+        if not lam > 0:
+            raise ValueError(f"Page-Hinkley lambda must be > 0, got {lam}")
+        if burn_in < 0:
+            raise ValueError(f"Page-Hinkley burn-in must be >= 0, got {burn_in}")
         self.delta = delta
         self.lam = lam
         self.burn_in = burn_in
@@ -80,7 +84,7 @@ class Adwin:
 
     def __init__(self, delta: float = 0.001, max_buckets_per_row: int = 5, check_period: int = 32):
         if not 0.0 < delta < 1.0:
-            raise ValueError("delta must be in (0, 1)")
+            raise ValueError(f"ADWIN delta must be in (0, 1), got {delta}")
         if max_buckets_per_row < 1 or check_period < 1:
             raise ValueError("max_buckets_per_row and check_period must be >= 1")
         self.delta = delta
@@ -165,7 +169,9 @@ class Adwin:
 
 
 class NoDetector:
-    """Placeholder detector that never alarms (static / incremental-only)."""
+    """Placeholder detector that never alarms (static / incremental-only).
+    No config feeds it; it stays because ``perfbench/tracer.py`` wraps its
+    ``observe`` by name."""
 
     def observe(self, x: float) -> bool:
         _check_input(x)

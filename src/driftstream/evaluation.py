@@ -196,10 +196,6 @@ def experiment_matrix(
 # -- CSV output (fixed 6-decimal float formatting for reproducible files) --
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.6f}"
-
-
 # The per-row files are written with f-strings: the bytes of csv.writer's
 # default dialect (CRLF line ends; ints and fixed-point floats need no quotes).
 
@@ -241,5 +237,5 @@ def write_summary_csv(rows: Sequence[dict], path) -> None:
         w.writerow(header)
         for row in rows:
             w.writerow(
-                [_fmt(v) if isinstance(v, float) else v for v in (row[h] for h in header)]
+                [f"{v:.6f}" if isinstance(v, float) else v for v in (row[h] for h in header)]
             )

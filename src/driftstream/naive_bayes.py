@@ -11,14 +11,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .preprocess import EncodedInstance
-
-_SERIAL_VERSION = 1
 
 
 class _Layout(NamedTuple):
@@ -41,19 +38,6 @@ def _layout(cards: tuple[int, ...], alpha: float) -> _Layout:
     return _Layout(bounds, offsets, alpha_cards)
 
 
-def _columns(
-    instances: Sequence[EncodedInstance], n_categorical: int, n_numeric: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack encoded instances into the (labels, cats, nums) columns that
-    ``fit`` and ``update`` take."""
-    if any(e.label is None for e in instances):
-        raise ValueError("every instance needs a label")
-    labels = np.array([e.label for e in instances], dtype=np.int64)
-    cats = np.array([e.cat for e in instances], dtype=np.int64).reshape(len(labels), n_categorical)
-    nums = np.array([e.num for e in instances], dtype=float).reshape(len(labels), n_numeric)
-    return labels, cats, nums
-
-
 class NaiveBayesModel:
     """Class priors plus per-class categorical counts and Gaussian
     accumulators.
@@ -63,7 +47,7 @@ class NaiveBayesModel:
     stacked (sum of cardinalities, K) table, feature after feature;
     ``cat_counts[f]`` is feature f's (K, c) view of it. ``g_mean`` and
     ``g_m2`` are the per-class Gaussian means and sums of squared
-    deviations, and ``g_count``, the rows behind them, is the class counts.
+    deviations over each class's rows (``class_counts``).
     Ties in the posterior break toward the lowest class id (numpy argmax
     convention).
 
@@ -101,12 +85,6 @@ class NaiveBayesModel:
         self.g_mean, self.g_m2 = self._gauss
         self._state: Optional[tuple] = None
         self._var: Optional[list] = None  # the variances as ``update`` left them
-
-    @property
-    def g_count(self) -> np.ndarray:
-        """Rows behind each class's Gaussian parameters: the class counts
-        as a read-only (K, n_numeric) view."""
-        return np.broadcast_to(self.class_counts[:, None], (self.n_classes, self.n_numeric))
 
     def _count_index(self, labels: np.ndarray, cats: np.ndarray) -> np.ndarray:
         """Flat positions in the stacked table of each row's categories."""
@@ -156,22 +134,6 @@ class NaiveBayesModel:
                     np.add.reduce(np.square(dev, out=dev), axis=0, out=model.g_m2[k])
         return model
 
-    @classmethod
-    def fit_instances(
-        cls,
-        instances: Sequence[EncodedInstance],
-        n_classes: int,
-        cat_cardinalities: Sequence[int],
-        n_numeric: int,
-        smoothing_alpha: float = 1.0,
-        var_floor: float = 1e-9,
-    ) -> "NaiveBayesModel":
-        """``fit`` on a list of encoded instances."""
-        return cls.fit(
-            *_columns(instances, len(cat_cardinalities), n_numeric),
-            n_classes, cat_cardinalities, n_numeric, smoothing_alpha, var_floor,
-        )
-
     def update(self, labels: np.ndarray, cats: np.ndarray, nums: np.ndarray) -> "NaiveBayesModel":
         """Advance counts and accumulators with new labeled rows (columns as
         in ``fit``). Categorical counts are added by one ``bincount``; the
@@ -214,10 +176,6 @@ class NaiveBayesModel:
                 counts[k] += 1
         self.class_counts[:] = counts
         return self
-
-    def update_instances(self, batch: Sequence[EncodedInstance]) -> "NaiveBayesModel":
-        """``update`` with a list of encoded instances."""
-        return self.update(*_columns(batch, len(self.cat_cardinalities), self.n_numeric))
 
     # -- prediction -------------------------------------------------------
 
@@ -278,66 +236,17 @@ class NaiveBayesModel:
             scores -= 0.5 * np.add.reduce(diffs, axis=2)
         return scores
 
-    def log_scores(self, enc: EncodedInstance) -> np.ndarray:
-        """Per-class unnormalized log posterior of one instance."""
-        return self.log_scores_many(enc.cat[None, :], enc.num[None, :])[0]
-
     def predict(self, enc: EncodedInstance) -> tuple[int, np.ndarray]:
+        """Prediction and scores of one encoded row. The engine never calls it;
+        it stays as a benchmark hook (``perfbench/tracer.py`` wraps it)."""
         if self.n_trained < 1:
             raise ValueError("model has no training data")
-        scores = self.log_scores(enc)
+        scores = self.log_scores_many(enc.cat[None, :], enc.num[None, :])[0]
         return int(np.argmax(scores)), scores
 
     def predict_many(self, cats: np.ndarray, nums: np.ndarray) -> np.ndarray:
-        """Argmax predictions for a probe matrix; row i is bit-for-bit the
-        prediction ``predict`` makes for probe i."""
+        """Argmax predictions for a probe matrix (``log_scores_many``'s
+        rows), ties to the lowest class id."""
         if self.n_trained < 1:
             raise ValueError("model has no training data")
         return np.argmax(self.log_scores_many(cats, nums), axis=1)
-
-    def posterior(self, enc: EncodedInstance) -> np.ndarray:
-        """Normalized class posterior (max-subtracted softmax of log scores)."""
-        s = self.log_scores(enc)
-        s = np.exp(s - s.max())
-        return s / s.sum()
-
-    # -- plumbing ---------------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "version": _SERIAL_VERSION,
-                "n_classes": self.n_classes,
-                "cat_cardinalities": list(self.cat_cardinalities),
-                "n_numeric": self.n_numeric,
-                "alpha": self.alpha,
-                "var_floor": self.var_floor,
-                "class_counts": self.class_counts.tolist(),
-                "cat_counts": [a.tolist() for a in self.cat_counts],
-                "g_count": self.g_count.tolist(),
-                "g_mean": self.g_mean.tolist(),
-                "g_m2": self.g_m2.tolist(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "NaiveBayesModel":
-        doc = json.loads(text)
-        if doc.get("version") != _SERIAL_VERSION:
-            raise ValueError(f"unsupported model version {doc.get('version')!r}")
-        m = cls(
-            doc["n_classes"],
-            doc["cat_cardinalities"],
-            doc["n_numeric"],
-            doc["alpha"],
-            doc["var_floor"],
-        )
-        m.class_counts[:] = doc["class_counts"]
-        m.n_trained = int(m.class_counts.sum())
-        if doc["g_count"] != m.g_count.tolist():
-            raise ValueError("g_count must repeat the class counts")
-        for view, a in zip(m.cat_counts, doc["cat_counts"], strict=True):
-            view[:] = a
-        m.g_mean[:] = doc["g_mean"]
-        m.g_m2[:] = doc["g_m2"]
-        return m

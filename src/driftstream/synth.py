@@ -3,8 +3,9 @@
 Each concept is a categorical/Gaussian naive-Bayes generative model (uniform
 class priors, per-class category tables, per-class Gaussian means with unit
 standard deviation). Drift replaces or interpolates the concept's tables, so
-Bayes-optimal accuracy under any concept is computable by enumeration or
-Monte Carlo and can serve as an independent oracle.
+Bayes-optimal accuracy under any concept is computable by enumeration
+(``exact_bayes_accuracy`` over ``bayes_predict``) and can serve as an
+independent oracle.
 
 Randomness comes from numpy's PCG64 seeded through ``SeedSequence(seed)``
 with one spawned child stream per role (concept construction, schedule,
@@ -84,16 +85,13 @@ class SynthConfig:
             raise SynthConfigError("need at least one feature")
         if self.n_categories < 2:
             raise SynthConfigError("need at least 2 categories")
+        if self.seed < 0:
+            raise SynthConfigError(f"seed must be >= 0, got {self.seed}")
         for d in self.drift:
             if d.kind != NONE and d.position >= self.n_instances:
                 raise SynthConfigError(
                     f"drift position {d.position} outside stream of {self.n_instances}"
                 )
-
-    def feature_names(self) -> list[str]:
-        return [f"cat{i}" for i in range(self.n_categorical)] + [
-            f"num{i}" for i in range(self.n_numeric)
-        ]
 
     def schema(self, include_hidden: bool = True) -> FeatureSchema:
         """Schema of the emitted CSV; the hidden-context feature is present in
@@ -235,7 +233,8 @@ def generate(cfg: SynthConfig) -> SynthStream:
 
 
 def bayes_predict(concept: Concept, cat_idx: Sequence[int], num: Sequence[float]) -> int:
-    """Bayes-optimal class under a known concept (uniform priors)."""
+    """Bayes-optimal class under a known concept (uniform priors); with
+    ``exact_bayes_accuracy``, the generator's learner-independent oracle."""
     K = concept.cat_tables.shape[1] if concept.cat_tables.size else concept.means.shape[1]
     scores = np.zeros(K)
     for f, v in enumerate(cat_idx):
@@ -260,25 +259,6 @@ def exact_bayes_accuracy(rule: Concept, data: Concept) -> float:
             p_joint = p_joint * data.cat_tables[f, :, v]
         acc += p_joint[pred]
     return float(acc)
-
-
-def monte_carlo_accuracy(
-    rule: Concept, data: Concept, n: int, rng: np.random.Generator
-) -> float:
-    """Monte-Carlo accuracy of ``rule``'s Bayes classifier on ``data``."""
-    n_cat, K, C = data.cat_tables.shape
-    n_num = data.means.shape[0]
-    y = rng.integers(K, size=n)
-    correct = 0
-    for i in range(n):
-        k = y[i]
-        cats = [
-            int(np.searchsorted(np.cumsum(data.cat_tables[f, k]), rng.random(), side="right"))
-            for f in range(n_cat)
-        ]
-        nums = [data.means[j, k] + data.sigma * rng.standard_normal() for j in range(n_num)]
-        correct += bayes_predict(rule, cats, nums) == k
-    return correct / n
 
 
 def write_csv(table: Table, schema: FeatureSchema, path) -> None:

@@ -64,18 +64,18 @@ def test_criterion_1_incremental_batch_equivalence():
 
     encoder = EncoderState(stream.predictive_schema)
     encoder.fit(stream.table)
-    encoded = [encoder.encode(row) for row in stream.table]
-    data, probe = encoded[:1000], encoded[1000:]
-    cats = np.stack([p.cat for p in probe])
-    nums = np.stack([p.num for p in probe])
+    all_cats, all_nums = encoder.encode_many(stream.table)
+    labels = np.array(stream.table.label, dtype=np.int64)
+    data = labels[:1000], all_cats[:1000], all_nums[:1000]
+    cats, nums = all_cats[1000:], all_nums[1000:]
     cards = encoder.cat_cardinalities
 
     rng = np.random.default_rng(0)
     ok = True
     for split in rng.integers(1, 1000, size=200):
-        whole = NaiveBayesModel.fit_instances(data, 3, cards, 2)
-        parts = NaiveBayesModel.fit_instances(data[:split], 3, cards, 2)
-        parts.update_instances(data[split:])
+        whole = NaiveBayesModel.fit(*data, 3, cards, 2)
+        parts = NaiveBayesModel.fit(*(c[:split] for c in data), 3, cards, 2)
+        parts.update(*(c[split:] for c in data))
         ok &= bool((whole.predict_many(cats, nums) == parts.predict_many(cats, nums)).all())
         ok &= np.allclose(whole.g_mean, parts.g_mean, atol=1e-9)
         ok &= np.allclose(whole.g_m2, parts.g_m2, atol=1e-9)

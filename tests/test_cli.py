@@ -195,6 +195,8 @@ def test_run_unusable_label_is_a_data_error(tmp_path, capsys, row, token, where)
     assert where in err and "Traceback" not in err
 
 
+_PH_LAST = ("--detector", "page-hinkley", "--strategy", "last")
+
 # the flags each command needs besides the source
 _COMMAND_FLAGS = {
     "run": (),
@@ -223,6 +225,15 @@ _COMMAND_FLAGS = {
         ("gridsearch", ("--detector", "adwin", "--delta", "0.5,x"), "--delta"),
         ("matrix", ("--workers", "1", "--batch-sizes", "50,abc"), "--batch-sizes"),
         ("matrix", ("--workers", "1", "--batch-sizes", "50,0"), "--batch-sizes"),
+        ("gridsearch", ("--detector", "page-hinkley", "--lambda", "0.6", "--prefix", "-2500"),
+         "--prefix"),
+        # detector parameters out of range, checked before the stream loads
+        ("run", (*_PH_LAST, "--burn-in", "-1"), "burn-in must be >= 0"),
+        ("run", (*_PH_LAST, "--ph-delta", "-1"), "delta must be >= 0"),
+        ("run", (*_PH_LAST, "--lambda", "0"), "lambda must be > 0"),
+        ("run", (*_PH_LAST, "--lambda", "nan"), "lambda must be > 0"),
+        ("run", ("--detector", "adwin", "--strategy", "last", "--delta", "2"),
+         "delta must be in (0, 1)"),
     ],
 )
 def test_bad_config_value_is_a_config_error(tmp_path, small_stream, capsys, command, flags, named):
@@ -233,6 +244,24 @@ def test_bad_config_value_is_a_config_error(tmp_path, small_stream, capsys, comm
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command,source,code",
+    [
+        ("generate", (), EXIT_CONFIG),
+        ("run", ("--synth", "paper-like"), EXIT_CONFIG),
+        ("run", ("--input", None, "--label", "label", "--warmup", "300"), EXIT_OK),  # unused
+    ],
+    ids=["generate", "run-synth", "run-input"],
+)
+def test_negative_seed_is_a_config_error(tmp_path, small_stream, capsys, command, source, code):
+    source = [str(small_stream) if a is None else a for a in source]
+    assert run_cli(command, *source, "--seed", "-1", "-o", str(tmp_path / "x")) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == EXIT_CONFIG:
+        assert "seed must be >= 0" in err
 
 
 def test_boxcox_on_a_constant_warmup_column_is_a_config_error(tmp_path, capsys):
@@ -388,6 +417,27 @@ def test_matrix_runs_each_distinct_config_once(tmp_path, small_stream, monkeypat
     incremental = "0" if mode else "1"
     baseline = next(r for r in rows[2:4] if r["incremental"] == incremental)
     assert baseline == rows[4]
+
+
+def test_matrix_config_file_can_turn_incremental_off(tmp_path, small_stream):
+    cfgfile = tmp_path / "m.cfg"
+    cfgfile.write_text("incremental = false\n")
+    flags = (
+        "--input", str(small_stream), "--label", "label", "--warmup", "300",
+        "--batch-sizes", "100", "--detectors", "adwin", "--strategies", "last",
+        "--workers", "1",
+    )
+    outs = {}
+    for name, extra in (("file", ("--config", str(cfgfile))), ("flag", ("--no-incremental",))):
+        outs[name] = tmp_path / name
+        assert run_cli("matrix", *extra, *flags, "-o", str(outs[name])) == EXIT_OK
+    with open(outs["file"] / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[4]["incremental"] == "0"  # the grid row
+    summary = outs["file"] / "summary.csv"
+    assert summary.read_bytes() == (outs["flag"] / "summary.csv").read_bytes()
+    resolved = json.loads((outs["file"] / "resolved-config.json").read_text())
+    assert resolved["incremental"] is False
 
 
 def test_matrix_loads_its_source_once(tmp_path, small_stream, monkeypatch):

@@ -335,21 +335,3 @@ def test_failed_boxcox_fit_names_the_feature(values, error):
     enc = EncoderState(SCHEMA, boxcox_features=("value",))
     with pytest.raises(error, match="'value'"):
         enc.fit(insts([("A", v) for v in values]))
-
-
-def test_encoder_json_round_trip():
-    enc = EncoderState(SCHEMA, boxcox_features=("value",), prefix_len={"mat": 4})
-    enc.fit(insts([("10234567", float(v)) for v in range(1, 21)]))
-    back = EncoderState.from_json(enc.to_json())
-    probe = row(5, "10231111", 12.5)
-    a, b = enc.encode(probe), back.encode(probe)
-    assert (a.cat == b.cat).all()
-    np.testing.assert_allclose(a.num, b.num)
-
-
-def test_encoder_json_version_check():
-    enc = EncoderState(SCHEMA)
-    enc.fit(insts([("A", 1.0)]))
-    doc = enc.to_json().replace('"version": 1', '"version": 99')
-    with pytest.raises(ValueError):
-        EncoderState.from_json(doc)

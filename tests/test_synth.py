@@ -24,7 +24,6 @@ from driftstream.synth import (
     concept_schedule,
     exact_bayes_accuracy,
     generate,
-    monte_carlo_accuracy,
     paper_like_config,
     write_csv,
 )
@@ -212,14 +211,6 @@ def test_generated_stream_matches_exact_bayes_rate():
 
     assert abs(empirical(stream.table[:10000]) - exact_bayes_accuracy(c0, c0)) < 0.03
     assert abs(empirical(stream.table[10000:]) - exact_bayes_accuracy(c0, c1)) < 0.03
-
-
-def test_monte_carlo_agrees_with_exact():
-    cfg = SynthConfig(n_instances=10, n_categorical=2, n_numeric=0, seed=9)
-    (c0,) = build_concepts(cfg)
-    exact = exact_bayes_accuracy(c0, c0)
-    mc = monte_carlo_accuracy(c0, c0, 20000, np.random.default_rng(0))
-    assert abs(mc - exact) < 0.02
 
 
 # -- hidden context -----------------------------------------------------------
