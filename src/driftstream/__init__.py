@@ -2,14 +2,13 @@
 Page-Hinkley / ADWIN drift detection, and retraining data-selection
 strategies (last / mixed / next) under prequential evaluation."""
 
-from .adaptation import Controller, LabelError, RetrainEvent, Rows
+from .adaptation import Controller, LabelError, PrequentialRecord, Records, RetrainEvent, Rows
 from .detectors import Adwin, NoDetector, PageHinkley, make_detector
 from .evaluation import (
     ConfigError,
     CsvSource,
     ExperimentConfig,
     ExperimentSummary,
-    PrequentialRecord,
     SynthSource,
     experiment_matrix,
     grid_search,

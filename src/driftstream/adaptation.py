@@ -14,10 +14,10 @@ completes 0 / floor(B/2) / B steps after the alarm respectively.
 While a collection is outstanding the detector is not fed and incremental
 updates pause; the detector is reset after every retraining.
 
-``Controller.steps`` walks a stream in that order but scores it in blocks:
-the model is constant within a block, and a block that a refit cuts short
-at row j has its scores after j dropped and computed again with the new
-model, so its results equal those of ``step`` called row by row.
+``Controller.steps`` walks a stream in that order but scores and steps it
+in blocks: the model is constant within a block, and a block that a refit
+cuts short at row j ends there, its rows after j scored again with the new
+model, so its results equal those of a row-by-row walk.
 
 The controller keeps its rows as encoded columns (stream index, label,
 category indices, numeric values): the current chunk plus the tail of the
@@ -27,14 +27,16 @@ or an update reads a slice of them.
 
 One ``ExperimentConfig`` describes a run: the detector, the strategy, the
 batch and mini-batch sizes, the learning mode and the encoder settings. The
-controller reads its part of it; each step yields the row's
-``PrequentialRecord``, whose rolling accuracy the evaluation fills in.
+controller reads its part of it and yields the records of each block as
+columns (``Records``), whose rolling accuracy the evaluation fills in.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -136,11 +138,8 @@ class ExperimentConfig:
             raise ConfigError("rolling window must be >= 1")
 
 
-@dataclass(slots=True)
-class PrequentialRecord:
-    """One scored row, with 0/1 ints as the CSV files hold them.
-    ``rolling_accuracy`` is 0.0 as the controller yields the record and is
-    filled in by ``run_experiment``."""
+class PrequentialRecord(NamedTuple):
+    """One row of ``Records``, with 0/1 ints as the CSV files hold them."""
 
     index: int
     predicted: int
@@ -149,6 +148,42 @@ class PrequentialRecord:
     rolling_accuracy: float
     drift_flag: int
     retrain_flag: int
+
+
+@dataclass(eq=False)
+class Records:
+    """Scored rows as columns: stream indices (a list of the stream's ints),
+    predicted and actual classes and 0/1 drift and retrain flags (int
+    arrays), and the rolling accuracy (float64), which ``run_experiment``
+    fills in. ``len`` is the row count; iterating yields each row as a
+    ``PrequentialRecord`` (rolling accuracy 0.0 until filled in)."""
+
+    index: list[int]
+    predicted: np.ndarray
+    actual: np.ndarray
+    drift: np.ndarray
+    retrain: np.ndarray
+    rolling_accuracy: Optional[np.ndarray] = None
+
+    @cached_property
+    def correct(self) -> np.ndarray:
+        return (self.predicted == self.actual).astype(np.int64)
+
+    @cached_property
+    def rolling_text(self) -> list[str]:
+        """The rolling accuracies as the CSV files hold them (6 decimals),
+        formatted once for every writer."""
+        return [f"{a:.6f}" for a in self.rolling_accuracy.tolist()]
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __iter__(self) -> Iterator[PrequentialRecord]:
+        acc = self.rolling_accuracy
+        return map(PrequentialRecord, self.index, self.predicted.tolist(),
+                   self.actual.tolist(), self.correct.tolist(),
+                   repeat(0.0) if acc is None else acc.tolist(),
+                   self.drift.tolist(), self.retrain.tolist())
 
 
 @dataclass(frozen=True)
@@ -202,7 +237,7 @@ class Controller:
         self._next = len(self._cols.index)
         self.mode = STABLE
         self.remaining = 0
-        self.mini_batch: list[int] = []  # positions
+        self.mini_batch = range(0)  # positions
         # an outstanding collection retrains on [_window_lo, _alarm_pos)
         # plus the rows collected after _alarm_pos
         self._window_lo = 0
@@ -274,7 +309,7 @@ class Controller:
         sel = pos - b
         return Rows([index[i] for i in sel.tolist()], label[sel], cats[sel], nums[sel])
 
-    def _append(self, chunk: Table) -> tuple[list[int], list[int], np.ndarray, np.ndarray]:
+    def _append(self, chunk: Table) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
         """Check and encode the rows of ``chunk`` and append them to the
         columns at positions ``_next`` on. Rows that neither the buffer nor
         a part-filled mini-batch can use any more are dropped first, so at
@@ -282,10 +317,10 @@ class Controller:
         An outstanding collection needs no more: its window spans
         ``batch_size + 1`` positions, the alarm row included, and its last
         row is not stepped yet.
-        Returns the chunk's stream indices and labels as lists and its
+        Returns the chunk's stream indices as a list and its labels,
         category and value matrices."""
         _check_labels(chunk, self.model.n_classes, self.encoder.schema)
-        index, labels = chunk.index, chunk.label
+        index, labels = chunk.index, np.array(chunk.label, dtype=np.int64)
         cats, nums = self.encoder.encode_many(chunk)
         keep = self._next - self.config.batch_size
         if self.mini_batch:
@@ -295,7 +330,7 @@ class Controller:
         kept = self._cols
         self._cols = Rows(
             kept.index[old] + index,
-            np.concatenate((kept.label[old], np.array(labels, dtype=np.int64))),
+            np.concatenate((kept.label[old], labels)),
             np.concatenate((kept.cats[old], cats)),
             np.concatenate((kept.nums[old], nums)),
         )
@@ -316,7 +351,7 @@ class Controller:
         self.n_retrains += 1
         self.retrain_history.append(RetrainEvent(alarm_index, now, tuple(rows.index)))
         self.detector.reset()
-        self.mini_batch.clear()
+        self.mini_batch = range(0)
         return 1
 
     def _rows_to_change(self) -> int:
@@ -332,83 +367,83 @@ class Controller:
         return n
 
     def step(self, row: Table) -> PrequentialRecord:
-        """Test then train on the row of a one-row table. The engine never calls
-        it; it stays as a benchmark hook (``perfbench/tracer.py`` wraps it)."""
-        if self.model.n_trained < 1:
-            raise ControllerError("step before warm-up")
-        index, labels, cats, nums = self._append(row)
-        pred = self.model.predict_many(cats, nums).tolist()[0]
-        return self._advance(index[0], labels[0], pred)
+        """``steps`` on a one-row table: test then train on its row. The
+        engine never calls it; it stays as a benchmark hook
+        (``perfbench/tracer.py`` wraps it)."""
+        ((record,),) = self.steps(row)
+        return record
 
-    def steps(self, table: Table) -> Iterator[PrequentialRecord]:
-        """Test then train on each row in turn, yielding what ``step`` would
-        return for it. Rows are encoded in chunks and scored in blocks: a
+    def steps(self, table: Table) -> Iterator[Records]:
+        """Test then train on each row in turn, yielding the records of each
+        scored block. Rows are encoded in chunks and scored in blocks: a
         block is scored with one ``predict_many`` call and runs up to the
         next row at which the model can change, so the model is constant
         within it. When the model changes at a row anyway (a refit at an
-        alarm), the scores after that row are dropped and the rest of the
-        block is scored again with the new model. A chunk holding a row
-        without a label or with one outside [0, n_classes) raises
-        ``LabelError`` before any of its rows is stepped."""
+        alarm), the block's records end at that row and its rows after it
+        are scored again with the new model. A chunk holding a row without
+        a label or with one outside [0, n_classes) raises ``LabelError``
+        before any of its rows is stepped."""
         for lo in range(0, len(table), _MAX_BLOCK):
             if self.model.n_trained < 1:
                 raise ControllerError("step before warm-up")
-            chunk = table[lo : lo + _MAX_BLOCK]
-            index, labels, cats, nums = self._append(chunk)
+            index, labels, cats, nums = self._append(table[lo : lo + _MAX_BLOCK])
             start = 0
-            while start < len(chunk):
-                stop = min(len(chunk), start + self._rows_to_change())
-                preds = self.model.predict_many(cats[start:stop], nums[start:stop]).tolist()
-                for i in range(start, stop):
-                    r = self._advance(index[i], labels[i], preds[i - start])
-                    yield r
-                    if r.retrain_flag:  # updates fall on a block's last row; refits may not
-                        break
-                start = i + 1
+            while start < len(index):
+                stop = min(len(index), start + self._rows_to_change())
+                pred = self.model.predict_many(cats[start:stop], nums[start:stop])
+                actual = labels[start:stop]
+                n, drift, retrained = self._advance(index[start:stop], pred != actual)
+                flags = np.zeros((2, n), dtype=np.int64)
+                flags[0, drift] = drift >= 0  # drift -1: no alarm
+                flags[1, -1] = retrained
+                yield Records(index[start : start + n], pred[:n], actual[:n], flags[0], flags[1])
+                start += n
 
-    def _advance(self, index: int, label: int, pred: int) -> PrequentialRecord:
-        """The state machine: everything a step does after scoring the row
-        at position ``_next``."""
+    def _advance(self, index: list[int], wrong: np.ndarray) -> tuple[int, int, int]:
+        """The state machine over a scored block (stream indices ``index``,
+        ``wrong`` where the prediction missed) from position ``_next`` on.
+        Stable mode with a strategy feeds the detector row by row up to its
+        first alarm; the rows before an alarm join the mini-batch, whose
+        update falls on the block's last row. An alarm opens a collection
+        (with no rows after the alarm for *last*), which the block's later
+        rows join and which refits when complete. The block is stepped up to
+        that refit. Returns the rows stepped, the alarm's offset (-1 if
+        none) and 1 if the last row stepped refitted, else 0."""
         cfg = self.config
-        p = self._next
-        correct = 1 if pred == label else 0
-        drift = 0
-        retrained = 0
-
+        n, k, drift, retrained = len(index), 0, -1, 0
         if self.mode == STABLE:
-            # without a strategy no alarm can act, so the detector is not fed
-            if cfg.strategy is not None and self.detector.observe(0.0 if correct else 1.0):
-                drift = 1
+            k = n
+            if cfg.strategy is not None:  # without one no alarm could act
+                observe = self.detector.observe
+                for i, miss in enumerate(wrong.tolist()):
+                    if observe(1.0 if miss else 0.0):
+                        k = drift = i
+                        break
+            p = self._next
+            if cfg.incremental and k:
+                # a run of consecutive positions: every refit clears the
+                # mini-batch, and the rows of a collection join none
+                mb = self.mini_batch = range(self.mini_batch.start if self.mini_batch else p, p + k)
+                if len(mb) >= cfg.mini_batch_size:
+                    self.model.update(*self._rows(slice(mb.start, mb.stop))[1:])
+                    self.mini_batch = range(0)
+            if drift >= 0:
+                # last keeps the B buffered rows, mixed the last ceil(B/2), next none
+                B, a = cfg.batch_size, p + k
+                pre = {LAST: B, MIXED: math.ceil(B / 2)}.get(cfg.strategy, 0)
                 self.n_drifts += 1
-                self._alarm_index = index
-                if cfg.strategy == LAST:
-                    retrained = self._refit(self.buffer, index, index)
-                else:
-                    # mixed keeps the last ceil(B/2) buffered rows; next none
-                    pre = math.ceil(cfg.batch_size / 2) if cfg.strategy == MIXED else 0
-                    self._window_lo = max(0, p - pre)
-                    self._alarm_pos = p
-                    self.remaining = cfg.batch_size - pre
-                    if self.remaining == 0:  # mixed with B == 1: no post half
-                        window = self._rows(slice(self._window_lo, p))
-                        retrained = self._refit(window, index, index)
-                    else:
-                        self.mode = COLLECTING
-            elif cfg.incremental:
-                self.mini_batch.append(p)
-                if len(self.mini_batch) >= cfg.mini_batch_size:
-                    # a run of consecutive positions: every refit clears the
-                    # mini-batch, and the rows of a collection join none
-                    _, labels, cats, nums = self._rows(slice(self.mini_batch[0], p + 1))
-                    self.model.update(labels, cats, nums)
-                    self.mini_batch.clear()
-        else:  # COLLECTING: the alarm row belongs to no window
-            self.remaining -= 1
+                self._alarm_index, self._alarm_pos = index[drift], a
+                self._window_lo, self.remaining = max(0, a - pre), B - pre
+                self.mode = COLLECTING
+                k += 1
+            self._next = p + k
+        if self.mode == COLLECTING:  # the alarm row belongs to no window
+            m = min(n - k, self.remaining)
+            self.remaining -= m
+            self._next, k = self._next + m, k + m
             if self.remaining == 0:
-                a = self._alarm_pos
-                window = np.concatenate((np.arange(self._window_lo, a), np.arange(a + 1, p + 1)))
-                retrained = self._refit(self._rows(window), self._alarm_index, index)
+                a, lo, now = self._alarm_pos, self._window_lo, self._next
+                pos = slice(lo, a) if now == a + 1 else np.r_[lo:a, a + 1 : now]
+                retrained = self._refit(self._rows(pos), self._alarm_index, index[k - 1])
                 self.mode = STABLE
-
-        self._next = p + 1
-        return PrequentialRecord(index, pred, label, correct, 0.0, drift, retrained)
+        return k, drift, retrained

@@ -320,6 +320,8 @@ def cmd_gridsearch(args) -> int:
     key = "ph_lambda" if detector == "page_hinkley" else "adwin_delta"
     param_grid = [{key: v} for v in values]
     base = _experiment_config(args, strategy=args.strategy or "last")
+    for params in param_grid:  # a bad grid value exits before the stream loads
+        _experiment_config(args, strategy=base.strategy, **params)
     stream, schema = _load_source(args)[0].load()
     best, table = grid_search(stream[: args.prefix], schema, param_grid, base)
     _write_resolved_config(out, args)

@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .adaptation import ConfigError, Controller, ExperimentConfig, PrequentialRecord
+from .adaptation import ConfigError, Controller, ExperimentConfig, Records
 from .detectors import make_detector
 from .preprocess import BinBoundaries, bin_target
 from .stream_core import FeatureSchema, Table, open_csv_stream
@@ -42,35 +40,33 @@ def run_experiment(
     table: Table,
     schema: FeatureSchema,
     config: ExperimentConfig,
-) -> tuple[list[PrequentialRecord], ExperimentSummary]:
+) -> tuple[Records, ExperimentSummary]:
     """Drive the adaptation controller over the post-warm-up stream; one
-    prequential record per labeled prediction. Deterministic given the
-    stream and config."""
+    prequential record per labeled prediction, as columns. Deterministic
+    given the stream and config."""
     if len(table) < config.warmup:
         raise ConfigError(f"stream has only {len(table)} rows, warm-up needs {config.warmup}")
-    detector = make_detector(
-        config.detector,
-        ph_delta=config.ph_delta,
-        ph_lambda=config.ph_lambda,
-        ph_burn_in=config.ph_burn_in,
-        adwin_delta=config.adwin_delta,
-    )
+    detector = make_detector(config.detector, config.ph_delta, config.ph_lambda,
+                             config.ph_burn_in, config.adwin_delta)
     controller = Controller.from_warmup(table[: config.warmup], schema, detector, config)
     K = controller.model.n_classes
 
-    # unlabeled rows cannot be scored prequentially
-    out = list(controller.steps(table[config.warmup :].labeled()))
-    n = len(out)
-    correct = np.array([r.correct for r in out], dtype=np.int64)
+    # unlabeled rows cannot be scored prequentially; each block's columns are
+    # copied out as it comes, so no block outlives its step
+    index, cols = [], np.zeros((4, len(table) - config.warmup), dtype=np.int64)
+    for b in controller.steps(table[config.warmup :].labeled()):
+        lo = len(index)
+        index += b.index
+        cols[:, lo : len(index)] = b.predicted, b.actual, b.drift, b.retrain
+    n = len(index)
+    records = Records(index, *cols[:, :n])
     # rolling accuracy: the correct count of the last `window` rows over
     # their number, an int/int division that is correctly rounded
-    in_window = np.cumsum(correct)
+    in_window = np.cumsum(records.correct)
     n_correct = int(in_window[-1]) if n else 0
     in_window[config.window :] -= in_window[: -config.window].copy()
-    lengths = np.minimum(np.arange(1, n + 1), config.window)
-    for r, acc in zip(out, (in_window / lengths).tolist()):
-        r.rolling_accuracy = acc
-    pairs = np.array([r.actual * K + r.predicted for r in out], dtype=np.int64)
+    records.rolling_accuracy = in_window / np.minimum(np.arange(1, n + 1), config.window)
+    pairs = records.actual * K + records.predicted
     confusion = np.bincount(pairs, minlength=K * K).reshape(K, K)
     summary = ExperimentSummary(
         overall_accuracy=n_correct / n if n else 0.0,
@@ -79,7 +75,7 @@ def run_experiment(
         n_retrains=controller.n_retrains,
         confusion=confusion.tolist(),
     )
-    return out, summary
+    return records, summary
 
 
 def rolling_mean(series: Sequence[float], window: int) -> list[float]:
@@ -184,6 +180,9 @@ def experiment_matrix(
     if workers <= 1:
         stream = source.load()
         return [_run_cell(stream, config) for config in configs]
+    import multiprocessing  # imported here: most commands never start a pool
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(
         max_workers=workers,
         mp_context=multiprocessing.get_context("spawn"),
@@ -196,34 +195,39 @@ def experiment_matrix(
 # -- CSV output (fixed 6-decimal float formatting for reproducible files) --
 
 
-# The per-row files are written with f-strings: the bytes of csv.writer's
-# default dialect (CRLF line ends; ints and fixed-point floats need no quotes).
+# The per-row files are written from the columns with f-strings: the bytes
+# of csv.writer's default dialect (CRLF line ends; ints and fixed-point
+# floats need no quotes). The 0/1 columns take their text from _BITS, which
+# is faster than formatting each int.
+_BITS = ("0", "1")
 
 
-def write_records_csv(records: Sequence[PrequentialRecord], path) -> None:
+def write_records_csv(records: Records, path) -> None:
+    r, b = records, _BITS
+    ints = (r.predicted, r.actual, r.correct, r.drift, r.retrain)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("index,predicted,actual,correct,rolling_accuracy,drift,retrain\r\n")
-        fh.writelines(
-            f"{r.index},{r.predicted},{r.actual},{r.correct},{r.rolling_accuracy:.6f},"
-            f"{r.drift_flag},{r.retrain_flag}\r\n"
-            for r in records
-        )
+        for lo in range(0, len(r), 4096):  # the int columns as lists, 4,096 rows at a time
+            part = slice(lo, lo + 4096)
+            rows = zip(r.index[part], *(c[part].tolist() for c in ints), r.rolling_text[part])
+            fh.writelines(f"{i},{p},{a},{b[c]},{x},{b[d]},{b[t]}\r\n" for i, p, a, c, d, t, x in rows)
 
 
-def write_curves_csv(records: Sequence[PrequentialRecord], path) -> None:
+def write_curves_csv(records: Records, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("index,rolling_accuracy\r\n")
-        fh.writelines(f"{r.index},{r.rolling_accuracy:.6f}\r\n" for r in records)
+        fh.writelines(f"{i},{acc}\r\n" for i, acc in zip(records.index, records.rolling_text))
 
 
-def write_events_csv(records: Sequence[PrequentialRecord], path) -> None:
+def write_events_csv(records: Records, path) -> None:
+    """One line per flag; a row's drift comes before its retrain_done."""
+    events = sorted(
+        [(i, 0, "drift") for i in np.flatnonzero(records.drift).tolist()]
+        + [(i, 1, "retrain_done") for i in np.flatnonzero(records.retrain).tolist()]
+    )
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("index,event\r\n")
-        for r in records:
-            if r.drift_flag:
-                fh.write(f"{r.index},drift\r\n")
-            if r.retrain_flag:
-                fh.write(f"{r.index},retrain_done\r\n")
+        fh.writelines(f"{records.index[i]},{name}\r\n" for i, _, name in events)
 
 
 def write_summary_csv(rows: Sequence[dict], path) -> None:

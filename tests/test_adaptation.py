@@ -13,15 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftstream.adaptation import (
+    COLLECTING,
     LAST,
     MIXED,
     NEXT,
+    STABLE,
     STRATEGIES,
     Controller,
     ControllerError,
     MAX_INFERRED_CLASSES,
     ExperimentConfig,
     LabelError,
+    PrequentialRecord,
 )
 from driftstream.detectors import NoDetector
 from driftstream.naive_bayes import NaiveBayesModel
@@ -72,6 +75,50 @@ def model_state(model):
         model.g_mean.tobytes(),
         model.g_m2.tobytes(),
     )
+
+
+def reference_step(ctrl, row):
+    """Test then train on the row of a one-row table, one row at a time: the
+    per-row state machine that the block walk replaced, kept as its oracle.
+    Score the row, feed the detector (stable mode, with a strategy), then
+    react to an alarm or advance the collection, or add the row to the
+    mini-batch and update once it is full. It drives the controller's own
+    columns and refit."""
+    (index,), labels, cats, nums = ctrl._append(row)
+    label, pred = int(labels[0]), int(ctrl.model.predict_many(cats, nums)[0])
+    cfg, p = ctrl.config, ctrl._next
+    correct = int(pred == label)
+    drift = retrained = 0
+    if ctrl.mode == STABLE:
+        if cfg.strategy is not None and ctrl.detector.observe(0.0 if correct else 1.0):
+            drift = 1
+            ctrl.n_drifts += 1
+            ctrl._alarm_index = index
+            if cfg.strategy == LAST:
+                retrained = ctrl._refit(ctrl.buffer, index, index)
+            else:
+                pre = math.ceil(cfg.batch_size / 2) if cfg.strategy == MIXED else 0
+                ctrl._window_lo, ctrl._alarm_pos = max(0, p - pre), p
+                ctrl.remaining = cfg.batch_size - pre
+                if ctrl.remaining == 0:
+                    retrained = ctrl._refit(ctrl._rows(slice(ctrl._window_lo, p)), index, index)
+                else:
+                    ctrl.mode = COLLECTING
+        elif cfg.incremental:
+            mb = ctrl.mini_batch = range(ctrl.mini_batch.start if ctrl.mini_batch else p, p + 1)
+            if len(mb) >= cfg.mini_batch_size:
+                _, labels, cats, nums = ctrl._rows(slice(mb.start, p + 1))
+                ctrl.model.update(labels, cats, nums)
+                ctrl.mini_batch = range(0)
+    else:  # collecting: the alarm row belongs to no window
+        ctrl.remaining -= 1
+        if ctrl.remaining == 0:
+            a = ctrl._alarm_pos
+            window = np.concatenate((np.arange(ctrl._window_lo, a), np.arange(a + 1, p + 1)))
+            retrained = ctrl._refit(ctrl._rows(window), ctrl._alarm_index, index)
+            ctrl.mode = STABLE
+    ctrl._next = p + 1
+    return PrequentialRecord(index, pred, label, correct, 0.0, drift, retrained)
 
 
 def make_stream(n):
@@ -341,6 +388,8 @@ def noisy_stream(n, seed=0):
 @pytest.mark.parametrize("batch_size", [1, 12])
 @pytest.mark.parametrize("incremental,mini_batch_size", [(False, 10), (True, 1), (True, 10)])
 def test_block_walk_equals_step_loop(monkeypatch, strategy, batch_size, incremental, mini_batch_size):
+    # the step loop is ``reference_step``'s, not ``Controller.step``: that
+    # is now a one-row call of the block walk under test
     stream = noisy_stream(900)
     rng = np.random.default_rng(batch_size + mini_batch_size)
     # dense alarms, some in runs, so that they land on block edges too
@@ -353,6 +402,7 @@ def test_block_walk_equals_step_loop(monkeypatch, strategy, batch_size, incremen
     )
     block = Controller.from_warmup(stream[:60], MIXED_SCHEMA, CountingDetector(fire_on), cfg)
     plain = Controller.from_warmup(stream[:60], MIXED_SCHEMA, CountingDetector(fire_on), cfg)
+    block_detector, plain_detector = block.detector, plain.detector
 
     walked, blocks = [], []
     predict_many = NaiveBayesModel.predict_many
@@ -362,14 +412,20 @@ def test_block_walk_equals_step_loop(monkeypatch, strategy, batch_size, incremen
         return predict_many(model, cats, nums)
 
     monkeypatch.setattr(NaiveBayesModel, "predict_many", spy)
-    for r in block.steps(stream[60:]):
-        walked.append(r)
+    yielded = 0
+    for records in block.steps(stream[60:]):
+        walked.extend(records)
+        yielded += 1
     monkeypatch.undo()
-    stepped = [plain.step(rec) for rec in stream[60:]]
+    stepped = [reference_step(plain, rec) for rec in stream[60:]]
 
     assert walked == stepped
+    assert yielded == len(blocks)  # one record block per scored block
     assert block.retrain_history == plain.retrain_history
     assert (block.n_drifts, block.n_retrains) == (plain.n_drifts, plain.n_retrains)
+    assert block_detector.calls == plain_detector.calls
+    assert (block.mode, block.remaining, block._next) == (plain.mode, plain.remaining, plain._next)
+    assert block.mini_batch == plain.mini_batch
     assert model_state(block.model) == model_state(plain.model)
     assert len(block.buffer.index) == len(plain.buffer.index)
     for a, b in zip(block.buffer, plain.buffer):  # index, label, cats, nums columns
@@ -403,7 +459,7 @@ def test_block_walk_scores_each_row_once_when_no_alarm_can_refit(
         return predict_many(model, cats, nums)
 
     monkeypatch.setattr(NaiveBayesModel, "predict_many", spy)
-    assert sum(1 for _ in ctrl.steps(stream[60:])) == 4500
+    assert sum(map(len, ctrl.steps(stream[60:]))) == 4500
     assert sum(sizes) == 4500
     assert max(sizes) == (mini_batch_size if incremental else 4096)
 
@@ -460,7 +516,8 @@ def test_label_outside_classes_rejected_before_its_chunk_is_stepped(walk):
     stepped = []
     with pytest.raises(LabelError) as info:
         if walk == "steps":  # rows 50..119 form one chunk
-            stepped.extend(ctrl.steps(stream[50:]))
+            for records in ctrl.steps(stream[50:]):
+                stepped.extend(records)
         else:
             stepped.extend(ctrl.step(rec) for rec in stream[50:])
     assert (info.value.index, info.value.row) == (90, 92)

@@ -361,6 +361,24 @@ def test_gridsearch_empty_grid(tmp_path, small_stream):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("grid,loads,code", [("0,0.6", 0, EXIT_CONFIG), ("0.6", 1, EXIT_OK)])
+def test_gridsearch_checks_every_grid_value_before_loading(tmp_path, monkeypatch, grid, loads, code):
+    calls = []
+    load = evaluation.SynthSource.load
+
+    def counting(self):
+        calls.append(self)
+        table, schema = load(self)
+        return table[:2500], schema
+
+    monkeypatch.setattr(evaluation.SynthSource, "load", counting)
+    got = run_cli(
+        "gridsearch", "--synth", "paper-like", "--detector", "page-hinkley", "--lambda", grid,
+        "--warmup", "300", "--prefix", "2500", "-o", str(tmp_path / "gs"),
+    )
+    assert (got, len(calls)) == (code, loads)
+
+
 # -- matrix -------------------------------------------------------------------
 
 

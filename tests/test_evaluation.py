@@ -9,7 +9,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from driftstream.adaptation import STRATEGIES, Controller
+from driftstream.adaptation import STRATEGIES, Controller, Records
 from driftstream.evaluation import (
     ConfigError,
     CsvSource,
@@ -32,6 +32,7 @@ from driftstream.stream_core import (
     Table,
 )
 from driftstream.synth import SUDDEN, DriftSpec, SynthConfig, generate, write_csv
+from test_adaptation import reference_step
 
 SCHEMA = FeatureSchema((("tok", CATEGORICAL),), "label")
 
@@ -213,10 +214,17 @@ def test_block_path_equals_step_loop(
     )
     records, schema = drifting_stream.table, drifting_stream.predictive_schema
     block = _run_capturing(monkeypatch, records, schema, cfg)
-    monkeypatch.setattr(Controller, "steps", lambda self, rows: map(self.step, rows))
+
+    def reference_steps(ctrl, rows):  # one-row record blocks from the oracle
+        for row in rows:
+            r = reference_step(ctrl, row)
+            cols = np.array([[r.predicted], [r.actual], [r.drift_flag], [r.retrain_flag]])
+            yield Records([r.index], *cols)
+
+    monkeypatch.setattr(Controller, "steps", reference_steps)
     plain = _run_capturing(monkeypatch, records, schema, cfg)
 
-    assert block[0] == plain[0]  # every prequential record
+    assert list(block[0]) == list(plain[0])  # every prequential record
     assert block[1] == plain[1]  # summary, confusion included
     assert block[2].retrain_history == plain[2].retrain_history
     assert block[2].n_drifts == plain[2].n_drifts

@@ -1,6 +1,6 @@
 """Golden output digests: ``run`` on a small generated stream must keep
-writing byte-identical ``records.csv`` and ``summary.csv`` across changes to
-the engine. The digests were recorded before the columnar adaptive path
+writing byte-identical ``records.csv``, ``curves.csv``, ``events.csv`` and
+``summary.csv`` across changes to the engine. The digests were recorded before the columnar adaptive path
 (column windows, column fit/update, one log-table pass per score) landed;
 a change that moves one must say why and record the new digest (a failing
 case prints the digests it got). The ``matrix`` digests were recorded before
@@ -110,6 +110,108 @@ def test_run_outputs_match_recorded_digests(tmp_path, stream_csv, detector, stra
     assert main(flags + (["--incremental"] if incremental else [])) == EXIT_OK
     got = tuple(sha256(p) for p in (stream_csv, out / "records.csv", out / "summary.csv"))
     assert got == GOLDEN[(detector, strategy, incremental)], f"digests now {got}"
+    got = tuple(sha256(out / name) for name in ("curves.csv", "events.csv"))
+    assert got == GOLDEN_CURVES_EVENTS[(detector, strategy, incremental)], f"digests now {got}"
+
+
+# The curves.csv and events.csv digests of the cases above, and the digests
+# of every output of the runs below, were recorded before the prequential
+# records became columns (one record block per scored block, written from
+# the columns).
+# (detector, strategy, incremental) -> sha256 of (curves.csv, events.csv)
+GOLDEN_CURVES_EVENTS = {
+    ('page-hinkley', 'last', True): (
+        "3d753a649c6bea86ef99b442d2a494f8b9f5d96f166984300bff991db28fd849",
+        "d56c9b809f255e21d193e1f7721bb55b70b875691596d065b616ca7b04d2b227",
+    ),
+    ('page-hinkley', 'last', False): (
+        "e6a319f2706066e342692ec8cda322367e00021b7653fb98ea250dd69c0c1904",
+        "b7d5e7a13274a8f543e9dad25440992c291545fbe11c06b00446b1c7c10f9511",
+    ),
+    ('page-hinkley', 'mixed', True): (
+        "69966974997db1fd84c7daebcae2896012fd2ed3a43cc46b541ee66723f953a2",
+        "0b9e164945272e51be1fdcbd82046e07915629d802774eaf2b8df2a4a04cacdd",
+    ),
+    ('page-hinkley', 'mixed', False): (
+        "7a96869df7b4e605e41a8825b15402f02887104eceed596f718d157bdfb95ea9",
+        "b4beb756915c4ec6afc426013c21a3e03b7067090f130250deaf9d52a0103bb5",
+    ),
+    ('page-hinkley', 'next', True): (
+        "9c6caa012f26cd3f3552dd0a9da0367bd6be7bca9984429849d2c56a7296f5fa",
+        "5677782a0f49e18f37ebdb019e0f0b8ea616c9da7531edd195061d2d2c8060a3",
+    ),
+    ('page-hinkley', 'next', False): (
+        "03fcb88e7b329a62d0871f618d7437afc19006963cf1bf411c6562896481bb84",
+        "cd18e8cee9ca246c788ecddffdd12b3922be8221e8aecd2c35f9c6d8f34dab7c",
+    ),
+    ('adwin', 'last', True): (
+        "37fc28120c07692486c4f885b944ce4032215ad2823e241222b4d4cb2b4b41bc",
+        "a0c402d5ebf66afd3dbadbd5d85da5028278ea09f6b26020a7a729e37b12ffa1",
+    ),
+    ('adwin', 'last', False): (
+        "d15846563334a854831e548e7dec7badc22ee65ade4b73f73092a143e1b7fae6",
+        "a0c402d5ebf66afd3dbadbd5d85da5028278ea09f6b26020a7a729e37b12ffa1",
+    ),
+    ('adwin', 'mixed', True): (
+        "2f205eaf619c3e0590084c7d319dbc8c2396bf4805567536dcfe153cee5564ff",
+        "90201ebd9a30557246fec8c9de5e96482e347f65231266aa602d4c12ce34c9f7",
+    ),
+    ('adwin', 'mixed', False): (
+        "f519c071746af6eb104f6ddf586cfd2cfdf3a419b357da5ac2feefdd10782a68",
+        "90201ebd9a30557246fec8c9de5e96482e347f65231266aa602d4c12ce34c9f7",
+    ),
+    ('adwin', 'next', True): (
+        "8d195e5895eb113c3c7dbf59f8dfd8ef652ca2d0e80dd41e3f96365ca4970820",
+        "8464f55a1e35fb9491184804767f0d6ea2fccae6a0a44935f8947db7c2a94ce6",
+    ),
+    ('adwin', 'next', False): (
+        "eab28e7f6a58d4921098466e98d35a778677b8d4c50b2557df823606097188e2",
+        "8464f55a1e35fb9491184804767f0d6ea2fccae6a0a44935f8947db7c2a94ce6",
+    ),
+}
+
+RUN_MODE_CASES = {
+    "static": [],
+    "incremental-only": ["--incremental", "--mini-batch", "7"],
+    "window-7": [
+        "--detector", "page-hinkley", "--strategy", "last", "--batch-size", BATCH_SIZE,
+        "--incremental", "--window", "7",
+    ],
+}
+
+# case -> sha256 of (records.csv, curves.csv, events.csv, summary.csv)
+GOLDEN_RUN_MODES = {
+    'incremental-only': (
+        "38b6ea70245435346e8a98bfb2a6ed79bd70db51d91c0cf1da047431be91701c",
+        "8fce8f02d522de207366d353883b9a887b510aaa70960624491646be82025176",
+        "4afb1a8ec8ba1c13786db0d8b556cb131f82f8beac3cf9130e55e47726cdf0ae",
+        "0e9bf26e312047340c1d2fff4dea29b7de19afc0438ea9e65e7697a0388b24d6",
+    ),
+    'static': (
+        "8f44a5ffc448ec39c93a20baa0391e8ee453f9161cfd7daf9f0099fabdf975f8",
+        "9eed7c78cd56d80236c37928ee1401b4504d4c6b0c2bf0d0f0c6b1564e7a0faf",
+        "4afb1a8ec8ba1c13786db0d8b556cb131f82f8beac3cf9130e55e47726cdf0ae",
+        "5773353de63b40d550b710518ae3615b3d7a00578c76f3335fec76028fc85787",
+    ),
+    'window-7': (
+        "9270597fe5e2f85a7388120eb6ec3b8e5f53c38d0f4243c2efe5ff2c9aa126b9",
+        "455c94d1088b8c77627b9a3c655151fc6a1825ac7693ad296e595eab107c09f3",
+        "d56c9b809f255e21d193e1f7721bb55b70b875691596d065b616ca7b04d2b227",
+        "ea4620e9fdfb3d48b2021c93eeb4c40bbaf670408973bdd5740468703b6cef57",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RUN_MODE_CASES))
+def test_run_modes_match_recorded_digests(tmp_path, stream_csv, case):
+    flags = [
+        "run", "--input", str(stream_csv), "--label", "label", *RUN_MODE_CASES[case],
+        "--warmup", WARMUP, "--quiet", "-o", str(tmp_path),
+    ]
+    assert main(flags) == EXIT_OK
+    names = ("records.csv", "curves.csv", "events.csv", "summary.csv")
+    got = tuple(sha256(tmp_path / name) for name in names)
+    assert got == GOLDEN_RUN_MODES.get(case), f"digests now {got}"
 
 
 # learning mode -> sha256 of matrix summary.csv (4 baseline rows, then
