@@ -392,14 +392,14 @@ class Controller:
                 stop = min(len(index), start + self._rows_to_change())
                 pred = self.model.predict_many(cats[start:stop], nums[start:stop])
                 actual = labels[start:stop]
-                n, drift, retrained = self._advance(index[start:stop], pred != actual)
+                n, drift, retrained = self._step_block(index[start:stop], pred != actual)
                 flags = np.zeros((2, n), dtype=np.int64)
                 flags[0, drift] = drift >= 0  # drift -1: no alarm
                 flags[1, -1] = retrained
                 yield Records(index[start : start + n], pred[:n], actual[:n], flags[0], flags[1])
                 start += n
 
-    def _advance(self, index: list[int], wrong: np.ndarray) -> tuple[int, int, int]:
+    def _step_block(self, index: list[int], wrong: np.ndarray) -> tuple[int, int, int]:
         """The state machine over a scored block (stream indices ``index``,
         ``wrong`` where the prediction missed) from position ``_next`` on.
         Stable mode with a strategy feeds the detector row by row up to its
