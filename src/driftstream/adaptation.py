@@ -15,9 +15,14 @@ While a collection is outstanding the detector is not fed and incremental
 updates pause; the detector is reset after every retraining.
 
 ``Controller.steps`` walks a stream in that order but scores and steps it
-in blocks: the model is constant within a block, and a block that a refit
-cuts short at row j ends there, its rows after j scored again with the new
-model, so its results equal those of a row-by-row walk.
+in blocks. Each row of a block is scored against the model version it would
+see row by row: in stable mode a block runs across incremental mini-batch
+updates, and the versions after each of them are staged from the block's
+rows before it is scored (``NaiveBayesModel.stage``); the model then becomes
+the version in force after the last row stepped. A block that the model
+leaves at row j otherwise (a refit at an alarm, or the updates that a
+collection pauses) ends there, its rows after j scored again with the model
+now in force, so its results equal those of a row-by-row walk.
 
 The controller keeps its rows as encoded columns (stream index, label,
 category indices, numeric values): the current chunk plus the tail of the
@@ -42,7 +47,7 @@ from typing import Iterator, NamedTuple, Optional
 import numpy as np
 
 from .detectors import make_detector
-from .naive_bayes import NaiveBayesModel
+from .naive_bayes import NaiveBayesModel, Versions
 from .preprocess import EncoderState
 from .stream_core import FeatureSchema, RowError, Table, csv_row
 
@@ -56,9 +61,15 @@ COLLECTING = "collecting"
 
 # Block lengths for ``Controller.steps``: rows are encoded _MAX_BLOCK at a
 # time; while an alarm can refit the model on any row, blocks are at most
-# _MIN_BLOCK rows long.
-_MIN_BLOCK = 16
+# _MIN_BLOCK rows long, the horizon over which rows are scored before the
+# detector has seen them (rows scored past an alarm that changes the model
+# are scored again). A block in stable mode runs across incremental
+# mini-batch edges; the model versions it stages hold at most
+# _MAX_VERSION_CELLS numbers in all (``NaiveBayesModel.version_cells``
+# each), so a small mini-batch on a wide model cannot copy its tables per row.
+_MIN_BLOCK = 64
 _MAX_BLOCK = 4096
+_MAX_VERSION_CELLS = 1 << 18
 
 # The most classes ``Controller.from_warmup`` infers from the warm-up labels
 # (largest label + 1). The count tables grow with the class count and the
@@ -355,16 +366,38 @@ class Controller:
         return 1
 
     def _rows_to_change(self) -> int:
-        """How many of the next rows the current model can score before it
-        can next change: the end of an outstanding collection, the row that
-        fills the mini-batch, or at most _MIN_BLOCK rows when an alarm could
-        refit the model on any row."""
+        """How many of the next rows one block scores: up to the end of an
+        outstanding collection, or at most _MIN_BLOCK rows when an alarm
+        could refit the model on any row. In stable mode a block runs across
+        the edges of incremental mini-batches, each row scored against the
+        model version it would see row by row; it holds as many versions as
+        _MAX_VERSION_CELLS allows (at least two: the model and the one
+        after its next update)."""
+        cfg = self.config
         if self.mode == COLLECTING:
             return self.remaining
-        n = _MIN_BLOCK if self.config.strategy is not None else _MAX_BLOCK
-        if self.config.incremental:
-            n = min(n, self.config.mini_batch_size - len(self.mini_batch))
+        n = _MIN_BLOCK if cfg.strategy is not None else _MAX_BLOCK
+        if cfg.incremental:
+            # the versions of n rows: 1 + (len(mini_batch) + n) // size
+            most = max(2, _MAX_VERSION_CELLS // self.model.version_cells)
+            n = min(n, most * cfg.mini_batch_size - len(self.mini_batch) - 1)
         return n
+
+    def _stage(self, n: int) -> tuple[Optional[Versions], Optional[np.ndarray]]:
+        """The model versions that the next ``n`` rows see, and each row's
+        version: version v is the model after the first v mini-batches
+        that fill from the pending one on. None, None when the model stays
+        as it is over them."""
+        cfg = self.config
+        if self.mode == COLLECTING or not cfg.incremental:
+            return None, None
+        size, p = cfg.mini_batch_size, self._next
+        lo = self.mini_batch.start if self.mini_batch else p
+        filled = (p - lo + n) // size
+        if not filled:
+            return None, None
+        _, label, cats, nums = self._rows(slice(lo, lo + filled * size))
+        return self.model.stage(label, cats, nums, size), np.arange(p - lo, p - lo + n) // size
 
     def step(self, row: Table) -> PrequentialRecord:
         """``steps`` on a one-row table: test then train on its row. The
@@ -375,14 +408,17 @@ class Controller:
 
     def steps(self, table: Table) -> Iterator[Records]:
         """Test then train on each row in turn, yielding the records of each
-        scored block. Rows are encoded in chunks and scored in blocks: a
-        block is scored with one ``predict_many`` call and runs up to the
-        next row at which the model can change, so the model is constant
-        within it. When the model changes at a row anyway (a refit at an
-        alarm), the block's records end at that row and its rows after it
-        are scored again with the new model. A chunk holding a row without
-        a label or with one outside [0, n_classes) raises ``LabelError``
-        before any of its rows is stepped."""
+        scored block. Rows are encoded in chunks and scored in blocks, each
+        with one ``predict_many`` call, every row against the model version
+        it would see row by row: in stable mode a block runs across
+        incremental mini-batch updates, whose versions ``_stage`` stages
+        before the block is scored, and the model becomes the version in
+        force after the last row stepped. When the model leaves those
+        versions at a row (a refit at an alarm, or the updates that a
+        collection pauses), the block's records end at that row and its
+        rows after it are scored again with the model now in force. A chunk
+        holding a row without a label or with one outside [0, n_classes)
+        raises ``LabelError`` before any of its rows is stepped."""
         for lo in range(0, len(table), _MAX_BLOCK):
             if self.model.n_trained < 1:
                 raise ControllerError("step before warm-up")
@@ -390,27 +426,34 @@ class Controller:
             start = 0
             while start < len(index):
                 stop = min(len(index), start + self._rows_to_change())
-                pred = self.model.predict_many(cats[start:stop], nums[start:stop])
+                versions, at = self._stage(stop - start)
+                pred = self.model.predict_many(cats[start:stop], nums[start:stop], versions, at)
                 actual = labels[start:stop]
-                n, drift, retrained = self._step_block(index[start:stop], pred != actual)
+                n, drift, retrained = self._step_block(index[start:stop], pred != actual, versions)
                 flags = np.zeros((2, n), dtype=np.int64)
                 flags[0, drift] = drift >= 0  # drift -1: no alarm
                 flags[1, -1] = retrained
                 yield Records(index[start : start + n], pred[:n], actual[:n], flags[0], flags[1])
                 start += n
 
-    def _step_block(self, index: list[int], wrong: np.ndarray) -> tuple[int, int, int]:
+    def _step_block(
+        self, index: list[int], wrong: np.ndarray, versions: Optional[Versions]
+    ) -> tuple[int, int, int]:
         """The state machine over a scored block (stream indices ``index``,
-        ``wrong`` where the prediction missed) from position ``_next`` on.
-        Stable mode with a strategy feeds the detector row by row up to its
-        first alarm; the rows before an alarm join the mini-batch, whose
-        update falls on the block's last row. An alarm opens a collection
-        (with no rows after the alarm for *last*), which the block's later
-        rows join and which refits when complete. The block is stepped up to
-        that refit. Returns the rows stepped, the alarm's offset (-1 if
-        none) and 1 if the last row stepped refitted, else 0."""
+        ``wrong`` where the prediction missed, ``versions`` as ``_stage``
+        staged them) from position ``_next`` on. Stable mode with a strategy
+        feeds the detector row by row up to its first alarm; the rows
+        before an alarm join the mini-batches, and the model becomes the
+        staged version after the last one they fill, so no row's update
+        runs twice. An alarm opens a collection (with no rows after the
+        alarm for *last*), which the block's later rows join as far as they
+        were scored with the model now in force, and which refits when
+        complete. The block is stepped up to that refit.
+        Returns the rows stepped, the alarm's offset (-1 if none) and 1 if
+        the last row stepped refitted, else 0."""
         cfg = self.config
         n, k, drift, retrained = len(index), 0, -1, 0
+        edge = n  # rows from this offset on were scored with a later model version
         if self.mode == STABLE:
             k = n
             if cfg.strategy is not None:  # without one no alarm could act
@@ -420,13 +463,17 @@ class Controller:
                         k = drift = i
                         break
             p = self._next
-            if cfg.incremental and k:
+            if cfg.incremental:
                 # a run of consecutive positions: every refit clears the
                 # mini-batch, and the rows of a collection join none
-                mb = self.mini_batch = range(self.mini_batch.start if self.mini_batch else p, p + k)
-                if len(mb) >= cfg.mini_batch_size:
-                    self.model.update(*self._rows(slice(mb.start, mb.stop))[1:])
-                    self.mini_batch = range(0)
+                size = cfg.mini_batch_size
+                lo = self.mini_batch.start if self.mini_batch else p
+                filled = (p + k - lo) // size
+                if filled:
+                    self.model.commit(versions, filled)
+                    lo += filled * size
+                self.mini_batch = range(lo, p + k)
+                edge = lo + size - p
             if drift >= 0:
                 # last keeps the B buffered rows, mixed the last ceil(B/2), next none
                 B, a = cfg.batch_size, p + k
@@ -438,7 +485,7 @@ class Controller:
                 k += 1
             self._next = p + k
         if self.mode == COLLECTING:  # the alarm row belongs to no window
-            m = min(n - k, self.remaining)
+            m = min(min(n, edge) - k, self.remaining)
             self.remaining -= m
             self._next, k = self._next + m, k + m
             if self.remaining == 0:

@@ -5,6 +5,11 @@ Counts and Welford accumulators make from-scratch fitting and per-batch
 incremental updates count-equivalent: update(fit(A), B) matches fit(A + B)
 exactly on integer counts and to floating-point accumulation error on the
 Gaussian parameters. All likelihood math is carried out in log space.
+
+A model can be staged through its next mini-batch updates (``stage``): the
+versions it takes, stacked, so that the rows between the updates are scored
+in one call, each against its own version, and the model then becomes one
+of them (``commit``) with the bits that ``update`` would give.
 """
 
 from __future__ import annotations
@@ -22,11 +27,14 @@ class _Layout(NamedTuple):
     """Constants shared by every model of one shape (cardinalities and
     alpha). The stacked count table holds feature f in rows ``bounds[f]``
     to ``bounds[f + 1]``, the first of them ``offsets[f]``; ``alpha_cards``
-    is alpha times each cardinality and then alpha, as a column."""
+    is alpha times each cardinality and then alpha, as a column; ``fixed``
+    are the rows of a term table after the log counts (the per-feature
+    denominators, then the prior)."""
 
     bounds: tuple[int, ...]
     offsets: np.ndarray
     alpha_cards: np.ndarray
+    fixed: np.ndarray
 
 
 @functools.lru_cache(maxsize=64)
@@ -34,8 +42,26 @@ def _layout(cards: tuple[int, ...], alpha: float) -> _Layout:
     bounds = tuple(itertools.accumulate(cards, initial=0))
     offsets = np.array(bounds[:-1], dtype=np.int64)
     alpha_cards = (alpha * np.array(cards + (1,), dtype=np.int64))[:, None]
-    offsets.flags.writeable = alpha_cards.flags.writeable = False
-    return _Layout(bounds, offsets, alpha_cards)
+    fixed = np.arange(bounds[-1], bounds[-1] + len(cards) + 1)
+    for a in (offsets, alpha_cards, fixed):
+        a.flags.writeable = False
+    return _Layout(bounds, offsets, alpha_cards, fixed)
+
+
+class Versions(NamedTuple):
+    """Versions of a model, stacked on a leading axis (``stage``): rows
+    trained on; the stacked categorical counts with the class counts as
+    their last row; the Gaussian means and M2s; and the score state, the
+    term table (the smoothed log counts, the log denominator of each
+    categorical feature and the log prior, each a row of K) and the
+    variances and their ``log(2 pi var)``."""
+
+    n_trained: np.ndarray  # (V,)
+    table: np.ndarray  # (V, sum of cardinalities + 1, K)
+    gauss: np.ndarray  # (V, 2, K, n_numeric)
+    terms: np.ndarray  # (V, sum of cardinalities + n_categorical + 1, K)
+    var: np.ndarray  # (V, K, n_numeric)
+    log_var: np.ndarray  # (V, K, n_numeric)
 
 
 class NaiveBayesModel:
@@ -44,17 +70,18 @@ class NaiveBayesModel:
 
     ``cat_cardinalities`` are per-feature category counts including the
     reserved unseen slot. The categorical counts of all features are one
-    stacked (sum of cardinalities, K) table, feature after feature;
+    stacked (sum of cardinalities, K) table, feature after feature, above
+    the class counts (``class_counts``) in one count table;
     ``cat_counts[f]`` is feature f's (K, c) view of it. ``g_mean`` and
     ``g_m2`` are the per-class Gaussian means and sums of squared
-    deviations over each class's rows (``class_counts``).
+    deviations over each class's rows.
     Ties in the posterior break toward the lowest class id (numpy argmax
     convention).
 
-    The score state (log prior, log count table, per-feature denominators,
-    variances and their logs) is derived once per model change, by the
-    first scoring call after it: a fitted model has none yet, and
-    ``update`` clears it.
+    The score state is the model's one version (``Versions``), derived by
+    the first scoring call after a ``fit``, or taken from the staged
+    versions by ``commit``. ``version_cells`` is how many numbers one
+    version holds.
     """
 
     def __init__(
@@ -76,15 +103,17 @@ class NaiveBayesModel:
         self.var_floor = var_floor
         self._layout = _layout(self.cat_cardinalities, self.alpha)
         bounds = self._layout.bounds
+        top = bounds[-1]
         self.n_trained = 0
-        self.class_counts = np.zeros(n_classes, dtype=np.int64)
-        self._counts = np.zeros((bounds[-1], n_classes), dtype=np.int64)
+        self._table = np.zeros((top + 1, n_classes), dtype=np.int64)
+        self._counts, self.class_counts = self._table[:top], self._table[top]
         self.cat_counts = tuple(self._counts[lo:hi].T for lo, hi in zip(bounds, bounds[1:]))
         # the Gaussian means and M2s as one (2, K, n_numeric) array
         self._gauss = np.zeros((2, n_classes, n_numeric))
         self.g_mean, self.g_m2 = self._gauss
-        self._state: Optional[tuple] = None
-        self._var: Optional[list] = None  # the variances as ``update`` left them
+        self._state: Optional[Versions] = None
+        rows = 2 * top + len(self.cat_cardinalities) + 2  # count and term tables
+        self.version_cells = 1 + (rows + 4 * n_numeric) * n_classes
 
     def _count_index(self, labels: np.ndarray, cats: np.ndarray) -> np.ndarray:
         """Flat positions in the stacked table of each row's categories."""
@@ -136,103 +165,148 @@ class NaiveBayesModel:
 
     def update(self, labels: np.ndarray, cats: np.ndarray, nums: np.ndarray) -> "NaiveBayesModel":
         """Advance counts and accumulators with new labeled rows (columns as
-        in ``fit``). Categorical counts are added by one ``bincount``; the
-        Gaussian accumulators take one Welford step per row, in row order,
-        on Python floats, which is the float64 arithmetic of a per-row numpy
-        update. The variances come from the same floats: IEEE division and
-        the comparison with the floor give the bits of ``_variances``."""
-        ks = labels.tolist()
-        if not ks:
+        in ``fit``): ``stage`` them as one mini-batch and ``commit`` the
+        version after it."""
+        if not len(labels):
             return self
         K = self.n_classes
-        if min(ks) < 0 or max(ks) >= K:
+        if labels.min() < 0 or labels.max() >= K:
             raise ValueError(f"label outside [0, {K})")
-        self._state = None
-        self.n_trained += len(ks)
-        stacked = self._counts
-        if stacked.size:
-            flat = np.bincount(self._count_index(labels, cats), minlength=stacked.size)
-            stacked += flat.reshape(stacked.shape)
-        counts = self.class_counts.tolist()
-        if self.n_numeric:
-            means, m2s = self._gauss.tolist()
-            for k, row in zip(ks, nums.tolist()):
-                n = counts[k] = counts[k] + 1
-                mean, m2 = means[k], m2s[k]
-                for d, x in enumerate(row):
-                    delta = x - mean[d]
-                    mean[d] += delta / n
-                    m2[d] += delta * (x - mean[d])
-            self._gauss[:] = means, m2s
-            # np.maximum(v, floor), NaN included
-            floor = self.var_floor
-            self._var = [
-                [floor if (v := m / (n - 1)) < floor else v for m in row]
-                if n >= 2 else [floor] * len(row)
-                for n, row in zip(counts, m2s)
-            ]
-        else:
-            for k in ks:
-                counts[k] += 1
-        self.class_counts[:] = counts
+        return self.commit(self.stage(labels, cats, nums, len(labels)), 1)
+
+    def stage(self, labels: np.ndarray, cats: np.ndarray, nums: np.ndarray, size: int) -> Versions:
+        """The versions of the model through its next updates, from rows
+        with labels in [0, K) (columns as in ``fit``): version v is the
+        model after ``update`` on each of the first v mini-batches of
+        ``size`` rows, one version per complete mini-batch, and version 0
+        is the model as it is. The model does not change.
+
+        The counts of every version come from one ``bincount`` of the rows'
+        count positions keyed by the first version that holds them, then a
+        ``cumsum`` over versions. The Gaussian accumulators take one Welford
+        step per row, in row order, on Python floats (the float64
+        arithmetic of a per-row numpy update), recorded at each mini-batch
+        edge. The term tables of all versions take one ``np.log``, and the
+        variances follow from the M2s and class counts of each version."""
+        K, layout = self.n_classes, self._layout
+        V = len(labels) // size
+        n = V * size
+        top = layout.bounds[-1]
+        width = (top + 1) * K
+        # each row's positions in the count table: its categories, then its class
+        pos = np.empty((n, len(layout.offsets) + 1), dtype=np.int64)
+        np.add(cats[:n], layout.offsets, out=pos[:, :-1])
+        pos[:, -1] = top
+        pos *= K
+        key = np.arange(width, (V + 1) * width, width).repeat(size)  # each row's version's table
+        key += labels[:n]
+        pos += key[:, None]
+        table = np.bincount(pos.ravel(), minlength=(V + 1) * width).reshape(V + 1, top + 1, K)
+        table[0] = self._table
+        np.cumsum(table, axis=0, out=table)
+        d = self.n_numeric
+        gauss = np.empty((V + 1, 2, K, d))
+        gauss[0] = self._gauss
+        if d and V:
+            counts = self.class_counts.tolist()
+            means, m2s = self._gauss.reshape(2, -1).tolist()  # class k at k * d
+            ks, xs = labels[:n].tolist(), nums[:n].tolist()
+            edges = []
+            for lo in range(0, n, size):
+                for k, row in zip(ks[lo : lo + size], xs[lo : lo + size]):
+                    c = counts[k] = counts[k] + 1
+                    j = k * d
+                    for x in row:
+                        mean = means[j]
+                        delta = x - mean
+                        means[j] = mean = mean + delta / c
+                        m2s[j] += delta * (x - mean)
+                        j += 1
+                edges += means
+                edges += m2s
+            gauss.reshape(-1)[2 * K * d :] = edges
+        # the variance: M2 / (n - 1) for a class with two or more rows, at
+        # least the floor (np.maximum keeps a NaN)
+        n_k = table[:, top, :, None]  # each version's class counts
+        var = np.full((V + 1, K, d), self.var_floor)
+        np.divide(gauss[:, 1], n_k - 1, out=var, where=n_k >= 2)
+        np.maximum(var, self.var_floor, out=var)
+        terms = np.empty((V + 1, top + len(layout.alpha_cards), K))
+        np.add(table[:, :top], self.alpha, out=terms[:, :top])
+        np.add(table[:, top, None], layout.alpha_cards, out=terms[:, top:])
+        np.log(terms, out=terms)
+        n_trained = self.n_trained + size * np.arange(V + 1)
+        terms[:, -1] -= np.log(n_trained + self.alpha * K)[:, None]
+        return Versions(n_trained, table, gauss, terms, var, np.log(2.0 * np.pi * var))
+
+    def commit(self, versions: Versions, v: int) -> "NaiveBayesModel":
+        """Become version ``v`` of ``versions``, which ``stage`` made from
+        this model: its counts, accumulators and score state."""
+        self.n_trained = int(versions.n_trained[v])
+        self._table[:] = versions.table[v]
+        self._gauss[:] = versions.gauss[v]
+        self._state = Versions._make(a[v : v + 1] for a in versions)
         return self
 
     # -- prediction -------------------------------------------------------
 
-    def _variances(self) -> np.ndarray:
-        var = np.full((self.n_classes, self.n_numeric), self.var_floor)
-        n = self.class_counts[:, None]
-        np.divide(self.g_m2, np.maximum(n - 1, 1), out=var, where=n >= 2)
-        return np.maximum(var, self.var_floor)
-
-    def _score_state(self) -> tuple:
-        """The term table: the smoothed log counts (sum of cardinalities
-        rows), the log denominator of each categorical feature and the log
-        prior, each a row of K; then the variances (K, n_numeric) and their
-        ``log(2 pi var)``. One ``np.log`` takes all the rows of the table."""
-        alpha, layout = self.alpha, self._layout
-        top = layout.bounds[-1]
-        terms = np.empty((top + len(layout.alpha_cards), self.n_classes))
-        np.add(self._counts, alpha, out=terms[:top])
-        np.add(self.class_counts, layout.alpha_cards, out=terms[top:])
-        np.log(terms, out=terms)
-        terms[-1] -= np.log(self.n_trained + alpha * self.n_classes)
-        var = log_var = None
-        if self.n_numeric:
-            var = self._variances() if self._var is None else np.array(self._var)
-            log_var = np.log(2.0 * np.pi * var)
-        self._state = terms, var, log_var
-        self._var = None
+    def _score_state(self) -> Versions:
+        """The model's one version, staged through no rows."""
+        self._state = self.stage(
+            np.empty(0, dtype=np.int64),
+            np.empty((0, len(self.cat_cardinalities)), dtype=np.int64),
+            np.empty((0, self.n_numeric)),
+            1,
+        )
         return self._state
 
-    def log_scores_many(self, cats: np.ndarray, nums: np.ndarray) -> np.ndarray:
+    def log_scores_many(
+        self,
+        cats: np.ndarray,
+        nums: np.ndarray,
+        versions: Optional[Versions] = None,
+        at: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """Per-class unnormalized log posteriors, one row per probe: ``cats``
         is an (n, n_categorical) index matrix and ``nums`` an (n, n_numeric)
-        value matrix. The only scoring routine; every row is computed with
-        the same elementwise operations in the same order whatever n is, so
-        a row's scores do not depend on the block it is scored in.
+        value matrix. Row i is scored against version ``at[i]`` of
+        ``versions`` (``stage``); by default every row against the model as
+        it is. The only scoring routine; every row is computed with the same
+        elementwise operations in the same order whatever n and whichever
+        version, so a row's scores depend neither on the block it is scored
+        in nor on the other versions staged with its own.
 
         Starting from the log prior, each categorical feature adds its
         smoothed log count and subtracts its log denominator, in feature
         order; then half the summed Gaussian terms
-        ``log(2 pi var) + diff**2 / var`` is subtracted."""
-        terms, var, log_var = self._state or self._score_state()
-        prior = terms[-1]
+        ``log(2 pi var) + diff**2 / var`` is subtracted. Each term is
+        gathered from the tables of the row's version."""
+        if versions is None:
+            versions = self._state or self._score_state()
+        layout = self._layout
+        terms = versions.terms
+        flat = terms.reshape(-1, self.n_classes)  # the versions' tables, one after another
+        if at is None:
+            sel = base = 0
+        else:
+            sel, base = at, (at * terms.shape[1])[:, None]
+        fixed = flat.take(layout.fixed + base, axis=0)  # ([n,] n_categorical + 1, K)
+        prior = fixed[..., -1, :]
         if self.cat_cardinalities:
-            top = self._layout.bounds[-1]
-            gathered = terms.take((cats + self._layout.offsets).T, axis=0)  # (n_categorical, n, K)
+            gathered = flat.take((cats + (layout.offsets + base)).T, axis=0)  # (n_categorical, n, K)
             scores = prior + gathered[0]
-            scores -= terms[top]
+            scores -= fixed[..., 0, :]
             for f in range(1, len(gathered)):
                 scores += gathered[f]
-                scores -= terms[top + f]
+                scores -= fixed[..., f, :]
         else:
-            scores = np.repeat(prior[None, :], len(nums), axis=0)
+            scores = np.empty((len(nums), self.n_classes))
+            scores[:] = prior
         if self.n_numeric:
-            diffs = nums[:, None, :] - self.g_mean
+            diffs = nums[:, None, :] - versions.gauss[sel, 0]
             diffs *= diffs
-            diffs /= var
-            diffs += log_var
+            diffs /= versions.var[sel]
+            diffs += versions.log_var[sel]
             scores -= 0.5 * np.add.reduce(diffs, axis=2)
         return scores
 
@@ -244,9 +318,15 @@ class NaiveBayesModel:
         scores = self.log_scores_many(enc.cat[None, :], enc.num[None, :])[0]
         return int(np.argmax(scores)), scores
 
-    def predict_many(self, cats: np.ndarray, nums: np.ndarray) -> np.ndarray:
+    def predict_many(
+        self,
+        cats: np.ndarray,
+        nums: np.ndarray,
+        versions: Optional[Versions] = None,
+        at: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
         """Argmax predictions for a probe matrix (``log_scores_many``'s
-        rows), ties to the lowest class id."""
+        rows and versions), ties to the lowest class id."""
         if self.n_trained < 1:
             raise ValueError("model has no training data")
-        return np.argmax(self.log_scores_many(cats, nums), axis=1)
+        return np.argmax(self.log_scores_many(cats, nums, versions, at), axis=1)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftstream import adaptation
 from driftstream.adaptation import (
     COLLECTING,
     LAST,
@@ -386,7 +387,9 @@ def noisy_stream(n, seed=0):
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
 @pytest.mark.parametrize("batch_size", [1, 12])
-@pytest.mark.parametrize("incremental,mini_batch_size", [(False, 10), (True, 1), (True, 10)])
+@pytest.mark.parametrize(
+    "incremental,mini_batch_size", [(False, 10), (True, 1), (True, 3), (True, 10)]
+)
 def test_block_walk_equals_step_loop(monkeypatch, strategy, batch_size, incremental, mini_batch_size):
     # the step loop is ``reference_step``'s, not ``Controller.step``: that
     # is now a one-row call of the block walk under test
@@ -404,12 +407,13 @@ def test_block_walk_equals_step_loop(monkeypatch, strategy, batch_size, incremen
     plain = Controller.from_warmup(stream[:60], MIXED_SCHEMA, CountingDetector(fire_on), cfg)
     block_detector, plain_detector = block.detector, plain.detector
 
-    walked, blocks = [], []
+    walked, blocks, versions = [], [], []
     predict_many = NaiveBayesModel.predict_many
 
-    def spy(model, cats, nums):
+    def spy(model, cats, nums, staged=None, at=None):
         blocks.append((len(walked), len(cats)))  # first row, length
-        return predict_many(model, cats, nums)
+        versions.append(0 if at is None else int(at[-1]))  # the last row's version
+        return predict_many(model, cats, nums, staged, at)
 
     monkeypatch.setattr(NaiveBayesModel, "predict_many", spy)
     yielded = 0
@@ -439,6 +443,8 @@ def test_block_walk_equals_step_loop(monkeypatch, strategy, batch_size, incremen
     refits_at_alarm = strategy == LAST or (strategy == MIXED and batch_size == 1)
     if refits_at_alarm and mini_batch_size > 1:
         assert any(nxt < start + n for (start, n), (nxt, _) in zip(blocks, blocks[1:]))
+    # incremental blocks run across mini-batch edges, some across two or more
+    assert (max(versions) >= 2) == incremental
 
 
 @pytest.mark.parametrize("incremental,mini_batch_size", [(False, 10), (True, 1), (True, 7)])
@@ -446,22 +452,59 @@ def test_block_walk_scores_each_row_once_when_no_alarm_can_refit(
     monkeypatch, incremental, mini_batch_size
 ):
     # without a strategy the model changes only where a mini-batch fills,
-    # and blocks end there, also across an encode-chunk edge (4,096 rows)
-    # that leaves a mini-batch part-filled: no score is computed and dropped
+    # which blocks run across (each row scored against its version), also
+    # across an encode-chunk edge (4,096 rows) that leaves a mini-batch
+    # part-filled: no score is computed and dropped
     stream = noisy_stream(4560)
     cfg = make_config(incremental=incremental, mini_batch_size=mini_batch_size)
     ctrl = Controller.from_warmup(stream[:60], MIXED_SCHEMA, NoDetector(), cfg)
     sizes = []
     predict_many = NaiveBayesModel.predict_many
 
-    def spy(model, cats, nums):
+    def spy(model, cats, nums, *versions):
         sizes.append(len(cats))
-        return predict_many(model, cats, nums)
+        return predict_many(model, cats, nums, *versions)
 
     monkeypatch.setattr(NaiveBayesModel, "predict_many", spy)
     assert sum(map(len, ctrl.steps(stream[60:]))) == 4500
     assert sum(sizes) == 4500
-    assert max(sizes) == (mini_batch_size if incremental else 4096)
+    assert max(sizes) == 4096
+
+
+def test_staged_versions_of_a_wide_model_stay_under_the_cap(monkeypatch):
+    # thousands of categories and a mini-batch of one row: a 4,096-row
+    # chunk is stepped in blocks whose staged versions together stay under
+    # the cap, not in one block with a copy of the tables per row
+    n_tokens, warmup = 3000, 3000
+    rng = np.random.default_rng(3)
+    tokens = [f"t{i}" for i in range(n_tokens)]
+    labels = rng.integers(3, size=warmup + 4096).tolist()
+    pool = tokens + [f"unseen{i}" for i in range(50)]
+    toks = tokens + [pool[i] for i in rng.integers(len(pool), size=4096)]
+    stream = Table(
+        list(range(len(labels))), labels,
+        {"tok": toks, "x": rng.normal(size=len(labels)) + np.array(labels)},
+    )
+    cfg = make_config(incremental=True, mini_batch_size=1)
+    block = Controller.from_warmup(stream[:warmup], MIXED_SCHEMA, NoDetector(), cfg)
+    plain = Controller.from_warmup(stream[:warmup], MIXED_SCHEMA, NoDetector(), cfg)
+    assert block.model.cat_cardinalities == (n_tokens + 1,)
+    staged = []
+    stage = NaiveBayesModel.stage
+
+    def spy(model, *args):
+        versions = stage(model, *args)
+        staged.append((len(versions.n_trained), sum(a.size for a in versions)))
+        return versions
+
+    monkeypatch.setattr(NaiveBayesModel, "stage", spy)
+    walked = [r for records in block.steps(stream[warmup:]) for r in records]
+    monkeypatch.undo()
+    assert len(walked) == 4096
+    assert max(cells for _, cells in staged) <= adaptation._MAX_VERSION_CELLS
+    assert max(n for n, _ in staged) > 2  # a block still spans several updates
+    assert walked == [reference_step(plain, row) for row in stream[warmup:]]
+    assert model_state(block.model) == model_state(plain.model)
 
 
 # -- protocol -----------------------------------------------------------------

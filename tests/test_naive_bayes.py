@@ -72,6 +72,15 @@ def posterior(model, cats, nums):
     return s / s.sum()
 
 
+def reference_variances(model):
+    """The per-class variances: M2 / (n - 1) for a class with two or more
+    rows, at least the floor."""
+    var = np.full((model.n_classes, model.n_numeric), model.var_floor)
+    n = model.class_counts[:, None]
+    np.divide(model.g_m2, np.maximum(n - 1, 1), out=var, where=n >= 2)
+    return np.maximum(var, model.var_floor)
+
+
 def brute_force_posterior(data, probe_cats, n_classes, cards, alpha=1.0):
     """Independent reference: smoothed priors and per-feature multinomial
     likelihoods computed from plain Python counts."""
@@ -101,7 +110,7 @@ def test_update_welford_textbook_values():
     m.update(*one_numeric([2.0, 3.0]))
     assert m.class_counts[0] == 3
     assert m.g_mean[0, 0] == pytest.approx(2.0)
-    assert m._variances()[0, 0] == pytest.approx(1.0)
+    assert reference_variances(m)[0, 0] == pytest.approx(1.0)
 
 
 def test_update_chunked_equivalence():
@@ -117,7 +126,7 @@ def test_update_chunked_equivalence():
 
 def test_single_row_variance_is_the_floor():
     m = fit(one_numeric([5.0]), 1, (), 1, var_floor=1e-9)
-    assert m._variances()[0, 0] == 1e-9
+    assert reference_variances(m)[0, 0] == 1e-9
 
 
 # -- fit ----------------------------------------------------------------------
@@ -462,7 +471,7 @@ def reference_log_scores(model, cats, nums):
         log_counts = np.log(model.cat_counts[f] + model.alpha).T
         scores = (scores + log_counts[cats[:, f]]) - np.log(model.class_counts + model.alpha * c)
     if model.n_numeric:
-        var = model._variances()
+        var = reference_variances(model)
         diff = nums[:, None, :] - model.g_mean
         scores = scores - 0.5 * (np.log(2.0 * np.pi * var) + diff * diff / var).sum(axis=-1)
     return scores
@@ -503,3 +512,86 @@ def test_column_update_label_out_of_range_rejected():
     with pytest.raises(ValueError):
         m.update(np.array([0, 2]), np.array([[0], [0]]), np.empty((2, 0)))
     assert state(m) == before
+
+
+# -- staged versions against update then score ---------------------------------
+
+
+def assert_staged_is_update_then_score(model_args, labels, cats, nums, start, pending, block, size, v):
+    """Fit on rows [0, start); rows [start, start + pending) are a part-filled
+    mini-batch and the next ``block`` rows are scored, each against the
+    version it would see row by row: staged and gathered in one call, and,
+    on the per-instance reference model, scored per mini-batch and then
+    updated with it. The scores must agree bit for bit, and committing
+    version ``v`` must give the state (and the scores) of the reference
+    after ``v`` updates."""
+    columns = labels, cats, nums
+    model = NaiveBayesModel.fit(labels[:start], cats[:start], nums[:start], *model_args)
+    ref = reference_fit(instances_at(range(start), *columns), *model_args)
+    lo, hi = start + pending, start + pending + block
+    n_versions = (pending + block) // size
+    staged = model.stage(*part(columns, slice(start, start + n_versions * size)), size)
+    at = np.arange(pending, pending + block) // size
+    scores = model.log_scores_many(cats[lo:hi], nums[lo:hi], staged, at)
+    assert len(staged.n_trained) == n_versions + 1
+    expected, states = [], [state(ref)]
+    for edge in range(start, start + (n_versions + 1) * size, size):
+        rows = slice(max(lo, edge), min(hi, edge + size))
+        if rows.start < rows.stop:
+            expected.append(reference_log_scores(ref, cats[rows], nums[rows]))
+        if edge + size <= start + n_versions * size:
+            reference_update(ref, instances_at(range(edge, edge + size), *columns))
+            states.append(state(ref))
+    assert scores.tobytes() == np.concatenate(expected).tobytes()
+    assert state(model) == states[0]  # staging leaves the model as it is
+    model.commit(staged, v)
+    assert state(model) == states[v]
+    ref = reference_fit(instances_at(range(start), *columns), *model_args)
+    reference_update(ref, instances_at(range(start, start + v * size), *columns))
+    probe = cats[start:], nums[start:]
+    assert model.log_scores_many(*probe).tobytes() == reference_log_scores(ref, *probe).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    stream=column_streams(),
+    size=st.integers(1, 12),
+    edges=st.integers(0, 5),
+    data=st.data(),
+)
+def test_staged_versions_are_bitwise_update_then_score(stream, size, edges, data):
+    n_classes, cards, n_numeric, labels, cats, nums = stream
+    start = data.draw(st.integers(1, len(labels)))
+    pending = data.draw(st.integers(0, size - 1))
+    # a block that crosses ``edges`` mini-batch edges
+    block = max(1, edges * size - pending) + data.draw(st.integers(0, size - 1))
+    reps = -(-(start + pending + block) // len(labels))  # the stream, repeated as needed
+    labels, cats, nums = np.tile(labels, reps), np.tile(cats, (reps, 1)), np.tile(nums, (reps, 1))
+    v = data.draw(st.integers(0, (pending + block) // size))
+    assert_staged_is_update_then_score(
+        (n_classes, cards, n_numeric), labels, cats, nums, start, pending, block, size, v
+    )
+
+
+@pytest.mark.parametrize(
+    "cards,n_numeric,labels",
+    [
+        ((3, 2), 2, [0, 0, 0, 1, 0, 1, 1, 0, 2, 0, 1, 2, 2, 1, 0, 1]),  # class 2 absent so far
+        ((3, 2), 2, [0, 2, 1, 0, 1, 1, 0, 0, 1, 0, 1, 2, 0, 1, 0, 1]),  # class 2 has one row
+        ((), 2, [0, 1, 1, 0, 2, 1, 1, 0, 2, 0, 1, 2, 2, 1, 0, 1]),  # no categorical feature
+        ((3, 2), 0, [0, 1, 1, 0, 2, 1, 1, 0, 2, 0, 1, 2, 2, 1, 0, 1]),  # no numeric feature
+    ],
+)
+@pytest.mark.parametrize("size", [1, 3])
+def test_staged_versions_cover_sparse_classes_and_missing_features(cards, n_numeric, labels, size):
+    rng = np.random.default_rng(size)
+    labels = np.array(labels, dtype=np.int64)
+    cats = np.array([[rng.integers(c) for c in cards] for _ in labels], dtype=np.int64).reshape(
+        len(labels), len(cards)
+    )
+    nums = rng.normal(size=(len(labels), n_numeric))
+    for pending in range(size):
+        for v in range(4 // size + 1):
+            assert_staged_is_update_then_score(
+                (3, cards, n_numeric), labels, cats, nums, 4, pending, 12 - pending, size, v
+            )
