@@ -33,7 +33,7 @@ or an update reads a slice of them.
 One ``ExperimentConfig`` describes a run: the detector, the strategy, the
 batch and mini-batch sizes, the learning mode and the encoder settings. The
 controller reads its part of it and yields the records of each block as
-columns (``Records``), whose rolling accuracy the evaluation fills in.
+columns (``Records``), whose rolling-accuracy window the evaluation sets.
 """
 
 from __future__ import annotations
@@ -164,36 +164,36 @@ class PrequentialRecord(NamedTuple):
 @dataclass(eq=False)
 class Records:
     """Scored rows as columns: stream indices (a list of the stream's ints),
-    predicted and actual classes and 0/1 drift and retrain flags (int
-    arrays), and the rolling accuracy (float64), which ``run_experiment``
-    fills in. ``len`` is the row count; iterating yields each row as a
-    ``PrequentialRecord`` (rolling accuracy 0.0 until filled in)."""
+    predicted and actual classes, 0/1 drift and retrain flags (int arrays) and
+    the rolling-accuracy ``window``, set by ``run_experiment``. Iterating yields
+    ``PrequentialRecord`` rows (rolling accuracy 0.0 without a window)."""
 
     index: list[int]
     predicted: np.ndarray
     actual: np.ndarray
     drift: np.ndarray
     retrain: np.ndarray
-    rolling_accuracy: Optional[np.ndarray] = None
+    window: int = 0
 
     @cached_property
     def correct(self) -> np.ndarray:
         return (self.predicted == self.actual).astype(np.int64)
 
     @cached_property
-    def rolling_text(self) -> list[str]:
-        """The rolling accuracies as the CSV files hold them (6 decimals),
-        formatted once for every writer."""
-        return [f"{a:.6f}" for a in self.rolling_accuracy.tolist()]
+    def in_window(self) -> np.ndarray:
+        """Each row's correct count over its last ``window`` rows."""
+        counts = np.cumsum(self.correct)
+        counts[self.window :] -= counts[: -self.window].copy()
+        return counts
 
     def __len__(self) -> int:
         return len(self.index)
 
     def __iter__(self) -> Iterator[PrequentialRecord]:
-        acc = self.rolling_accuracy
+        n, w = len(self), self.window  # the rolling accuracy: an int/int division
+        acc = (self.in_window / np.minimum(np.arange(1, n + 1), w)).tolist() if w else repeat(0.0)
         return map(PrequentialRecord, self.index, self.predicted.tolist(),
-                   self.actual.tolist(), self.correct.tolist(),
-                   repeat(0.0) if acc is None else acc.tolist(),
+                   self.actual.tolist(), self.correct.tolist(), acc,
                    self.drift.tolist(), self.retrain.tolist())
 
 

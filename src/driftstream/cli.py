@@ -18,6 +18,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .evaluation import (
     ConfigError,
@@ -41,6 +43,7 @@ from .stream_core import (
     RowError,
     SchemaError,
     StreamParseError,
+    write_columns,
 )
 from .synth import (
     PROFILES,
@@ -403,11 +406,8 @@ def cmd_inspect(args) -> int:
     means = rolling_mean(table.columns[args.feature], args.window)
     _write_resolved_config(out, args)
     path = out / f"inspect_{args.feature}.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "rolling_mean"])
-        for i, m in enumerate(means):
-            w.writerow([i, f"{m:.6f}"])
+    texts = [f"{m:.6f}" for m in means]
+    write_columns(path, ("index", "rolling_mean"), (np.arange(len(texts)), texts))
     _say(args, f"wrote {len(means)} rows to {path}")
     return EXIT_OK
 
@@ -494,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detectors", default="page-hinkley,adwin")
     p.add_argument("--batch-sizes", type=_counts, default="500,1000,2000,5000")
     p.add_argument("--strategies", default="last,mixed,next")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--workers", type=_count, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_matrix, incremental=True)
 
     p = sub.add_parser("inspect", help="rolling mean of a numeric feature")

@@ -8,7 +8,6 @@ in the summary for inspection but never used for ranking.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -18,7 +17,7 @@ import numpy as np
 from .adaptation import ConfigError, Controller, ExperimentConfig, Records
 from .detectors import make_detector
 from .preprocess import BinBoundaries, bin_target
-from .stream_core import FeatureSchema, Table, open_csv_stream
+from .stream_core import FeatureSchema, Table, open_csv_stream, write_columns
 from .synth import SynthConfig, generate
 
 
@@ -59,17 +58,11 @@ def run_experiment(
         index += b.index
         cols[:, lo : len(index)] = b.predicted, b.actual, b.drift, b.retrain
     n = len(index)
-    records = Records(index, *cols[:, :n])
-    # rolling accuracy: the correct count of the last `window` rows over
-    # their number, an int/int division that is correctly rounded
-    in_window = np.cumsum(records.correct)
-    n_correct = int(in_window[-1]) if n else 0
-    in_window[config.window :] -= in_window[: -config.window].copy()
-    records.rolling_accuracy = in_window / np.minimum(np.arange(1, n + 1), config.window)
+    records = Records(index, *cols[:, :n], window=config.window)
     pairs = records.actual * K + records.predicted
     confusion = np.bincount(pairs, minlength=K * K).reshape(K, K)
     summary = ExperimentSummary(
-        overall_accuracy=n_correct / n if n else 0.0,
+        overall_accuracy=int(records.correct.sum()) / n if n else 0.0,
         n_predictions=n,
         n_drifts=controller.n_drifts,
         n_retrains=controller.n_retrains,
@@ -195,39 +188,32 @@ def experiment_matrix(
 # -- CSV output (fixed 6-decimal float formatting for reproducible files) --
 
 
-# The per-row files are written from the columns with f-strings: the bytes
-# of csv.writer's default dialect (CRLF line ends; ints and fixed-point
-# floats need no quotes). The 0/1 columns take their text from _BITS, which
-# is faster than formatting each int.
-_BITS = ("0", "1")
+def _rolling_column(records: Records) -> tuple[np.ndarray, list[str]]:
+    """The rolling accuracies as codes into texts: the first ``window - 1`` rows'
+    one by one, then the ``window + 1`` values a full window can take."""
+    n, w, head = len(records), records.window, min(records.window - 1, len(records))
+    texts = [f"{a:.6f}" for a in (records.in_window[:head] / np.arange(1, head + 1)).tolist()]
+    texts += [f"{c / w:.6f}" for c in range(min(w, n) + 1)]
+    return np.concatenate((np.arange(head), records.in_window[head:] + head)), texts
 
 
 def write_records_csv(records: Records, path) -> None:
-    r, b = records, _BITS
-    ints = (r.predicted, r.actual, r.correct, r.drift, r.retrain)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("index,predicted,actual,correct,rolling_accuracy,drift,retrain\r\n")
-        for lo in range(0, len(r), 4096):  # the int columns as lists, 4,096 rows at a time
-            part = slice(lo, lo + 4096)
-            rows = zip(r.index[part], *(c[part].tolist() for c in ints), r.rolling_text[part])
-            fh.writelines(f"{i},{p},{a},{b[c]},{x},{b[d]},{b[t]}\r\n" for i, p, a, c, d, t, x in rows)
+    r = records
+    names = ("index", "predicted", "actual", "correct", "rolling_accuracy", "drift", "retrain")
+    ints = (r.predicted, r.actual, r.correct)
+    write_columns(path, names, (np.array(r.index), *ints, _rolling_column(r), r.drift, r.retrain))
 
 
 def write_curves_csv(records: Records, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("index,rolling_accuracy\r\n")
-        fh.writelines(f"{i},{acc}\r\n" for i, acc in zip(records.index, records.rolling_text))
+    columns = (np.array(records.index), _rolling_column(records))
+    write_columns(path, ("index", "rolling_accuracy"), columns)
 
 
 def write_events_csv(records: Records, path) -> None:
     """One line per flag; a row's drift comes before its retrain_done."""
-    events = sorted(
-        [(i, 0, "drift") for i in np.flatnonzero(records.drift).tolist()]
-        + [(i, 1, "retrain_done") for i in np.flatnonzero(records.retrain).tolist()]
-    )
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("index,event\r\n")
-        fh.writelines(f"{records.index[i]},{name}\r\n" for i, _, name in events)
+    rows, kind = np.nonzero(np.stack((records.drift, records.retrain), axis=1))
+    index = np.array([records.index[i] for i in rows.tolist()], dtype=np.int64)
+    write_columns(path, ("index", "event"), (index, (kind, ("drift", "retrain_done"))))
 
 
 def write_summary_csv(rows: Sequence[dict], path) -> None:
@@ -235,11 +221,5 @@ def write_summary_csv(rows: Sequence[dict], path) -> None:
     order), floats fixed to 6 decimals."""
     if not rows:
         raise ValueError("no summary rows to write")
-    header = list(rows[0].keys())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow(
-                [f"{v:.6f}" if isinstance(v, float) else v for v in (row[h] for h in header)]
-            )
+    cols = [[f"{r[h]:.6f}" if isinstance(r[h], float) else str(r[h]) for r in rows] for h in rows[0]]
+    write_columns(path, list(rows[0]), cols)

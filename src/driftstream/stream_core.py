@@ -11,7 +11,8 @@ import csv
 import math
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Callable, Iterable, Iterator, Optional, Union
+from types import SimpleNamespace
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -274,3 +275,68 @@ def csv_row(schema: FeatureSchema, index: int) -> int:
     """The file row (1-based, the header being row 1) that ``open_csv_stream``
     reads stream index ``index`` from."""
     return index - schema.index_origin + 2
+
+
+# -- CSV writer -----------------------------------------------------------
+
+# a field: a matrix row per column row, its UTF-8 text after pads (a byte UTF-8 never holds)
+_PAD = 0xFF
+_POW10 = 10 ** np.arange(20, dtype=np.uint64)
+_CSV_LINE = csv.writer(SimpleNamespace(write=str))  # its writerow returns the line
+
+
+def write_columns(path, header: Sequence[str], columns: Sequence) -> None:
+    """Write ``columns`` under ``header`` as a CSV file in the bytes of
+    ``csv.writer``'s default dialect, assembled by numpy ``CHUNK_ROWS`` rows at
+    a time. A column (two or more, as csv.writer quotes a lone empty field) is
+    an integer array, a sequence of ``str`` or a pair ``(codes, texts)``."""
+    # each column's rows, and the function from a chunk of them to its field
+    columns = [(c[0], _text_field(c[1]).__getitem__) if isinstance(c, tuple) else
+               (c, _int_field if isinstance(c, np.ndarray) else _text_field) for c in columns]
+    if len(header) < 2 or len(header) != len(columns) or len({len(c) for c, _ in columns}) > 1:
+        raise ValueError("write_columns needs two or more columns of one length, a name each")
+    with open(path, "wb") as fh:
+        fh.write(_CSV_LINE.writerow(header).encode("utf-8"))
+        for lo in range(0, len(columns[0][0]), CHUNK_ROWS):
+            fields = [field(c[lo : lo + CHUNK_ROWS]) for c, field in columns]
+            # each row's fields joined by commas and ended by CRLF, less the pads
+            comma = np.full((len(fields[0]), 1), ord(","), np.uint8)
+            parts = [*chain.from_iterable((field, comma) for field in fields), comma]
+            lines = np.concatenate(parts, axis=1)
+            lines[:, -2:] = np.frombuffer(b"\r\n", np.uint8)  # in place of the last two commas
+            fh.write(lines[lines != _PAD].tobytes())
+
+
+def _int_field(values: np.ndarray) -> np.ndarray:
+    """The decimal text of integers, by digit extraction."""
+    neg = values < 0
+    u = values.astype(np.uint64)
+    u[neg] = -u[neg]  # modulo 2**64: the magnitude, also of the most negative int64
+    w = len(str(u.max(initial=0))) + int(neg.any())  # and a column for the signs
+    lead = u[:, None] < _POW10[w - 1 : 0 : -1]  # the zeros before the first digit
+    text = np.empty((len(u), w), np.uint8)
+    for k in range(w - 1, -1, -1):
+        u, text[:, k] = np.divmod(u, 10)
+    text += 48
+    text[:, :-1][lead] = _PAD
+    text[neg, lead[neg].sum(axis=1) - 1] = ord("-")
+    return text
+
+
+def _text_field(tokens: Sequence[str]) -> np.ndarray:
+    """The text of str tokens, joined once; csv.writer writes each distinct
+    token if the text holds a character that it quotes for."""
+    text = "".join(tokens)
+    if any(c in text for c in ',"\r\n'):
+        quoted = {t: _CSV_LINE.writerow((t, ""))[:-3] for t in set(tokens)}  # less ",\r\n"
+        tokens = [quoted[t] for t in tokens]
+        text = "".join(tokens)
+    raw = np.frombuffer(text.encode("utf-8"), np.uint8)
+    length = np.fromiter(map(len, tokens), np.int64, len(tokens))
+    if not text.isascii():  # byte counts: each character starts at a byte not 0b10xxxxxx
+        first = np.append(np.flatnonzero((raw & 0xC0) != 0x80), len(raw))
+        length = np.diff(first[np.cumsum(length)], prepend=0)
+    w = int(length.max(initial=0))
+    field = np.full((len(length), w), _PAD, np.uint8)
+    field[np.arange(w) >= w - length[:, None]] = raw
+    return field

@@ -15,13 +15,12 @@ given config.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .stream_core import CATEGORICAL, NUMERIC, FeatureSchema, Table
+from .stream_core import CATEGORICAL, NUMERIC, FeatureSchema, Table, write_columns
 
 SUDDEN = "sudden"
 GRADUAL = "gradual"
@@ -262,28 +261,22 @@ def exact_bayes_accuracy(rule: Concept, data: Concept) -> float:
 
 
 def write_csv(table: Table, schema: FeatureSchema, path) -> None:
-    """Write a stream to CSV; reads back through ``open_csv_stream`` to an
-    equal table (floats serialized via ``repr``)."""
-    cells = [
+    """Write a stream to CSV with ``write_columns``, floats as their ``repr``;
+    reads back through ``open_csv_stream`` to an equal table."""
+    columns = [
         list(map(repr, table.columns[name].tolist())) if kind == NUMERIC else table.columns[name]
         for name, kind in schema.features
     ]
-    labels = ["" if y is None else y for y in table.label]
+    labels = ["" if y is None else str(y) for y in table.label]
     try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(list(schema.names) + [schema.label_column])
-            w.writerows(zip(*cells, labels))
+        write_columns(path, [*schema.names, schema.label_column], [*columns, labels])
     except OSError as e:
         raise OSError(f"cannot write stream to {path}: {e}") from e
 
 
 def write_concept_sidecar(concept_ids: np.ndarray, path) -> None:
     """Ground-truth concept id per index, for test oracles only."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["index", "concept_id"])
-        w.writerows(enumerate(concept_ids.tolist()))
+    write_columns(path, ("index", "concept_id"), (np.arange(len(concept_ids)), concept_ids))
 
 
 def paper_like_config(seed: int = 42) -> SynthConfig:

@@ -458,6 +458,19 @@ def test_matrix_config_file_can_turn_incremental_off(tmp_path, small_stream):
     assert resolved["incremental"] is False
 
 
+@pytest.mark.parametrize("workers", ["0", "-2", "x"])
+def test_matrix_checks_its_worker_count_before_loading(tmp_path, small_stream, monkeypatch,
+                                                       capsys, workers):
+    loads = []
+    monkeypatch.setattr(evaluation.CsvSource, "load", lambda source: loads.append(source))
+    code = run_cli(
+        "matrix", "--input", str(small_stream), "--label", "label",
+        "--warmup", "300", "--batch-sizes", "100", "--workers", workers, "-o", str(tmp_path / "m"),
+    )
+    assert (code, loads) == (EXIT_CONFIG, [])
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_matrix_loads_its_source_once(tmp_path, small_stream, monkeypatch):
     loads = []
     load = evaluation.CsvSource.load

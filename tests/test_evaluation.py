@@ -33,6 +33,7 @@ from driftstream.stream_core import (
 )
 from driftstream.synth import SUDDEN, DriftSpec, SynthConfig, generate, write_csv
 from test_adaptation import reference_step
+from test_stream_core import csv_writer_bytes
 
 SCHEMA = FeatureSchema((("tok", CATEGORICAL),), "label")
 
@@ -116,6 +117,38 @@ def per_row_bookkeeping(records, window, n_classes):
         rolling.append(win_sum / len(win))
         confusion[r.actual][r.predicted] += 1
     return rolling, confusion
+
+
+@pytest.mark.parametrize("strategy", ["last", "mixed"])  # a drift on its retrain's row, or not
+@pytest.mark.parametrize("window", [1, 7, 1000, 10_000])  # 10,000 > the predictions
+def test_written_rolling_accuracy_is_each_value_formatted(tmp_path, window, strategy):
+    """records.csv, curves.csv and events.csv as a per-row csv.writer loop
+    writes them, rolling accuracies from a deque, with 12 classes (two-digit
+    class ids) and unlabeled rows (gaps in the stream indices)."""
+    stream = generate(dataclasses.replace(small_synth(), n_classes=12))
+    labels = [None if i > 300 and i % 7 == 0 else y for i, y in enumerate(stream.table.label)]
+    table = Table(stream.table.index, labels, stream.table.columns)
+    cfg = ExperimentConfig(warmup=300, window=window, detector="page_hinkley", strategy=strategy,
+                           batch_size=200, incremental=True, n_classes=12)
+    records, _ = run_experiment(table, stream.predictive_schema, cfg)
+    assert max(records.predicted) >= 10 and max(records.actual) >= 10 and sum(records.drift)
+    rolling, _ = per_row_bookkeeping(records, window, 12)
+    texts = [f"{a:.6f}" for a in rolling]
+    rows = list(records)
+    write_records_csv(records, tmp_path / "r.csv")
+    write_curves_csv(records, tmp_path / "c.csv")
+    write_events_csv(records, tmp_path / "e.csv")
+    assert (tmp_path / "r.csv").read_bytes() == csv_writer_bytes(
+        ["index", "predicted", "actual", "correct", "rolling_accuracy", "drift", "retrain"],
+        [(r.index, r.predicted, r.actual, r.correct, t, r.drift_flag, r.retrain_flag)
+         for r, t in zip(rows, texts)],
+    )
+    assert (tmp_path / "c.csv").read_bytes() == csv_writer_bytes(
+        ["index", "rolling_accuracy"], [(r.index, t) for r, t in zip(rows, texts)]
+    )
+    events = [(r.index, name) for r in rows
+              for name, flag in (("drift", r.drift_flag), ("retrain_done", r.retrain_flag)) if flag]
+    assert (tmp_path / "e.csv").read_bytes() == csv_writer_bytes(["index", "event"], events)
 
 
 @pytest.mark.parametrize("window", [1, 50, 10_000])  # 10,000 > the 2,700 predictions

@@ -1,4 +1,8 @@
-"""Tests for the stream data model and the CSV stream source."""
+"""Tests for the stream data model, the CSV stream source and the CSV
+writer."""
+
+import csv
+import io
 
 import numpy as np
 import pytest
@@ -15,7 +19,9 @@ from driftstream.stream_core import (
     StreamParseError,
     Table,
     open_csv_stream,
+    write_columns,
 )
+from driftstream.synth import write_csv
 
 SCHEMA = FeatureSchema(
     (("color", CATEGORICAL), ("size", NUMERIC)), label_column="label"
@@ -197,3 +203,128 @@ def test_first_bad_cell_in_row_order_is_reported(tmp_path, rows, row, message):
     with pytest.raises(StreamParseError, match=message) as exc:
         list(open_csv_stream(p, SCHEMA))
     assert exc.value.row == CHUNK_ROWS - 1 + row
+
+
+# -- write_columns ------------------------------------------------------------
+
+
+def csv_writer_bytes(header, rows):
+    """The file csv.writer's default dialect writes, as the writer opens it."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue().encode("utf-8")
+
+
+# tokens that csv.writer quotes, or whose UTF-8 bytes outnumber their characters
+_AWKWARD = ["", " ", ",", '"', "\r", "\n", "\r\n", 'a,"b"', " x ", "é", "日本", "ünï,", "🙂\n"]
+_token = st.one_of(st.sampled_from(_AWKWARD), st.text(max_size=8))
+_int = st.one_of(
+    st.integers(-(2**63), 2**63 - 1),
+    st.integers(-1000, 1000),
+    st.sampled_from([0, -1, 9, -9, 10, -10, 10**18, -(10**18), 2**63 - 1, -(2**63)]),
+)
+_float = st.one_of(
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e16]),
+)
+# a column as (pool of values, how a column of them is built from codes)
+_column = st.one_of(
+    st.lists(_int, min_size=1, max_size=12).map(lambda v: (v, "int")),
+    st.lists(_token, min_size=1, max_size=12).map(lambda v: (v, "str")),
+    st.lists(_float.map(repr), min_size=1, max_size=12).map(lambda v: (v, "str")),
+    st.lists(_token, min_size=1, max_size=12).map(lambda v: (v, "coded")),
+    st.lists(st.one_of(st.none(), _int), min_size=1, max_size=6).map(lambda v: (v, "label")),
+)
+# the chunk edges, and short files
+_rows = st.one_of(st.sampled_from([0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1]),
+                  st.integers(0, 40))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_column, min_size=2, max_size=5), _rows, st.integers(0, 2**32 - 1))
+def test_written_bytes_are_csv_writers(tmp_path_factory, columns, n, seed):
+    rng = np.random.default_rng(seed)
+    header, given_, cells = [], [], []
+    for j, (pool, kind) in enumerate(columns):
+        codes = rng.integers(len(pool), size=n)
+        values = [pool[c] for c in codes.tolist()]
+        header.append(f"c{j}" if j % 2 else f"c,{j}\n")  # a header cell quoted too
+        if kind == "int":
+            given_.append(np.array(values, dtype=np.int64))
+        elif kind == "coded":
+            given_.append((codes, pool))
+        elif kind == "label":  # as write_csv gives an unlabeled row's empty cell
+            given_.append(["" if v is None else str(v) for v in values])
+        else:
+            given_.append(values)
+        cells.append(values)  # csv.writer writes None as an empty field
+    p = tmp_path_factory.mktemp("w") / "w.csv"
+    write_columns(p, header, given_)
+    assert p.read_bytes() == csv_writer_bytes(header, zip(*cells))
+
+
+def old_write_csv(table, schema):
+    """The bytes of write_csv's csv.writer loop, kept as the reference."""
+    cells = [
+        list(map(repr, table.columns[name].tolist())) if kind == NUMERIC else table.columns[name]
+        for name, kind in schema.features
+    ]
+    labels = ["" if y is None else y for y in table.label]
+    return csv_writer_bytes(list(schema.names) + [schema.label_column], zip(*cells, labels))
+
+
+def awkward_table(pools, n, seed, finite):
+    """A table of ``n`` rows drawn from the value pools by a seeded rng."""
+    rng = np.random.default_rng(seed)
+    tokens, floats, labels = pools
+
+    def pick(pool):
+        return [pool[i] for i in rng.integers(len(pool), size=n).tolist()]
+
+    size = np.array(pick(floats), dtype=np.float64)
+    if finite:
+        size[~np.isfinite(size)] = 0.5
+    return Table(list(range(n)), pick(labels), {"color": pick(tokens), "size": size})
+
+
+_pools = st.tuples(
+    st.lists(_token, min_size=1, max_size=10),
+    st.lists(_float, min_size=1, max_size=10),
+    st.lists(st.one_of(st.none(), _int), min_size=1, max_size=5),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_pools, _rows, st.integers(0, 2**32 - 1))
+def test_write_csv_bytes_equal_the_csv_writer_loop(tmp_path_factory, pools, n, seed):
+    table = awkward_table(pools, n, seed, finite=False)
+    p = tmp_path_factory.mktemp("w") / "s.csv"
+    write_csv(table, SCHEMA, p)
+    assert p.read_bytes() == old_write_csv(table, SCHEMA)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_pools, _rows, st.integers(0, 2**32 - 1))
+def test_awkward_tokens_round_trip(tmp_path_factory, pools, n, seed):
+    tokens, floats, labels = pools
+    tokens = [t or "x" for t in tokens]  # an empty category reads back as MISSING_TOKEN
+    table = awkward_table((tokens, floats, labels), n, seed, finite=True)
+    p = tmp_path_factory.mktemp("w") / "s.csv"
+    write_csv(table, SCHEMA, p)
+    assert read(p) == table
+
+
+@pytest.mark.parametrize(
+    "header,columns",
+    [
+        (["a"], [np.arange(3)]),  # csv.writer quotes a lone empty field
+        (["a", "b"], [np.arange(3), ["x", "y"]]),
+        (["a", "b", "c"], [np.arange(3), ["x", "y", "z"]]),
+    ],
+    ids=["one-column", "lengths-differ", "header-longer"],
+)
+def test_write_columns_refuses_what_it_cannot_write(tmp_path, header, columns):
+    with pytest.raises(ValueError):
+        write_columns(tmp_path / "w.csv", header, columns)
