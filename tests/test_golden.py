@@ -373,3 +373,86 @@ def test_inspect_hidden_context_matches_recorded_digest(tmp_path, hidden_csv, so
                  "--quiet", "-o", str(out)]) == EXIT_OK
     got = sha256(out / "inspect_automation.csv")
     assert got == GOLDEN_INSPECT.get(source), f"digest now {got}"
+
+
+# -- an awkward CSV -----------------------------------------------------------
+# These digests were recorded before categorical columns became dictionary
+# columns (codes plus a vocabulary) and stream indices int64 arrays. The
+# stream holds tokens quoted for "," and '"', empty categorical cells,
+# non-ASCII tokens, unlabeled rows, a category first seen after the warm-up
+# and one seen in only one 4,096-row read chunk, over more than 4,096 rows.
+
+AWKWARD_ROWS = 6000
+AWKWARD_ACTS = ["a,b", 'a"b', "a", "ab", "", "x y", 'q"uo,te', "añb"]
+AWKWARD_RESOURCES = ["café", "naïve", "日本語", "日本", "Ω", "", "plain"]
+
+
+@pytest.fixture(scope="module")
+def awkward_csv(tmp_path_factory):
+    import csv
+    import random
+
+    rng = random.Random(7)
+    path = tmp_path_factory.mktemp("golden-awkward") / "awkward.csv"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["act", "dur", "res", "label"])
+        for i in range(AWKWARD_ROWS):
+            a = rng.randrange(len(AWKWARD_ACTS))
+            act = AWKWARD_ACTS[a]
+            if 2500 <= i and rng.random() < 0.05:
+                act = "late,new"  # first seen after the warm-up
+            if 4200 <= i < 4400 and rng.random() < 0.3:
+                act = 'only "chunk 2"'  # inside the second 4,096-row chunk only
+            res = AWKWARD_RESOURCES[rng.randrange(len(AWKWARD_RESOURCES))]
+            base = (a + (i >= 3000)) % 3  # the mapping drifts at row 3,000
+            label = base if rng.random() < 0.75 else rng.randrange(3)
+            dur = repr(rng.gauss(label, 1.0))
+            if i % 97 == 0:
+                dur = f" {dur} "  # surrounding whitespace parses as float does
+            unlabeled = i >= 1000 and rng.random() < 0.05
+            writer.writerow([act, dur, res, "" if unlabeled else label])
+    return path
+
+
+AWKWARD_CASES = {
+    "plain": [],
+    "ph-last": ["--detector", "page-hinkley", "--strategy", "last", "--batch-size", BATCH_SIZE,
+                "--incremental"],
+    "prefix-len": ["--prefix-len", "act=1,res=2", "--detector", "page-hinkley",
+                   "--strategy", "last", "--batch-size", BATCH_SIZE, "--incremental"],
+}
+
+# case -> sha256 of (records.csv, curves.csv, events.csv, summary.csv)
+GOLDEN_AWKWARD = {
+    "ph-last": (
+        "1d8087a76a2c060bdd13577757cd19a962cf764e76af6e20385227999ff7fafa",
+        "eed270ef1c2e51452c832d4e6b3cc6faf403837baf46fd9edf7580a436a93a42",
+        "78e2bd6b673f2d5a1320385e8ca3202afd99fde7eafc493799778d9421d0e7ee",
+        "e9dd5e42431bff27f5e65fa04d5639fcbaf74ea857fb102e10064dfc3aa71ca5",
+    ),
+    "plain": (
+        "0e3bae38ddc1298c09295e10130019a0670ed5bd931f7c2d9c9520a4cc53c5ea",
+        "cab5a9be6a7a5c4b35c096cb16ece1324b251b9a6417bdcf1b20fad30c8354a5",
+        "4afb1a8ec8ba1c13786db0d8b556cb131f82f8beac3cf9130e55e47726cdf0ae",
+        "8d46f2b4196004a9275ca6e94a19b7568716455b988ab947c1e97c80cb3a3379",
+    ),
+    "prefix-len": (
+        "f12617b10517611129d1877ed1ecdf2e70b98638a4d444e4ad81694cf955b223",
+        "a6e38d0c3d8995e11c687ca808a42b9503b63e960194aded19e3191fd44cad97",
+        "5d0b81839a47e24c7977efad194dd7876d41f4037e4fc2a207028ca0a1fda92f",
+        "74d6ebb8607db0413ec6af7734a8fd2c8c6aef975e964fe917d0b6a5e322b44a",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AWKWARD_CASES))
+def test_awkward_csv_runs_match_recorded_digests(tmp_path, awkward_csv, case):
+    flags = [
+        "run", "--input", str(awkward_csv), "--label", "label", *AWKWARD_CASES[case],
+        "--warmup", WARMUP, "--quiet", "-o", str(tmp_path),
+    ]
+    assert main(flags) == EXIT_OK
+    names = ("records.csv", "curves.csv", "events.csv", "summary.csv")
+    got = tuple(sha256(tmp_path / name) for name in names)
+    assert got == GOLDEN_AWKWARD.get(case), f"digests now {got}"
