@@ -96,11 +96,11 @@ def _check_labels(rows: Table, n_classes: int, schema: FeatureSchema) -> None:
     else for the first whose label is outside [0, n_classes)."""
     labels = rows.label
     if None in labels:
-        index = rows.index[labels.index(None)]
+        index = int(rows.index[labels.index(None)])
         raise LabelError("row has no label", index, csv_row(schema, index))
     if min(labels) < 0 or max(labels) >= n_classes:
         i = next(i for i, y in enumerate(labels) if not 0 <= y < n_classes)
-        index = rows.index[i]
+        index = int(rows.index[i])
         raise LabelError(
             f"label {labels[i]} outside [0, {n_classes})", index, csv_row(schema, index)
         )
@@ -163,12 +163,12 @@ class PrequentialRecord(NamedTuple):
 
 @dataclass(eq=False)
 class Records:
-    """Scored rows as columns: stream indices (a list of the stream's ints),
-    predicted and actual classes, 0/1 drift and retrain flags (int arrays) and
-    the rolling-accuracy ``window``, set by ``run_experiment``. Iterating yields
-    ``PrequentialRecord`` rows (rolling accuracy 0.0 without a window)."""
+    """Scored rows as int64 columns: stream indices, predicted and actual
+    classes, 0/1 drift and retrain flags; and the rolling-accuracy ``window``,
+    set by ``run_experiment``. Iterating yields ``PrequentialRecord`` rows of
+    Python numbers (rolling accuracy 0.0 without a window)."""
 
-    index: list[int]
+    index: np.ndarray
     predicted: np.ndarray
     actual: np.ndarray
     drift: np.ndarray
@@ -192,25 +192,36 @@ class Records:
     def __iter__(self) -> Iterator[PrequentialRecord]:
         n, w = len(self), self.window  # the rolling accuracy: an int/int division
         acc = (self.in_window / np.minimum(np.arange(1, n + 1), w)).tolist() if w else repeat(0.0)
-        return map(PrequentialRecord, self.index, self.predicted.tolist(),
+        return map(PrequentialRecord, self.index.tolist(), self.predicted.tolist(),
                    self.actual.tolist(), self.correct.tolist(), acc,
                    self.drift.tolist(), self.retrain.tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RetrainEvent:
+    """A refit: the stream indices of its alarm, of the row that completed
+    it and, as an int64 array, of the rows it used."""
+
     alarm_index: int
     retrain_index: int
-    used_indices: tuple[int, ...]
+    used: np.ndarray
+
+    @property
+    def used_indices(self) -> tuple[int, ...]:
+        return tuple(self.used.tolist())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, RetrainEvent) and (
+            (self.alarm_index, self.retrain_index, self.used_indices)
+            == (other.alarm_index, other.retrain_index, other.used_indices))
 
 
 class Rows(NamedTuple):
-    """Encoded rows as columns, in stream order: stream indices, labels, an
-    (n, n_categorical) category index matrix and an (n, n_numeric) value
-    matrix. The stream indices are a list of the stream's own int objects,
-    which retrain records then share instead of holding copies."""
+    """Encoded rows as columns, in stream order: stream indices and labels
+    (int64 arrays), an (n, n_categorical) category index matrix and an
+    (n, n_numeric) value matrix."""
 
-    index: list[int]
+    index: np.ndarray
     label: np.ndarray
     cats: np.ndarray
     nums: np.ndarray
@@ -238,7 +249,7 @@ class Controller:
         self.config = config
         if buffer is None:
             buffer = Rows(
-                [],
+                np.empty(0, dtype=np.int64),
                 np.empty(0, dtype=np.int64),
                 np.empty((0, len(encoder.cat_cardinalities)), dtype=np.int64),
                 np.empty((0, encoder.n_numeric)),
@@ -286,7 +297,7 @@ class Controller:
         if n_classes is None:
             top = max((y for y in warmup.label if y is not None), default=0)
             if top >= MAX_INFERRED_CLASSES:
-                index = warmup.index[warmup.label.index(top)]
+                index = int(warmup.index[warmup.label.index(top)])
                 raise LabelError(
                     f"label {top} would make {top + 1} classes; at most"
                     f" {MAX_INFERRED_CLASSES} are inferred from the warm-up labels",
@@ -313,14 +324,10 @@ class Controller:
     def _rows(self, pos) -> Rows:
         """The rows at positions ``pos``, a slice or an integer array."""
         b = self._base
-        index, label, cats, nums = self._cols
-        if isinstance(pos, slice):
-            sel = slice(pos.start - b, pos.stop - b)
-            return Rows(index[sel], label[sel], cats[sel], nums[sel])
-        sel = pos - b
-        return Rows([index[i] for i in sel.tolist()], label[sel], cats[sel], nums[sel])
+        sel = slice(pos.start - b, pos.stop - b) if isinstance(pos, slice) else pos - b
+        return Rows._make(c[sel] for c in self._cols)
 
-    def _append(self, chunk: Table) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray]:
+    def _append(self, chunk: Table) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Check and encode the rows of ``chunk`` and append them to the
         columns at positions ``_next`` on. Rows that neither the buffer nor
         a part-filled mini-batch can use any more are dropped first, so at
@@ -328,8 +335,8 @@ class Controller:
         An outstanding collection needs no more: its window spans
         ``batch_size + 1`` positions, the alarm row included, and its last
         row is not stepped yet.
-        Returns the chunk's stream indices as a list and its labels,
-        category and value matrices."""
+        Returns the chunk's stream indices and labels, category and value
+        matrices."""
         _check_labels(chunk, self.model.n_classes, self.encoder.schema)
         index, labels = chunk.index, np.array(chunk.label, dtype=np.int64)
         cats, nums = self.encoder.encode_many(chunk)
@@ -337,16 +344,10 @@ class Controller:
         if self.mini_batch:
             keep = min(keep, self.mini_batch[0])
         keep = max(keep, self._base)
-        old = slice(keep - self._base, self._next - self._base)
-        kept = self._cols
-        self._cols = Rows(
-            kept.index[old] + index,
-            np.concatenate((kept.label[old], labels)),
-            np.concatenate((kept.cats[old], cats)),
-            np.concatenate((kept.nums[old], nums)),
-        )
+        new = (index, labels, cats, nums)
+        self._cols = Rows._make(map(np.concatenate, zip(self._rows(slice(keep, self._next)), new)))
         self._base = keep
-        return index, labels, cats, nums
+        return new
 
     # -- stepping ---------------------------------------------------------
 
@@ -360,7 +361,7 @@ class Controller:
             rows.label, rows.cats, rows.nums, m.n_classes, m.cat_cardinalities, m.n_numeric
         )
         self.n_retrains += 1
-        self.retrain_history.append(RetrainEvent(alarm_index, now, tuple(rows.index)))
+        self.retrain_history.append(RetrainEvent(alarm_index, now, rows.index))
         self.detector.reset()
         self.mini_batch = range(0)
         return 1
@@ -437,7 +438,7 @@ class Controller:
                 start += n
 
     def _step_block(
-        self, index: list[int], wrong: np.ndarray, versions: Optional[Versions]
+        self, index: np.ndarray, wrong: np.ndarray, versions: Optional[Versions]
     ) -> tuple[int, int, int]:
         """The state machine over a scored block (stream indices ``index``,
         ``wrong`` where the prediction missed, ``versions`` as ``_stage``
@@ -479,7 +480,7 @@ class Controller:
                 B, a = cfg.batch_size, p + k
                 pre = {LAST: B, MIXED: math.ceil(B / 2)}.get(cfg.strategy, 0)
                 self.n_drifts += 1
-                self._alarm_index, self._alarm_pos = index[drift], a
+                self._alarm_index, self._alarm_pos = int(index[drift]), a
                 self._window_lo, self.remaining = max(0, a - pre), B - pre
                 self.mode = COLLECTING
                 k += 1
@@ -491,6 +492,6 @@ class Controller:
             if self.remaining == 0:
                 a, lo, now = self._alarm_pos, self._window_lo, self._next
                 pos = slice(lo, a) if now == a + 1 else np.r_[lo:a, a + 1 : now]
-                retrained = self._refit(self._rows(pos), self._alarm_index, index[k - 1])
+                retrained = self._refit(self._rows(pos), self._alarm_index, int(index[k - 1]))
                 self.mode = STABLE
         return k, drift, retrained

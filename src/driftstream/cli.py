@@ -39,10 +39,12 @@ from .preprocess import BinBoundaries
 from .stream_core import (
     CATEGORICAL,
     NUMERIC,
+    EncodingError,
     FeatureSchema,
     RowError,
     SchemaError,
     StreamParseError,
+    encoding_error,
     write_columns,
 )
 from .synth import (
@@ -113,7 +115,8 @@ _BOOL_KEYS = {"incremental", "quiet", "hidden-context", "hidden_context"}
 
 def _infer_schema(path: str, label: str, exclude: tuple[str, ...]) -> FeatureSchema:
     """Sniff column kinds from a sample: a column is numeric when every
-    sampled non-empty token parses as a float."""
+    sampled non-empty token parses as a float. A byte that is not UTF-8
+    raises ``EncodingError`` naming its file line."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -124,6 +127,8 @@ def _infer_schema(path: str, label: str, exclude: tuple[str, ...]) -> FeatureSch
             sample = list(itertools.islice(reader, _SNIFF_ROWS))
     except OSError as e:
         raise _fail_data(f"cannot read {path}: {e}")
+    except UnicodeDecodeError as e:
+        raise encoding_error(path) or e from None
     if label not in header:
         raise _fail_data(f"{path} lacks the label column {label!r}")
     feats = []
@@ -524,7 +529,8 @@ def main(argv=None) -> int:
     except _CliError as e:
         print(f"driftstream: {e}", file=sys.stderr)
         return e.code
-    except (SchemaError, StreamParseError, RowError, csv.Error, UnicodeDecodeError) as e:
+    except (SchemaError, StreamParseError, RowError, EncodingError, csv.Error,
+            UnicodeDecodeError) as e:
         print(f"driftstream: data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (ConfigError, SynthConfigError) as e:

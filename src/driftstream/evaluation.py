@@ -52,13 +52,11 @@ def run_experiment(
 
     # unlabeled rows cannot be scored prequentially; each block's columns are
     # copied out as it comes, so no block outlives its step
-    index, cols = [], np.zeros((4, len(table) - config.warmup), dtype=np.int64)
+    n, cols = 0, np.zeros((5, len(table) - config.warmup), dtype=np.int64)
     for b in controller.steps(table[config.warmup :].labeled()):
-        lo = len(index)
-        index += b.index
-        cols[:, lo : len(index)] = b.predicted, b.actual, b.drift, b.retrain
-    n = len(index)
-    records = Records(index, *cols[:, :n], window=config.window)
+        cols[:, n : n + len(b)] = b.index, b.predicted, b.actual, b.drift, b.retrain
+        n += len(b)
+    records = Records(*cols[:, :n], window=config.window)
     pairs = records.actual * K + records.predicted
     confusion = np.bincount(pairs, minlength=K * K).reshape(K, K)
     summary = ExperimentSummary(
@@ -201,18 +199,18 @@ def write_records_csv(records: Records, path) -> None:
     r = records
     names = ("index", "predicted", "actual", "correct", "rolling_accuracy", "drift", "retrain")
     ints = (r.predicted, r.actual, r.correct)
-    write_columns(path, names, (np.array(r.index), *ints, _rolling_column(r), r.drift, r.retrain))
+    write_columns(path, names, (r.index, *ints, _rolling_column(r), r.drift, r.retrain))
 
 
 def write_curves_csv(records: Records, path) -> None:
-    columns = (np.array(records.index), _rolling_column(records))
+    columns = (records.index, _rolling_column(records))
     write_columns(path, ("index", "rolling_accuracy"), columns)
 
 
 def write_events_csv(records: Records, path) -> None:
     """One line per flag; a row's drift comes before its retrain_done."""
     rows, kind = np.nonzero(np.stack((records.drift, records.retrain), axis=1))
-    index = np.array([records.index[i] for i in rows.tolist()], dtype=np.int64)
+    index = records.index[rows]
     write_columns(path, ("index", "event"), (index, (kind, ("drift", "retrain_done"))))
 
 

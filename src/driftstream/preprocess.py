@@ -196,13 +196,14 @@ class EncoderState:
         self.cat_maps: dict[str, dict[str, int]] = {n: {} for n in schema.categorical_names}
         self.boxcox: dict[str, BoxCoxParams] = {}
         self.frozen = False
+        # per feature, the last vocabulary encoded and its tokens' indices
+        self._lookups: dict[str, tuple[tuple[str, ...], np.ndarray]] = {}
 
-    def _tokens(self, name: str, table: Table) -> list[str]:
-        """The category tokens of feature ``name``, prefix-truncated where
-        configured."""
-        tokens = table.columns[name]
+    def _vocab(self, name: str, vocab: tuple[str, ...]) -> Sequence[str]:
+        """The tokens of vocabulary ``vocab`` of feature ``name``,
+        prefix-truncated where configured (tokens may then collide)."""
         plen = self.prefix_len.get(name)
-        return [truncate_category(t, plen) for t in tokens] if plen else tokens
+        return [truncate_category(t, plen) for t in vocab] if plen else vocab
 
     def fit(self, table: Table) -> "EncoderState":
         """Build category maps (first-appearance order) and fit Box-Cox
@@ -211,9 +212,11 @@ class EncoderState:
         if self.frozen:
             raise RuntimeError("encoder already frozen")
         for name in self.schema.categorical_names:
-            m = self.cat_maps[name]
-            for tok in self._tokens(name, table):
-                m.setdefault(tok, len(m))
+            column, m = table.columns[name], self.cat_maps[name]
+            codes, first = np.unique(column.codes, return_index=True)
+            tokens = self._vocab(name, column.vocab)
+            for code in codes[np.argsort(first)].tolist():
+                m.setdefault(tokens[code], len(m))
         for name in self.boxcox_features:
             try:
                 self.boxcox[name] = fit_boxcox(table.columns[name])
@@ -238,7 +241,8 @@ class EncoderState:
         """Columnar encode: an (n, n_categorical) int64 index matrix and an
         (n, n_numeric) float64 value matrix, row i holding the encoding of
         row i of ``table``. The encoder is frozen, so each row is a pure
-        function of its values; Box-Cox goes through the scalar
+        function of its values: a categorical column's vocabulary is mapped
+        once and its codes gathered; Box-Cox goes through the scalar
         ``apply_boxcox`` one value at a time. A value outside the fitted
         Box-Cox support raises ``RowError`` naming its row."""
         if not self.frozen:
@@ -246,9 +250,14 @@ class EncoderState:
         cat_names, num_names = self.schema.categorical_names, self.schema.numeric_names
         cats = np.empty((len(table), len(cat_names)), dtype=np.int64)
         for i, name in enumerate(cat_names):
-            m = self.cat_maps[name]
-            unseen = len(m)
-            cats[:, i] = [m.get(t, unseen) for t in self._tokens(name, table)]
+            column = table.columns[name]
+            vocab, lookup = self._lookups.get(name, (None, None))
+            if vocab is not column.vocab:  # the slices of a table share its vocabulary
+                m = self.cat_maps[name]
+                tokens = self._vocab(name, column.vocab)
+                lookup = np.array([m.get(t, len(m)) for t in tokens], dtype=np.int64)
+                self._lookups[name] = column.vocab, lookup
+            cats[:, i] = lookup[column.codes]
         nums = np.empty((len(table), len(num_names)))
         for j, name in enumerate(num_names):
             column = table.columns[name]
@@ -259,7 +268,7 @@ class EncoderState:
                     column = [apply_boxcox(x, params) for x in column]
                 except ValueError as e:
                     i = next(i for i, x in enumerate(column) if x + params.shift <= 0)
-                    index = table.index[i]
+                    index = int(table.index[i])
                     raise RowError(f"{name}: {e}", index, csv_row(self.schema, index)) from None
             nums[:, j] = column
         return cats, nums
@@ -268,4 +277,4 @@ class EncoderState:
         """``encode_many`` of a one-row table, its label included. No code
         path calls it; the benchmark's tracer wraps it by name."""
         cats, nums = self.encode_many(row)
-        return EncodedInstance(row.index[0], cats[0], nums[0], row.label[0])
+        return EncodedInstance(int(row.index[0]), cats[0], nums[0], row.label[0])

@@ -1,8 +1,9 @@
 """Data model for chronological feature streams and the CSV stream source.
 
 A stream is a sequence of rows in strict chronological order, one row per
-index, held as columns in a ``Table``: the stream indices, the labels
-(``None`` for an unlabeled row) and one column per feature.
+index, held as columns in a ``Table``: the stream indices (an int64 array),
+the labels (``None`` for an unlabeled row) and one column per feature, a
+``DictColumn`` of category codes or a float64 array of values.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -34,6 +35,30 @@ class StreamParseError(ValueError):
     def __init__(self, message: str, row: int):
         super().__init__(f"row {row}: {message}")
         self.row = row
+
+
+class EncodingError(ValueError):
+    """A byte of a CSV file that is not UTF-8, named by its 1-based file
+    ``line`` (a quoted cell that spans lines counts each of them)."""
+
+    def __init__(self, path, line: int, byte: int):
+        super().__init__(path, line, byte)
+        self.line = line
+
+    def __str__(self) -> str:
+        return "{} line {}: byte 0x{:02x} is not UTF-8".format(*self.args)
+
+
+def encoding_error(path) -> Optional[EncodingError]:
+    """The error of the first byte of file ``path`` that is not UTF-8, if
+    any. A line feed is part of no UTF-8 sequence, so lines decode alone."""
+    with open(path, "rb") as fh:
+        for line, raw in enumerate(fh, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                return EncodingError(path, line, raw[e.start])
+    return None
 
 
 class RowError(ValueError):
@@ -92,26 +117,55 @@ class FeatureSchema:
 CHUNK_ROWS = 4096
 
 
+class DictColumn:
+    """A categorical column, dictionary-coded: row i holds the token
+    ``vocab[codes[i]]`` of ``vocab``, a tuple of distinct ``str`` tokens,
+    ``codes`` being an int64 array. Indexing with a slice or an index array
+    gives those rows, sharing the vocabulary; two columns are equal when
+    their rows hold the same tokens."""
+
+    __slots__ = ("codes", "vocab")
+
+    def __init__(self, codes: np.ndarray, vocab: tuple[str, ...]):
+        self.codes = codes
+        self.vocab = vocab
+
+    @classmethod
+    def from_tokens(cls, tokens: Sequence[str]) -> "DictColumn":
+        """The column of ``tokens``, its vocabulary in order of first appearance."""
+        code = {t: i for i, t in enumerate(dict.fromkeys(tokens))}
+        return cls(np.fromiter(map(code.__getitem__, tokens), np.int64, len(tokens)), tuple(code))
+
+    def __getitem__(self, rows) -> "DictColumn":
+        return DictColumn(self.codes[rows], self.vocab)
+
+    def tokens(self) -> list[str]:
+        """The token of each row."""
+        return list(map(self.vocab.__getitem__, self.codes.tolist()))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, DictColumn) and self.tokens() == other.tokens()
+
+
 class Table:
-    """Rows of a stream as columns, in stream order: ``index``, a list of
-    stream indices; ``label``, a list of integer class ids with ``None``
-    for an unlabeled row; and ``columns``, one column per feature name,
-    category tokens as a list of ``str`` and numeric values as a float64
-    array.
+    """Rows of a stream as columns, in stream order: ``index``, an int64
+    array of stream indices; ``label``, a list of integer class ids with
+    ``None`` for an unlabeled row; and ``columns``, one column per feature
+    name, a ``DictColumn`` for a categorical feature and a float64 array of
+    values for a numeric one.
 
     Indexing with a slice gives the rows it selects, and with an integer
-    the one-row table of that row; either shares the stream index ``int``
-    objects and the tokens of this table. Iterating gives the one-row
-    tables in turn.
+    the one-row table of that row; either shares the vocabularies of this
+    table. Iterating gives the one-row tables in turn.
     """
 
     __slots__ = ("index", "label", "columns")
 
     def __init__(
         self,
-        index: list[int],
+        index: np.ndarray,
         label: list[Optional[int]],
-        columns: dict[str, Union[list[str], np.ndarray]],
+        columns: dict[str, Union[DictColumn, np.ndarray]],
     ):
         self.index = index
         self.label = label
@@ -135,10 +189,13 @@ class Table:
         if not isinstance(other, Table):
             return NotImplemented
         return (
-            self.index == other.index
+            np.array_equal(self.index, other.index)
             and self.label == other.label
             and self.columns.keys() == other.columns.keys()
-            and all(np.array_equal(c, other.columns[n]) for n, c in self.columns.items())
+            and all(
+                c == other.columns[n] if isinstance(c, DictColumn) else
+                np.array_equal(c, other.columns[n]) for n, c in self.columns.items()
+            )
         )
 
     def labeled(self) -> "Table":
@@ -146,29 +203,27 @@ class Table:
         if None not in self.label:
             return self
         keep = [i for i, y in enumerate(self.label) if y is not None]
-        return Table(
-            [self.index[i] for i in keep],
-            [self.label[i] for i in keep],
-            {
-                n: c[keep] if isinstance(c, np.ndarray) else [c[i] for i in keep]
-                for n, c in self.columns.items()
-            },
-        )
+        columns = {n: c[keep] for n, c in self.columns.items()}
+        return Table(self.index[keep], [self.label[i] for i in keep], columns)
 
     @classmethod
     def concat(cls, schema: FeatureSchema, tables: Iterable["Table"]) -> "Table":
         """One table of the rows of ``tables`` in turn, with the columns of
-        ``schema``'s features."""
+        ``schema``'s features. A categorical column's vocabulary is the
+        tables' vocabularies merged in turn, each token at its first place."""
         tables = list(tables)
-        columns: dict[str, Union[list[str], np.ndarray]] = {}
+        columns: dict[str, Union[DictColumn, np.ndarray]] = {}
         for name, kind in schema.features:
             parts = [t.columns[name] for t in tables]
             if kind == NUMERIC:
                 columns[name] = np.concatenate([np.empty(0), *parts])
             else:
-                columns[name] = list(chain.from_iterable(parts))
+                merged = DictColumn.from_tokens([t for c in parts for t in c.vocab])
+                starts = accumulate((len(c.vocab) for c in parts), initial=0)
+                codes = [merged.codes[s:][c.codes] for c, s in zip(parts, starts)]
+                columns[name] = DictColumn(np.concatenate([np.empty(0, np.int64), *codes]), merged.vocab)
         return cls(
-            list(chain.from_iterable(t.index for t in tables)),
+            np.concatenate([np.empty(0, np.int64), *(t.index for t in tables)]),
             list(chain.from_iterable(t.label for t in tables)),
             columns,
         )
@@ -184,14 +239,22 @@ def open_csv_stream(
 
     The header row must contain every schema column (extra columns are
     ignored); an empty file or a header alone is an empty stream. A row
-    shorter than the header reads its missing cells as empty. Empty
-    categorical cells become ``MISSING_TOKEN``; numeric cells are parsed
-    with ``float`` and an empty or non-finite one is a parse error. An
-    empty label cell leaves the row unlabeled; ``label_map`` converts a
-    non-empty label token to a class id (the default expects integer
-    tokens). A parse error names the first bad cell in row order (the
-    features in schema order, then the label).
+    shorter than the header reads its missing cells as empty. A table's
+    categorical columns are coded once, empty cells as ``MISSING_TOKEN``;
+    numeric cells are parsed as ``float`` parses them, and an empty or
+    non-finite one is a parse error. An empty label cell leaves the row
+    unlabeled; ``label_map`` converts a non-empty label token to a class id
+    (the default expects integer tokens). A parse error names the first bad
+    cell in row order (the features in schema order, then the label); a
+    byte that is not UTF-8 raises ``EncodingError`` naming its file line.
     """
+    try:
+        yield from _read_csv(path, schema, label_map)
+    except UnicodeDecodeError as e:
+        raise encoding_error(path) or e from None
+
+
+def _read_csv(path, schema, label_map) -> Iterator[Table]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -227,22 +290,26 @@ def _parse_rows(rows, index, col, schema, label_map) -> Table:
     """The table of ``rows`` (each long enough to hold every used column),
     the first at stream index ``index``; raises ``ValueError`` or
     ``OverflowError`` if a cell is bad."""
-    columns: dict[str, Union[list[str], np.ndarray]] = {}
+    cells = list(zip(*rows))  # a tuple of tokens per file column
+    columns: dict[str, Union[DictColumn, np.ndarray]] = {}
     for name, kind in schema.features:
-        c = col[name]
+        tokens = cells[col[name]]
         if kind == CATEGORICAL:
-            columns[name] = [r[c] or MISSING_TOKEN for r in rows]
+            column = DictColumn.from_tokens(tokens)
+            if "" in column.vocab:  # an empty cell is the category MISSING_TOKEN
+                vocab = DictColumn.from_tokens([t or MISSING_TOKEN for t in column.vocab])
+                column = DictColumn(vocab.codes[column.codes], vocab.vocab)
+            columns[name] = column
         else:
-            values = np.fromiter((float(r[c]) for r in rows), np.float64, len(rows))
+            values = np.array(tokens, dtype=np.float64)  # float() of each str
             if not np.isfinite(values).all():
                 raise ValueError("non-finite value")
             columns[name] = values
     if schema.label_column:
-        c = col[schema.label_column]
-        labels = [label_map(r[c]) if r[c] else None for r in rows]
+        labels = [label_map(t) if t else None for t in cells[col[schema.label_column]]]
     else:
         labels = [None] * len(rows)
-    return Table(list(range(index, index + len(rows))), labels, columns)
+    return Table(np.arange(index, index + len(rows), dtype=np.int64), labels, columns)
 
 
 def _raise_first_bad_cell(rows, first_row, col, schema, label_map) -> None:

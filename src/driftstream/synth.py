@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .stream_core import CATEGORICAL, NUMERIC, FeatureSchema, Table, write_columns
+from .stream_core import CATEGORICAL, NUMERIC, DictColumn, FeatureSchema, Table, write_columns
 
 SUDDEN = "sudden"
 GRADUAL = "gradual"
@@ -199,23 +199,24 @@ def generate(cfg: SynthConfig) -> SynthStream:
     n = cfg.n_instances
     y = rng_label.integers(cfg.n_classes, size=n)
 
+    # each row's category from its uniform draw and the cdf of its concept
+    # and class, drawn for one (concept, class) group of rows at a time
+    K = cfg.n_classes
+    group = cid * K + y
+    order, ends = np.argsort(group), np.cumsum(np.bincount(group, minlength=len(concepts) * K))
     cat_vals = np.empty((cfg.n_categorical, n), dtype=np.int64)
     for f in range(cfg.n_categorical):
         u = feat_rngs[f].random(n)
-        for c in range(len(concepts)):
-            for k in range(cfg.n_classes):
-                mask = (cid == c) & (y == k)
-                if not mask.any():
-                    continue
-                cdf = np.cumsum(concepts[c].cat_tables[f, k])
-                cat_vals[f, mask] = np.searchsorted(cdf, u[mask], side="right").clip(
-                    0, cfg.n_categories - 1
-                )
+        for g, (lo, hi) in enumerate(zip([0, *ends[:-1].tolist()], ends.tolist())):
+            rows = order[lo:hi]
+            cdf = np.cumsum(concepts[g // K].cat_tables[f, g % K])
+            cat_vals[f, rows] = np.searchsorted(cdf, u[rows], side="right")
+    cat_vals.clip(0, cfg.n_categories - 1, out=cat_vals)
 
     columns: dict = {}
-    tokens = np.array([f"c{v}" for v in range(cfg.n_categories)], dtype=object)
+    vocab = tuple(f"c{v}" for v in range(cfg.n_categories))
     for f in range(cfg.n_categorical):
-        columns[f"cat{f}"] = tokens[cat_vals[f]].tolist()
+        columns[f"cat{f}"] = DictColumn(cat_vals[f], vocab)
     means = np.stack([c.means for c in concepts])  # (concept, feature, class)
     for j in range(cfg.n_numeric):
         z = feat_rngs[cfg.n_categorical + j].standard_normal(n)
@@ -228,7 +229,7 @@ def generate(cfg: SynthConfig) -> SynthStream:
         level = np.where(np.arange(n) < first_pos, 0.25, 0.75)
         columns[HIDDEN_FEATURE] = np.clip(level + 0.05 * rng_hidden.standard_normal(n), 0.0, 1.0)
 
-    return SynthStream(cfg, Table(list(range(n)), y.tolist(), columns), cid, concepts)
+    return SynthStream(cfg, Table(np.arange(n), y.tolist(), columns), cid, concepts)
 
 
 def bayes_predict(concept: Concept, cat_idx: Sequence[int], num: Sequence[float]) -> int:
@@ -264,8 +265,8 @@ def write_csv(table: Table, schema: FeatureSchema, path) -> None:
     """Write a stream to CSV with ``write_columns``, floats as their ``repr``;
     reads back through ``open_csv_stream`` to an equal table."""
     columns = [
-        list(map(repr, table.columns[name].tolist())) if kind == NUMERIC else table.columns[name]
-        for name, kind in schema.features
+        list(map(repr, table.columns[name].tolist())) if kind == NUMERIC else
+        (table.columns[name].codes, table.columns[name].vocab) for name, kind in schema.features
     ]
     labels = ["" if y is None else str(y) for y in table.label]
     try:

@@ -33,7 +33,7 @@ from driftstream.preprocess import (
     fit_target_bins,
     inverse_boxcox,
 )
-from driftstream.stream_core import CATEGORICAL, FeatureSchema, Table
+from driftstream.stream_core import CATEGORICAL, DictColumn, FeatureSchema, Table
 from driftstream.synth import SynthConfig, generate, paper_like_config
 from driftstream.cli import EXIT_OK, main as cli_main
 
@@ -186,9 +186,8 @@ def test_criterion_4_window_algebra():
             warmup = B + 50
             t = warmup + int(rng.integers(10, 60))
             n = t + B + 10
-            stream = Table(
-                list(range(n)), [i % 2 for i in range(n)], {"tok": ["ab"[i % 2] for i in range(n)]}
-            )
+            tokens = DictColumn.from_tokens(["ab"[i % 2] for i in range(n)])
+            stream = Table(np.arange(n), [i % 2 for i in range(n)], {"tok": tokens})
             det = ArmedDetector()
             ctrl = Controller.from_warmup(
                 stream[:warmup], schema, det,
@@ -209,7 +208,7 @@ def test_criterion_4_window_algebra():
                 pre = tuple(range(t - math.ceil(B / 2), t))
                 post = tuple(range(t + 1, t + B // 2 + 1))
                 ok &= used == pre + post and event.retrain_index == t + B // 2
-            ok &= t not in used
+            ok &= t not in used and all(type(i) is int for i in used)
     elapsed = time.perf_counter() - start
     ok &= elapsed < 5.0
     assert report("criterion 4: retraining window algebra", ok, f"{elapsed:.1f}s")

@@ -33,6 +33,7 @@ from driftstream.preprocess import EncoderState
 from driftstream.stream_core import (
     CATEGORICAL,
     NUMERIC,
+    DictColumn,
     FeatureSchema,
     Table,
 )
@@ -86,6 +87,7 @@ def reference_step(ctrl, row):
     mini-batch and update once it is full. It drives the controller's own
     columns and refit."""
     (index,), labels, cats, nums = ctrl._append(row)
+    index = int(index)
     label, pred = int(labels[0]), int(ctrl.model.predict_many(cats, nums)[0])
     cfg, p = ctrl.config, ctrl._next
     correct = int(pred == label)
@@ -123,9 +125,8 @@ def reference_step(ctrl, row):
 
 
 def make_stream(n):
-    return Table(
-        list(range(n)), [i % 2 for i in range(n)], {"tok": ["ab"[i % 2] for i in range(n)]}
-    )
+    tokens = DictColumn.from_tokens(["ab"[i % 2] for i in range(n)])
+    return Table(np.arange(n), [i % 2 for i in range(n)], {"tok": tokens})
 
 
 def run_with_alarm(strategy, batch_size, alarm_at, n=300, warmup=50, **cfg_kw):
@@ -382,7 +383,7 @@ def noisy_stream(n, seed=0):
         toks.append("abcd"[y] if rng.random() < 0.6 else "abcd"[int(rng.integers(4))])
         xs.append(float(y + rng.normal()))
         labels.append(y)
-    return Table(list(range(n)), labels, {"tok": toks, "x": np.array(xs)})
+    return Table(np.arange(n), labels, {"tok": DictColumn.from_tokens(toks), "x": np.array(xs)})
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -482,8 +483,8 @@ def test_staged_versions_of_a_wide_model_stay_under_the_cap(monkeypatch):
     pool = tokens + [f"unseen{i}" for i in range(50)]
     toks = tokens + [pool[i] for i in rng.integers(len(pool), size=4096)]
     stream = Table(
-        list(range(len(labels))), labels,
-        {"tok": toks, "x": rng.normal(size=len(labels)) + np.array(labels)},
+        np.arange(len(labels)), labels,
+        {"tok": DictColumn.from_tokens(toks), "x": rng.normal(size=len(labels)) + np.array(labels)},
     )
     cfg = make_config(incremental=True, mini_batch_size=1)
     block = Controller.from_warmup(stream[:warmup], MIXED_SCHEMA, NoDetector(), cfg)
@@ -530,7 +531,7 @@ def test_replay_reproduces_events_and_predictions():
 
 def test_step_before_warmup_rejected():
     encoder = EncoderState(SCHEMA)
-    encoder.fit(Table([0], [None], {"tok": ["a"]}))
+    encoder.fit(Table(np.zeros(1, np.int64), [None], {"tok": DictColumn.from_tokens(["a"])}))
     ctrl = Controller(
         NaiveBayesModel(2, encoder.cat_cardinalities, 0),
         encoder,
@@ -546,7 +547,7 @@ def test_step_before_warmup_rejected():
 def test_warmup_requires_labeled_instances():
     with pytest.raises(ControllerError):
         Controller.from_warmup(make_stream(0), SCHEMA, NoDetector(), make_config())
-    bare = Table([0], [None], {"tok": ["a"]})
+    bare = Table(np.zeros(1, np.int64), [None], {"tok": DictColumn.from_tokens(["a"])})
     with pytest.raises(ControllerError):
         Controller.from_warmup(bare, SCHEMA, NoDetector(), make_config())
 
@@ -564,6 +565,7 @@ def test_label_outside_classes_rejected_before_its_chunk_is_stepped(walk):
         else:
             stepped.extend(ctrl.step(rec) for rec in stream[50:])
     assert (info.value.index, info.value.row) == (90, 92)
+    assert type(info.value.index) is int and type(info.value.row) is int
     assert len(stepped) == (0 if walk == "steps" else 40)
 
 

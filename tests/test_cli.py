@@ -294,6 +294,22 @@ def test_unreadable_csv_is_a_data_error(tmp_path, capsys, line):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", [150, 5000], ids=["in-the-sniffed-rows", "after-row-4096"])
+def test_byte_not_utf8_names_its_file_line(tmp_path, capsys, line):
+    # schema inference reads the first rows; the stream reader the rest
+    rows = [f"{'ab'[i % 2]},{i % 5}.5,{i % 2}".encode() for i in range(6000)]
+    rows[line - 2] = b"caf\xe9,1.5,0"  # the header is line 1
+    stream = tmp_path / "s.csv"
+    stream.write_bytes(b"tok,x,label\n" + b"\n".join(rows) + b"\n")
+    code = run_cli(
+        "run", "--input", str(stream), "--label", "label", "--warmup", "100",
+        "-o", str(tmp_path / "x"),
+    )
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"s.csv line {line}: byte 0xe9 is not UTF-8" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "row,cells,code",
     [(252, "p,0.5", EXIT_OK), (52, "p,0.5", EXIT_DATA), (252, "p", EXIT_DATA)],

@@ -9,6 +9,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from driftstream import stream_core
 from driftstream.adaptation import STRATEGIES, Controller, Records
 from driftstream.evaluation import (
     ConfigError,
@@ -28,6 +29,7 @@ from driftstream.evaluation import (
 from driftstream.stream_core import (
     CATEGORICAL,
     NUMERIC,
+    DictColumn,
     FeatureSchema,
     Table,
 )
@@ -42,7 +44,8 @@ def constant_stream(labels, warmup=4):
     """Warm-up of class-0 instances, then one instance per given label, all
     with the same feature value so the model keeps predicting 0."""
     n = warmup + len(labels)
-    return Table(list(range(n)), [0] * warmup + list(labels), {"tok": ["a"] * n})
+    tokens = DictColumn.from_tokens(["a"] * n)
+    return Table(np.arange(n), [0] * warmup + list(labels), {"tok": tokens})
 
 
 def small_synth(seed=3):
@@ -82,7 +85,8 @@ def test_record_count_equals_stream_minus_warmup():
 
 def test_unlabeled_rows_skipped_after_warmup():
     recs = constant_stream([0, 1, 0])
-    recs = Table.concat(SCHEMA, [recs[:5], Table([99], [None], {"tok": ["a"]}), recs[5:]])
+    bare = Table(np.array([99]), [None], {"tok": DictColumn.from_tokens(["b"])})
+    recs = Table.concat(SCHEMA, [recs[:5], bare, recs[5:]])
     cfg = ExperimentConfig(warmup=4, n_classes=2)
     records, summary = run_experiment(recs, SCHEMA, cfg)
     assert summary.n_predictions == 3
@@ -252,7 +256,7 @@ def test_block_path_equals_step_loop(
         for row in rows:
             r = reference_step(ctrl, row)
             cols = np.array([[r.predicted], [r.actual], [r.drift_flag], [r.retrain_flag]])
-            yield Records([r.index], *cols)
+            yield Records(np.array([r.index]), *cols)
 
     monkeypatch.setattr(Controller, "steps", reference_steps)
     plain = _run_capturing(monkeypatch, records, schema, cfg)
@@ -366,6 +370,48 @@ def test_csv_source_round_trip(tmp_path):
     write_csv(stream.table, stream.schema, p)
     records, schema = CsvSource(str(p), stream.schema).load()
     assert records == stream.table
+
+
+@pytest.fixture(scope="module")
+def awkward_source(tmp_path_factory):
+    """A CsvSource of 1,500 rows: quoted and non-ASCII tokens, empty cells,
+    unlabeled rows after the warm-up, categories first seen late and one
+    seen in a few rows only."""
+    rng = np.random.default_rng(4)
+    p = tmp_path_factory.mktemp("awkward") / "s.csv"
+    acts, res = ["a,b", 'a"b', "", "é", "x"], ["日本", "", "y"]
+    with open(p, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["act", "dur", "res", "label"])
+        for i in range(1500):
+            y = int(rng.integers(3))
+            act = acts[(y + int(rng.integers(2))) % len(acts)]
+            if i > 900 and rng.random() < 0.1:
+                act = "late"
+            if 700 <= i < 710:
+                act = "few"
+            label = "" if i > 300 and rng.random() < 0.05 else y
+            w.writerow([act, repr(y + rng.normal()), res[int(rng.integers(3))], label])
+    schema = FeatureSchema(
+        (("act", CATEGORICAL), ("dur", NUMERIC), ("res", CATEGORICAL)), "label"
+    )
+    return CsvSource(str(p), schema)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 7, 4096])
+def test_read_chunk_size_changes_no_table_and_no_record(monkeypatch, awkward_source, chunk_rows):
+    cfg = dataclasses.replace(STATIC, detector="page_hinkley", strategy="last", batch_size=100,
+                              incremental=True)
+    table, schema = awkward_source.load()
+    records, summary = run_experiment(table, schema, cfg)
+    monkeypatch.setattr(stream_core, "CHUNK_ROWS", chunk_rows)
+    chunked, _ = awkward_source.load()
+    assert chunked == table  # the same indices, labels, values and tokens
+    assert chunked.index.tolist() == list(range(1500))
+    assert chunked.columns["act"].tokens() == table.columns["act"].tokens()
+    chunked_records, chunked_summary = run_experiment(chunked, schema, cfg)
+    assert list(chunked_records) == list(records)
+    assert chunked_summary == summary and summary.n_drifts > 0
 
 
 def test_csv_source_bins_hour_labels(tmp_path):

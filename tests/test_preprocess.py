@@ -24,7 +24,7 @@ from driftstream.preprocess import (
     inverse_boxcox,
     truncate_category,
 )
-from driftstream.stream_core import CATEGORICAL, NUMERIC, FeatureSchema, Table
+from driftstream.stream_core import CATEGORICAL, NUMERIC, DictColumn, FeatureSchema, Table
 
 
 # -- truncate_category --------------------------------------------------------
@@ -267,12 +267,13 @@ SCHEMA = FeatureSchema((("mat", CATEGORICAL), ("value", NUMERIC)), "label")
 
 def insts(pairs):
     mats, values = zip(*pairs)
-    return Table(list(range(len(pairs))), [None] * len(pairs),
-                 {"mat": list(mats), "value": np.array(values)})
+    return Table(np.arange(len(pairs)), [None] * len(pairs),
+                 {"mat": DictColumn.from_tokens(mats), "value": np.array(values)})
 
 
 def row(index, mat, value):
-    return Table([index], [None], {"mat": [mat], "value": np.array([value])})
+    return Table(np.array([index]), [None],
+                 {"mat": DictColumn.from_tokens([mat]), "value": np.array([value])})
 
 
 def test_encode_known_and_unseen_category():
@@ -296,6 +297,34 @@ def test_prefix_truncation_applied_before_mapping():
     enc = EncoderState(SCHEMA, prefix_len={"mat": 4})
     enc.fit(insts([("10234567", 1.0), ("10239999", 2.0), ("55511", 3.0)]))
     assert enc.cat_maps["mat"] == {"1023": 0, "5551": 1}
+
+
+def test_fit_maps_categories_in_order_of_first_appearance_in_the_rows():
+    # the vocabulary holds an unused token and lists the others out of order
+    mats = DictColumn(np.array([2, 0, 2, 1]), ("x", "y", "z", "unused"))
+    enc = EncoderState(SCHEMA)
+    enc.fit(Table(np.arange(4), [None] * 4, {"mat": mats, "value": np.ones(4)}))
+    assert enc.cat_maps["mat"] == {"z": 0, "x": 1, "y": 2}
+    cats, _ = enc.encode_many(insts([("unused", 1.0), ("y", 1.0), ("z", 1.0)]))
+    assert cats[:, 0].tolist() == [3, 2, 0]
+
+
+def test_prefix_truncated_tokens_that_collide_share_one_index():
+    enc = EncoderState(SCHEMA, prefix_len={"mat": 2})
+    enc.fit(insts([("abX", 1.0), ("cd", 2.0), ("abY", 3.0), ("a", 4.0)]))
+    assert enc.cat_maps["mat"] == {"ab": 0, "cd": 1, "a": 2}
+    cats, _ = enc.encode_many(insts([("abZ", 1.0), ("a", 1.0), ("cdef", 1.0), ("x", 1.0)]))
+    assert cats[:, 0].tolist() == [0, 2, 1, 3]
+
+
+def test_encode_many_follows_each_tables_vocabulary():
+    enc = EncoderState(SCHEMA)
+    enc.fit(insts([("A", 1.0), ("B", 2.0)]))
+    table = insts([("B", 1.0), ("C", 1.0), ("A", 1.0)])
+    for rows in (table, insts([("A", 1.0), ("B", 1.0)]), table[1:], table):
+        cats, _ = enc.encode_many(rows)
+        expected = [{"A": 0, "B": 1}.get(t, 2) for t in rows.columns["mat"].tokens()]
+        assert cats[:, 0].tolist() == expected
 
 
 def test_encoder_freeze_is_deterministic():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from driftstream import stream_core
 from driftstream.stream_core import (
     CATEGORICAL,
     MISSING_TOKEN,
@@ -17,6 +18,8 @@ from driftstream.stream_core import (
     FeatureSchema,
     SchemaError,
     StreamParseError,
+    DictColumn,
+    EncodingError,
     Table,
     open_csv_stream,
     write_columns,
@@ -42,9 +45,10 @@ def test_three_labeled_rows(tmp_path):
     p = write(tmp_path, "color,size,label\nred,1.5,0\nblue,2.0,1\nred,3.5,2\n")
     recs = read(p)
     assert len(recs) == 3
-    assert recs.index == [0, 1, 2]
+    assert recs.index.tolist() == [0, 1, 2]
     assert recs.label == [0, 1, 2]
-    assert recs[0] == Table([0], [0], {"color": ["red"], "size": np.array([1.5])})
+    red = DictColumn.from_tokens(["red"])
+    assert recs[0] == Table(np.array([0]), [0], {"color": red, "size": np.array([1.5])})
 
 
 def test_bad_numeric_cites_row(tmp_path):
@@ -87,14 +91,14 @@ def test_header_only_is_empty_stream(tmp_path):
 def test_missing_categorical_becomes_reserved_token(tmp_path):
     p = write(tmp_path, "color,size,label\n,1.0,0\n")
     rec = read(p)
-    assert rec.columns["color"] == [MISSING_TOKEN]
+    assert rec.columns["color"].tokens() == [MISSING_TOKEN]
 
 
 def test_empty_label_yields_bare_instance(tmp_path):
     p = write(tmp_path, "color,size,label\nred,1.0,\nblue,2.0,1\n")
     recs = read(p)
     assert recs.label == [None, 1]
-    assert recs.index == [0, 1]
+    assert recs.index.tolist() == [0, 1]
 
 
 def test_bad_label_token_cites_row(tmp_path):
@@ -113,7 +117,7 @@ def test_extra_columns_ignored(tmp_path):
 def test_index_origin(tmp_path):
     schema = FeatureSchema(SCHEMA.features, "label", index_origin=2000)
     p = write(tmp_path, "color,size,label\nred,1.0,0\nblue,2.0,1\n")
-    assert read(p, schema).index == [2000, 2001]
+    assert read(p, schema).index.tolist() == [2000, 2001]
 
 
 def test_reopen_is_deterministic(tmp_path):
@@ -162,7 +166,7 @@ def test_indices_increase_by_one_and_schema_covered(tmp_path_factory, rows):
     lines = ["color,size,label"] + [f"{c},{x!r},{y}" for c, x, y in rows]
     p.write_text("\n".join(lines) + "\n")
     recs = read(p)
-    assert recs.index == list(range(len(rows)))
+    assert recs.index.tolist() == list(range(len(rows)))
     assert set(recs.columns) == set(SCHEMA.names)
 
 
@@ -173,7 +177,7 @@ def test_chunks_hold_at_most_chunk_rows(tmp_path):
     n = CHUNK_ROWS + 5
     p = write(tmp_path, "color,size,label\n" + "red,1.0,0\n" * n)
     assert [len(t) for t in open_csv_stream(p, SCHEMA)] == [CHUNK_ROWS, 5]
-    assert read(p).index == list(range(n))
+    assert read(p).index.tolist() == list(range(n))
 
 
 def test_short_row_reads_missing_cells_as_empty(tmp_path):
@@ -203,6 +207,47 @@ def test_first_bad_cell_in_row_order_is_reported(tmp_path, rows, row, message):
     with pytest.raises(StreamParseError, match=message) as exc:
         list(open_csv_stream(p, SCHEMA))
     assert exc.value.row == CHUNK_ROWS - 1 + row
+
+
+def test_byte_not_utf8_names_its_file_line(tmp_path):
+    # a quoted cell spanning two lines: file lines, not CSV rows, are counted
+    rows = [b'"re\nd",1.0,0'] + [b"red,1.0,0"] * (CHUNK_ROWS + 100)
+    rows[CHUNK_ROWS + 50] = b"r\xffd,1.0,0"
+    p = tmp_path / "s.csv"
+    p.write_bytes(b"color,size,label\n" + b"\n".join(rows) + b"\n")
+    with pytest.raises(EncodingError, match="byte 0xff is not UTF-8") as exc:
+        list(open_csv_stream(p, SCHEMA))
+    assert exc.value.line == CHUNK_ROWS + 50 + 3
+
+
+# tokens a numeric cell may hold: float reprs, the spellings float() reads
+# (signs, exponents, underscores, non-ASCII digits, inf and nan), and junk
+_numeric_token = st.one_of(
+    st.floats().map(repr),
+    st.integers(-(10**30), 10**30).map(str),
+    st.sampled_from(["1_0", "1__0", "_1", "1_", "١٢", "５", "+.5", "-0", ".", "e5", "1e400",
+                     "-1e-400", "inf", "-Infinity", "nan", "-nan", "NaN", "0x10", "", " "]),
+    st.text(st.characters(codec="utf-8"), max_size=8),
+).flatmap(lambda t: st.sampled_from([t, f" {t}", f"{t}\t", f"\n{t} "]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_numeric_token, min_size=1, max_size=6))
+def test_numeric_column_parses_each_cell_as_float_does(tokens):
+    """A numeric column holds float()'s bits for each cell, or the table is
+    refused (ValueError) when float() refuses a cell or reads a non-finite
+    value."""
+    schema = FeatureSchema((("x", NUMERIC),))
+    try:
+        expected = [float(t) for t in tokens]
+    except ValueError:
+        expected = None
+    if expected is not None and all(map(np.isfinite, expected)):
+        table = stream_core._parse_rows([[t] for t in tokens], 0, {"x": 0}, schema, int)
+        assert table.columns["x"].tobytes() == np.array(expected).tobytes()
+    else:
+        with pytest.raises(ValueError):
+            stream_core._parse_rows([[t] for t in tokens], 0, {"x": 0}, schema, int)
 
 
 # -- write_columns ------------------------------------------------------------
@@ -268,15 +313,16 @@ def test_written_bytes_are_csv_writers(tmp_path_factory, columns, n, seed):
 def old_write_csv(table, schema):
     """The bytes of write_csv's csv.writer loop, kept as the reference."""
     cells = [
-        list(map(repr, table.columns[name].tolist())) if kind == NUMERIC else table.columns[name]
-        for name, kind in schema.features
+        list(map(repr, table.columns[name].tolist())) if kind == NUMERIC else
+        table.columns[name].tokens() for name, kind in schema.features
     ]
     labels = ["" if y is None else y for y in table.label]
     return csv_writer_bytes(list(schema.names) + [schema.label_column], zip(*cells, labels))
 
 
 def awkward_table(pools, n, seed, finite):
-    """A table of ``n`` rows drawn from the value pools by a seeded rng."""
+    """A table of ``n`` rows drawn from the value pools by a seeded rng; its
+    categorical column's vocabulary is the token pool, unused tokens and all."""
     rng = np.random.default_rng(seed)
     tokens, floats, labels = pools
 
@@ -286,7 +332,9 @@ def awkward_table(pools, n, seed, finite):
     size = np.array(pick(floats), dtype=np.float64)
     if finite:
         size[~np.isfinite(size)] = 0.5
-    return Table(list(range(n)), pick(labels), {"color": pick(tokens), "size": size})
+    vocab = tuple(dict.fromkeys(tokens))
+    color = DictColumn(rng.integers(len(vocab), size=n), vocab)
+    return Table(np.arange(n), pick(labels), {"color": color, "size": size})
 
 
 _pools = st.tuples(

@@ -125,9 +125,10 @@ def test_values_and_labels_in_range():
     for i, label in enumerate(stream.table.label):
         assert label is not None
         assert 0 <= label < cfg.n_classes
-        for f in range(cfg.n_categorical):
-            tok = stream.table.columns[f"cat{f}"][i]
-            assert tok in {f"c{j}" for j in range(cfg.n_categories)}
+    for f in range(cfg.n_categorical):
+        column = stream.table.columns[f"cat{f}"]
+        assert column.vocab == tuple(f"c{j}" for j in range(cfg.n_categories))
+        assert set(column.tokens()) <= set(column.vocab)
 
 
 def test_magnitude_zero_keeps_concept_unchanged():
@@ -204,8 +205,9 @@ def test_generated_stream_matches_exact_bayes_rate():
 
     def empirical(segment):
         hits = 0
+        tokens = [segment.columns[f"cat{i}"].tokens() for i in range(3)]
         for row in range(len(segment)):
-            cats = [int(segment.columns[f"cat{i}"][row][1:]) for i in range(3)]
+            cats = [int(tokens[i][row][1:]) for i in range(3)]
             hits += bayes_predict(c0, cats, ()) == segment.label[row]
         return hits / len(segment)
 
