@@ -49,7 +49,7 @@ import numpy as np
 from .detectors import make_detector
 from .naive_bayes import NaiveBayesModel, Versions
 from .preprocess import EncoderState
-from .stream_core import FeatureSchema, RowError, Table, csv_row
+from .stream_core import UNLABELED, FeatureSchema, RowError, Table, csv_row
 
 LAST = "last"
 MIXED = "mixed"
@@ -92,18 +92,14 @@ class LabelError(RowError, ControllerError):
 
 
 def _check_labels(rows: Table, n_classes: int, schema: FeatureSchema) -> None:
-    """Raise ``LabelError`` for the first row of ``rows`` without a label,
-    else for the first whose label is outside [0, n_classes)."""
-    labels = rows.label
-    if None in labels:
-        index = int(rows.index[labels.index(None)])
-        raise LabelError("row has no label", index, csv_row(schema, index))
-    if min(labels) < 0 or max(labels) >= n_classes:
-        i = next(i for i, y in enumerate(labels) if not 0 <= y < n_classes)
-        index = int(rows.index[i])
-        raise LabelError(
-            f"label {labels[i]} outside [0, {n_classes})", index, csv_row(schema, index)
-        )
+    """Raise ``LabelError`` for the first row of ``rows`` that has no label
+    or whose label is outside [0, n_classes)."""
+    bad = (rows.label < 0) | (rows.label >= n_classes)  # UNLABELED < 0
+    if bad.any():
+        i = int(bad.argmax())
+        index, y = int(rows.index[i]), int(rows.label[i])
+        message = "row has no label" if y == UNLABELED else f"label {y} outside [0, {n_classes})"
+        raise LabelError(message, index, csv_row(schema, index))
 
 
 @dataclass(frozen=True)
@@ -295,9 +291,9 @@ class Controller:
             raise ConfigError(str(e)) from None
         n_classes = config.n_classes
         if n_classes is None:
-            top = max((y for y in warmup.label if y is not None), default=0)
+            top = int(warmup.label.max())  # UNLABELED only if no row has a label
             if top >= MAX_INFERRED_CLASSES:
-                index = int(warmup.index[warmup.label.index(top)])
+                index = int(warmup.index[warmup.label.argmax()])
                 raise LabelError(
                     f"label {top} would make {top + 1} classes; at most"
                     f" {MAX_INFERRED_CLASSES} are inferred from the warm-up labels",
@@ -306,7 +302,7 @@ class Controller:
             n_classes = top + 1
         _check_labels(warmup, n_classes, schema)
         cats, nums = encoder.encode_many(warmup)
-        rows = Rows(warmup.index, np.array(warmup.label, dtype=np.int64), cats, nums)
+        rows = Rows(warmup.index, warmup.label, cats, nums)
         model = NaiveBayesModel.fit(
             rows.label, rows.cats, rows.nums,
             n_classes, encoder.cat_cardinalities, encoder.n_numeric,
@@ -338,13 +334,12 @@ class Controller:
         Returns the chunk's stream indices and labels, category and value
         matrices."""
         _check_labels(chunk, self.model.n_classes, self.encoder.schema)
-        index, labels = chunk.index, np.array(chunk.label, dtype=np.int64)
         cats, nums = self.encoder.encode_many(chunk)
         keep = self._next - self.config.batch_size
         if self.mini_batch:
             keep = min(keep, self.mini_batch[0])
         keep = max(keep, self._base)
-        new = (index, labels, cats, nums)
+        new = (chunk.index, chunk.label, cats, nums)
         self._cols = Rows._make(map(np.concatenate, zip(self._rows(slice(keep, self._next)), new)))
         self._base = keep
         return new

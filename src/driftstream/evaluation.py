@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -144,43 +145,27 @@ def _run_cell(stream: tuple[Table, FeatureSchema], config: ExperimentConfig) -> 
     return run_experiment(table, schema, config)[1]
 
 
-# The loaded matrix source of a worker process; set once per worker by the
-# pool initializer, never in the parent.
-_worker_stream: Optional[tuple[Table, FeatureSchema]] = None
-
-
-def _load_worker_source(source) -> None:
-    global _worker_stream
-    _worker_stream = source.load()
-
-
-def _run_worker_cell(config: ExperimentConfig) -> ExperimentSummary:
-    return _run_cell(_worker_stream, config)
-
-
 def experiment_matrix(
     source, configs: Sequence[ExperimentConfig], workers: int = 1
 ) -> list[ExperimentSummary]:
     """One independent deterministic run per config, on the stream that
     ``source`` replays; the summaries come back in config order. Runs share
     no state, so they may run across worker processes, with results
-    identical for any worker count. The source is loaded once: in this
-    process when ``workers`` <= 1, else once in each worker."""
+    identical for any worker count. The source is loaded once, in this
+    process, so a data error in it is raised here before any worker starts;
+    each worker gets the loaded stream with its config."""
     if not hasattr(source, "load"):
         raise ConfigError("matrix needs a replayable source (CsvSource or SynthSource)")
+    stream = source.load()
     if workers <= 1:
-        stream = source.load()
         return [_run_cell(stream, config) for config in configs]
     import multiprocessing  # imported here: most commands never start a pool
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(
-        max_workers=workers,
-        mp_context=multiprocessing.get_context("spawn"),
-        initializer=_load_worker_source,
-        initargs=(source,),
+        max_workers=workers, mp_context=multiprocessing.get_context("spawn")
     ) as pool:
-        return list(pool.map(_run_worker_cell, configs))
+        return list(pool.map(_run_cell, repeat(stream), configs))
 
 
 # -- CSV output (fixed 6-decimal float formatting for reproducible files) --

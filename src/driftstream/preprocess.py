@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .stream_core import FeatureSchema, RowError, Table, csv_row
+from .stream_core import UNLABELED, FeatureSchema, RowError, Table, csv_row
 
 _EPS = 1e-6
 _LAMBDA_LO, _LAMBDA_HI = -5.0, 5.0
@@ -274,7 +274,10 @@ class EncoderState:
         return cats, nums
 
     def encode(self, row: Table) -> EncodedInstance:
-        """``encode_many`` of a one-row table, its label included. No code
-        path calls it; the benchmark's tracer wraps it by name."""
+        """``encode_many`` of a one-row table, its label included (None if
+        unlabeled). No code path calls it; the benchmark's tracer wraps it
+        by name."""
         cats, nums = self.encode_many(row)
-        return EncodedInstance(int(row.index[0]), cats[0], nums[0], row.label[0])
+        label = int(row.label[0])
+        return EncodedInstance(int(row.index[0]), cats[0], nums[0],
+                               None if label == UNLABELED else label)

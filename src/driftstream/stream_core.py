@@ -1,9 +1,9 @@
 """Data model for chronological feature streams and the CSV stream source.
 
 A stream is a sequence of rows in strict chronological order, one row per
-index, held as columns in a ``Table``: the stream indices (an int64 array),
-the labels (``None`` for an unlabeled row) and one column per feature, a
-``DictColumn`` of category codes or a float64 array of values.
+index, held as columns in a ``Table``: the stream indices and the labels
+(int64 arrays, ``UNLABELED`` marking an unlabeled row) and one column per
+feature, a ``DictColumn`` of category codes or a float64 array of values.
 """
 
 from __future__ import annotations
@@ -23,6 +23,10 @@ NUMERIC = "numeric"
 #: Reserved token substituted for an empty categorical cell. Absence of a
 #: categorical value is treated as an ordinary category, never as an error.
 MISSING_TOKEN = "__MISSING__"
+
+#: The label of an unlabeled row: the least int64, which ``open_csv_stream``
+#: refuses as the class id of a label cell, so no parsed label takes it.
+UNLABELED = np.iinfo(np.int64).min
 
 
 class SchemaError(ValueError):
@@ -149,8 +153,8 @@ class DictColumn:
 
 class Table:
     """Rows of a stream as columns, in stream order: ``index``, an int64
-    array of stream indices; ``label``, a list of integer class ids with
-    ``None`` for an unlabeled row; and ``columns``, one column per feature
+    array of stream indices; ``label``, an int64 array of class ids with
+    ``UNLABELED`` for an unlabeled row; and ``columns``, one column per feature
     name, a ``DictColumn`` for a categorical feature and a float64 array of
     values for a numeric one.
 
@@ -164,7 +168,7 @@ class Table:
     def __init__(
         self,
         index: np.ndarray,
-        label: list[Optional[int]],
+        label: np.ndarray,
         columns: dict[str, Union[DictColumn, np.ndarray]],
     ):
         self.index = index
@@ -190,7 +194,7 @@ class Table:
             return NotImplemented
         return (
             np.array_equal(self.index, other.index)
-            and self.label == other.label
+            and np.array_equal(self.label, other.label)
             and self.columns.keys() == other.columns.keys()
             and all(
                 c == other.columns[n] if isinstance(c, DictColumn) else
@@ -200,11 +204,11 @@ class Table:
 
     def labeled(self) -> "Table":
         """The rows that carry a label (this table if all do)."""
-        if None not in self.label:
+        keep = np.flatnonzero(self.label != UNLABELED)
+        if len(keep) == len(self):
             return self
-        keep = [i for i, y in enumerate(self.label) if y is not None]
         columns = {n: c[keep] for n, c in self.columns.items()}
-        return Table(self.index[keep], [self.label[i] for i in keep], columns)
+        return Table(self.index[keep], self.label[keep], columns)
 
     @classmethod
     def concat(cls, schema: FeatureSchema, tables: Iterable["Table"]) -> "Table":
@@ -224,7 +228,7 @@ class Table:
                 columns[name] = DictColumn(np.concatenate([np.empty(0, np.int64), *codes]), merged.vocab)
         return cls(
             np.concatenate([np.empty(0, np.int64), *(t.index for t in tables)]),
-            list(chain.from_iterable(t.label for t in tables)),
+            np.concatenate([np.empty(0, np.int64), *(t.label for t in tables)]),
             columns,
         )
 
@@ -244,7 +248,8 @@ def open_csv_stream(
     numeric cells are parsed as ``float`` parses them, and an empty or
     non-finite one is a parse error. An empty label cell leaves the row
     unlabeled; ``label_map`` converts a non-empty label token to a class id
-    (the default expects integer tokens). A parse error names the first bad
+    (the default expects integer tokens), and one outside int64 or equal to
+    ``UNLABELED`` is a parse error. A parse error names the first bad
     cell in row order (the features in schema order, then the label); a
     byte that is not UTF-8 raises ``EncodingError`` naming its file line.
     """
@@ -306,9 +311,12 @@ def _parse_rows(rows, index, col, schema, label_map) -> Table:
                 raise ValueError("non-finite value")
             columns[name] = values
     if schema.label_column:
-        labels = [label_map(t) if t else None for t in cells[col[schema.label_column]]]
+        tokens = cells[col[schema.label_column]]
+        labels = np.fromiter((label_map(t) if t else UNLABELED for t in tokens), np.int64, len(rows))
+        if np.count_nonzero(labels == UNLABELED) != tokens.count(""):
+            raise ValueError("a label cell maps to UNLABELED")
     else:
-        labels = [None] * len(rows)
+        labels = np.full(len(rows), UNLABELED, np.int64)
     return Table(np.arange(index, index + len(rows), dtype=np.int64), labels, columns)
 
 
@@ -331,11 +339,13 @@ def _raise_first_bad_cell(rows, first_row, col, schema, label_map) -> None:
         token = row[col[schema.label_column]] if schema.label_column else ""
         if token != "":
             try:
-                label_map(token)
+                y = label_map(token)
             except (ValueError, OverflowError):
+                y = UNLABELED  # bad as well
+            if not UNLABELED < y <= np.iinfo(np.int64).max:
                 raise StreamParseError(
                     f"bad label {token!r} in column {schema.label_column!r}", rownum
-                ) from None
+                )
 
 
 def csv_row(schema: FeatureSchema, index: int) -> int:

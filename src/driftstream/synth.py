@@ -20,7 +20,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .stream_core import CATEGORICAL, NUMERIC, DictColumn, FeatureSchema, Table, write_columns
+from .stream_core import (
+    CATEGORICAL, NUMERIC, UNLABELED, DictColumn, FeatureSchema, Table, write_columns,
+)
 
 SUDDEN = "sudden"
 GRADUAL = "gradual"
@@ -229,7 +231,7 @@ def generate(cfg: SynthConfig) -> SynthStream:
         level = np.where(np.arange(n) < first_pos, 0.25, 0.75)
         columns[HIDDEN_FEATURE] = np.clip(level + 0.05 * rng_hidden.standard_normal(n), 0.0, 1.0)
 
-    return SynthStream(cfg, Table(np.arange(n), y.tolist(), columns), cid, concepts)
+    return SynthStream(cfg, Table(np.arange(n), y, columns), cid, concepts)
 
 
 def bayes_predict(concept: Concept, cat_idx: Sequence[int], num: Sequence[float]) -> int:
@@ -268,7 +270,9 @@ def write_csv(table: Table, schema: FeatureSchema, path) -> None:
         list(map(repr, table.columns[name].tolist())) if kind == NUMERIC else
         (table.columns[name].codes, table.columns[name].vocab) for name, kind in schema.features
     ]
-    labels = ["" if y is None else str(y) for y in table.label]
+    labels = table.label
+    if (labels == UNLABELED).any():  # as text then, an unlabeled row's cell empty
+        labels = ["" if y == UNLABELED else str(y) for y in labels.tolist()]
     try:
         write_columns(path, [*schema.names, schema.label_column], [*columns, labels])
     except OSError as e:

@@ -65,7 +65,7 @@ def test_criterion_1_incremental_batch_equivalence():
     encoder = EncoderState(stream.predictive_schema)
     encoder.fit(stream.table)
     all_cats, all_nums = encoder.encode_many(stream.table)
-    labels = np.array(stream.table.label, dtype=np.int64)
+    labels = stream.table.label
     data = labels[:1000], all_cats[:1000], all_nums[:1000]
     cats, nums = all_cats[1000:], all_nums[1000:]
     cards = encoder.cat_cardinalities
@@ -187,7 +187,7 @@ def test_criterion_4_window_algebra():
             t = warmup + int(rng.integers(10, 60))
             n = t + B + 10
             tokens = DictColumn.from_tokens(["ab"[i % 2] for i in range(n)])
-            stream = Table(np.arange(n), [i % 2 for i in range(n)], {"tok": tokens})
+            stream = Table(np.arange(n), np.arange(n) % 2, {"tok": tokens})
             det = ArmedDetector()
             ctrl = Controller.from_warmup(
                 stream[:warmup], schema, det,

@@ -33,6 +33,7 @@ from driftstream.preprocess import EncoderState
 from driftstream.stream_core import (
     CATEGORICAL,
     NUMERIC,
+    UNLABELED,
     DictColumn,
     FeatureSchema,
     Table,
@@ -126,7 +127,7 @@ def reference_step(ctrl, row):
 
 def make_stream(n):
     tokens = DictColumn.from_tokens(["ab"[i % 2] for i in range(n)])
-    return Table(np.arange(n), [i % 2 for i in range(n)], {"tok": tokens})
+    return Table(np.arange(n), np.arange(n) % 2, {"tok": tokens})
 
 
 def run_with_alarm(strategy, batch_size, alarm_at, n=300, warmup=50, **cfg_kw):
@@ -383,7 +384,8 @@ def noisy_stream(n, seed=0):
         toks.append("abcd"[y] if rng.random() < 0.6 else "abcd"[int(rng.integers(4))])
         xs.append(float(y + rng.normal()))
         labels.append(y)
-    return Table(np.arange(n), labels, {"tok": DictColumn.from_tokens(toks), "x": np.array(xs)})
+    columns = {"tok": DictColumn.from_tokens(toks), "x": np.array(xs)}
+    return Table(np.arange(n), np.array(labels), columns)
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -479,12 +481,12 @@ def test_staged_versions_of_a_wide_model_stay_under_the_cap(monkeypatch):
     n_tokens, warmup = 3000, 3000
     rng = np.random.default_rng(3)
     tokens = [f"t{i}" for i in range(n_tokens)]
-    labels = rng.integers(3, size=warmup + 4096).tolist()
+    labels = rng.integers(3, size=warmup + 4096)
     pool = tokens + [f"unseen{i}" for i in range(50)]
     toks = tokens + [pool[i] for i in rng.integers(len(pool), size=4096)]
     stream = Table(
         np.arange(len(labels)), labels,
-        {"tok": DictColumn.from_tokens(toks), "x": rng.normal(size=len(labels)) + np.array(labels)},
+        {"tok": DictColumn.from_tokens(toks), "x": rng.normal(size=len(labels)) + labels},
     )
     cfg = make_config(incremental=True, mini_batch_size=1)
     block = Controller.from_warmup(stream[:warmup], MIXED_SCHEMA, NoDetector(), cfg)
@@ -517,7 +519,7 @@ def test_test_then_train_label_cannot_leak():
     a = Controller.from_warmup(stream[:50], SCHEMA, NoDetector(), cfg)
     b = Controller.from_warmup(stream[:50], SCHEMA, NoDetector(), cfg)
     probe = stream[50]
-    flipped = Table(probe.index, [1 - probe.label[0]], probe.columns)
+    flipped = Table(probe.index, 1 - probe.label, probe.columns)
     assert a.step(probe).predicted == b.step(flipped).predicted
 
 
@@ -531,7 +533,9 @@ def test_replay_reproduces_events_and_predictions():
 
 def test_step_before_warmup_rejected():
     encoder = EncoderState(SCHEMA)
-    encoder.fit(Table(np.zeros(1, np.int64), [None], {"tok": DictColumn.from_tokens(["a"])}))
+    tok = {"tok": DictColumn.from_tokens(["a"])}
+    bare = Table(np.zeros(1, np.int64), np.array([UNLABELED]), tok)
+    encoder.fit(bare)
     ctrl = Controller(
         NaiveBayesModel(2, encoder.cat_cardinalities, 0),
         encoder,
@@ -547,7 +551,8 @@ def test_step_before_warmup_rejected():
 def test_warmup_requires_labeled_instances():
     with pytest.raises(ControllerError):
         Controller.from_warmup(make_stream(0), SCHEMA, NoDetector(), make_config())
-    bare = Table(np.zeros(1, np.int64), [None], {"tok": DictColumn.from_tokens(["a"])})
+    tok = {"tok": DictColumn.from_tokens(["a"])}
+    bare = Table(np.zeros(1, np.int64), np.array([UNLABELED]), tok)
     with pytest.raises(ControllerError):
         Controller.from_warmup(bare, SCHEMA, NoDetector(), make_config())
 
@@ -571,10 +576,20 @@ def test_label_outside_classes_rejected_before_its_chunk_is_stepped(walk):
 
 def test_unlabeled_warmup_row_named_in_the_error():
     stream = make_stream(50)
-    stream.label[7] = None
+    stream.label[7] = UNLABELED
     with pytest.raises(LabelError) as info:
         Controller.from_warmup(stream, SCHEMA, NoDetector(), make_config())
     assert (info.value.index, info.value.row) == (7, 9)
+
+
+def test_first_unusable_warmup_row_named_whichever_its_kind():
+    stream = make_stream(50)
+    stream.label[3] = 5  # outside the 2 classes
+    stream.label[7] = UNLABELED
+    with pytest.raises(LabelError) as info:
+        Controller.from_warmup(stream, SCHEMA, NoDetector(), make_config(n_classes=2))
+    assert (info.value.index, info.value.row) == (3, 5)
+    assert "label 5 outside [0, 2)" in str(info.value)
 
 
 def test_inferred_class_count_is_bounded_by_the_largest_label_row():

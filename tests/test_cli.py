@@ -179,8 +179,12 @@ def write_labeled_csv(path, labels):
         (350, "7", "stream index 350 (CSV row 352)"),  # after warm-up; 3 classes inferred
         (10, "", "stream index 10 (CSV row 12)"),  # unlabeled inside the warm-up
         (5, "-1", "stream index 5 (CSV row 7)"),  # negative inside the warm-up
+        (350, str(-(2**63)), "row 352"),  # the least int64, which marks an unlabeled row
+        (350, str(2**63), "row 352"),  # one past the largest int64
+        (350, str(10**30), "row 352"),
     ],
-    ids=["out-of-range-after-warmup", "unlabeled-in-warmup", "negative-in-warmup"],
+    ids=["out-of-range-after-warmup", "unlabeled-in-warmup", "negative-in-warmup",
+         "int64-min-after-warmup", "past-int64-after-warmup", "1e30-after-warmup"],
 )
 def test_run_unusable_label_is_a_data_error(tmp_path, capsys, row, token, where):
     labels = [str(i % 3) for i in range(400)]
@@ -502,6 +506,30 @@ def test_matrix_loads_its_source_once(tmp_path, small_stream, monkeypatch):
     )
     assert code == EXIT_OK
     assert loads == [str(small_stream)]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize(
+    "cell,message",
+    [
+        ("a,abc,0", "row 2501: non-numeric value 'abc'"),  # found as the stream loads
+        ("a,1.5,7", "stream index 2499 (CSV row 2501): label 7"),  # found as a cell runs
+    ],
+    ids=["non-numeric-x", "label-after-warmup"],
+)
+def test_matrix_data_error_names_its_row_for_any_worker_count(tmp_path, capsys, workers, cell,
+                                                              message):
+    lines = [f"{'abc'[i % 3]},{i % 7}.5,{i % 3}" for i in range(3000)]
+    lines[2499] = cell  # file row 2501, after the rows that schema inference reads
+    stream = tmp_path / "s.csv"
+    stream.write_text("tok,x,label\n" + "\n".join(lines) + "\n")
+    code = run_cli(
+        "matrix", "--input", str(stream), "--label", "label", "--warmup", "300",
+        "--batch-sizes", "100", "--workers", workers, "-o", str(tmp_path / "m"),
+    )
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert message in err and "Traceback" not in err
 
 
 # -- inspect ------------------------------------------------------------------

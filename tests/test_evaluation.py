@@ -29,6 +29,7 @@ from driftstream.evaluation import (
 from driftstream.stream_core import (
     CATEGORICAL,
     NUMERIC,
+    UNLABELED,
     DictColumn,
     FeatureSchema,
     Table,
@@ -45,7 +46,7 @@ def constant_stream(labels, warmup=4):
     with the same feature value so the model keeps predicting 0."""
     n = warmup + len(labels)
     tokens = DictColumn.from_tokens(["a"] * n)
-    return Table(np.arange(n), [0] * warmup + list(labels), {"tok": tokens})
+    return Table(np.arange(n), np.array([0] * warmup + list(labels)), {"tok": tokens})
 
 
 def small_synth(seed=3):
@@ -85,7 +86,7 @@ def test_record_count_equals_stream_minus_warmup():
 
 def test_unlabeled_rows_skipped_after_warmup():
     recs = constant_stream([0, 1, 0])
-    bare = Table(np.array([99]), [None], {"tok": DictColumn.from_tokens(["b"])})
+    bare = Table(np.array([99]), np.array([UNLABELED]), {"tok": DictColumn.from_tokens(["b"])})
     recs = Table.concat(SCHEMA, [recs[:5], bare, recs[5:]])
     cfg = ExperimentConfig(warmup=4, n_classes=2)
     records, summary = run_experiment(recs, SCHEMA, cfg)
@@ -130,7 +131,8 @@ def test_written_rolling_accuracy_is_each_value_formatted(tmp_path, window, stra
     writes them, rolling accuracies from a deque, with 12 classes (two-digit
     class ids) and unlabeled rows (gaps in the stream indices)."""
     stream = generate(dataclasses.replace(small_synth(), n_classes=12))
-    labels = [None if i > 300 and i % 7 == 0 else y for i, y in enumerate(stream.table.label)]
+    labels = np.where((stream.table.index > 300) & (stream.table.index % 7 == 0), UNLABELED,
+                      stream.table.label)
     table = Table(stream.table.index, labels, stream.table.columns)
     cfg = ExperimentConfig(warmup=300, window=window, detector="page_hinkley", strategy=strategy,
                            batch_size=200, incremental=True, n_classes=12)
@@ -161,7 +163,7 @@ def test_rolling_accuracy_and_confusion_equal_a_per_row_loop(window, unlabeled):
     stream = generate(small_synth())
     table = stream.table
     if unlabeled:  # every 7th post-warm-up row, skipped by the run
-        labels = [None if i > 300 and i % 7 == 0 else y for i, y in enumerate(table.label)]
+        labels = np.where((table.index > 300) & (table.index % 7 == 0), UNLABELED, table.label)
         table = Table(table.index, labels, table.columns)
     cfg = dataclasses.replace(
         STATIC, window=window, detector="page_hinkley", strategy="last", batch_size=200,
@@ -422,7 +424,7 @@ def test_csv_source_bins_hour_labels(tmp_path):
         for hours in (100.0, 936.0, 960.0):
             w.writerow(["a", hours])
     records, _ = CsvSource(str(p), SCHEMA, bin_day_edges=(6, 39)).load()
-    assert records.label == [0, 1, 2]
+    assert records.label.tolist() == [0, 1, 2]
 
 
 def matrix(source, detectors, batch_sizes, workers=1):

@@ -24,7 +24,7 @@ from driftstream.preprocess import (
     inverse_boxcox,
     truncate_category,
 )
-from driftstream.stream_core import CATEGORICAL, NUMERIC, DictColumn, FeatureSchema, Table
+from driftstream.stream_core import CATEGORICAL, NUMERIC, UNLABELED, DictColumn, FeatureSchema, Table
 
 
 # -- truncate_category --------------------------------------------------------
@@ -267,12 +267,12 @@ SCHEMA = FeatureSchema((("mat", CATEGORICAL), ("value", NUMERIC)), "label")
 
 def insts(pairs):
     mats, values = zip(*pairs)
-    return Table(np.arange(len(pairs)), [None] * len(pairs),
+    return Table(np.arange(len(pairs)), np.full(len(pairs), UNLABELED),
                  {"mat": DictColumn.from_tokens(mats), "value": np.array(values)})
 
 
 def row(index, mat, value):
-    return Table(np.array([index]), [None],
+    return Table(np.array([index]), np.array([UNLABELED]),
                  {"mat": DictColumn.from_tokens([mat]), "value": np.array([value])})
 
 
@@ -283,6 +283,10 @@ def test_encode_known_and_unseen_category():
     assert enc.encode(row(9, "B", 0.0)).cat[0] == 1
     assert enc.encode(row(9, "C", 0.0)).cat[0] == 2
     assert enc.n_categories("mat") == 3
+    assert enc.encode(row(9, "B", 0.0)).label is None  # an unlabeled row
+    labeled = row(9, "B", 0.0)
+    labeled.label[0] = 2
+    assert type(enc.encode(labeled).label) is int and enc.encode(labeled).label == 2
 
 
 def test_encode_numeric_boxcox_composition():
@@ -303,7 +307,7 @@ def test_fit_maps_categories_in_order_of_first_appearance_in_the_rows():
     # the vocabulary holds an unused token and lists the others out of order
     mats = DictColumn(np.array([2, 0, 2, 1]), ("x", "y", "z", "unused"))
     enc = EncoderState(SCHEMA)
-    enc.fit(Table(np.arange(4), [None] * 4, {"mat": mats, "value": np.ones(4)}))
+    enc.fit(Table(np.arange(4), np.full(4, UNLABELED), {"mat": mats, "value": np.ones(4)}))
     assert enc.cat_maps["mat"] == {"z": 0, "x": 1, "y": 2}
     cats, _ = enc.encode_many(insts([("unused", 1.0), ("y", 1.0), ("z", 1.0)]))
     assert cats[:, 0].tolist() == [3, 2, 0]

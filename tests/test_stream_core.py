@@ -6,7 +6,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftstream import stream_core
@@ -15,6 +15,7 @@ from driftstream.stream_core import (
     MISSING_TOKEN,
     NUMERIC,
     CHUNK_ROWS,
+    UNLABELED,
     FeatureSchema,
     SchemaError,
     StreamParseError,
@@ -46,9 +47,9 @@ def test_three_labeled_rows(tmp_path):
     recs = read(p)
     assert len(recs) == 3
     assert recs.index.tolist() == [0, 1, 2]
-    assert recs.label == [0, 1, 2]
+    assert recs.label.tolist() == [0, 1, 2]
     red = DictColumn.from_tokens(["red"])
-    assert recs[0] == Table(np.array([0]), [0], {"color": red, "size": np.array([1.5])})
+    assert recs[0] == Table(np.array([0]), np.array([0]), {"color": red, "size": np.array([1.5])})
 
 
 def test_bad_numeric_cites_row(tmp_path):
@@ -97,7 +98,7 @@ def test_missing_categorical_becomes_reserved_token(tmp_path):
 def test_empty_label_yields_bare_instance(tmp_path):
     p = write(tmp_path, "color,size,label\nred,1.0,\nblue,2.0,1\n")
     recs = read(p)
-    assert recs.label == [None, 1]
+    assert recs.label.tolist() == [UNLABELED, 1]
     assert recs.index.tolist() == [0, 1]
 
 
@@ -175,15 +176,20 @@ def test_indices_increase_by_one_and_schema_covered(tmp_path_factory, rows):
 
 def test_chunks_hold_at_most_chunk_rows(tmp_path):
     n = CHUNK_ROWS + 5
-    p = write(tmp_path, "color,size,label\n" + "red,1.0,0\n" * n)
-    assert [len(t) for t in open_csv_stream(p, SCHEMA)] == [CHUNK_ROWS, 5]
-    assert read(p).index.tolist() == list(range(n))
+    for unlabeled in ((), (CHUNK_ROWS - 1, CHUNK_ROWS)):  # or one on each side of the edge
+        rows = ["red,1.0," if i in unlabeled else "red,1.0,0" for i in range(n)]
+        p = write(tmp_path, "color,size,label\n" + "\n".join(rows) + "\n")
+        assert [len(t) for t in open_csv_stream(p, SCHEMA)] == [CHUNK_ROWS, 5]
+        table = read(p)
+        assert table.index.tolist() == list(range(n))
+        assert np.flatnonzero(table.label == UNLABELED).tolist() == list(unlabeled)
+        assert table.labeled().index.tolist() == [i for i in range(n) if i not in unlabeled]
 
 
 def test_short_row_reads_missing_cells_as_empty(tmp_path):
     p = write(tmp_path, "color,size,label\nred,1.0,0\nblue,2.5\n")
     recs = read(p)
-    assert recs.label == [0, None]
+    assert recs.label.tolist() == [0, UNLABELED]
     assert recs.columns["size"].tolist() == [1.0, 2.5]
 
 
@@ -316,13 +322,14 @@ def old_write_csv(table, schema):
         list(map(repr, table.columns[name].tolist())) if kind == NUMERIC else
         table.columns[name].tokens() for name, kind in schema.features
     ]
-    labels = ["" if y is None else y for y in table.label]
+    labels = ["" if y == UNLABELED else y for y in table.label.tolist()]
     return csv_writer_bytes(list(schema.names) + [schema.label_column], zip(*cells, labels))
 
 
 def awkward_table(pools, n, seed, finite):
     """A table of ``n`` rows drawn from the value pools by a seeded rng; its
-    categorical column's vocabulary is the token pool, unused tokens and all."""
+    categorical column's vocabulary is the token pool, unused tokens and all;
+    a None label is an unlabeled row."""
     rng = np.random.default_rng(seed)
     tokens, floats, labels = pools
 
@@ -334,7 +341,8 @@ def awkward_table(pools, n, seed, finite):
         size[~np.isfinite(size)] = 0.5
     vocab = tuple(dict.fromkeys(tokens))
     color = DictColumn(rng.integers(len(vocab), size=n), vocab)
-    return Table(np.arange(n), pick(labels), {"color": color, "size": size})
+    label = np.array([UNLABELED if y is None else y for y in pick(labels)], dtype=np.int64)
+    return Table(np.arange(n), label, {"color": color, "size": size})
 
 
 _pools = st.tuples(
@@ -355,10 +363,12 @@ def test_write_csv_bytes_equal_the_csv_writer_loop(tmp_path_factory, pools, n, s
 
 @settings(max_examples=40, deadline=None)
 @given(_pools, _rows, st.integers(0, 2**32 - 1))
+@example(pools=(["a"], [0.5], [1]), n=CHUNK_ROWS + 1, seed=0)
 def test_awkward_tokens_round_trip(tmp_path_factory, pools, n, seed):
     tokens, floats, labels = pools
     tokens = [t or "x" for t in tokens]  # an empty category reads back as MISSING_TOKEN
     table = awkward_table((tokens, floats, labels), n, seed, finite=True)
+    table.label[CHUNK_ROWS - 1 : CHUNK_ROWS + 1] = UNLABELED  # the rows at the chunk edge, if any
     p = tmp_path_factory.mktemp("w") / "s.csv"
     write_csv(table, SCHEMA, p)
     assert read(p) == table

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from driftstream.evaluation import rolling_mean
-from driftstream.stream_core import Table, open_csv_stream
+from driftstream.stream_core import UNLABELED, Table, open_csv_stream
 from driftstream.synth import (
     GRADUAL,
     HIDDEN_FEATURE,
@@ -122,8 +122,9 @@ def test_different_seed_differs():
 def test_values_and_labels_in_range():
     cfg = small_config(n_instances=500)
     stream = generate(cfg)
+    assert stream.table.label.dtype == np.int64
     for i, label in enumerate(stream.table.label):
-        assert label is not None
+        assert label != UNLABELED
         assert 0 <= label < cfg.n_classes
     for f in range(cfg.n_categorical):
         column = stream.table.columns[f"cat{f}"]
