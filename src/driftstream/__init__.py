@@ -11,7 +11,6 @@ from .evaluation import (
     ExperimentSummary,
     SynthSource,
     experiment_matrix,
-    grid_search,
     rolling_mean,
     run_experiment,
 )

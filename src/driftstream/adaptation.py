@@ -49,7 +49,7 @@ import numpy as np
 from .detectors import make_detector
 from .naive_bayes import NaiveBayesModel, Versions
 from .preprocess import EncoderState
-from .stream_core import UNLABELED, FeatureSchema, RowError, Table, csv_row
+from .stream_core import UNLABELED, FeatureSchema, RowError, Table
 
 LAST = "last"
 MIXED = "mixed"
@@ -91,7 +91,7 @@ class LabelError(RowError, ControllerError):
     in the warm-up prefix, or outside [0, n_classes)."""
 
 
-def _check_labels(rows: Table, n_classes: int, schema: FeatureSchema) -> None:
+def _check_labels(rows: Table, n_classes: int) -> None:
     """Raise ``LabelError`` for the first row of ``rows`` that has no label
     or whose label is outside [0, n_classes)."""
     bad = (rows.label < 0) | (rows.label >= n_classes)  # UNLABELED < 0
@@ -99,7 +99,7 @@ def _check_labels(rows: Table, n_classes: int, schema: FeatureSchema) -> None:
         i = int(bad.argmax())
         index, y = int(rows.index[i]), int(rows.label[i])
         message = "row has no label" if y == UNLABELED else f"label {y} outside [0, {n_classes})"
-        raise LabelError(message, index, csv_row(schema, index))
+        raise LabelError(message, index)
 
 
 @dataclass(frozen=True)
@@ -296,11 +296,10 @@ class Controller:
                 index = int(warmup.index[warmup.label.argmax()])
                 raise LabelError(
                     f"label {top} would make {top + 1} classes; at most"
-                    f" {MAX_INFERRED_CLASSES} are inferred from the warm-up labels",
-                    index, csv_row(schema, index),
+                    f" {MAX_INFERRED_CLASSES} are inferred from the warm-up labels", index
                 )
             n_classes = top + 1
-        _check_labels(warmup, n_classes, schema)
+        _check_labels(warmup, n_classes)
         cats, nums = encoder.encode_many(warmup)
         rows = Rows(warmup.index, warmup.label, cats, nums)
         model = NaiveBayesModel.fit(
@@ -333,7 +332,7 @@ class Controller:
         row is not stepped yet.
         Returns the chunk's stream indices and labels, category and value
         matrices."""
-        _check_labels(chunk, self.model.n_classes, self.encoder.schema)
+        _check_labels(chunk, self.model.n_classes)
         cats, nums = self.encoder.encode_many(chunk)
         keep = self._next - self.config.batch_size
         if self.mini_batch:

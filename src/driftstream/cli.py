@@ -27,7 +27,6 @@ from .evaluation import (
     ExperimentConfig,
     SynthSource,
     experiment_matrix,
-    grid_search,
     rolling_mean,
     run_experiment,
     write_curves_csv,
@@ -44,6 +43,7 @@ from .stream_core import (
     RowError,
     SchemaError,
     StreamParseError,
+    Table,
     encoding_error,
     write_columns,
 )
@@ -196,8 +196,8 @@ def _synth_config(args) -> SynthConfig:
     )
 
 
-def _load_source(args):
-    """Resolve --input/--synth into (source, predictive schema)."""
+def _load_stream(args) -> tuple[Table, FeatureSchema]:
+    """Load the stream --input or --synth names, with its predictive schema."""
     if bool(args.input) == bool(args.synth):
         raise _fail_config("exactly one of --input or --synth must be given")
     if args.input:
@@ -212,12 +212,10 @@ def _load_source(args):
                 BinBoundaries(edges)
             except ValueError as e:
                 raise _fail_config(f"--bin-days expects ascending day edges such as 6,39: {e}")
-        return CsvSource(args.input, schema, edges), schema
-    cfg = PROFILES[args.synth](args.seed) if args.synth in PROFILES else None
-    if cfg is None:
+        return CsvSource(args.input, schema, edges).load()
+    if args.synth not in PROFILES:
         raise _fail_config(f"unknown synth profile {args.synth!r}")
-    src = SynthSource(cfg)
-    return src, cfg.schema(include_hidden=False)
+    return SynthSource(PROFILES[args.synth](args.seed)).load()
 
 
 def _experiment_config(args, **overrides) -> ExperimentConfig:
@@ -277,7 +275,7 @@ def _say(args, message: str) -> None:
 def cmd_run(args) -> int:
     out = _out_dir(args)
     cfg = _experiment_config(args)
-    table, schema = _load_source(args)[0].load()
+    table, schema = _load_stream(args)
     recs, summary = run_experiment(table, schema, cfg)
     _write_resolved_config(out, args)
     write_records_csv(recs, out / "records.csv")
@@ -326,36 +324,34 @@ def cmd_gridsearch(args) -> int:
     if not values:
         raise _fail_config("empty parameter grid")
     key = "ph_lambda" if detector == "page_hinkley" else "adwin_delta"
-    param_grid = [{key: v} for v in values]
-    base = _experiment_config(args, strategy=args.strategy or "last")
-    for params in param_grid:  # a bad grid value exits before the stream loads
-        _experiment_config(args, strategy=base.strategy, **params)
-    stream, schema = _load_source(args)[0].load()
-    best, table = grid_search(stream[: args.prefix], schema, param_grid, base)
+    strategy = args.strategy or "last"
+    # a bad grid value exits before the stream loads
+    configs = [_experiment_config(args, strategy=strategy, **{key: v}) for v in values]
+    table, schema = _load_stream(args)
+    summaries = experiment_matrix(table[: args.prefix], schema, configs)
     _write_resolved_config(out, args)
     rows = [
         {
             "detector": detector,
-            key: params[key],
+            key: value,
             "accuracy": summary.overall_accuracy,
             "n_drifts": summary.n_drifts,
             "n_retrains": summary.n_retrains,
         }
-        for params, summary in table
+        for value, summary in zip(values, summaries)
     ]
     write_summary_csv(rows, out / "grid.csv")
+    best = max(rows, key=lambda row: row["accuracy"])  # the first of equals
     (out / "best.json").write_text(
-        json.dumps({"detector": detector, **best}, indent=2, sort_keys=True) + "\n",
+        json.dumps({"detector": detector, key: best[key]}, indent=2, sort_keys=True) + "\n",
         encoding="utf-8",
     )
-    best_acc = max(s.overall_accuracy for _, s in table)
-    _say(args, f"best {key}={best[key]} (accuracy {best_acc:.6f}) -> {out}")
+    _say(args, f"best {key}={best[key]} (accuracy {best['accuracy']:.6f}) -> {out}")
     return EXIT_OK
 
 
 def cmd_matrix(args) -> int:
     out = _out_dir(args)
-    source, _ = _load_source(args)
     detectors = [d.replace("-", "_") for d in args.detectors.split(",") if d]
     batch_sizes = args.batch_sizes
     strategies = [s for s in args.strategies.split(",") if s]
@@ -376,8 +372,9 @@ def cmd_matrix(args) -> int:
         for b in batch_sizes
         for s in strategies
     ]
+    table, schema = _load_stream(args)
     distinct = list(dict.fromkeys(configs))  # a config runs once, however many rows show it
-    summaries = dict(zip(distinct, experiment_matrix(source, distinct, args.workers)))
+    summaries = dict(zip(distinct, experiment_matrix(table, schema, distinct, args.workers)))
     baseline = summaries[configs[0]].overall_accuracy
     rows = []
     for cfg in configs:
@@ -402,13 +399,11 @@ def cmd_matrix(args) -> int:
 
 def cmd_inspect(args) -> int:
     out = _out_dir(args)
-    source, schema = _load_source(args)
-    table, _ = source.load()
-    if isinstance(source, SynthSource):
-        schema = source.config.schema(include_hidden=True)
-    if args.feature not in schema.numeric_names:
+    table, _ = _load_stream(args)
+    column = table.columns.get(args.feature)
+    if not (isinstance(column, np.ndarray) and column.dtype == np.float64):
         raise _fail_config(f"unknown or non-numeric feature {args.feature!r}")
-    means = rolling_mean(table.columns[args.feature], args.window)
+    means = rolling_mean(column, args.window)
     _write_resolved_config(out, args)
     path = out / f"inspect_{args.feature}.csv"
     texts = [f"{m:.6f}" for m in means]

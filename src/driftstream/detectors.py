@@ -82,14 +82,13 @@ class Adwin:
     any cut still triggers.
     """
 
-    def __init__(self, delta: float = 0.001, max_buckets_per_row: int = 5, check_period: int = 32):
+    max_buckets_per_row = 5  # ADWIN's M
+    check_period = 32
+
+    def __init__(self, delta: float = 0.001):
         if not 0.0 < delta < 1.0:
             raise ValueError(f"ADWIN delta must be in (0, 1), got {delta}")
-        if max_buckets_per_row < 1 or check_period < 1:
-            raise ValueError("max_buckets_per_row and check_period must be >= 1")
         self.delta = delta
-        self.max_buckets_per_row = max_buckets_per_row
-        self.check_period = check_period
         self.reset()
 
     def reset(self) -> "Adwin":

@@ -1,6 +1,7 @@
 """Prequential (test-then-train) evaluation, rolling-accuracy curves,
-summary metrics, the parameter grid search, and the detector x batch-size x
-strategy experiment matrix.
+summary metrics, the two stream loaders, and the one runner of many configs
+on a stream (``experiment_matrix``), which the parameter grid search and the
+detector x batch-size x strategy matrix both use.
 
 Accuracy is the sole ranking metric; per-class confusion counts are carried
 in the summary for inspection but never used for ranking.
@@ -83,36 +84,14 @@ def rolling_mean(series: Sequence[float], window: int) -> list[float]:
     return ((csum[idx + 1] - csum[lo]) / (idx + 1 - lo)).tolist()
 
 
-def grid_search(
-    prefix: Table,
-    schema: FeatureSchema,
-    param_grid: Sequence[dict],
-    fixed: ExperimentConfig,
-) -> tuple[dict, list[tuple[dict, ExperimentSummary]]]:
-    """Evaluate each grid point on the stream prefix; return the point with
-    maximal overall accuracy (ties break to the first in grid order) plus
-    the full score table."""
-    if not param_grid:
-        raise ConfigError("empty parameter grid")
-    table = []
-    best = None
-    for params in param_grid:
-        cfg = dataclasses.replace(fixed, **params)
-        _, summary = run_experiment(prefix, schema, cfg)
-        table.append((dict(params), summary))
-        if best is None or summary.overall_accuracy > best[1].overall_accuracy:
-            best = (dict(params), summary)
-    return best[0], table
-
-
-# -- experiment matrix ----------------------------------------------------
+# -- stream loaders and the experiment matrix -----------------------------
 
 
 @dataclass(frozen=True)
 class CsvSource:
-    """Replayable file-backed stream. When ``bin_day_edges`` is set, the
-    label column is read as an hours-valued target and binned into classes
-    at those day edges."""
+    """A file-backed stream. When ``bin_day_edges`` is set, the label column
+    is read as an hours-valued target and binned into classes at those day
+    edges."""
 
     path: str
     schema: FeatureSchema
@@ -130,8 +109,8 @@ class CsvSource:
 
 @dataclass(frozen=True)
 class SynthSource:
-    """Replayable regenerable stream (hidden-context column excluded from
-    the predictive schema)."""
+    """A generated stream; its table holds the hidden-context column, which
+    the predictive schema excludes."""
 
     config: SynthConfig
 
@@ -140,32 +119,26 @@ class SynthSource:
         return stream.table, stream.config.schema(include_hidden=False)
 
 
-def _run_cell(stream: tuple[Table, FeatureSchema], config: ExperimentConfig) -> ExperimentSummary:
-    table, schema = stream
+def _run_cell(table: Table, schema: FeatureSchema, config: ExperimentConfig) -> ExperimentSummary:
     return run_experiment(table, schema, config)[1]
 
 
 def experiment_matrix(
-    source, configs: Sequence[ExperimentConfig], workers: int = 1
+    table: Table, schema: FeatureSchema, configs: Sequence[ExperimentConfig], workers: int = 1
 ) -> list[ExperimentSummary]:
-    """One independent deterministic run per config, on the stream that
-    ``source`` replays; the summaries come back in config order. Runs share
-    no state, so they may run across worker processes, with results
-    identical for any worker count. The source is loaded once, in this
-    process, so a data error in it is raised here before any worker starts;
-    each worker gets the loaded stream with its config."""
-    if not hasattr(source, "load"):
-        raise ConfigError("matrix needs a replayable source (CsvSource or SynthSource)")
-    stream = source.load()
+    """One independent deterministic run per config on the stream; the
+    summaries come back in config order. Runs share no state, so they may
+    run across worker processes, each worker getting the stream with its
+    config, with results identical for any worker count."""
     if workers <= 1:
-        return [_run_cell(stream, config) for config in configs]
+        return [_run_cell(table, schema, config) for config in configs]
     import multiprocessing  # imported here: most commands never start a pool
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(
         max_workers=workers, mp_context=multiprocessing.get_context("spawn")
     ) as pool:
-        return list(pool.map(_run_cell, repeat(stream), configs))
+        return list(pool.map(_run_cell, repeat(table), repeat(schema), configs))
 
 
 # -- CSV output (fixed 6-decimal float formatting for reproducible files) --

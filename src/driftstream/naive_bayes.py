@@ -81,26 +81,19 @@ class NaiveBayesModel:
     The score state is the model's one version (``Versions``), derived by
     the first scoring call after a ``fit``, or taken from the staged
     versions by ``commit``. ``version_cells`` is how many numbers one
-    version holds.
+    version holds. ``alpha`` is the Laplace smoothing count and ``var_floor``
+    the least Gaussian variance.
     """
 
-    def __init__(
-        self,
-        n_classes: int,
-        cat_cardinalities: Sequence[int],
-        n_numeric: int,
-        smoothing_alpha: float = 1.0,
-        var_floor: float = 1e-9,
-    ):
+    alpha = 1.0
+    var_floor = 1e-9
+
+    def __init__(self, n_classes: int, cat_cardinalities: Sequence[int], n_numeric: int):
         if n_classes < 1:
             raise ValueError("need at least one class")
-        if smoothing_alpha <= 0 or var_floor <= 0:
-            raise ValueError("smoothing_alpha and var_floor must be > 0")
         self.n_classes = n_classes
         self.cat_cardinalities = tuple(map(int, cat_cardinalities))
         self.n_numeric = n_numeric
-        self.alpha = smoothing_alpha
-        self.var_floor = var_floor
         self._layout = _layout(self.cat_cardinalities, self.alpha)
         bounds = self._layout.bounds
         top = bounds[-1]
@@ -130,8 +123,6 @@ class NaiveBayesModel:
         n_classes: int,
         cat_cardinalities: Sequence[int],
         n_numeric: int,
-        smoothing_alpha: float = 1.0,
-        var_floor: float = 1e-9,
     ) -> "NaiveBayesModel":
         """Batch fit on columns: ``labels`` (n,), ``cats`` an (n,
         n_categorical) index matrix and ``nums`` an (n, n_numeric) value
@@ -140,7 +131,7 @@ class NaiveBayesModel:
         class's rows in row order."""
         if not len(labels):
             raise ValueError("cannot fit on an empty instance list")
-        model = cls(n_classes, cat_cardinalities, n_numeric, smoothing_alpha, var_floor)
+        model = cls(n_classes, cat_cardinalities, n_numeric)
         labels = np.asarray(labels, dtype=np.int64)
         if labels.min() < 0:
             raise ValueError("label id outside [0, n_classes)")

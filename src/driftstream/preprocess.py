@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .stream_core import UNLABELED, FeatureSchema, RowError, Table, csv_row
+from .stream_core import UNLABELED, FeatureSchema, RowError, Table
 
 _EPS = 1e-6
 _LAMBDA_LO, _LAMBDA_HI = -5.0, 5.0
@@ -117,8 +117,9 @@ class BinBoundaries:
     def __post_init__(self):
         edges = tuple(float(e) for e in self.upper_edges)
         object.__setattr__(self, "upper_edges", edges)
-        if len(edges) < 1 or any(b <= a for a, b in zip(edges, edges[1:])):
-            raise ValueError("upper_edges must be strictly ascending, K >= 2")
+        ascending = all(a < b for a, b in zip(edges, edges[1:]))
+        if not edges or not ascending or not all(map(math.isfinite, edges)):
+            raise ValueError("upper_edges must be finite and strictly ascending, K >= 2")
 
     @property
     def n_classes(self) -> int:
@@ -129,13 +130,12 @@ def fit_target_bins(
     values: Sequence[float],
     mode: str = TERTILE,
     day_edges: Sequence[float] = (6, 39),
-    hours_per_day: float = 24.0,
 ) -> BinBoundaries:
     """Tertile mode: edges at the empirical 1/3 and 2/3 quantiles (linear
-    interpolation). fixed_days mode: the given day edges with unit divisor
-    ``hours_per_day``. No command calls it; acceptance criterion 7 does."""
+    interpolation). fixed_days mode: the given day edges over an
+    hours-valued target (unit divisor 24). No command calls it; acceptance criterion 7 does."""
     if mode == FIXED_DAYS:
-        return BinBoundaries(tuple(day_edges), unit_divisor=hours_per_day)
+        return BinBoundaries(tuple(day_edges), unit_divisor=24.0)
     if mode != TERTILE:
         raise ValueError(f"unknown binning mode {mode!r}")
     x = np.asarray(values, dtype=float)
@@ -269,7 +269,7 @@ class EncoderState:
                 except ValueError as e:
                     i = next(i for i, x in enumerate(column) if x + params.shift <= 0)
                     index = int(table.index[i])
-                    raise RowError(f"{name}: {e}", index, csv_row(self.schema, index)) from None
+                    raise RowError(f"{name}: {e}", index) from None
             nums[:, j] = column
         return cats, nums
 

@@ -67,12 +67,13 @@ def encoding_error(path) -> Optional[EncodingError]:
 
 class RowError(ValueError):
     """A stream row the engine cannot use, named by its stream index and by
-    its row in the stream's CSV file (``csv_row``)."""
+    the file row (1-based, the header being row 1) that ``open_csv_stream``
+    reads it from."""
 
-    def __init__(self, message: str, index: int, row: int):
-        super().__init__(message, index, row)
+    def __init__(self, message: str, index: int):
+        super().__init__(message, index)
         self.index = index
-        self.row = row
+        self.row = index + 2
 
     def __str__(self) -> str:
         return f"stream index {self.index} (CSV row {self.row}): {self.args[0]}"
@@ -89,7 +90,6 @@ class FeatureSchema:
 
     features: tuple[tuple[str, str], ...]
     label_column: str = ""
-    index_origin: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "features", tuple((str(n), str(k)) for n, k in self.features))
@@ -239,7 +239,7 @@ def open_csv_stream(
     label_map: Callable[[str], int] = int,
 ) -> Iterator[Table]:
     """Yield the stream of a CSV file as tables of at most ``CHUNK_ROWS``
-    rows, in file order, indices starting at ``schema.index_origin``.
+    rows, in file order, indices starting at 0.
 
     The header row must contain every schema column (extra columns are
     ignored); an empty file or a header alone is an empty stream. A row
@@ -277,7 +277,7 @@ def _read_csv(path, schema, label_map) -> Iterator[Table]:
             cells.append(col[schema.label_column])
         width = max(cells, default=-1) + 1
 
-        index, rownum = schema.index_origin, 2
+        index, rownum = 0, 2
         while rows := list(islice(reader, CHUNK_ROWS)):
             if min(map(len, rows)) < width:
                 rows = [r + [""] * (width - len(r)) for r in rows]
@@ -346,12 +346,6 @@ def _raise_first_bad_cell(rows, first_row, col, schema, label_map) -> None:
                 raise StreamParseError(
                     f"bad label {token!r} in column {schema.label_column!r}", rownum
                 )
-
-
-def csv_row(schema: FeatureSchema, index: int) -> int:
-    """The file row (1-based, the header being row 1) that ``open_csv_stream``
-    reads stream index ``index`` from."""
-    return index - schema.index_origin + 2
 
 
 # -- CSV writer -----------------------------------------------------------

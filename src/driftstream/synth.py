@@ -110,7 +110,6 @@ class Concept:
 
     cat_tables: np.ndarray  # (n_categorical, n_classes, n_categories)
     means: np.ndarray  # (n_numeric, n_classes)
-    sigma: float = _SIGMA
 
 
 def _draw_concept(rng: np.random.Generator, cfg: SynthConfig) -> Concept:
@@ -126,7 +125,6 @@ def _interpolate(old: Concept, fresh: Concept, m: float) -> Concept:
     return Concept(
         (1.0 - m) * old.cat_tables + m * fresh.cat_tables,
         (1.0 - m) * old.means + m * fresh.means,
-        old.sigma,
     )
 
 
@@ -242,7 +240,7 @@ def bayes_predict(concept: Concept, cat_idx: Sequence[int], num: Sequence[float]
     for f, v in enumerate(cat_idx):
         scores += np.log(np.maximum(concept.cat_tables[f, :, v], 1e-300))
     for j, x in enumerate(num):
-        scores += -0.5 * ((x - concept.means[j]) / concept.sigma) ** 2
+        scores += -0.5 * ((x - concept.means[j]) / _SIGMA) ** 2
     return int(np.argmax(scores))
 
 

@@ -262,7 +262,7 @@ def test_criterion_6_matrix_orderings(paper_source):
     configs = [
         dataclasses.replace(base, detector=d, batch_size=b, strategy=s) for d, b, s in keys
     ]
-    results = dict(zip(keys, experiment_matrix(paper_source, configs, workers=8)))
+    results = dict(zip(keys, experiment_matrix(*paper_source.load(), configs, workers=8)))
     elapsed = time.perf_counter() - start
     ok = len(results) == 24
 

@@ -41,16 +41,20 @@ def stream_csv(tmp_path_factory):
     return gen / "stream.csv"
 
 
-def traced_run(tmp_path, stream_csv, *flags):
-    """Trace ``run`` on the stream; its summary row and per-layer metrics."""
+def csv_source(stream_csv):
+    return "--input", str(stream_csv), "--label", "label"
+
+
+def traced_run(tmp_path, source, *flags):
+    """Trace ``run`` on the stream the ``source`` flags name; its summary row
+    and per-layer metrics."""
     out, trace = tmp_path / "run", tmp_path / "trace.json"
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [
             sys.executable, str(TRACER), str(trace),
-            "run", "--input", str(stream_csv), "--label", "label",
-            "--warmup", str(WARMUP), *flags, "--quiet", "-o", str(out),
+            "run", *source, "--warmup", str(WARMUP), *flags, "--quiet", "-o", str(out),
         ],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
@@ -62,7 +66,7 @@ def traced_run(tmp_path, stream_csv, *flags):
 
 def test_traced_run_counts_what_its_outputs_pin(tmp_path, stream_csv):
     summary, m = traced_run(
-        tmp_path, stream_csv, "--detector", "page-hinkley", "--strategy", "last",
+        tmp_path, csv_source(stream_csv), "--detector", "page-hinkley", "--strategy", "last",
         "--batch-size", str(BATCH), "--incremental",
     )
     predictions = int(summary["n_predictions"])
@@ -70,6 +74,7 @@ def test_traced_run_counts_what_its_outputs_pin(tmp_path, stream_csv):
     assert predictions == 3000 - WARMUP
     assert alarms == int(summary["n_drifts"]) >= 1
     assert m["evaluation.run_experiment.calls"] == 1
+    assert m["stream_core.open_csv_stream.s"] > 0  # the file is read where the tracer sees it
     assert m["naive_bayes.predict_many.rows"] >= predictions
     # the warm-up fit, then one refit on the last BATCH rows per alarm
     assert m["naive_bayes.fit.calls"] == alarms + 1
@@ -81,7 +86,7 @@ def test_traced_run_counts_what_its_outputs_pin(tmp_path, stream_csv):
 
 
 def test_traced_static_run_never_feeds_a_detector(tmp_path, stream_csv):
-    summary, m = traced_run(tmp_path, stream_csv)
+    summary, m = traced_run(tmp_path, csv_source(stream_csv))
     predictions = int(summary["n_predictions"])
     assert predictions == 3000 - WARMUP
     assert m["naive_bayes.fit.calls"] == 1
@@ -89,3 +94,11 @@ def test_traced_static_run_never_feeds_a_detector(tmp_path, stream_csv):
     assert m["detectors.observe.calls"] == 0
     assert m["naive_bayes.predict_many.rows"] >= predictions
     assert m["evaluation.write_csv.rows"] == 2 * predictions + 1
+
+
+def test_traced_synth_run_generates_its_stream_once(tmp_path):
+    summary, m = traced_run(tmp_path, ("--synth", "paper-like"))
+    assert m["synth.generate.calls"] == 1  # the stream is generated where the tracer sees it
+    assert m["stream_core.open_csv_stream.rows"] == 0
+    assert m["evaluation.run_experiment.calls"] == 1
+    assert int(summary["n_predictions"]) > 0

@@ -238,6 +238,10 @@ _COMMAND_FLAGS = {
         ("run", (*_PH_LAST, "--lambda", "nan"), "lambda must be > 0"),
         ("run", ("--detector", "adwin", "--strategy", "last", "--delta", "2"),
          "delta must be in (0, 1)"),
+        # a NaN edge compares False both ways; an infinite one makes a class no row reaches
+        ("run", ("--bin-days", "nan"), "--bin-days"),
+        ("run", ("--bin-days", "6,nan"), "--bin-days"),
+        ("run", ("--bin-days", "6,inf"), "--bin-days"),
     ],
 )
 def test_bad_config_value_is_a_config_error(tmp_path, small_stream, capsys, command, flags, named):
@@ -370,6 +374,27 @@ def test_gridsearch_three_lambdas(tmp_path, small_stream):
     assert len(grid) == 4  # header + 3 points
     best = json.loads((out / "best.json").read_text())
     assert best["ph_lambda"] in (0.3, 0.6, 0.9)
+    with open(out / "grid.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    (best_row,) = [r for r in rows if float(r["ph_lambda"]) == best["ph_lambda"]]
+    assert float(best_row["accuracy"]) == max(float(r["accuracy"]) for r in rows)
+
+
+def test_gridsearch_tie_goes_to_the_first_value(tmp_path, small_stream):
+    out = tmp_path / "gs"
+    code = run_cli(
+        "gridsearch", "--input", str(small_stream), "--label", "label",
+        "--prefix", "2000", "--warmup", "300",
+        "--detector", "page-hinkley", "--strategy", "last",
+        "--batch-size", "100", "--lambda", "900,800", "-o", str(out),
+    )
+    assert code == EXIT_OK
+    with open(out / "grid.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    # neither threshold raises an alarm, so the two runs are the same
+    assert [r["n_drifts"] for r in rows] == ["0", "0"]
+    assert rows[0]["accuracy"] == rows[1]["accuracy"]
+    assert json.loads((out / "best.json").read_text())["ph_lambda"] == 900.0
 
 
 def test_gridsearch_empty_grid(tmp_path, small_stream):

@@ -1,9 +1,8 @@
-"""Tests for prequential evaluation, rolling curves, grid search, and the
-experiment matrix."""
+"""Tests for prequential evaluation, rolling curves, the stream loaders, and
+the experiment matrix."""
 
 import csv
 import dataclasses
-import os
 from collections import deque
 
 import numpy as np
@@ -18,7 +17,6 @@ from driftstream.evaluation import (
     ExperimentSummary,
     SynthSource,
     experiment_matrix,
-    grid_search,
     rolling_mean,
     run_experiment,
     write_curves_csv,
@@ -318,44 +316,6 @@ def test_rolling_mean_empty():
     assert rolling_mean([], 3) == []
 
 
-# -- grid search --------------------------------------------------------------
-
-
-def test_grid_search_cardinality_and_best():
-    stream = generate(small_synth())
-    fixed = dataclasses.replace(
-        STATIC, detector="page_hinkley", strategy="last", batch_size=200
-    )
-    grid = [{"ph_lambda": v} for v in (0.3, 0.6, 0.9)]
-    best, table = grid_search(stream.table, stream.predictive_schema, grid, fixed)
-    assert len(table) == 3
-    assert [p for p, _ in table] == grid
-    best_acc = max(s.overall_accuracy for _, s in table)
-    assert dict(best) in grid
-    assert next(s for p, s in table if p == best).overall_accuracy == best_acc
-
-
-def test_grid_search_tie_goes_to_first():
-    stream = constant_stream([0, 1, 0])
-    fixed = ExperimentConfig(warmup=4, n_classes=2)
-    grid = [{"window": 10}, {"window": 20}]  # window does not change accuracy
-    best, table = grid_search(stream, SCHEMA, grid, fixed)
-    assert best == {"window": 10}
-    assert table[0][1].overall_accuracy == table[1][1].overall_accuracy
-
-
-def test_grid_search_single_point():
-    stream = constant_stream([0, 1])
-    fixed = ExperimentConfig(warmup=4, n_classes=2)
-    best, table = grid_search(stream, SCHEMA, [{"window": 5}], fixed)
-    assert best == {"window": 5} and len(table) == 1
-
-
-def test_grid_search_empty_grid_rejected():
-    with pytest.raises(ConfigError):
-        grid_search(constant_stream([0]), SCHEMA, [], ExperimentConfig(warmup=4))
-
-
 # -- sources and matrix -------------------------------------------------------
 
 
@@ -427,7 +387,7 @@ def test_csv_source_bins_hour_labels(tmp_path):
     assert records.label.tolist() == [0, 1, 2]
 
 
-def matrix(source, detectors, batch_sizes, workers=1):
+def matrix(stream, detectors, batch_sizes, workers=1):
     """``experiment_matrix`` over the incremental detector x batch size x
     strategy grid on STATIC, keyed by (detector, batch size, strategy)."""
     keys = [(d, b, s) for d in detectors for b in batch_sizes for s in STRATEGIES]
@@ -435,21 +395,19 @@ def matrix(source, detectors, batch_sizes, workers=1):
         dataclasses.replace(STATIC, detector=d, batch_size=b, strategy=s, incremental=True)
         for d, b, s in keys
     ]
-    return dict(zip(keys, experiment_matrix(source, configs, workers)))
+    return dict(zip(keys, experiment_matrix(*stream, configs, workers)))
 
 
 def test_matrix_shape_and_keys():
-    source = SynthSource(small_synth())
-    results = matrix(source, ("page_hinkley", "adwin"), (100, 200))
+    results = matrix(SynthSource(small_synth()).load(), ("page_hinkley", "adwin"), (100, 200))
     assert len(results) == 2 * 2 * 3
     assert ("page_hinkley", 100, "last") in results
 
 
 def test_matrix_cells_match_separate_runs():
-    source = SynthSource(small_synth())
+    records, schema = SynthSource(small_synth()).load()
     base = dataclasses.replace(STATIC, detector="none", strategy=None)
-    results = matrix(source, ("adwin",), (200,))
-    records, schema = source.load()
+    results = matrix((records, schema), ("adwin",), (200,))
     for (det, b, strat), summary in results.items():
         cfg = dataclasses.replace(
             base, detector=det, strategy=strat, batch_size=b, incremental=True
@@ -460,40 +418,12 @@ def test_matrix_cells_match_separate_runs():
 
 
 def test_matrix_worker_count_does_not_change_results():
-    source = SynthSource(small_synth())
-    serial = matrix(source, ("page_hinkley",), (100,), workers=1)
-    parallel = matrix(source, ("page_hinkley",), (100,), workers=2)
+    stream = SynthSource(small_synth()).load()
+    serial = matrix(stream, ("page_hinkley",), (100,), workers=1)
+    parallel = matrix(stream, ("page_hinkley",), (100,), workers=2)
     assert serial.keys() == parallel.keys()
     for k in serial:
         assert serial[k].overall_accuracy == parallel[k].overall_accuracy
-
-
-@dataclasses.dataclass(frozen=True)
-class LoadLoggingSource:
-    """A synthetic source that appends the loading process id to a file."""
-
-    config: SynthConfig
-    log: str
-
-    def load(self):
-        with open(self.log, "a", encoding="utf-8") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return SynthSource(self.config).load()
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_matrix_loads_its_source_once_per_worker(tmp_path, workers):
-    log = tmp_path / "loads.txt"
-    source = LoadLoggingSource(small_synth(), str(log))
-    results = matrix(source, ("page_hinkley",), (100, 200), workers=workers)
-    assert len(results) == 6
-    pids = log.read_text(encoding="utf-8").split()
-    assert 1 <= len(pids) == len(set(pids)) <= workers
-
-
-def test_matrix_requires_replayable_source():
-    with pytest.raises(ConfigError):
-        experiment_matrix([1, 2, 3], [STATIC])
 
 
 # -- CSV writers --------------------------------------------------------------

@@ -125,7 +125,7 @@ def test_update_chunked_equivalence():
 
 
 def test_single_row_variance_is_the_floor():
-    m = fit(one_numeric([5.0]), 1, (), 1, var_floor=1e-9)
+    m = fit(one_numeric([5.0]), 1, (), 1)
     assert reference_variances(m)[0, 0] == 1e-9
 
 

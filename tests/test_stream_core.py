@@ -115,12 +115,6 @@ def test_extra_columns_ignored(tmp_path):
     assert len(rec) == 1 and set(rec.columns) == {"color", "size"}
 
 
-def test_index_origin(tmp_path):
-    schema = FeatureSchema(SCHEMA.features, "label", index_origin=2000)
-    p = write(tmp_path, "color,size,label\nred,1.0,0\nblue,2.0,1\n")
-    assert read(p, schema).index.tolist() == [2000, 2001]
-
-
 def test_reopen_is_deterministic(tmp_path):
     p = write(tmp_path, "color,size,label\nred,1.5,0\n,2.0,\nblue,3.0,2\n")
     assert read(p) == read(p)
