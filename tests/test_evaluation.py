@@ -316,6 +316,30 @@ def test_rolling_mean_empty():
     assert rolling_mean([], 3) == []
 
 
+# -- grid search --------------------------------------------------------------
+
+
+def test_grid_search_cardinality_and_best():
+    """A threshold grid run through experiment_matrix gives one summary per
+    grid value, in grid order, each equal to that value's own run; the value
+    kept by the gridsearch rule (first of the highest) reaches the best
+    accuracy."""
+    stream = generate(small_synth())
+    fixed = dataclasses.replace(
+        STATIC, detector="page_hinkley", strategy="last", batch_size=200
+    )
+    grid = (0.3, 0.6, 0.9)
+    configs = [dataclasses.replace(fixed, ph_lambda=v) for v in grid]
+    summaries = experiment_matrix(stream.table, stream.predictive_schema, configs)
+    assert len(summaries) == len(grid)
+    for config, summary in zip(configs, summaries):
+        _, solo = run_experiment(stream.table, stream.predictive_schema, config)
+        assert summary == solo
+    best_value, best = max(zip(grid, summaries), key=lambda p: p[1].overall_accuracy)
+    assert best_value in grid
+    assert best.overall_accuracy == max(s.overall_accuracy for s in summaries)
+
+
 # -- sources and matrix -------------------------------------------------------
 
 
