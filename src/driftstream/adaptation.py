@@ -11,7 +11,7 @@ belongs to no retraining set: *last* consumes the buffered window [t-B, t),
 pre-alarm instances plus the next floor(B/2) collected ones. Retraining
 completes 0 / floor(B/2) / B steps after the alarm respectively.
 
-While a collection is outstanding the detector is not fed and incremental
+While a collection is pending the detector is not fed and incremental
 updates pause; the detector is reset after every retraining.
 
 ``Controller.steps`` walks a stream in that order but scores and steps it
@@ -27,8 +27,9 @@ now in force, so its results equal those of a row-by-row walk.
 The controller keeps its rows as encoded columns (stream index, label,
 category indices, numeric values): the current chunk plus the tail of the
 previous ones that a window can still use. The ring buffer, the mini-batch
-and an outstanding collection are positions into those columns, so a refit
-or an update reads a slice of them.
+(from ``_mb_start`` on) and a pending ``Collection`` are positions into those
+columns, so a refit or an update reads a slice of them. A controller is built
+from its warm-up rows, so no retraining window is empty.
 
 One ``ExperimentConfig`` describes a run: the detector, the strategy, the
 batch and mini-batch sizes, the learning mode and the encoder settings. The
@@ -56,9 +57,6 @@ MIXED = "mixed"
 NEXT = "next"
 STRATEGIES = (LAST, MIXED, NEXT)
 
-STABLE = "stable"
-COLLECTING = "collecting"
-
 # Block lengths for ``Controller.steps``: rows are encoded _MAX_BLOCK at a
 # time; while an alarm can refit the model on any row, blocks are at most
 # _MIN_BLOCK rows long, the horizon over which rows are scored before the
@@ -71,7 +69,7 @@ _MIN_BLOCK = 64
 _MAX_BLOCK = 4096
 _MAX_VERSION_CELLS = 1 << 18
 
-# The most classes ``Controller.from_warmup`` infers from the warm-up labels
+# The most classes ``Controller`` infers from the warm-up labels
 # (largest label + 1). The count tables grow with the class count and the
 # confusion matrix with its square, so one stray label must not size them;
 # an explicit ``ExperimentConfig.n_classes`` is not bounded.
@@ -223,58 +221,28 @@ class Rows(NamedTuple):
     nums: np.ndarray
 
 
+class Collection(NamedTuple):
+    """A pending retrain: the stream index of its alarm, and as positions
+    the alarm row and its window, [lo, alarm) plus (alarm, end). It
+    refits once the row before ``end`` is stepped."""
+
+    alarm_index: int
+    alarm: int
+    lo: int
+    end: int
+
+
 class Controller:
     """One controller per stream; single-threaded stepping.
 
-    Rows are numbered by position: the initial buffer holds positions
-    0 .. len-1 and each stepped row takes the next one. ``_cols`` holds the
-    rows from position ``_base`` on.
+    Rows are numbered by position: the warm-up tail in the buffer holds
+    positions 0 .. len-1 and each stepped row takes the next one. ``_cols``
+    holds the rows from position ``_base`` on; ``_next`` is the position of
+    the next row. In stable mode (``collection`` None) the pending
+    mini-batch is positions ``_mb_start .. _next - 1``.
     """
 
-    def __init__(
-        self,
-        model: NaiveBayesModel,
-        encoder: EncoderState,
-        detector,
-        config: ExperimentConfig,
-        buffer: Optional[Rows] = None,
-    ):
-        self.model = model
-        self.encoder = encoder
-        self.detector = detector
-        self.config = config
-        if buffer is None:
-            buffer = Rows(
-                np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64),
-                np.empty((0, len(encoder.cat_cardinalities)), dtype=np.int64),
-                np.empty((0, encoder.n_numeric)),
-            )
-        self._cols = Rows._make(c[-config.batch_size :] for c in buffer)
-        self._base = 0
-        self._next = len(self._cols.index)
-        self.mode = STABLE
-        self.remaining = 0
-        self.mini_batch = range(0)  # positions
-        # an outstanding collection retrains on [_window_lo, _alarm_pos)
-        # plus the rows collected after _alarm_pos
-        self._window_lo = 0
-        self._alarm_pos = 0
-        self._alarm_index: Optional[int] = None
-        self.n_drifts = 0
-        self.n_retrains = 0
-        self.retrain_history: list[RetrainEvent] = []
-
-    # -- construction -----------------------------------------------------
-
-    @classmethod
-    def from_warmup(
-        cls,
-        warmup: Table,
-        schema: FeatureSchema,
-        detector,
-        config: ExperimentConfig,
-    ) -> "Controller":
+    def __init__(self, warmup: Table, schema: FeatureSchema, detector, config: ExperimentConfig):
         """Fit and freeze the encoder on the warm-up rows (with the
         config's Box-Cox features and prefix lengths), train the initial
         model on them (``config.n_classes`` classes, or as many as the
@@ -301,12 +269,20 @@ class Controller:
             n_classes = top + 1
         _check_labels(warmup, n_classes)
         cats, nums = encoder.encode_many(warmup)
-        rows = Rows(warmup.index, warmup.label, cats, nums)
-        model = NaiveBayesModel.fit(
-            rows.label, rows.cats, rows.nums,
-            n_classes, encoder.cat_cardinalities, encoder.n_numeric,
+        self.model = NaiveBayesModel.fit(
+            warmup.label, cats, nums, n_classes, encoder.cat_cardinalities, encoder.n_numeric
         )
-        return cls(model, encoder, detector, config, buffer=rows)
+        self.encoder = encoder
+        self.detector = detector
+        self.config = config
+        rows = (warmup.index, warmup.label, cats, nums)
+        self._cols = Rows._make(c[-config.batch_size :] for c in rows)
+        self._base = 0
+        self._next = self._mb_start = len(self._cols.index)
+        self.collection: Optional[Collection] = None
+        self.n_drifts = 0
+        self.n_retrains = 0
+        self.retrain_history: list[RetrainEvent] = []
 
     # -- rows -------------------------------------------------------------
 
@@ -327,7 +303,7 @@ class Controller:
         columns at positions ``_next`` on. Rows that neither the buffer nor
         a part-filled mini-batch can use any more are dropped first, so at
         most ``batch_size + mini_batch_size`` rows before ``_next`` stay.
-        An outstanding collection needs no more: its window spans
+        A pending collection needs no more: its window spans
         ``batch_size + 1`` positions, the alarm row included, and its last
         row is not stepped yet.
         Returns the chunk's stream indices and labels, category and value
@@ -335,8 +311,8 @@ class Controller:
         _check_labels(chunk, self.model.n_classes)
         cats, nums = self.encoder.encode_many(chunk)
         keep = self._next - self.config.batch_size
-        if self.mini_batch:
-            keep = min(keep, self.mini_batch[0])
+        if self.config.incremental:  # otherwise only a refit moves _mb_start
+            keep = min(keep, self._mb_start)
         keep = max(keep, self._base)
         new = (chunk.index, chunk.label, cats, nums)
         self._cols = Rows._make(map(np.concatenate, zip(self._rows(slice(keep, self._next)), new)))
@@ -345,11 +321,10 @@ class Controller:
 
     # -- stepping ---------------------------------------------------------
 
-    def _refit(self, rows: Rows, alarm_index: int, now: int) -> int:
-        """Replace the model by one fitted on ``rows``; 1 if it did, 0 if
-        ``rows`` is empty and the old model stays."""
-        if not len(rows.index):
-            return 0
+    def _refit(self, rows: Rows, alarm_index: int, now: int) -> None:
+        """Replace the model by one fitted on ``rows``, the window of the
+        alarm at stream index ``alarm_index``, completed at stream index
+        ``now``; end the collection and start an empty mini-batch."""
         m = self.model
         self.model = NaiveBayesModel.fit(
             rows.label, rows.cats, rows.nums, m.n_classes, m.cat_cardinalities, m.n_numeric
@@ -357,42 +332,34 @@ class Controller:
         self.n_retrains += 1
         self.retrain_history.append(RetrainEvent(alarm_index, now, rows.index))
         self.detector.reset()
-        self.mini_batch = range(0)
-        return 1
+        self.collection = None
+        self._mb_start = self._next
 
-    def _rows_to_change(self) -> int:
-        """How many of the next rows one block scores: up to the end of an
-        outstanding collection, or at most _MIN_BLOCK rows when an alarm
-        could refit the model on any row. In stable mode a block runs across
-        the edges of incremental mini-batches, each row scored against the
-        model version it would see row by row; it holds as many versions as
-        _MAX_VERSION_CELLS allows (at least two: the model and the one
-        after its next update)."""
+    def _plan(self, n: int) -> tuple[int, Optional[Versions], Optional[np.ndarray]]:
+        """How many of the next ``n`` rows one block scores, the model
+        versions they see and each row's version (None, None when the model
+        stays as it is over them). A block runs up to the end of a pending
+        collection, or at most _MIN_BLOCK rows when an alarm could refit
+        the model on any row. In stable mode it runs across the edges of
+        incremental mini-batches: version v is the model after the first v
+        mini-batches that fill from ``_mb_start`` on, and a block holds as
+        many versions as _MAX_VERSION_CELLS allows (at least two: the model
+        and the one after its next update)."""
         cfg = self.config
-        if self.mode == COLLECTING:
-            return self.remaining
-        n = _MIN_BLOCK if cfg.strategy is not None else _MAX_BLOCK
-        if cfg.incremental:
-            # the versions of n rows: 1 + (len(mini_batch) + n) // size
-            most = max(2, _MAX_VERSION_CELLS // self.model.version_cells)
-            n = min(n, most * cfg.mini_batch_size - len(self.mini_batch) - 1)
-        return n
-
-    def _stage(self, n: int) -> tuple[Optional[Versions], Optional[np.ndarray]]:
-        """The model versions that the next ``n`` rows see, and each row's
-        version: version v is the model after the first v mini-batches
-        that fill from the pending one on. None, None when the model stays
-        as it is over them."""
-        cfg = self.config
-        if self.mode == COLLECTING or not cfg.incremental:
-            return None, None
-        size, p = cfg.mini_batch_size, self._next
-        lo = self.mini_batch.start if self.mini_batch else p
-        filled = (p - lo + n) // size
+        if self.collection is not None:
+            return min(n, self.collection.end - self._next), None, None
+        n = min(n, _MIN_BLOCK if cfg.strategy is not None else _MAX_BLOCK)
+        if not cfg.incremental:
+            return n, None, None
+        size, pending = cfg.mini_batch_size, self._next - self._mb_start
+        # the versions of n rows: 1 + (pending + n) // size
+        most = max(2, _MAX_VERSION_CELLS // self.model.version_cells)
+        n = min(n, most * size - pending - 1)
+        filled = (pending + n) // size
         if not filled:
-            return None, None
-        _, label, cats, nums = self._rows(slice(lo, lo + filled * size))
-        return self.model.stage(label, cats, nums, size), np.arange(p - lo, p - lo + n) // size
+            return n, None, None
+        _, label, cats, nums = self._rows(slice(self._mb_start, self._mb_start + filled * size))
+        return n, self.model.stage(label, cats, nums, size), np.arange(pending, pending + n) // size
 
     def step(self, row: Table) -> PrequentialRecord:
         """``steps`` on a one-row table: test then train on its row. The
@@ -406,7 +373,7 @@ class Controller:
         scored block. Rows are encoded in chunks and scored in blocks, each
         with one ``predict_many`` call, every row against the model version
         it would see row by row: in stable mode a block runs across
-        incremental mini-batch updates, whose versions ``_stage`` stages
+        incremental mini-batch updates, whose versions ``_plan`` stages
         before the block is scored, and the model becomes the version in
         force after the last row stepped. When the model leaves those
         versions at a row (a refit at an alarm, or the updates that a
@@ -415,13 +382,11 @@ class Controller:
         holding a row without a label or with one outside [0, n_classes)
         raises ``LabelError`` before any of its rows is stepped."""
         for lo in range(0, len(table), _MAX_BLOCK):
-            if self.model.n_trained < 1:
-                raise ControllerError("step before warm-up")
             index, labels, cats, nums = self._append(table[lo : lo + _MAX_BLOCK])
             start = 0
             while start < len(index):
-                stop = min(len(index), start + self._rows_to_change())
-                versions, at = self._stage(stop - start)
+                m, versions, at = self._plan(len(index) - start)
+                stop = start + m
                 pred = self.model.predict_many(cats[start:stop], nums[start:stop], versions, at)
                 actual = labels[start:stop]
                 n, drift, retrained = self._step_block(index[start:stop], pred != actual, versions)
@@ -435,7 +400,7 @@ class Controller:
         self, index: np.ndarray, wrong: np.ndarray, versions: Optional[Versions]
     ) -> tuple[int, int, int]:
         """The state machine over a scored block (stream indices ``index``,
-        ``wrong`` where the prediction missed, ``versions`` as ``_stage``
+        ``wrong`` where the prediction missed, ``versions`` as ``_plan``
         staged them) from position ``_next`` on. Stable mode with a strategy
         feeds the detector row by row up to its first alarm; the rows
         before an alarm join the mini-batches, and the model becomes the
@@ -449,7 +414,7 @@ class Controller:
         cfg = self.config
         n, k, drift, retrained = len(index), 0, -1, 0
         edge = n  # rows from this offset on were scored with a later model version
-        if self.mode == STABLE:
+        if self.collection is None:
             k = n
             if cfg.strategy is not None:  # without one no alarm could act
                 observe = self.detector.observe
@@ -459,33 +424,28 @@ class Controller:
                         break
             p = self._next
             if cfg.incremental:
-                # a run of consecutive positions: every refit clears the
-                # mini-batch, and the rows of a collection join none
+                # every refit empties the mini-batch, and the rows of a
+                # collection join none
                 size = cfg.mini_batch_size
-                lo = self.mini_batch.start if self.mini_batch else p
-                filled = (p + k - lo) // size
+                filled = (p + k - self._mb_start) // size
                 if filled:
                     self.model.commit(versions, filled)
-                    lo += filled * size
-                self.mini_batch = range(lo, p + k)
-                edge = lo + size - p
+                    self._mb_start += filled * size
+                edge = self._mb_start + size - p
             if drift >= 0:
                 # last keeps the B buffered rows, mixed the last ceil(B/2), next none
                 B, a = cfg.batch_size, p + k
                 pre = {LAST: B, MIXED: math.ceil(B / 2)}.get(cfg.strategy, 0)
                 self.n_drifts += 1
-                self._alarm_index, self._alarm_pos = int(index[drift]), a
-                self._window_lo, self.remaining = max(0, a - pre), B - pre
-                self.mode = COLLECTING
+                self.collection = Collection(int(index[drift]), a, max(0, a - pre), a + 1 + B - pre)
                 k += 1
             self._next = p + k
-        if self.mode == COLLECTING:  # the alarm row belongs to no window
-            m = min(min(n, edge) - k, self.remaining)
-            self.remaining -= m
+        if self.collection is not None:  # the alarm row belongs to no window
+            alarm_index, a, lo, end = self.collection
+            m = min(min(n, edge) - k, end - self._next)
             self._next, k = self._next + m, k + m
-            if self.remaining == 0:
-                a, lo, now = self._alarm_pos, self._window_lo, self._next
-                pos = slice(lo, a) if now == a + 1 else np.r_[lo:a, a + 1 : now]
-                retrained = self._refit(self._rows(pos), self._alarm_index, int(index[k - 1]))
-                self.mode = STABLE
+            if self._next == end:
+                pos = slice(lo, a) if end == a + 1 else np.r_[lo:a, a + 1 : end]
+                self._refit(self._rows(pos), alarm_index, int(index[k - 1]))
+                retrained = 1
         return k, drift, retrained

@@ -376,6 +376,8 @@ def cmd_matrix(args) -> int:
     distinct = list(dict.fromkeys(configs))  # a config runs once, however many rows show it
     summaries = dict(zip(distinct, experiment_matrix(table, schema, distinct, args.workers)))
     baseline = summaries[configs[0]].overall_accuracy
+    if not baseline:
+        raise _fail_data("the baseline accuracy is 0, so performance_increase is undefined")
     rows = []
     for cfg in configs:
         s = summaries[cfg].against_baseline(baseline)

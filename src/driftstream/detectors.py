@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Optional
 
 
 def _check_input(x: float) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -49,7 +48,7 @@ def run_experiment(
         raise ConfigError(f"stream has only {len(table)} rows, warm-up needs {config.warmup}")
     detector = make_detector(config.detector, config.ph_delta, config.ph_lambda,
                              config.ph_burn_in, config.adwin_delta)
-    controller = Controller.from_warmup(table[: config.warmup], schema, detector, config)
+    controller = Controller(table[: config.warmup], schema, detector, config)
     K = controller.model.n_classes
 
     # unlabeled rows cannot be scored prequentially; each block's columns are
@@ -119,8 +118,14 @@ class SynthSource:
         return stream.table, stream.config.schema(include_hidden=False)
 
 
-def _run_cell(table: Table, schema: FeatureSchema, config: ExperimentConfig) -> ExperimentSummary:
-    return run_experiment(table, schema, config)[1]
+def _receive_stream(*stream) -> None:
+    """Keep the (table, schema) that a worker process gets once, as it starts."""
+    global _stream
+    _stream = stream
+
+
+def _run_cell(config: ExperimentConfig) -> ExperimentSummary:
+    return run_experiment(*_stream, config)[1]
 
 
 def experiment_matrix(
@@ -128,17 +133,18 @@ def experiment_matrix(
 ) -> list[ExperimentSummary]:
     """One independent deterministic run per config on the stream; the
     summaries come back in config order. Runs share no state, so they may
-    run across worker processes, each worker getting the stream with its
-    config, with results identical for any worker count."""
+    run across worker processes, each getting the stream once as it starts,
+    with results identical for any worker count."""
     if workers <= 1:
-        return [_run_cell(table, schema, config) for config in configs]
+        return [run_experiment(table, schema, config)[1] for config in configs]
     import multiprocessing  # imported here: most commands never start a pool
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(
-        max_workers=workers, mp_context=multiprocessing.get_context("spawn")
+        max_workers=workers, mp_context=multiprocessing.get_context("spawn"),
+        initializer=_receive_stream, initargs=(table, schema),
     ) as pool:
-        return list(pool.map(_run_cell, repeat(table), repeat(schema), configs))
+        return list(pool.map(_run_cell, configs))
 
 
 # -- CSV output (fixed 6-decimal float formatting for reproducible files) --

@@ -11,7 +11,6 @@ import pytest
 
 from driftstream.adaptation import (
     LAST,
-    MIXED,
     NEXT,
     STRATEGIES,
     Controller,
@@ -189,7 +188,7 @@ def test_criterion_4_window_algebra():
             tokens = DictColumn.from_tokens(["ab"[i % 2] for i in range(n)])
             stream = Table(np.arange(n), np.arange(n) % 2, {"tok": tokens})
             det = ArmedDetector()
-            ctrl = Controller.from_warmup(
+            ctrl = Controller(
                 stream[:warmup], schema, det,
                 ExperimentConfig(detector="page_hinkley", strategy=strategy, batch_size=B),
             )

@@ -14,12 +14,11 @@ from hypothesis import strategies as st
 
 from driftstream import adaptation
 from driftstream.adaptation import (
-    COLLECTING,
     LAST,
     MIXED,
     NEXT,
-    STABLE,
     STRATEGIES,
+    Collection,
     Controller,
     ControllerError,
     MAX_INFERRED_CLASSES,
@@ -29,7 +28,6 @@ from driftstream.adaptation import (
 )
 from driftstream.detectors import NoDetector
 from driftstream.naive_bayes import NaiveBayesModel
-from driftstream.preprocess import EncoderState
 from driftstream.stream_core import (
     CATEGORICAL,
     NUMERIC,
@@ -86,42 +84,32 @@ def reference_step(ctrl, row):
     Score the row, feed the detector (stable mode, with a strategy), then
     react to an alarm or advance the collection, or add the row to the
     mini-batch and update once it is full. It drives the controller's own
-    columns and refit."""
+    columns, ``collection``, ``_mb_start`` and refit."""
     (index,), labels, cats, nums = ctrl._append(row)
     index = int(index)
     label, pred = int(labels[0]), int(ctrl.model.predict_many(cats, nums)[0])
     cfg, p = ctrl.config, ctrl._next
+    ctrl._next = p + 1
     correct = int(pred == label)
     drift = retrained = 0
-    if ctrl.mode == STABLE:
+    if ctrl.collection is None:
         if cfg.strategy is not None and ctrl.detector.observe(0.0 if correct else 1.0):
             drift = 1
             ctrl.n_drifts += 1
-            ctrl._alarm_index = index
-            if cfg.strategy == LAST:
-                retrained = ctrl._refit(ctrl.buffer, index, index)
-            else:
-                pre = math.ceil(cfg.batch_size / 2) if cfg.strategy == MIXED else 0
-                ctrl._window_lo, ctrl._alarm_pos = max(0, p - pre), p
-                ctrl.remaining = cfg.batch_size - pre
-                if ctrl.remaining == 0:
-                    retrained = ctrl._refit(ctrl._rows(slice(ctrl._window_lo, p)), index, index)
-                else:
-                    ctrl.mode = COLLECTING
-        elif cfg.incremental:
-            mb = ctrl.mini_batch = range(ctrl.mini_batch.start if ctrl.mini_batch else p, p + 1)
-            if len(mb) >= cfg.mini_batch_size:
-                _, labels, cats, nums = ctrl._rows(slice(mb.start, p + 1))
-                ctrl.model.update(labels, cats, nums)
-                ctrl.mini_batch = range(0)
-    else:  # collecting: the alarm row belongs to no window
-        ctrl.remaining -= 1
-        if ctrl.remaining == 0:
-            a = ctrl._alarm_pos
-            window = np.concatenate((np.arange(ctrl._window_lo, a), np.arange(a + 1, p + 1)))
-            retrained = ctrl._refit(ctrl._rows(window), ctrl._alarm_index, index)
-            ctrl.mode = STABLE
-    ctrl._next = p + 1
+            B = cfg.batch_size
+            pre = {LAST: B, MIXED: math.ceil(B / 2), NEXT: 0}[cfg.strategy]
+            ctrl.collection = Collection(index, p, max(0, p - pre), p + 1 + B - pre)
+        elif cfg.incremental and p + 1 - ctrl._mb_start >= cfg.mini_batch_size:
+            _, labels, cats, nums = ctrl._rows(slice(ctrl._mb_start, p + 1))
+            ctrl.model.update(labels, cats, nums)
+            ctrl._mb_start = p + 1
+    # a collection refits once its last row is stepped (*last* at its
+    # alarm); the alarm row belongs to no window
+    if ctrl.collection is not None and ctrl.collection.end == p + 1:
+        alarm_index, a, lo, end = ctrl.collection
+        window = np.concatenate((np.arange(lo, a), np.arange(a + 1, end)))
+        ctrl._refit(ctrl._rows(window), alarm_index, index)
+        retrained = 1
     return PrequentialRecord(index, pred, label, correct, 0.0, drift, retrained)
 
 
@@ -134,7 +122,7 @@ def run_with_alarm(strategy, batch_size, alarm_at, n=300, warmup=50, **cfg_kw):
     stream = make_stream(n)
     det = ScriptedDetector()
     cfg = make_config(strategy=strategy, batch_size=batch_size, **cfg_kw)
-    ctrl = Controller.from_warmup(stream[:warmup], SCHEMA, det, cfg)
+    ctrl = Controller(stream[:warmup], SCHEMA, det, cfg)
     results = []
     for rec in stream[warmup:]:
         if rec.index[0] == alarm_at:
@@ -237,7 +225,7 @@ def test_stream_end_mid_collection_skips_retraining():
 def test_buffer_clamped_to_warmup_size():
     stream = make_stream(60)
     cfg = make_config(strategy=LAST, batch_size=5000)
-    ctrl = Controller.from_warmup(stream[:50], SCHEMA, ScriptedDetector(), cfg)
+    ctrl = Controller(stream[:50], SCHEMA, ScriptedDetector(), cfg)
     assert len(ctrl.buffer.index) == 50
 
 
@@ -248,7 +236,7 @@ def test_detector_suppressed_during_collection():
     stream = make_stream(300)
     det = ScriptedDetector()
     cfg = make_config(strategy=NEXT, batch_size=20)
-    ctrl = Controller.from_warmup(stream[:50], SCHEMA, det, cfg)
+    ctrl = Controller(stream[:50], SCHEMA, det, cfg)
     for rec in stream[50:]:
         if rec.index[0] == 100:
             det.fire = True
@@ -270,7 +258,7 @@ def test_at_most_one_outstanding_retraining():
     stream = make_stream(300)
     det = ScriptedDetector()
     cfg = make_config(strategy=NEXT, batch_size=30)
-    ctrl = Controller.from_warmup(stream[:50], SCHEMA, det, cfg)
+    ctrl = Controller(stream[:50], SCHEMA, det, cfg)
     results = []
     for rec in stream[50:]:
         if rec.index[0] in (100, 110):  # second arm falls inside collection
@@ -288,12 +276,12 @@ def test_at_most_one_outstanding_retraining():
 def test_incremental_updates_apply_every_mini_batch():
     stream = make_stream(100)
     cfg = make_config(strategy=None, incremental=True, mini_batch_size=10)
-    ctrl = Controller.from_warmup(stream[:50], SCHEMA, NoDetector(), cfg)
+    ctrl = Controller(stream[:50], SCHEMA, NoDetector(), cfg)
     for rec in stream[50:65]:
         ctrl.step(rec)
     # one full mini-batch applied, five instances still pending
     assert ctrl.model.n_trained == 60
-    assert len(ctrl.mini_batch) == 5
+    assert ctrl._next - ctrl._mb_start == 5
 
 
 def test_incremental_pauses_during_collection():
@@ -302,7 +290,7 @@ def test_incremental_pauses_during_collection():
     cfg = make_config(
         strategy=NEXT, batch_size=20, incremental=True, mini_batch_size=5
     )
-    ctrl = Controller.from_warmup(stream[:50], SCHEMA, det, cfg)
+    ctrl = Controller(stream[:50], SCHEMA, det, cfg)
     for rec in stream[50:]:
         if rec.index[0] == 100:
             det.fire = True
@@ -320,7 +308,7 @@ def test_retraining_replaces_incrementally_updated_model():
     stream = make_stream(300)
     det = ScriptedDetector()
     cfg = make_config(strategy=LAST, batch_size=10, incremental=True)
-    ctrl = Controller.from_warmup(stream[:50], SCHEMA, det, cfg)
+    ctrl = Controller(stream[:50], SCHEMA, det, cfg)
     for rec in stream[50:]:
         if rec.index[0] == 100:
             det.fire = True
@@ -334,7 +322,7 @@ def test_retraining_replaces_incrementally_updated_model():
 def test_static_config_freezes_everything():
     stream = make_stream(200)
     det = ScriptedDetector()
-    ctrl = Controller.from_warmup(stream[:50], SCHEMA, det, make_config(batch_size=10))
+    ctrl = Controller(stream[:50], SCHEMA, det, make_config(batch_size=10))
     det.fire = True  # an alarm without a strategy changes nothing
     trained = ctrl.model.n_trained
     results = [ctrl.step(rec) for rec in stream[50:]]
@@ -346,7 +334,7 @@ def test_static_config_freezes_everything():
 def test_static_prediction_is_pure_function_of_instance():
     stream = make_stream(100)
     cfg = make_config()
-    ctrl = Controller.from_warmup(stream[:50], SCHEMA, NoDetector(), cfg)
+    ctrl = Controller(stream[:50], SCHEMA, NoDetector(), cfg)
     probe = stream[60]
     first = ctrl.step(probe).predicted
     for rec in stream[51:60]:
@@ -406,8 +394,8 @@ def test_block_walk_equals_step_loop(monkeypatch, strategy, batch_size, incremen
         incremental=incremental,
         mini_batch_size=mini_batch_size,
     )
-    block = Controller.from_warmup(stream[:60], MIXED_SCHEMA, CountingDetector(fire_on), cfg)
-    plain = Controller.from_warmup(stream[:60], MIXED_SCHEMA, CountingDetector(fire_on), cfg)
+    block = Controller(stream[:60], MIXED_SCHEMA, CountingDetector(fire_on), cfg)
+    plain = Controller(stream[:60], MIXED_SCHEMA, CountingDetector(fire_on), cfg)
     block_detector, plain_detector = block.detector, plain.detector
 
     walked, blocks, versions = [], [], []
@@ -431,8 +419,8 @@ def test_block_walk_equals_step_loop(monkeypatch, strategy, batch_size, incremen
     assert block.retrain_history == plain.retrain_history
     assert (block.n_drifts, block.n_retrains) == (plain.n_drifts, plain.n_retrains)
     assert block_detector.calls == plain_detector.calls
-    assert (block.mode, block.remaining, block._next) == (plain.mode, plain.remaining, plain._next)
-    assert block.mini_batch == plain.mini_batch
+    assert (block.collection, block._next, block._mb_start) == (
+        plain.collection, plain._next, plain._mb_start)
     assert model_state(block.model) == model_state(plain.model)
     assert len(block.buffer.index) == len(plain.buffer.index)
     for a, b in zip(block.buffer, plain.buffer):  # index, label, cats, nums columns
@@ -460,7 +448,7 @@ def test_block_walk_scores_each_row_once_when_no_alarm_can_refit(
     # part-filled: no score is computed and dropped
     stream = noisy_stream(4560)
     cfg = make_config(incremental=incremental, mini_batch_size=mini_batch_size)
-    ctrl = Controller.from_warmup(stream[:60], MIXED_SCHEMA, NoDetector(), cfg)
+    ctrl = Controller(stream[:60], MIXED_SCHEMA, NoDetector(), cfg)
     sizes = []
     predict_many = NaiveBayesModel.predict_many
 
@@ -489,8 +477,8 @@ def test_staged_versions_of_a_wide_model_stay_under_the_cap(monkeypatch):
         {"tok": DictColumn.from_tokens(toks), "x": rng.normal(size=len(labels)) + labels},
     )
     cfg = make_config(incremental=True, mini_batch_size=1)
-    block = Controller.from_warmup(stream[:warmup], MIXED_SCHEMA, NoDetector(), cfg)
-    plain = Controller.from_warmup(stream[:warmup], MIXED_SCHEMA, NoDetector(), cfg)
+    block = Controller(stream[:warmup], MIXED_SCHEMA, NoDetector(), cfg)
+    plain = Controller(stream[:warmup], MIXED_SCHEMA, NoDetector(), cfg)
     assert block.model.cat_cardinalities == (n_tokens + 1,)
     staged = []
     stage = NaiveBayesModel.stage
@@ -510,14 +498,31 @@ def test_staged_versions_of_a_wide_model_stay_under_the_cap(monkeypatch):
     assert model_state(block.model) == model_state(plain.model)
 
 
+@pytest.mark.parametrize("strategy", [None, LAST, NEXT])
+@pytest.mark.parametrize("incremental", [False, True])
+def test_columns_hold_at_most_a_window_a_mini_batch_and_a_chunk(strategy, incremental):
+    # the rows the buffer, a part-filled mini-batch or a pending collection
+    # can still use, plus the chunk being stepped; without incremental
+    # updates the mini-batch start holds no rows back
+    stream = noisy_stream(9000)
+    cfg = make_config(strategy, batch_size=40, incremental=incremental, mini_batch_size=10)
+    detector = NoDetector() if strategy is None else CountingDetector(range(100, 9000, 300))
+    ctrl = Controller(stream[:60], MIXED_SCHEMA, detector, cfg)
+    bound = cfg.batch_size + cfg.mini_batch_size + adaptation._MAX_BLOCK
+    for _ in ctrl.steps(stream[60:]):
+        assert len(ctrl._cols.index) <= bound
+    assert ctrl._next == 40 + 8940
+    assert (ctrl.n_retrains > 0) == (strategy is not None)
+
+
 # -- protocol -----------------------------------------------------------------
 
 
 def test_test_then_train_label_cannot_leak():
     stream = make_stream(100)
     cfg = make_config(strategy=None, incremental=True, mini_batch_size=1)
-    a = Controller.from_warmup(stream[:50], SCHEMA, NoDetector(), cfg)
-    b = Controller.from_warmup(stream[:50], SCHEMA, NoDetector(), cfg)
+    a = Controller(stream[:50], SCHEMA, NoDetector(), cfg)
+    b = Controller(stream[:50], SCHEMA, NoDetector(), cfg)
     probe = stream[50]
     flipped = Table(probe.index, 1 - probe.label, probe.columns)
     assert a.step(probe).predicted == b.step(flipped).predicted
@@ -531,37 +536,20 @@ def test_replay_reproduces_events_and_predictions():
     assert run() == run()
 
 
-def test_step_before_warmup_rejected():
-    encoder = EncoderState(SCHEMA)
-    tok = {"tok": DictColumn.from_tokens(["a"])}
-    bare = Table(np.zeros(1, np.int64), np.array([UNLABELED]), tok)
-    encoder.fit(bare)
-    ctrl = Controller(
-        NaiveBayesModel(2, encoder.cat_cardinalities, 0),
-        encoder,
-        NoDetector(),
-        make_config(),
-    )
-    with pytest.raises(ControllerError):
-        ctrl.step(make_stream(1)[0])
-    with pytest.raises(ControllerError):
-        next(ctrl.steps(make_stream(1)))
-
-
 def test_warmup_requires_labeled_instances():
     with pytest.raises(ControllerError):
-        Controller.from_warmup(make_stream(0), SCHEMA, NoDetector(), make_config())
+        Controller(make_stream(0), SCHEMA, NoDetector(), make_config())
     tok = {"tok": DictColumn.from_tokens(["a"])}
     bare = Table(np.zeros(1, np.int64), np.array([UNLABELED]), tok)
     with pytest.raises(ControllerError):
-        Controller.from_warmup(bare, SCHEMA, NoDetector(), make_config())
+        Controller(bare, SCHEMA, NoDetector(), make_config())
 
 
 @pytest.mark.parametrize("walk", ["steps", "step"])
 def test_label_outside_classes_rejected_before_its_chunk_is_stepped(walk):
     stream = make_stream(120)
     stream.label[90] = 2  # 2 classes seen in warm-up
-    ctrl = Controller.from_warmup(stream[:50], SCHEMA, NoDetector(), make_config())
+    ctrl = Controller(stream[:50], SCHEMA, NoDetector(), make_config())
     stepped = []
     with pytest.raises(LabelError) as info:
         if walk == "steps":  # rows 50..119 form one chunk
@@ -578,7 +566,7 @@ def test_unlabeled_warmup_row_named_in_the_error():
     stream = make_stream(50)
     stream.label[7] = UNLABELED
     with pytest.raises(LabelError) as info:
-        Controller.from_warmup(stream, SCHEMA, NoDetector(), make_config())
+        Controller(stream, SCHEMA, NoDetector(), make_config())
     assert (info.value.index, info.value.row) == (7, 9)
 
 
@@ -587,7 +575,7 @@ def test_first_unusable_warmup_row_named_whichever_its_kind():
     stream.label[3] = 5  # outside the 2 classes
     stream.label[7] = UNLABELED
     with pytest.raises(LabelError) as info:
-        Controller.from_warmup(stream, SCHEMA, NoDetector(), make_config(n_classes=2))
+        Controller(stream, SCHEMA, NoDetector(), make_config(n_classes=2))
     assert (info.value.index, info.value.row) == (3, 5)
     assert "label 5 outside [0, 2)" in str(info.value)
 
@@ -597,7 +585,7 @@ def test_inferred_class_count_is_bounded_by_the_largest_label_row():
     stream.label[7] = MAX_INFERRED_CLASSES
     stream.label[30] = stream.label[40] = MAX_INFERRED_CLASSES + 5
     with pytest.raises(LabelError) as info:
-        Controller.from_warmup(stream, SCHEMA, NoDetector(), make_config())
+        Controller(stream, SCHEMA, NoDetector(), make_config())
     assert (info.value.index, info.value.row) == (30, 32)
 
 
@@ -605,12 +593,12 @@ def test_explicit_class_count_is_not_bounded():
     stream = make_stream(50)
     stream.label[7] = MAX_INFERRED_CLASSES
     cfg = make_config(n_classes=MAX_INFERRED_CLASSES + 1)
-    ctrl = Controller.from_warmup(stream, SCHEMA, NoDetector(), cfg)
+    ctrl = Controller(stream, SCHEMA, NoDetector(), cfg)
     assert ctrl.model.n_classes == cfg.n_classes
 
 
 def test_n_classes_inferred_from_warmup():
-    ctrl = Controller.from_warmup(
+    ctrl = Controller(
         make_stream(50), SCHEMA, NoDetector(), make_config()
     )
     assert ctrl.model.n_classes == 2

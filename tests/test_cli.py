@@ -557,6 +557,22 @@ def test_matrix_data_error_names_its_row_for_any_worker_count(tmp_path, capsys, 
     assert message in err and "Traceback" not in err
 
 
+def test_matrix_with_a_zero_baseline_accuracy_is_a_data_error(tmp_path, capsys):
+    # a warm-up as long as the stream leaves the baseline no predictions,
+    # so its accuracy is 0 and no performance increase can be computed
+    assert run_cli("generate", "-o", str(tmp_path / "g"), "--n", "400", "--seed", "3") == EXIT_OK
+    stream, out = str(tmp_path / "g" / "stream.csv"), tmp_path / "m"
+    common = ("--input", stream, "--label", "label", "--warmup", "400")
+    code = run_cli("matrix", *common, "--batch-sizes", "50", "--workers", "1", "-o", str(out))
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert "baseline accuracy is 0" in err and "Traceback" not in err
+    assert not (out / "summary.csv").exists()
+    assert run_cli("run", *common, "-o", str(tmp_path / "r")) == EXIT_OK
+    grid = ("--detector", "page-hinkley", "--strategy", "last", "--lambda", "0.6")
+    assert run_cli("gridsearch", *common, *grid, "-o", str(tmp_path / "s")) == EXIT_OK
+
+
 # -- inspect ------------------------------------------------------------------
 
 

@@ -8,7 +8,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from driftstream import stream_core
+from driftstream import evaluation, stream_core
 from driftstream.adaptation import STRATEGIES, Controller, Records
 from driftstream.evaluation import (
     ConfigError,
@@ -198,18 +198,15 @@ def test_drift_handling_beats_static_on_drifting_stream():
     assert handled.n_drifts >= 1 and handled.n_retrains >= 1
 
 
-_FROM_WARMUP = Controller.from_warmup
-
-
 def _run_capturing(monkeypatch, records, schema, cfg):
     """run_experiment plus the controller it drove."""
     built = []
 
     def capture(*args):
-        built.append(_FROM_WARMUP(*args))
+        built.append(Controller(*args))
         return built[-1]
 
-    monkeypatch.setattr(Controller, "from_warmup", staticmethod(capture))
+    monkeypatch.setattr(evaluation, "Controller", capture)
     out, summary = run_experiment(records, schema, cfg)
     return out, summary, built[0]
 
@@ -448,6 +445,23 @@ def test_matrix_worker_count_does_not_change_results():
     assert serial.keys() == parallel.keys()
     for k in serial:
         assert serial[k].overall_accuracy == parallel[k].overall_accuracy
+
+
+def test_matrix_sends_the_stream_once_per_worker(monkeypatch):
+    # each worker gets the stream when it starts, not with every config
+    stream = SynthSource(small_synth()).load()
+    pickled = []
+
+    def counting(table, protocol):
+        pickled.append(protocol)
+        return object.__reduce_ex__(table, protocol)
+
+    monkeypatch.setattr(Table, "__reduce_ex__", counting, raising=False)
+    parallel = matrix(stream, ("page_hinkley",), (100, 200), workers=2)
+    assert len(parallel) == 6
+    assert 1 <= len(pickled) <= 2
+    monkeypatch.undo()
+    assert parallel == matrix(stream, ("page_hinkley",), (100, 200), workers=1)
 
 
 # -- CSV writers --------------------------------------------------------------

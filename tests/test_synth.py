@@ -21,7 +21,6 @@ from driftstream.synth import (
     SynthConfigError,
     bayes_predict,
     build_concepts,
-    concept_schedule,
     exact_bayes_accuracy,
     generate,
     paper_like_config,
