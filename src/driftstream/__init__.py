@@ -5,12 +5,10 @@ strategies (last / mixed / next) under prequential evaluation."""
 from .adaptation import Controller, LabelError, PrequentialRecord, Records, RetrainEvent, Rows
 from .detectors import Adwin, NoDetector, PageHinkley, make_detector
 from .evaluation import (
-    ConfigError,
-    CsvSource,
     ExperimentConfig,
     ExperimentSummary,
-    SynthSource,
     experiment_matrix,
+    load_stream,
     rolling_mean,
     run_experiment,
 )
@@ -28,6 +26,8 @@ from .preprocess import (
     truncate_category,
 )
 from .stream_core import (
+    ConfigError,
+    DataError,
     FeatureSchema,
     RowError,
     SchemaError,

@@ -50,7 +50,7 @@ import numpy as np
 from .detectors import make_detector
 from .naive_bayes import NaiveBayesModel, Versions
 from .preprocess import EncoderState
-from .stream_core import UNLABELED, FeatureSchema, RowError, Table
+from .stream_core import UNLABELED, ConfigError, FeatureSchema, RowError, Table
 
 LAST = "last"
 MIXED = "mixed"
@@ -71,20 +71,11 @@ _MAX_VERSION_CELLS = 1 << 18
 
 # The most classes ``Controller`` infers from the warm-up labels
 # (largest label + 1). The count tables grow with the class count and the
-# confusion matrix with its square, so one stray label must not size them;
-# an explicit ``ExperimentConfig.n_classes`` is not bounded.
+# confusion matrix with its square, so one stray label must not size them.
 MAX_INFERRED_CLASSES = 1000
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration."""
-
-
-class ControllerError(RuntimeError):
-    pass
-
-
-class LabelError(RowError, ControllerError):
+class LabelError(RowError):
     """A stream row whose label the controller cannot learn from: missing
     in the warm-up prefix, or outside [0, n_classes)."""
 
@@ -119,7 +110,6 @@ class ExperimentConfig:
     adwin_delta: float = 0.001
     boxcox: tuple[str, ...] = ()
     prefix_len: tuple[tuple[str, int], ...] = ()
-    n_classes: Optional[int] = None
 
     def __post_init__(self):
         try:  # the detectors hold the bounds of their parameters
@@ -245,28 +235,26 @@ class Controller:
     def __init__(self, warmup: Table, schema: FeatureSchema, detector, config: ExperimentConfig):
         """Fit and freeze the encoder on the warm-up rows (with the
         config's Box-Cox features and prefix lengths), train the initial
-        model on them (``config.n_classes`` classes, or as many as the
-        warm-up labels imply, at most ``MAX_INFERRED_CLASSES``), and pre-fill
-        the buffer with their tail. Encoder settings that cannot apply to
-        these rows raise ``ConfigError``; a row without a label, or a label
-        that would infer more classes, raises ``LabelError``."""
+        model on them (as many classes as the warm-up labels imply, at most
+        ``MAX_INFERRED_CLASSES``), and pre-fill the buffer with their tail.
+        No warm-up rows, or encoder settings that cannot apply to them,
+        raise ``ConfigError``; a row without a label, or a label that would
+        infer more classes, raises ``LabelError``."""
         if not len(warmup):
-            raise ControllerError("warm-up requires at least one labeled instance")
+            raise ConfigError("warm-up requires at least one labeled instance")
         try:
             encoder = EncoderState(schema, config.boxcox, dict(config.prefix_len))
             encoder.fit(warmup)
         except ValueError as e:
             raise ConfigError(str(e)) from None
-        n_classes = config.n_classes
-        if n_classes is None:
-            top = int(warmup.label.max())  # UNLABELED only if no row has a label
-            if top >= MAX_INFERRED_CLASSES:
-                index = int(warmup.index[warmup.label.argmax()])
-                raise LabelError(
-                    f"label {top} would make {top + 1} classes; at most"
-                    f" {MAX_INFERRED_CLASSES} are inferred from the warm-up labels", index
-                )
-            n_classes = top + 1
+        top = int(warmup.label.max())  # UNLABELED only if no row has a label
+        if top >= MAX_INFERRED_CLASSES:
+            index = int(warmup.index[warmup.label.argmax()])
+            raise LabelError(
+                f"label {top} would make {top + 1} classes; at most"
+                f" {MAX_INFERRED_CLASSES} are inferred from the warm-up labels", index
+            )
+        n_classes = top + 1
         _check_labels(warmup, n_classes)
         cats, nums = encoder.encode_many(warmup)
         self.model = NaiveBayesModel.fit(
@@ -285,12 +273,6 @@ class Controller:
         self.retrain_history: list[RetrainEvent] = []
 
     # -- rows -------------------------------------------------------------
-
-    @property
-    def buffer(self) -> Rows:
-        """The labeled ring buffer: the last ``batch_size`` rows stepped,
-        the warm-up tail counting as stepped."""
-        return self._rows(slice(max(0, self._next - self.config.batch_size), self._next))
 
     def _rows(self, pos) -> Rows:
         """The rows at positions ``pos``, a slice or an integer array."""

@@ -1,6 +1,8 @@
 """Command-line front end: run | generate | gridsearch | matrix | inspect.
 
-Exit codes: 0 success, 2 config/usage error, 3 data error. All outputs are
+Exit codes: 0 success, 2 config/usage error (``stream_core.ConfigError``), 3
+data error (``stream_core.DataError``, or a file that cannot be read or
+parsed); ``main`` alone maps errors to them. All outputs are
 CSV (floats fixed to 6 decimals) plus JSON for best parameters and the
 resolved configuration; identical flags and inputs yield byte-identical
 files. A flat key=value config file may supply defaults; command-line flags
@@ -12,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import itertools
 import json
 import os
 import sys
@@ -22,11 +23,9 @@ import numpy as np
 
 from . import __version__
 from .evaluation import (
-    ConfigError,
-    CsvSource,
     ExperimentConfig,
-    SynthSource,
     experiment_matrix,
+    load_stream,
     rolling_mean,
     run_experiment,
     write_curves_csv,
@@ -35,23 +34,11 @@ from .evaluation import (
     write_summary_csv,
 )
 from .preprocess import BinBoundaries
-from .stream_core import (
-    CATEGORICAL,
-    NUMERIC,
-    EncodingError,
-    FeatureSchema,
-    RowError,
-    SchemaError,
-    StreamParseError,
-    Table,
-    encoding_error,
-    write_columns,
-)
+from .stream_core import ConfigError, DataError, FeatureSchema, Table, write_columns
 from .synth import (
     PROFILES,
     DriftSpec,
     SynthConfig,
-    SynthConfigError,
     generate,
     write_concept_sidecar,
     write_csv,
@@ -60,22 +47,6 @@ from .synth import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
-
-_SNIFF_ROWS = 200
-
-
-class _CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
-
-
-def _fail_config(msg: str) -> "_CliError":
-    return _CliError(msg, EXIT_CONFIG)
-
-
-def _fail_data(msg: str) -> "_CliError":
-    return _CliError(msg, EXIT_DATA)
 
 
 # -- config file ----------------------------------------------------------
@@ -88,13 +59,13 @@ def _config_file_args(path: str) -> list[str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
-        raise _fail_config(f"cannot read config file {path}: {e}")
+        raise ConfigError(f"cannot read config file {path}: {e}")
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise _fail_config(f"{path}:{lineno}: expected key=value, got {line!r}")
+            raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         flag = "--" + key.replace("_", "-")
         if value.lower() in ("true", "yes", "1") and key in _BOOL_KEYS:
@@ -111,34 +82,6 @@ _BOOL_KEYS = {"incremental", "quiet", "hidden-context", "hidden_context"}
 
 
 # -- input handling -------------------------------------------------------
-
-
-def _infer_schema(path: str, label: str, exclude: tuple[str, ...]) -> FeatureSchema:
-    """Sniff column kinds from a sample: a column is numeric when every
-    sampled non-empty token parses as a float. A byte that is not UTF-8
-    raises ``EncodingError`` naming its file line."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise _fail_data(f"{path} is empty")
-            sample = list(itertools.islice(reader, _SNIFF_ROWS))
-    except OSError as e:
-        raise _fail_data(f"cannot read {path}: {e}")
-    except UnicodeDecodeError as e:
-        raise encoding_error(path) or e from None
-    if label not in header:
-        raise _fail_data(f"{path} lacks the label column {label!r}")
-    feats = []
-    for i, name in enumerate(header):
-        if name == label or name in exclude:
-            continue
-        tokens = [row[i] for row in sample if i < len(row) and row[i] != ""]
-        numeric = bool(tokens) and all(_is_float(t) for t in tokens)
-        feats.append((name, NUMERIC if numeric else CATEGORICAL))
-    return FeatureSchema(tuple(feats), label_column=label)
 
 
 def _count(token: str) -> int:
@@ -162,25 +105,17 @@ def _floats(token: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {token!r}") from None
 
 
-def _is_float(token: str) -> bool:
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False
-
-
 def _synth_config(args) -> SynthConfig:
     if args.profile:
         if args.profile not in PROFILES:
-            raise _fail_config(
+            raise ConfigError(
                 f"unknown profile {args.profile!r}; available: {', '.join(PROFILES)}"
             )
         return PROFILES[args.profile](args.seed)
     drift = ()
     if args.drift_kind != "none":
         if args.drift_at is None:
-            raise _fail_config("--drift-at is required for a drifting stream")
+            raise ConfigError("--drift-at is required for a drifting stream")
         drift = (
             DriftSpec(args.drift_kind, args.drift_at, args.drift_width, args.magnitude),
         )
@@ -197,25 +132,24 @@ def _synth_config(args) -> SynthConfig:
 
 
 def _load_stream(args) -> tuple[Table, FeatureSchema]:
-    """Load the stream --input or --synth names, with its predictive schema."""
+    """Load the stream --input or --synth names, with its predictive schema;
+    the source flags are checked before any input is read."""
     if bool(args.input) == bool(args.synth):
-        raise _fail_config("exactly one of --input or --synth must be given")
-    if args.input:
-        label = args.label
-        if not label:
-            raise _fail_config("--label is required with --input")
-        schema = _infer_schema(args.input, label, tuple(args.exclude))
-        edges = ()
-        if args.bin_days:
-            try:
-                edges = tuple(float(d) for d in args.bin_days.split(","))
-                BinBoundaries(edges)
-            except ValueError as e:
-                raise _fail_config(f"--bin-days expects ascending day edges such as 6,39: {e}")
-        return CsvSource(args.input, schema, edges).load()
-    if args.synth not in PROFILES:
-        raise _fail_config(f"unknown synth profile {args.synth!r}")
-    return SynthSource(PROFILES[args.synth](args.seed)).load()
+        raise ConfigError("exactly one of --input or --synth must be given")
+    if args.synth:
+        if args.synth not in PROFILES:
+            raise ConfigError(f"unknown synth profile {args.synth!r}")
+        return load_stream(PROFILES[args.synth](args.seed))
+    if not args.label:
+        raise ConfigError("--label is required with --input")
+    bins = None
+    if args.bin_days:
+        try:
+            edges = tuple(float(d) for d in args.bin_days.split(","))
+            bins = BinBoundaries(edges, unit_divisor=24.0)
+        except ValueError as e:
+            raise ConfigError(f"--bin-days expects ascending day edges such as 6,39: {e}")
+    return load_stream(args.input, args.label, args.exclude, bins)
 
 
 def _experiment_config(args, **overrides) -> ExperimentConfig:
@@ -225,7 +159,7 @@ def _experiment_config(args, **overrides) -> ExperimentConfig:
     for part in (p for p in args.prefix_len.split(",") if p):
         name, _, plen = part.partition("=")
         if not plen.isdecimal() or int(plen) < 1:
-            raise _fail_config(f"--prefix-len expects feature=length >= 1, got {part!r}")
+            raise ConfigError(f"--prefix-len expects feature=length >= 1, got {part!r}")
         prefix_len.append((name, int(plen)))
     fields = dict(
         detector=args.detector.replace("-", "_") if args.detector else "none",
@@ -242,10 +176,7 @@ def _experiment_config(args, **overrides) -> ExperimentConfig:
     )
     if hasattr(args, "ph_lambda"):  # gridsearch reads --lambda/--delta as grids
         fields.update(ph_lambda=args.ph_lambda, adwin_delta=args.adwin_delta)
-    try:
-        return ExperimentConfig(**{**fields, **overrides})
-    except ConfigError as e:
-        raise _fail_config(str(e))
+    return ExperimentConfig(**{**fields, **overrides})
 
 
 def _out_dir(args) -> Path:
@@ -319,10 +250,10 @@ def cmd_gridsearch(args) -> int:
     out = _out_dir(args)
     detector = args.detector.replace("-", "_") if args.detector else ""
     if detector not in ("page_hinkley", "adwin"):
-        raise _fail_config("gridsearch needs --detector page-hinkley or adwin")
+        raise ConfigError("gridsearch needs --detector page-hinkley or adwin")
     values = args.grid_lambda if detector == "page_hinkley" else args.grid_delta
     if not values:
-        raise _fail_config("empty parameter grid")
+        raise ConfigError("empty parameter grid")
     key = "ph_lambda" if detector == "page_hinkley" else "adwin_delta"
     strategy = args.strategy or "last"
     # a bad grid value exits before the stream loads
@@ -356,7 +287,7 @@ def cmd_matrix(args) -> int:
     batch_sizes = args.batch_sizes
     strategies = [s for s in args.strategies.split(",") if s]
     if not detectors or not batch_sizes or not strategies:
-        raise _fail_config("matrix needs non-empty detectors, batch sizes, and strategies")
+        raise ConfigError("matrix needs non-empty detectors, batch sizes, and strategies")
     # baseline rows: no detector in either learning mode, then the first
     # grid cell in either learning mode; then the grid in the given one
     cell0 = dict(detector=detectors[0], batch_size=batch_sizes[0], strategy=strategies[0])
@@ -377,10 +308,10 @@ def cmd_matrix(args) -> int:
     summaries = dict(zip(distinct, experiment_matrix(table, schema, distinct, args.workers)))
     baseline = summaries[configs[0]].overall_accuracy
     if not baseline:
-        raise _fail_data("the baseline accuracy is 0, so performance_increase is undefined")
+        raise DataError("the baseline accuracy is 0, so performance_increase is undefined")
     rows = []
     for cfg in configs:
-        s = summaries[cfg].against_baseline(baseline)
+        s = summaries[cfg]
         rows.append(
             {
                 "detector": cfg.detector,
@@ -390,7 +321,7 @@ def cmd_matrix(args) -> int:
                 "accuracy": s.overall_accuracy,
                 "n_drifts": s.n_drifts,
                 "n_retrains": s.n_retrains,
-                "performance_increase": s.performance_increase_vs_baseline,
+                "performance_increase": (s.overall_accuracy - baseline) / baseline,
             }
         )
     _write_resolved_config(out, args)
@@ -404,7 +335,7 @@ def cmd_inspect(args) -> int:
     table, _ = _load_stream(args)
     column = table.columns.get(args.feature)
     if not (isinstance(column, np.ndarray) and column.dtype == np.float64):
-        raise _fail_config(f"unknown or non-numeric feature {args.feature!r}")
+        raise ConfigError(f"unknown or non-numeric feature {args.feature!r}")
     means = rolling_mean(column, args.window)
     _write_resolved_config(out, args)
     path = out / f"inspect_{args.feature}.csv"
@@ -517,22 +448,18 @@ def main(argv=None) -> int:
         if "--config" in argv:
             i = argv.index("--config")
             if i + 1 >= len(argv):
-                raise _fail_config("--config needs a file argument")
+                raise ConfigError("--config needs a file argument")
             if argv and argv[0] not in ("-h", "--help", "--version"):
                 file_args = _config_file_args(argv[i + 1])
                 argv = argv[:1] + file_args + argv[1:]
         args = parser.parse_args(argv)
         return args.func(args)
-    except _CliError as e:
-        print(f"driftstream: {e}", file=sys.stderr)
-        return e.code
-    except (SchemaError, StreamParseError, RowError, EncodingError, csv.Error,
-            UnicodeDecodeError) as e:
-        print(f"driftstream: data error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except (ConfigError, SynthConfigError) as e:
+    except ConfigError as e:
         print(f"driftstream: config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except (DataError, csv.Error, UnicodeDecodeError) as e:
+        print(f"driftstream: data error: {e}", file=sys.stderr)
+        return EXIT_DATA
     except OSError as e:
         print(f"driftstream: {e}", file=sys.stderr)
         return EXIT_DATA

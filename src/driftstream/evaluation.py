@@ -1,7 +1,8 @@
 """Prequential (test-then-train) evaluation, rolling-accuracy curves,
-summary metrics, the two stream loaders, and the one runner of many configs
-on a stream (``experiment_matrix``), which the parameter grid search and the
-detector x batch-size x strategy matrix both use.
+summary metrics, the one stream loader (``load_stream``: a CSV file or a
+synthetic config to a table and its predictive schema), and the one runner
+of many configs on a stream (``experiment_matrix``), which the parameter
+grid search and the detector x batch-size x strategy matrix both use.
 
 Accuracy is the sole ranking metric; per-class confusion counts are carried
 in the summary for inspection but never used for ranking.
@@ -9,16 +10,17 @@ in the summary for inspection but never used for ranking.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .adaptation import ConfigError, Controller, ExperimentConfig, Records
+from .adaptation import Controller, ExperimentConfig, Records
 from .detectors import make_detector
 from .preprocess import BinBoundaries, bin_target
-from .stream_core import FeatureSchema, Table, open_csv_stream, write_columns
+from .stream_core import (
+    ConfigError, FeatureSchema, Table, infer_schema, open_csv_stream, write_columns,
+)
 from .synth import SynthConfig, generate
 
 
@@ -28,12 +30,7 @@ class ExperimentSummary:
     n_predictions: int
     n_drifts: int
     n_retrains: int
-    performance_increase_vs_baseline: Optional[float] = None
     confusion: Optional[list[list[int]]] = None
-
-    def against_baseline(self, baseline_accuracy: float) -> "ExperimentSummary":
-        rel = (self.overall_accuracy - baseline_accuracy) / baseline_accuracy
-        return dataclasses.replace(self, performance_increase_vs_baseline=rel)
 
 
 def run_experiment(
@@ -83,39 +80,25 @@ def rolling_mean(series: Sequence[float], window: int) -> list[float]:
     return ((csum[idx + 1] - csum[lo]) / (idx + 1 - lo)).tolist()
 
 
-# -- stream loaders and the experiment matrix -----------------------------
+# -- the stream loader and the experiment matrix --------------------------
 
 
-@dataclass(frozen=True)
-class CsvSource:
-    """A file-backed stream. When ``bin_day_edges`` is set, the label column
-    is read as an hours-valued target and binned into classes at those day
-    edges."""
-
-    path: str
-    schema: FeatureSchema
-    bin_day_edges: tuple[float, ...] = ()
-
-    def load(self) -> tuple[Table, FeatureSchema]:
-        if self.bin_day_edges:
-            bins = BinBoundaries(self.bin_day_edges, unit_divisor=24.0)
-            label_map = lambda token: bin_target(float(token), bins)
-        else:
-            label_map = int
-        chunks = open_csv_stream(self.path, self.schema, label_map)
-        return Table.concat(self.schema, chunks), self.schema
-
-
-@dataclass(frozen=True)
-class SynthSource:
-    """A generated stream; its table holds the hidden-context column, which
-    the predictive schema excludes."""
-
-    config: SynthConfig
-
-    def load(self) -> tuple[Table, FeatureSchema]:
-        stream = generate(self.config)
-        return stream.table, stream.config.schema(include_hidden=False)
+def load_stream(
+    source: Union[str, SynthConfig], label: str = "", exclude: Sequence[str] = (),
+    bins: Optional[BinBoundaries] = None,
+) -> tuple[Table, FeatureSchema]:
+    """The table of a stream and its predictive schema. A ``SynthConfig``
+    gives its generated stream, whose table holds the hidden-context column
+    that the predictive schema excludes. A path gives its CSV file read
+    whole, with the schema ``infer_schema(source, label, exclude)``; with
+    ``bins`` the label column is read as an hours-valued target and binned
+    into their classes."""
+    if isinstance(source, SynthConfig):
+        stream = generate(source)
+        return stream.table, stream.predictive_schema
+    schema = infer_schema(source, label, exclude)
+    label_map = (lambda token: bin_target(float(token), bins)) if bins else int
+    return Table.concat(schema, open_csv_stream(source, schema, label_map)), schema
 
 
 def _receive_stream(*stream) -> None:

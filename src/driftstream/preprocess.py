@@ -14,14 +14,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .stream_core import UNLABELED, FeatureSchema, RowError, Table
+from .stream_core import UNLABELED, ConfigError, FeatureSchema, RowError, Table
 
 _EPS = 1e-6
 _LAMBDA_LO, _LAMBDA_HI = -5.0, 5.0
 _GOLDEN_TOL = 1e-4
 
 
-class DegenerateInputError(ValueError):
+class DegenerateInputError(ConfigError):
     """Fitting input carries no usable variation."""
 
 

@@ -1,4 +1,5 @@
-"""Data model for chronological feature streams and the CSV stream source.
+"""Data model for chronological feature streams, the CSV stream source and
+the package's two error types.
 
 A stream is a sequence of rows in strict chronological order, one row per
 index, held as columns in a ``Table``: the stream indices and the labels
@@ -29,11 +30,19 @@ MISSING_TOKEN = "__MISSING__"
 UNLABELED = np.iinfo(np.int64).min
 
 
-class SchemaError(ValueError):
+class ConfigError(ValueError):
+    """A setting that is invalid or that the data cannot support (exit 2)."""
+
+
+class DataError(ValueError):
+    """Input the engine cannot read or learn from (exit 3)."""
+
+
+class SchemaError(DataError):
     """The input does not match the declared feature schema."""
 
 
-class StreamParseError(ValueError):
+class StreamParseError(DataError):
     """A cell could not be parsed; carries the offending 1-based row number."""
 
     def __init__(self, message: str, row: int):
@@ -41,7 +50,7 @@ class StreamParseError(ValueError):
         self.row = row
 
 
-class EncodingError(ValueError):
+class EncodingError(DataError):
     """A byte of a CSV file that is not UTF-8, named by its 1-based file
     ``line`` (a quoted cell that spans lines counts each of them)."""
 
@@ -65,7 +74,7 @@ def encoding_error(path) -> Optional[EncodingError]:
     return None
 
 
-class RowError(ValueError):
+class RowError(DataError):
     """A stream row the engine cannot use, named by its stream index and by
     the file row (1-based, the header being row 1) that ``open_csv_stream``
     reads it from."""
@@ -231,6 +240,45 @@ class Table:
             np.concatenate([np.empty(0, np.int64), *(t.label for t in tables)]),
             columns,
         )
+
+
+# rows after the header that ``infer_schema`` samples
+_SNIFF_ROWS = 200
+
+
+def infer_schema(path, label: str, exclude: Sequence[str]) -> FeatureSchema:
+    """The schema of CSV file ``path``: its header columns but ``label`` and
+    ``exclude``, each numeric when every non-empty token of its first
+    ``_SNIFF_ROWS`` rows reads as ``float`` reads it, else categorical. An
+    empty file or a header without ``label`` raises ``DataError``, and a
+    byte that is not UTF-8 ``EncodingError`` naming its file line."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            sample = list(islice(reader, _SNIFF_ROWS))
+    except UnicodeDecodeError as e:
+        raise encoding_error(path) or e from None
+    if header is None:
+        raise DataError(f"{path} is empty")
+    if label not in header:
+        raise DataError(f"{path} lacks the label column {label!r}")
+    feats = []
+    for i, name in enumerate(header):
+        if name == label or name in exclude:
+            continue
+        tokens = [row[i] for row in sample if i < len(row) and row[i] != ""]
+        numeric = bool(tokens) and all(map(_is_float, tokens))
+        feats.append((name, NUMERIC if numeric else CATEGORICAL))
+    return FeatureSchema(tuple(feats), label_column=label)
+
+
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+        return True
+    except ValueError:
+        return False
 
 
 def open_csv_stream(

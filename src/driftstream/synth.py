@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .stream_core import (
-    CATEGORICAL, NUMERIC, UNLABELED, DictColumn, FeatureSchema, Table, write_columns,
+    CATEGORICAL, NUMERIC, UNLABELED, ConfigError, DictColumn, FeatureSchema, Table, write_columns,
 )
 
 SUDDEN = "sudden"
@@ -39,10 +39,6 @@ _MEAN_RANGE = 3.0
 _SIGMA = 1.0
 
 
-class SynthConfigError(ValueError):
-    """Invalid synthetic stream configuration."""
-
-
 @dataclass(frozen=True)
 class DriftSpec:
     kind: str
@@ -52,15 +48,15 @@ class DriftSpec:
 
     def __post_init__(self):
         if self.kind not in (SUDDEN, GRADUAL, RECURRING, NONE):
-            raise SynthConfigError(f"unknown drift kind {self.kind!r}")
+            raise ConfigError(f"unknown drift kind {self.kind!r}")
         if self.position < 0 or self.width < 0:
-            raise SynthConfigError("position and width must be >= 0")
+            raise ConfigError("position and width must be >= 0")
         if self.kind == SUDDEN and self.width != 0:
-            raise SynthConfigError("sudden drift must have width 0")
+            raise ConfigError("sudden drift must have width 0")
         if self.kind in (GRADUAL, RECURRING) and self.width <= 0:
-            raise SynthConfigError(f"{self.kind} drift needs width > 0")
+            raise ConfigError(f"{self.kind} drift needs width > 0")
         if not 0.0 <= self.magnitude <= 1.0:
-            raise SynthConfigError("magnitude must be in [0, 1]")
+            raise ConfigError("magnitude must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -77,20 +73,20 @@ class SynthConfig:
     def __post_init__(self):
         object.__setattr__(self, "drift", tuple(self.drift))
         if self.n_instances <= 0:
-            raise SynthConfigError("n_instances must be > 0")
+            raise ConfigError("n_instances must be > 0")
         if self.n_classes < 2:
-            raise SynthConfigError("need at least 2 classes")
+            raise ConfigError("need at least 2 classes")
         if self.n_categorical < 0 or self.n_numeric < 0:
-            raise SynthConfigError("feature counts must be >= 0")
+            raise ConfigError("feature counts must be >= 0")
         if self.n_categorical + self.n_numeric < 1:
-            raise SynthConfigError("need at least one feature")
+            raise ConfigError("need at least one feature")
         if self.n_categories < 2:
-            raise SynthConfigError("need at least 2 categories")
+            raise ConfigError("need at least 2 categories")
         if self.seed < 0:
-            raise SynthConfigError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for d in self.drift:
             if d.kind != NONE and d.position >= self.n_instances:
-                raise SynthConfigError(
+                raise ConfigError(
                     f"drift position {d.position} outside stream of {self.n_instances}"
                 )
 

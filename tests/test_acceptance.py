@@ -18,8 +18,8 @@ from driftstream.adaptation import (
 from driftstream.detectors import Adwin, PageHinkley
 from driftstream.evaluation import (
     ExperimentConfig,
-    SynthSource,
     experiment_matrix,
+    load_stream,
     run_experiment,
 )
 from driftstream.naive_bayes import NaiveBayesModel
@@ -43,13 +43,8 @@ def report(name: str, ok: bool, detail: str = "") -> bool:
 
 
 @pytest.fixture(scope="module")
-def paper_source():
-    return SynthSource(paper_like_config(seed=42))
-
-
-@pytest.fixture(scope="module")
-def paper_records(paper_source):
-    return paper_source.load()
+def paper_records():
+    return load_stream(paper_like_config(seed=42))
 
 
 # -- 1. incremental/batch equivalence -----------------------------------------
@@ -221,7 +216,7 @@ def test_criterion_5_handling_beats_static(paper_records):
     start = time.perf_counter()
 
     def run(**kw):
-        cfg = ExperimentConfig(warmup=2000, n_classes=3, **kw)
+        cfg = ExperimentConfig(warmup=2000, **kw)
         return run_experiment(records, schema, cfg)[1].overall_accuracy
 
     static = run()
@@ -249,9 +244,9 @@ def test_criterion_5_handling_beats_static(paper_records):
 # -- 6. strategy and batch-size ordering --------------------------------------
 
 
-def test_criterion_6_matrix_orderings(paper_source):
+def test_criterion_6_matrix_orderings():
     start = time.perf_counter()
-    base = ExperimentConfig(warmup=2000, n_classes=3, incremental=True)
+    base = ExperimentConfig(warmup=2000, incremental=True)
     keys = [
         (d, b, s)
         for d in ("page_hinkley", "adwin")
@@ -261,7 +256,8 @@ def test_criterion_6_matrix_orderings(paper_source):
     configs = [
         dataclasses.replace(base, detector=d, batch_size=b, strategy=s) for d, b, s in keys
     ]
-    results = dict(zip(keys, experiment_matrix(*paper_source.load(), configs, workers=8)))
+    stream = load_stream(paper_like_config(seed=42))
+    results = dict(zip(keys, experiment_matrix(*stream, configs, workers=8)))
     elapsed = time.perf_counter() - start
     ok = len(results) == 24
 
@@ -380,9 +376,9 @@ def test_criterion_8_cli_determinism(tmp_path):
 
 def test_criterion_9_throughput():
     start = time.perf_counter()
-    records, schema = SynthSource(paper_like_config(seed=42)).load()
+    records, schema = load_stream(paper_like_config(seed=42))
     cfg = ExperimentConfig(
-        warmup=2000, n_classes=3, detector="page_hinkley", strategy="last",
+        warmup=2000, detector="page_hinkley", strategy="last",
         batch_size=500, incremental=True,
     )
     _, summary = run_experiment(records, schema, cfg)

@@ -20,7 +20,6 @@ from driftstream.adaptation import (
     STRATEGIES,
     Collection,
     Controller,
-    ControllerError,
     MAX_INFERRED_CLASSES,
     ExperimentConfig,
     LabelError,
@@ -32,6 +31,7 @@ from driftstream.stream_core import (
     CATEGORICAL,
     NUMERIC,
     UNLABELED,
+    ConfigError,
     DictColumn,
     FeatureSchema,
     Table,
@@ -223,10 +223,10 @@ def test_stream_end_mid_collection_skips_retraining():
 
 
 def test_buffer_clamped_to_warmup_size():
-    stream = make_stream(60)
-    cfg = make_config(strategy=LAST, batch_size=5000)
-    ctrl = Controller(stream[:50], SCHEMA, ScriptedDetector(), cfg)
-    assert len(ctrl.buffer.index) == 50
+    # a 5,000-row *last* window after a 50-row warm-up uses the buffer: the whole warm-up
+    ctrl, _, _ = run_with_alarm(LAST, 5000, alarm_at=50, n=60, warmup=50)
+    (event,) = ctrl.retrain_history
+    assert event.used_indices == tuple(range(50))
 
 
 # -- detector interaction -----------------------------------------------------
@@ -422,9 +422,9 @@ def test_block_walk_equals_step_loop(monkeypatch, strategy, batch_size, incremen
     assert (block.collection, block._next, block._mb_start) == (
         plain.collection, plain._next, plain._mb_start)
     assert model_state(block.model) == model_state(plain.model)
-    assert len(block.buffer.index) == len(plain.buffer.index)
-    for a, b in zip(block.buffer, plain.buffer):  # index, label, cats, nums columns
-        assert np.array_equal(a, b)
+    buffered = slice(max(0, block._next - batch_size), block._next)  # the last B rows stepped
+    for a, b in zip(block._rows(buffered), plain._rows(buffered)):  # index, label, cats, nums
+        assert len(a) and np.array_equal(a, b)
     # the stream exercises what it is meant to: alarms on the first and on
     # the last row of a block, and (where blocks exceed one row) blocks cut
     # short by a refit at an alarm, whose rest is scored again
@@ -537,12 +537,13 @@ def test_replay_reproduces_events_and_predictions():
 
 
 def test_warmup_requires_labeled_instances():
-    with pytest.raises(ControllerError):
+    with pytest.raises(ConfigError):
         Controller(make_stream(0), SCHEMA, NoDetector(), make_config())
     tok = {"tok": DictColumn.from_tokens(["a"])}
     bare = Table(np.zeros(1, np.int64), np.array([UNLABELED]), tok)
-    with pytest.raises(ControllerError):
+    with pytest.raises(LabelError) as info:
         Controller(bare, SCHEMA, NoDetector(), make_config())
+    assert "row has no label" in str(info.value)
 
 
 @pytest.mark.parametrize("walk", ["steps", "step"])
@@ -572,12 +573,12 @@ def test_unlabeled_warmup_row_named_in_the_error():
 
 def test_first_unusable_warmup_row_named_whichever_its_kind():
     stream = make_stream(50)
-    stream.label[3] = 5  # outside the 2 classes
+    stream.label[3] = -1  # outside the 2 classes
     stream.label[7] = UNLABELED
     with pytest.raises(LabelError) as info:
-        Controller(stream, SCHEMA, NoDetector(), make_config(n_classes=2))
+        Controller(stream, SCHEMA, NoDetector(), make_config())
     assert (info.value.index, info.value.row) == (3, 5)
-    assert "label 5 outside [0, 2)" in str(info.value)
+    assert "label -1 outside [0, 2)" in str(info.value)
 
 
 def test_inferred_class_count_is_bounded_by_the_largest_label_row():
@@ -587,14 +588,6 @@ def test_inferred_class_count_is_bounded_by_the_largest_label_row():
     with pytest.raises(LabelError) as info:
         Controller(stream, SCHEMA, NoDetector(), make_config())
     assert (info.value.index, info.value.row) == (30, 32)
-
-
-def test_explicit_class_count_is_not_bounded():
-    stream = make_stream(50)
-    stream.label[7] = MAX_INFERRED_CLASSES
-    cfg = make_config(n_classes=MAX_INFERRED_CLASSES + 1)
-    ctrl = Controller(stream, SCHEMA, NoDetector(), cfg)
-    assert ctrl.model.n_classes == cfg.n_classes
 
 
 def test_n_classes_inferred_from_warmup():

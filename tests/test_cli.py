@@ -2,12 +2,16 @@
 files, determinism). Commands run in-process through main()."""
 
 import csv
+import importlib
 import json
+import pkgutil
 
 import pytest
 
+import driftstream
 from driftstream import cli, evaluation
 from driftstream.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
+from driftstream.stream_core import ConfigError, DataError
 
 
 def run_cli(*args):
@@ -272,6 +276,36 @@ def test_negative_seed_is_a_config_error(tmp_path, small_stream, capsys, command
         assert "seed must be >= 0" in err
 
 
+def test_every_package_error_is_a_config_or_a_data_error():
+    # main maps ConfigError to exit 2 and DataError to exit 3, so an error
+    # class of the package that derives from neither ends in a traceback
+    errors = set()
+    for info in pkgutil.iter_modules(driftstream.__path__):
+        module = importlib.import_module(f"driftstream.{info.name}")
+        errors |= {c for c in vars(module).values() if isinstance(c, type)
+                   and issubclass(c, BaseException) and c.__module__ == module.__name__}
+    names = {c.__name__ for c in errors}
+    assert {"ConfigError", "DataError", "LabelError", "DegenerateInputError"} <= names
+    assert [c for c in errors if issubclass(c, ConfigError) == issubclass(c, DataError)] == []
+
+
+@pytest.mark.parametrize(
+    "source,code,prefix",
+    [
+        (("--synth", "nope"), EXIT_CONFIG, "driftstream: config error: unknown synth profile"),
+        (("--input", None, "--label", "label"), EXIT_DATA, "driftstream: data error: "),
+    ],
+    ids=["unknown-synth-profile", "empty-csv"],
+)
+def test_fault_found_by_the_cli_prints_one_prefixed_line(tmp_path, capsys, source, code, prefix):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    source = [str(empty) if a is None else a for a in source]
+    assert run_cli("run", *source, "-o", str(tmp_path / "x")) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
 def test_boxcox_on_a_constant_warmup_column_is_a_config_error(tmp_path, capsys):
     stream = tmp_path / "s.csv"
     rows = ["tok,y,label"] + [f"{'ab'[i % 2]},{2.0 if i < 300 else i},{i % 2}" for i in range(400)]
@@ -409,14 +443,13 @@ def test_gridsearch_empty_grid(tmp_path, small_stream):
 @pytest.mark.parametrize("grid,loads,code", [("0,0.6", 0, EXIT_CONFIG), ("0.6", 1, EXIT_OK)])
 def test_gridsearch_checks_every_grid_value_before_loading(tmp_path, monkeypatch, grid, loads, code):
     calls = []
-    load = evaluation.SynthSource.load
+    generate = evaluation.generate
 
-    def counting(self):
-        calls.append(self)
-        table, schema = load(self)
-        return table[:2500], schema
+    def counting(config):
+        calls.append(config)
+        return generate(config)
 
-    monkeypatch.setattr(evaluation.SynthSource, "load", counting)
+    monkeypatch.setattr(evaluation, "generate", counting)
     got = run_cli(
         "gridsearch", "--synth", "paper-like", "--detector", "page-hinkley", "--lambda", grid,
         "--warmup", "300", "--prefix", "2500", "-o", str(tmp_path / "gs"),
@@ -482,6 +515,26 @@ def test_matrix_runs_each_distinct_config_once(tmp_path, small_stream, monkeypat
     assert baseline == rows[4]
 
 
+def test_matrix_performance_increase_is_relative_to_the_baseline_row(tmp_path, small_stream):
+    # each row's (accuracy - baseline) / baseline, the baseline being the
+    # first row's: the paper's 0.5400 -> 0.6938 is an increase of 0.2848
+    out = tmp_path / "m"
+    code = run_cli(
+        "matrix", "--input", str(small_stream), "--label", "label", "--warmup", "300",
+        "--batch-sizes", "100", "--detectors", "adwin", "--workers", "1", "-o", str(out),
+    )
+    assert code == EXIT_OK
+    with open(out / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    base = float(rows[0]["accuracy"])
+    assert rows[0]["performance_increase"] == "0.000000"
+    for row in rows:
+        # the file rounds both accuracies to 6 decimals, each off by 5e-7 at most
+        expected = (float(row["accuracy"]) - base) / base
+        assert float(row["performance_increase"]) == pytest.approx(expected, abs=1e-5)
+    assert max(float(r["performance_increase"]) for r in rows) > 0.01
+
+
 def test_matrix_config_file_can_turn_incremental_off(tmp_path, small_stream):
     cfgfile = tmp_path / "m.cfg"
     cfgfile.write_text("incremental = false\n")
@@ -507,7 +560,7 @@ def test_matrix_config_file_can_turn_incremental_off(tmp_path, small_stream):
 def test_matrix_checks_its_worker_count_before_loading(tmp_path, small_stream, monkeypatch,
                                                        capsys, workers):
     loads = []
-    monkeypatch.setattr(evaluation.CsvSource, "load", lambda source: loads.append(source))
+    monkeypatch.setattr(evaluation, "open_csv_stream", lambda *args: loads.append(args) or [])
     code = run_cli(
         "matrix", "--input", str(small_stream), "--label", "label",
         "--warmup", "300", "--batch-sizes", "100", "--workers", workers, "-o", str(tmp_path / "m"),
@@ -518,13 +571,13 @@ def test_matrix_checks_its_worker_count_before_loading(tmp_path, small_stream, m
 
 def test_matrix_loads_its_source_once(tmp_path, small_stream, monkeypatch):
     loads = []
-    load = evaluation.CsvSource.load
+    open_csv_stream = evaluation.open_csv_stream
 
-    def counting(source):
-        loads.append(source.path)
-        return load(source)
+    def counting(path, *args):
+        loads.append(path)
+        return open_csv_stream(path, *args)
 
-    monkeypatch.setattr(evaluation.CsvSource, "load", counting)
+    monkeypatch.setattr(evaluation, "open_csv_stream", counting)
     code = run_cli(
         "matrix", "--input", str(small_stream), "--label", "label",
         "--warmup", "300", "--batch-sizes", "100", "--workers", "1", "-o", str(tmp_path / "m"),

@@ -1,4 +1,4 @@
-"""Tests for prequential evaluation, rolling curves, the stream loaders, and
+"""Tests for prequential evaluation, rolling curves, the stream loader, and
 the experiment matrix."""
 
 import csv
@@ -11,12 +11,9 @@ import pytest
 from driftstream import evaluation, stream_core
 from driftstream.adaptation import STRATEGIES, Controller, Records
 from driftstream.evaluation import (
-    ConfigError,
-    CsvSource,
     ExperimentConfig,
-    ExperimentSummary,
-    SynthSource,
     experiment_matrix,
+    load_stream,
     rolling_mean,
     run_experiment,
     write_curves_csv,
@@ -24,10 +21,12 @@ from driftstream.evaluation import (
     write_records_csv,
     write_summary_csv,
 )
+from driftstream.preprocess import BinBoundaries
 from driftstream.stream_core import (
     CATEGORICAL,
     NUMERIC,
     UNLABELED,
+    ConfigError,
     DictColumn,
     FeatureSchema,
     Table,
@@ -40,11 +39,12 @@ SCHEMA = FeatureSchema((("tok", CATEGORICAL),), "label")
 
 
 def constant_stream(labels, warmup=4):
-    """Warm-up of class-0 instances, then one instance per given label, all
-    with the same feature value so the model keeps predicting 0."""
+    """Warm-up of class-0 instances but its last, of class 1 (so 2 classes are
+    inferred), then one instance per given label, all with the same feature
+    value so the model keeps predicting 0."""
     n = warmup + len(labels)
     tokens = DictColumn.from_tokens(["a"] * n)
-    return Table(np.arange(n), np.array([0] * warmup + list(labels)), {"tok": tokens})
+    return Table(np.arange(n), np.array([0] * (warmup - 1) + [1, *labels]), {"tok": tokens})
 
 
 def small_synth(seed=3):
@@ -57,23 +57,18 @@ def small_synth(seed=3):
     )
 
 
-STATIC = ExperimentConfig(warmup=300, n_classes=3)
+STATIC = ExperimentConfig(warmup=300)
 
 
 # -- run_experiment -----------------------------------------------------------
 
 
 def test_overall_accuracy_arithmetic():
-    cfg = ExperimentConfig(warmup=4, n_classes=2)
+    cfg = ExperimentConfig(warmup=4)
     records, summary = run_experiment(constant_stream([0, 1, 0]), SCHEMA, cfg)
     assert [r.correct for r in records] == [1, 0, 1]
     assert summary.overall_accuracy == pytest.approx(2 / 3)
     assert summary.n_predictions == 3
-
-
-def test_performance_increase_vs_baseline():
-    s = ExperimentSummary(0.6938, 1, 0, 0).against_baseline(0.5400)
-    assert s.performance_increase_vs_baseline == pytest.approx(0.2848, abs=1e-4)
 
 
 def test_record_count_equals_stream_minus_warmup():
@@ -86,14 +81,14 @@ def test_unlabeled_rows_skipped_after_warmup():
     recs = constant_stream([0, 1, 0])
     bare = Table(np.array([99]), np.array([UNLABELED]), {"tok": DictColumn.from_tokens(["b"])})
     recs = Table.concat(SCHEMA, [recs[:5], bare, recs[5:]])
-    cfg = ExperimentConfig(warmup=4, n_classes=2)
+    cfg = ExperimentConfig(warmup=4)
     records, summary = run_experiment(recs, SCHEMA, cfg)
     assert summary.n_predictions == 3
     assert 99 not in [r.index for r in records]
 
 
 def test_stream_shorter_than_warmup_rejected():
-    cfg = ExperimentConfig(warmup=100, n_classes=2)
+    cfg = ExperimentConfig(warmup=100)
     with pytest.raises(ConfigError):
         run_experiment(constant_stream([0]), SCHEMA, cfg)
 
@@ -133,7 +128,7 @@ def test_written_rolling_accuracy_is_each_value_formatted(tmp_path, window, stra
                       stream.table.label)
     table = Table(stream.table.index, labels, stream.table.columns)
     cfg = ExperimentConfig(warmup=300, window=window, detector="page_hinkley", strategy=strategy,
-                           batch_size=200, incremental=True, n_classes=12)
+                           batch_size=200, incremental=True)
     records, _ = run_experiment(table, stream.predictive_schema, cfg)
     assert max(records.predicted) >= 10 and max(records.actual) >= 10 and sum(records.drift)
     rolling, _ = per_row_bookkeeping(records, window, 12)
@@ -244,7 +239,6 @@ def test_block_path_equals_step_loop(
         window=50,
         ph_lambda=2.0,
         adwin_delta=0.5,
-        n_classes=3,
     )
     records, schema = drifting_stream.table, drifting_stream.predictive_schema
     block = _run_capturing(monkeypatch, records, schema, cfg)
@@ -342,7 +336,7 @@ def test_grid_search_cardinality_and_best():
 
 def test_synth_source_hides_hidden_feature():
     cfg = dataclasses.replace(small_synth(), hidden_context=True)
-    records, schema = SynthSource(cfg).load()
+    records, schema = load_stream(cfg)
     assert "automation" not in schema.names
     assert len(records) == 3000
 
@@ -351,13 +345,14 @@ def test_csv_source_round_trip(tmp_path):
     stream = generate(small_synth())
     p = tmp_path / "s.csv"
     write_csv(stream.table, stream.schema, p)
-    records, schema = CsvSource(str(p), stream.schema).load()
+    records, schema = load_stream(str(p), "label")
+    assert schema == stream.schema  # the column kinds sniffed from the file
     assert records == stream.table
 
 
 @pytest.fixture(scope="module")
 def awkward_source(tmp_path_factory):
-    """A CsvSource of 1,500 rows: quoted and non-ASCII tokens, empty cells,
+    """A CSV stream of 1,500 rows: quoted and non-ASCII tokens, empty cells,
     unlabeled rows after the warm-up, categories first seen late and one
     seen in a few rows only."""
     rng = np.random.default_rng(4)
@@ -375,20 +370,20 @@ def awkward_source(tmp_path_factory):
                 act = "few"
             label = "" if i > 300 and rng.random() < 0.05 else y
             w.writerow([act, repr(y + rng.normal()), res[int(rng.integers(3))], label])
-    schema = FeatureSchema(
-        (("act", CATEGORICAL), ("dur", NUMERIC), ("res", CATEGORICAL)), "label"
-    )
-    return CsvSource(str(p), schema)
+    return str(p)
 
 
 @pytest.mark.parametrize("chunk_rows", [1, 7, 4096])
 def test_read_chunk_size_changes_no_table_and_no_record(monkeypatch, awkward_source, chunk_rows):
     cfg = dataclasses.replace(STATIC, detector="page_hinkley", strategy="last", batch_size=100,
                               incremental=True)
-    table, schema = awkward_source.load()
+    table, schema = load_stream(awkward_source, "label")
+    assert schema == FeatureSchema(
+        (("act", CATEGORICAL), ("dur", NUMERIC), ("res", CATEGORICAL)), "label"
+    )
     records, summary = run_experiment(table, schema, cfg)
     monkeypatch.setattr(stream_core, "CHUNK_ROWS", chunk_rows)
-    chunked, _ = awkward_source.load()
+    chunked, _ = load_stream(awkward_source, "label")
     assert chunked == table  # the same indices, labels, values and tokens
     assert chunked.index.tolist() == list(range(1500))
     assert chunked.columns["act"].tokens() == table.columns["act"].tokens()
@@ -404,7 +399,7 @@ def test_csv_source_bins_hour_labels(tmp_path):
         w.writerow(["tok", "label"])
         for hours in (100.0, 936.0, 960.0):
             w.writerow(["a", hours])
-    records, _ = CsvSource(str(p), SCHEMA, bin_day_edges=(6, 39)).load()
+    records, _ = load_stream(str(p), "label", bins=BinBoundaries((6, 39), unit_divisor=24.0))
     assert records.label.tolist() == [0, 1, 2]
 
 
@@ -420,13 +415,13 @@ def matrix(stream, detectors, batch_sizes, workers=1):
 
 
 def test_matrix_shape_and_keys():
-    results = matrix(SynthSource(small_synth()).load(), ("page_hinkley", "adwin"), (100, 200))
+    results = matrix(load_stream(small_synth()), ("page_hinkley", "adwin"), (100, 200))
     assert len(results) == 2 * 2 * 3
     assert ("page_hinkley", 100, "last") in results
 
 
 def test_matrix_cells_match_separate_runs():
-    records, schema = SynthSource(small_synth()).load()
+    records, schema = load_stream(small_synth())
     base = dataclasses.replace(STATIC, detector="none", strategy=None)
     results = matrix((records, schema), ("adwin",), (200,))
     for (det, b, strat), summary in results.items():
@@ -439,7 +434,7 @@ def test_matrix_cells_match_separate_runs():
 
 
 def test_matrix_worker_count_does_not_change_results():
-    stream = SynthSource(small_synth()).load()
+    stream = load_stream(small_synth())
     serial = matrix(stream, ("page_hinkley",), (100,), workers=1)
     parallel = matrix(stream, ("page_hinkley",), (100,), workers=2)
     assert serial.keys() == parallel.keys()
@@ -449,7 +444,7 @@ def test_matrix_worker_count_does_not_change_results():
 
 def test_matrix_sends_the_stream_once_per_worker(monkeypatch):
     # each worker gets the stream when it starts, not with every config
-    stream = SynthSource(small_synth()).load()
+    stream = load_stream(small_synth())
     pickled = []
 
     def counting(table, protocol):
@@ -468,7 +463,7 @@ def test_matrix_sends_the_stream_once_per_worker(monkeypatch):
 
 
 def test_record_and_curve_csvs(tmp_path):
-    cfg = ExperimentConfig(warmup=4, n_classes=2)
+    cfg = ExperimentConfig(warmup=4)
     records, _ = run_experiment(constant_stream([0, 1, 0]), SCHEMA, cfg)
     rp, cp, ep = tmp_path / "r.csv", tmp_path / "c.csv", tmp_path / "e.csv"
     write_records_csv(records, rp)

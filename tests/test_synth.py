@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from driftstream.evaluation import rolling_mean
-from driftstream.stream_core import UNLABELED, Table, open_csv_stream
+from driftstream.stream_core import UNLABELED, ConfigError, Table, open_csv_stream
 from driftstream.synth import (
     GRADUAL,
     HIDDEN_FEATURE,
@@ -18,7 +18,6 @@ from driftstream.synth import (
     SUDDEN,
     DriftSpec,
     SynthConfig,
-    SynthConfigError,
     bayes_predict,
     build_concepts,
     exact_bayes_accuracy,
@@ -38,27 +37,27 @@ def small_config(**kw):
 
 
 def test_sudden_requires_zero_width():
-    with pytest.raises(SynthConfigError):
+    with pytest.raises(ConfigError):
         DriftSpec(SUDDEN, 10, width=5)
 
 
 def test_gradual_requires_positive_width():
-    with pytest.raises(SynthConfigError):
+    with pytest.raises(ConfigError):
         DriftSpec(GRADUAL, 10, width=0)
 
 
 def test_magnitude_bounds():
-    with pytest.raises(SynthConfigError):
+    with pytest.raises(ConfigError):
         DriftSpec(SUDDEN, 10, magnitude=1.5)
 
 
 def test_drift_position_outside_stream():
-    with pytest.raises(SynthConfigError):
+    with pytest.raises(ConfigError):
         small_config(drift=(DriftSpec(SUDDEN, 200),))
 
 
 def test_need_at_least_one_feature():
-    with pytest.raises(SynthConfigError):
+    with pytest.raises(ConfigError):
         small_config(n_categorical=0, n_numeric=0)
 
 
