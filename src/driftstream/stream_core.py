@@ -46,8 +46,11 @@ class StreamParseError(DataError):
     """A cell could not be parsed; carries the offending 1-based row number."""
 
     def __init__(self, message: str, row: int):
-        super().__init__(f"row {row}: {message}")
+        super().__init__(message, row)
         self.row = row
+
+    def __str__(self) -> str:
+        return f"row {self.row}: {self.args[0]}"
 
 
 class EncodingError(DataError):

@@ -3,6 +3,7 @@ writer."""
 
 import csv
 import io
+import pickle
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftstream import stream_core
+from driftstream.adaptation import LabelError
 from driftstream.stream_core import (
     CATEGORICAL,
     MISSING_TOKEN,
@@ -21,6 +23,7 @@ from driftstream.stream_core import (
     StreamParseError,
     DictColumn,
     EncodingError,
+    RowError,
     Table,
     open_csv_stream,
     write_columns,
@@ -218,6 +221,21 @@ def test_byte_not_utf8_names_its_file_line(tmp_path):
     with pytest.raises(EncodingError, match="byte 0xff is not UTF-8") as exc:
         list(open_csv_stream(p, SCHEMA))
     assert exc.value.line == CHUNK_ROWS + 50 + 3
+
+
+@pytest.mark.parametrize("error, text, attrs", [
+    (StreamParseError("bad cell", 3), "row 3: bad cell", {"row": 3}),
+    (EncodingError("s.csv", 5, 0xFF), "s.csv line 5: byte 0xff is not UTF-8", {"line": 5}),
+    (RowError("bad row", 4), "stream index 4 (CSV row 6): bad row", {"index": 4, "row": 6}),
+    (LabelError("row has no label", 0), "stream index 0 (CSV row 2): row has no label",
+     {"index": 0, "row": 2}),
+], ids=["StreamParseError", "EncodingError", "RowError", "LabelError"])
+def test_data_errors_survive_pickling(error, text, attrs):
+    # a worker process sends its exception to the parent pickled
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is type(error)
+    assert str(copy) == str(error) == text
+    assert {a: getattr(copy, a) for a in attrs} == attrs
 
 
 # tokens a numeric cell may hold: float reprs, the spellings float() reads
