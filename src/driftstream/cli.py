@@ -137,6 +137,8 @@ def _load_stream(args) -> tuple[Table, FeatureSchema]:
     if bool(args.input) == bool(args.synth):
         raise ConfigError("exactly one of --input or --synth must be given")
     if args.synth:
+        if args.label or args.exclude or args.bin_days:
+            raise ConfigError("--label, --exclude and --bin-days apply to --input only")
         if args.synth not in PROFILES:
             raise ConfigError(f"unknown synth profile {args.synth!r}")
         return load_stream(PROFILES[args.synth](args.seed))

@@ -61,21 +61,14 @@ class PageHinkley:
         return self.t > self.burn_in and self.m_t - self.m_min > self.lam
 
 
-class _Bucket:
-    __slots__ = ("total", "count")
-
-    def __init__(self, total: float, count: int):
-        self.total = total
-        self.count = count
-
-
 class Adwin:
     """Adaptive-window change detector over an exponential histogram.
 
-    Rows hold buckets of 2^row observations each (oldest first); when a row
-    exceeds ``max_buckets_per_row + 1`` buckets, its two oldest buckets merge
-    into the next row. Every ``check_period`` observations all prefix/suffix
-    cuts at bucket boundaries are scanned oldest to newest; a cut with
+    ``rows[i]`` holds the totals of buckets of ``2**i`` observations each,
+    oldest first; when a row exceeds ``max_buckets_per_row + 1`` buckets, its
+    two oldest totals are summed into one bucket of the next row. Every
+    ``check_period`` observations all prefix/suffix cuts at bucket
+    boundaries are scanned oldest to newest; a cut with
     |mean0 - mean1| >= sqrt(ln(4 * width / delta) / (2 m)) (m the harmonic
     mean of the sub-window sizes) drops the oldest bucket, repeating while
     any cut still triggers.
@@ -92,7 +85,7 @@ class Adwin:
 
     def reset(self) -> "Adwin":
         """Clear the window; parameters are preserved."""
-        self.rows: list[deque[_Bucket]] = [deque()]
+        self.rows: list[deque[float]] = [deque()]
         self.width = 0
         self.total = 0.0
         self._since_check = 0
@@ -104,66 +97,53 @@ class Adwin:
 
     def observe(self, x: float) -> bool:
         x = _check_input(x)
-        self.rows[0].append(_Bucket(x, 1))
+        rows = self.rows
+        rows[0].append(x)
         self.width += 1
         self.total += x
-        self._compress()
+        i = 0
+        while len(rows[i]) > self.max_buckets_per_row + 1:
+            merged = rows[i].popleft() + rows[i].popleft()
+            i += 1
+            if i == len(rows):
+                rows.append(deque())
+            rows[i].append(merged)
         self._since_check += 1
         if self._since_check < self.check_period:
             return False
         self._since_check = 0
-        return self._cut_scan()
-
-    def _compress(self) -> None:
-        i = 0
-        while i < len(self.rows):
-            row = self.rows[i]
-            if len(row) <= self.max_buckets_per_row + 1:
-                break
-            a = row.popleft()
-            b = row.popleft()
-            if i + 1 == len(self.rows):
-                self.rows.append(deque())
-            self.rows[i + 1].append(_Bucket(a.total + b.total, a.count + b.count))
-            i += 1
-
-    def _oldest_first(self):
-        for i in range(len(self.rows) - 1, -1, -1):
-            yield from self.rows[i]
-
-    def _drop_oldest_bucket(self) -> None:
-        for i in range(len(self.rows) - 1, -1, -1):
-            if self.rows[i]:
-                b = self.rows[i].popleft()
-                self.width -= b.count
-                self.total -= b.total
-                if not self.rows[i] and i == len(self.rows) - 1 and i > 0:
-                    self.rows.pop()
-                return
-
-    def _cut_scan(self) -> bool:
         detected = False
-        triggered = True
-        while triggered and self.width >= 2:
-            triggered = False
-            n0 = 0
-            s0 = 0.0
-            log_term = math.log(4.0 * self.width / self.delta)
-            buckets = list(self._oldest_first())
-            for b in buckets[:-1]:
-                n0 += b.count
-                s0 += b.total
+        while self.width >= 2 and self._cut_triggers():
+            # A merge takes a row from M + 2 buckets to M, and drops take
+            # only from the top row, so the top row is empty only at width 0.
+            top = rows[-1]
+            self.width -= 1 << (len(rows) - 1)
+            self.total -= top.popleft()
+            if not top and len(rows) > 1:
+                rows.pop()
+            detected = True
+        return detected
+
+    def _cut_triggers(self) -> bool:
+        """Whether some cut at a bucket boundary has |mean0 - mean1| >= eps."""
+        n0 = 0
+        s0 = 0.0
+        log_term = math.log(4.0 * self.width / self.delta)
+        for i in range(len(self.rows) - 1, -1, -1):
+            size = 1 << i
+            for total in self.rows[i]:
+                n0 += size
+                if n0 == self.width:  # the newest bucket: no cut after it
+                    return False
+                s0 += total
                 n1 = self.width - n0
                 m = 1.0 / (1.0 / n0 + 1.0 / n1)
                 eps = math.sqrt(log_term / (2.0 * m))
                 mu0 = s0 / n0
                 mu1 = (self.total - s0) / n1
                 if abs(mu0 - mu1) >= eps:
-                    self._drop_oldest_bucket()
-                    detected = True
-                    triggered = True
-                    break
-        return detected
+                    return True
+        return False
 
 
 class NoDetector:

@@ -253,8 +253,9 @@ def infer_schema(path, label: str, exclude: Sequence[str]) -> FeatureSchema:
     """The schema of CSV file ``path``: its header columns but ``label`` and
     ``exclude``, each numeric when every non-empty token of its first
     ``_SNIFF_ROWS`` rows reads as ``float`` reads it, else categorical. An
-    empty file or a header without ``label`` raises ``DataError``, and a
-    byte that is not UTF-8 ``EncodingError`` naming its file line."""
+    empty file or a header without ``label`` or an ``exclude`` column raises
+    ``DataError``, and a byte that is not UTF-8 ``EncodingError`` naming its
+    file line."""
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -266,6 +267,9 @@ def infer_schema(path, label: str, exclude: Sequence[str]) -> FeatureSchema:
         raise DataError(f"{path} is empty")
     if label not in header:
         raise DataError(f"{path} lacks the label column {label!r}")
+    for name in exclude:
+        if name not in header:
+            raise DataError(f"{path} lacks the excluded column {name!r}")
     feats = []
     for i, name in enumerate(header):
         if name == label or name in exclude:

@@ -27,7 +27,6 @@ from .stream_core import (
 SUDDEN = "sudden"
 GRADUAL = "gradual"
 RECURRING = "recurring"
-NONE = "none"
 
 #: Name of the unobserved step feature mimicking an automation-rate change.
 HIDDEN_FEATURE = "automation"
@@ -47,7 +46,7 @@ class DriftSpec:
     magnitude: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in (SUDDEN, GRADUAL, RECURRING, NONE):
+        if self.kind not in (SUDDEN, GRADUAL, RECURRING):
             raise ConfigError(f"unknown drift kind {self.kind!r}")
         if self.position < 0 or self.width < 0:
             raise ConfigError("position and width must be >= 0")
@@ -85,7 +84,7 @@ class SynthConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         for d in self.drift:
-            if d.kind != NONE and d.position >= self.n_instances:
+            if d.position >= self.n_instances:
                 raise ConfigError(
                     f"drift position {d.position} outside stream of {self.n_instances}"
                 )
@@ -145,8 +144,6 @@ def concept_schedule(cfg: SynthConfig, rng: np.random.Generator) -> np.ndarray:
     ids = np.zeros(cfg.n_instances, dtype=np.int64)
     for k, d in enumerate(cfg.drift):
         old, new = k, k + 1
-        if d.kind == NONE:
-            continue
         if d.kind == SUDDEN:
             ids[d.position :] = new
         elif d.kind == GRADUAL:
@@ -219,9 +216,7 @@ def generate(cfg: SynthConfig) -> SynthStream:
         columns[f"num{j}"] = means[cid, j, y] + _SIGMA * z
 
     if cfg.hidden_context:
-        first_pos = min(
-            (d.position for d in cfg.drift if d.kind != NONE), default=n
-        )
+        first_pos = min((d.position for d in cfg.drift), default=n)
         level = np.where(np.arange(n) < first_pos, 0.25, 0.75)
         columns[HIDDEN_FEATURE] = np.clip(level + 0.05 * rng_hidden.standard_normal(n), 0.0, 1.0)
 

@@ -128,6 +128,33 @@ def test_run_missing_label_column(tmp_path, small_stream):
     assert code == EXIT_DATA
 
 
+def test_run_missing_excluded_column(tmp_path, small_stream, capsys):
+    code = run_cli(
+        "run", "--input", str(small_stream), "--label", "label", "--exclude", "typo",
+        "-o", str(tmp_path / "x"),
+    )
+    assert code == EXIT_DATA
+    assert "'typo'" in capsys.readouterr().err
+
+
+def test_exclude_drops_the_column_from_the_schema(small_stream):
+    args = cli.build_parser().parse_args(
+        ["run", "--input", str(small_stream), "--label", "label", "--exclude", "num0"]
+    )
+    table, schema = cli._load_stream(args)
+    assert "num0" not in schema.names and "num1" in schema.names
+    assert len(table) == 3000
+
+
+@pytest.mark.parametrize(
+    "flags", [("--label", "nope"), ("--exclude", "num0"), ("--bin-days", "6,39")],
+    ids=["label", "exclude", "bin-days"],
+)
+def test_input_only_flag_with_synth_is_a_config_error(tmp_path, capsys, flags):
+    assert run_cli("run", "--synth", "paper-like", *flags, "-o", str(tmp_path / "x")) == EXIT_CONFIG
+    assert flags[0] in capsys.readouterr().err
+
+
 def test_run_missing_input_file(tmp_path):
     code = run_cli(
         "run", "--input", str(tmp_path / "absent.csv"), "--label", "label",

@@ -219,8 +219,8 @@ def test_adwin_width_and_total_track_inputs_exactly():
     for i, x in enumerate(xs):
         det.observe(float(x))
         assert det.width <= i + 1
-        bw = sum(b.count for row in det.rows for b in row)
-        bt = sum(b.total for row in det.rows for b in row)
+        bw = sum(len(row) << i for i, row in enumerate(det.rows))
+        bt = sum(total for row in det.rows for total in row)
         assert det.width == bw
         assert det.total == bt  # exact: 0/1 inputs, integer-valued sums
     assert det.width == 3000  # stationary stream: nothing dropped

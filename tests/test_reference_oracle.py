@@ -33,6 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftstream import cli
+from driftstream.detectors import Adwin
 from driftstream.stream_core import FeatureSchema, Table, infer_schema, open_csv_stream
 from driftstream.synth import write_csv
 
@@ -53,6 +54,7 @@ def _load_reference():
 
 ref = _load_reference()
 ref_cli = importlib.import_module("driftstream_ref.cli")
+ref_detectors = importlib.import_module("driftstream_ref.detectors")
 
 ORACLE = settings(derandomize=True, database=None, deadline=None)
 SMALL = 1500  # the most rows on which matrix, gridsearch and inspect run
@@ -270,3 +272,34 @@ def test_matrix_gridsearch_and_inspect_write_what_the_reference_writes(
         window = str(data.draw(st.integers(1, 1500)))
         assert_same_outputs(tmp / f"inspect-{feature}",
                             ["inspect", *source, "--feature", feature, "--window", window])
+
+
+# -- ADWIN's histogram --------------------------------------------------------
+
+
+@settings(ORACLE, max_examples=80)
+@given(
+    lengths=st.tuples(st.integers(0, 2000), st.integers(0, 2000)),
+    rates=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    delta=st.sampled_from([0.5, 0.1, 0.01, 0.001]),
+    reset_at=st.integers(0, 4000),
+    seed=st.integers(0, 10**6),
+)
+def test_adwin_keeps_the_reference_histogram(lengths, rates, delta, reset_at, seed):
+    """One 0/1 stream of two segments, each with its own error rate, through
+    both detectors, with a reset of both at one row: after every observation
+    they agree on the alarm, the width, the total and every row's bucket
+    totals, and each reference bucket in row i holds 2**i observations."""
+    rng = random.Random(seed)
+    xs = [float(rng.random() < rate) for n, rate in zip(lengths, rates) for _ in range(n)]
+    cur, old = Adwin(delta), ref_detectors.Adwin(delta)
+    for t, x in enumerate(xs):
+        if t == reset_at:
+            cur.reset()
+            old.reset()
+        assert cur.observe(x) == old.observe(x), t
+        assert (cur.width, cur.total) == (old.width, old.total), t
+        assert len(cur.rows) == len(old.rows), t
+        for i, (row, old_row) in enumerate(zip(cur.rows, old.rows)):
+            assert list(row) == [b.total for b in old_row], (t, i)
+            assert all(b.count == 1 << i for b in old_row), (t, i)

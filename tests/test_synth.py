@@ -13,7 +13,6 @@ from driftstream.stream_core import UNLABELED, ConfigError, Table, open_csv_stre
 from driftstream.synth import (
     GRADUAL,
     HIDDEN_FEATURE,
-    NONE,
     RECURRING,
     SUDDEN,
     DriftSpec,
@@ -65,7 +64,7 @@ def test_need_at_least_one_feature():
 
 
 def test_no_drift_schedule_all_zero():
-    cfg = SynthConfig(n_instances=100, seed=7, drift=(DriftSpec(NONE, 0),))
+    cfg = SynthConfig(n_instances=100, seed=7, drift=())
     stream = generate(cfg)
     assert (stream.concept_ids == 0).all()
 
