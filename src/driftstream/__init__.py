@@ -25,7 +25,6 @@ from .naive_bayes import NaiveBayesModel
 from .preprocess import (
     BinBoundaries,
     BoxCoxParams,
-    EncodedInstance,
     EncoderState,
     apply_boxcox,
     bin_target,

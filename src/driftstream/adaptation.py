@@ -70,8 +70,8 @@ _MAX_BLOCK = 4096
 _MAX_VERSION_CELLS = 1 << 18
 
 # The most classes ``Controller`` infers from the warm-up labels
-# (largest label + 1). The count tables grow with the class count and the
-# confusion matrix with its square, so one stray label must not size them.
+# (largest label + 1). The count tables grow with the class count, so one
+# stray label must not size them.
 MAX_INFERRED_CLASSES = 1000
 
 
@@ -233,8 +233,8 @@ class Controller:
     """
 
     def __init__(self, warmup: Table, schema: FeatureSchema, detector, config: ExperimentConfig):
-        """Fit and freeze the encoder on the warm-up rows (with the
-        config's Box-Cox features and prefix lengths), train the initial
+        """Build the encoder from the warm-up rows (with the config's
+        Box-Cox features and prefix lengths), train the initial
         model on them (as many classes as the warm-up labels imply, at most
         ``MAX_INFERRED_CLASSES``), and pre-fill the buffer with their tail.
         No warm-up rows, or encoder settings that cannot apply to them,
@@ -243,8 +243,7 @@ class Controller:
         if not len(warmup):
             raise ConfigError("warm-up requires at least one labeled instance")
         try:
-            encoder = EncoderState(schema, config.boxcox, dict(config.prefix_len))
-            encoder.fit(warmup)
+            encoder = EncoderState(schema, warmup, config.boxcox, dict(config.prefix_len))
         except ValueError as e:
             raise ConfigError(str(e)) from None
         top = int(warmup.label.max())  # UNLABELED only if no row has a label

@@ -52,9 +52,23 @@ EXIT_DATA = 3
 # -- config file ----------------------------------------------------------
 
 
-def _config_file_args(path: str) -> list[str]:
-    """Translate key=value lines into CLI arguments (prepended, so explicit
-    flags win)."""
+_BOOL_KEYS = {"incremental", "quiet", "hidden-context"}
+
+
+def _config_file_args(argv: list[str]) -> list[str]:
+    """The CLI arguments that the key=value lines of the file ``--config``
+    names in a command's arguments ``argv`` translate to, a key's
+    underscores read as dashes; none without the flag. The flag is read as
+    argparse reads it: ``--config FILE``, ``--config=FILE`` or an
+    abbreviation such as ``--conf FILE``."""
+    parser = argparse.ArgumentParser(add_help=False, exit_on_error=False)
+    parser.add_argument("--config")
+    try:
+        path = parser.parse_known_args(argv)[0].config
+    except argparse.ArgumentError as e:
+        raise ConfigError(str(e)) from None
+    if path is None:
+        return []
     args: list[str] = []
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -67,7 +81,8 @@ def _config_file_args(path: str) -> list[str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {line!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        flag = "--" + key.replace("_", "-")
+        key = key.replace("_", "-")
+        flag = "--" + key
         if value.lower() in ("true", "yes", "1") and key in _BOOL_KEYS:
             args.append(flag)
         elif value.lower() in ("false", "no", "0") and key in _BOOL_KEYS:
@@ -76,9 +91,6 @@ def _config_file_args(path: str) -> list[str]:
         else:
             args.extend([flag, value])
     return args
-
-
-_BOOL_KEYS = {"incremental", "quiet", "hidden-context", "hidden_context"}
 
 
 # -- input handling -------------------------------------------------------
@@ -113,6 +125,8 @@ def _synth_config(args) -> SynthConfig:
             )
         return PROFILES[args.profile](args.seed)
     drift = ()
+    if args.drift_kind == "none" and args.drift_at is not None:
+        raise ConfigError("--drift-at needs a --drift-kind other than none")
     if args.drift_kind != "none":
         if args.drift_at is None:
             raise ConfigError("--drift-at is required for a drifting stream")
@@ -446,14 +460,9 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        # pre-scan for --config so file values become overridable defaults
-        if "--config" in argv:
-            i = argv.index("--config")
-            if i + 1 >= len(argv):
-                raise ConfigError("--config needs a file argument")
-            if argv and argv[0] not in ("-h", "--help", "--version"):
-                file_args = _config_file_args(argv[i + 1])
-                argv = argv[:1] + file_args + argv[1:]
+        # the file's values go before the flags, so the flags override them
+        if argv and argv[0] not in ("-h", "--help", "--version"):
+            argv = argv[:1] + _config_file_args(argv[1:]) + argv[1:]
         args = parser.parse_args(argv)
         return args.func(args)
     except ConfigError as e:

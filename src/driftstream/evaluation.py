@@ -3,9 +3,7 @@ summary metrics, the one stream loader (``load_stream``: a CSV file or a
 synthetic config to a table and its predictive schema), and the one runner
 of many configs on a stream (``experiment_matrix``), which the parameter
 grid search and the detector x batch-size x strategy matrix both use.
-
-Accuracy is the sole ranking metric; per-class confusion counts are carried
-in the summary for inspection but never used for ranking.
+Accuracy is the sole ranking metric.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ class ExperimentSummary:
     n_predictions: int
     n_drifts: int
     n_retrains: int
-    confusion: Optional[list[list[int]]] = None
 
 
 def run_experiment(
@@ -46,7 +43,6 @@ def run_experiment(
     detector = make_detector(config.detector, config.ph_delta, config.ph_lambda,
                              config.ph_burn_in, config.adwin_delta)
     controller = Controller(table[: config.warmup], schema, detector, config)
-    K = controller.model.n_classes
 
     # unlabeled rows cannot be scored prequentially; each block's columns are
     # copied out as it comes, so no block outlives its step
@@ -55,14 +51,11 @@ def run_experiment(
         cols[:, n : n + len(b)] = b.index, b.predicted, b.actual, b.drift, b.retrain
         n += len(b)
     records = Records(*cols[:, :n], window=config.window)
-    pairs = records.actual * K + records.predicted
-    confusion = np.bincount(pairs, minlength=K * K).reshape(K, K)
     summary = ExperimentSummary(
         overall_accuracy=int(records.correct.sum()) / n if n else 0.0,
         n_predictions=n,
         n_drifts=controller.n_drifts,
         n_retrains=controller.n_retrains,
-        confusion=confusion.tolist(),
     )
     return records, summary
 

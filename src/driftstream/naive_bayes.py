@@ -20,8 +20,6 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .preprocess import EncodedInstance
-
 
 class _Layout(NamedTuple):
     """Constants shared by every model of one shape (cardinalities and
@@ -301,14 +299,6 @@ class NaiveBayesModel:
             scores -= 0.5 * np.add.reduce(diffs, axis=2)
         return scores
 
-    def predict(self, enc: EncodedInstance) -> tuple[int, np.ndarray]:
-        """Prediction and scores of one encoded row. The engine never calls it;
-        it stays as a benchmark hook (``perfbench/tracer.py`` wraps it)."""
-        if self.n_trained < 1:
-            raise ValueError("model has no training data")
-        scores = self.log_scores_many(enc.cat[None, :], enc.num[None, :])[0]
-        return int(np.argmax(scores)), scores
-
     def predict_many(
         self,
         cats: np.ndarray,
@@ -321,3 +311,6 @@ class NaiveBayesModel:
         if self.n_trained < 1:
             raise ValueError("model has no training data")
         return np.argmax(self.log_scores_many(cats, nums, versions, at), axis=1)
+
+    # a benchmark hook: perfbench/tracer.py wraps this name, and nothing calls it
+    predict = predict_many

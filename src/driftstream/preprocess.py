@@ -1,8 +1,8 @@
 """Feature pipeline: category prefix truncation, categorical index encoding,
 Box-Cox transformation of skewed numerics, and target binning.
 
-The encoder is fitted on warm-up data and then frozen; categories unseen at
-freeze time share one reserved index so model dimensionality stays fixed
+The encoder is fitted on the warm-up rows it is built from; categories
+unseen in them share one reserved index so model dimensionality stays fixed
 across retrainings.
 """
 
@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .stream_core import UNLABELED, ConfigError, FeatureSchema, RowError, Table
+from .stream_core import ConfigError, FeatureSchema, RowError, Table
 
 _EPS = 1e-6
 _LAMBDA_LO, _LAMBDA_HI = -5.0, 5.0
@@ -156,30 +156,23 @@ def bin_target(hours: float, bins: BinBoundaries) -> int:
     return sum(1 for e in bins.upper_edges if e < u)
 
 
-@dataclass
-class EncodedInstance:
-    """One encoded row, as ``EncoderState.encode`` returns it and
-    ``NaiveBayesModel.predict`` takes it: per-row calls that stay only as
-    benchmark hooks (``perfbench/tracer.py`` wraps them by name)."""
-
-    index: int
-    cat: np.ndarray  # int indices, one per categorical feature
-    num: np.ndarray  # floats, one per numeric feature
-    label: Optional[int] = None
-
-
 class EncoderState:
     """Category-index maps plus optional Box-Cox parameters per numeric
-    feature. Fit on warm-up data, then frozen; unseen categories map to the
-    reserved index ``len(categories)``.
+    feature, fitted on the warm-up rows the encoder is built from; unseen
+    categories map to the reserved index ``len(categories)``.
     """
 
     def __init__(
         self,
         schema: FeatureSchema,
+        warmup: Table,
         boxcox_features: Sequence[str] = (),
         prefix_len: Optional[dict[str, int]] = None,
     ):
+        """Map the categories of ``warmup`` in order of first appearance
+        and fit the Box-Cox parameters on it. A setting that names the wrong
+        kind of feature raises ``ValueError``, and a failed Box-Cox fit its
+        error, naming the feature."""
         self.schema = schema
         self.prefix_len = dict(prefix_len or {})
         self.boxcox_features = tuple(boxcox_features)
@@ -193,9 +186,20 @@ class EncoderState:
             )
         if any(n < 1 for n in self.prefix_len.values()):
             raise ValueError(f"prefix lengths must be >= 1, got {self.prefix_len}")
-        self.cat_maps: dict[str, dict[str, int]] = {n: {} for n in schema.categorical_names}
+        self.cat_maps: dict[str, dict[str, int]] = {}
+        for name in schema.categorical_names:
+            column = warmup.columns[name]
+            m = self.cat_maps[name] = {}
+            codes, first = np.unique(column.codes, return_index=True)
+            tokens = self._vocab(name, column.vocab)
+            for code in codes[np.argsort(first)].tolist():
+                m.setdefault(tokens[code], len(m))
         self.boxcox: dict[str, BoxCoxParams] = {}
-        self.frozen = False
+        for name in self.boxcox_features:
+            try:
+                self.boxcox[name] = fit_boxcox(warmup.columns[name])
+            except ValueError as e:
+                raise type(e)(f"cannot fit boxcox to {name!r} on the warm-up rows: {e}") from None
         # per feature, the last vocabulary encoded and its tokens' indices
         self._lookups: dict[str, tuple[tuple[str, ...], np.ndarray]] = {}
 
@@ -205,33 +209,11 @@ class EncoderState:
         plen = self.prefix_len.get(name)
         return [truncate_category(t, plen) for t in vocab] if plen else vocab
 
-    def fit(self, table: Table) -> "EncoderState":
-        """Build category maps (first-appearance order) and fit Box-Cox
-        parameters on the warm-up rows, then freeze. A Box-Cox fit that
-        fails raises the fit's error, naming the feature."""
-        if self.frozen:
-            raise RuntimeError("encoder already frozen")
-        for name in self.schema.categorical_names:
-            column, m = table.columns[name], self.cat_maps[name]
-            codes, first = np.unique(column.codes, return_index=True)
-            tokens = self._vocab(name, column.vocab)
-            for code in codes[np.argsort(first)].tolist():
-                m.setdefault(tokens[code], len(m))
-        for name in self.boxcox_features:
-            try:
-                self.boxcox[name] = fit_boxcox(table.columns[name])
-            except ValueError as e:
-                raise type(e)(f"cannot fit boxcox to {name!r} on the warm-up rows: {e}") from None
-        self.frozen = True
-        return self
-
-    def n_categories(self, name: str) -> int:
-        """Cardinality including the reserved unseen slot."""
-        return len(self.cat_maps[name]) + 1
-
     @property
     def cat_cardinalities(self) -> tuple[int, ...]:
-        return tuple(self.n_categories(n) for n in self.schema.categorical_names)
+        """Each categorical feature's category count, the reserved unseen
+        slot included."""
+        return tuple(len(self.cat_maps[n]) + 1 for n in self.schema.categorical_names)
 
     @property
     def n_numeric(self) -> int:
@@ -240,13 +222,11 @@ class EncoderState:
     def encode_many(self, table: Table) -> tuple[np.ndarray, np.ndarray]:
         """Columnar encode: an (n, n_categorical) int64 index matrix and an
         (n, n_numeric) float64 value matrix, row i holding the encoding of
-        row i of ``table``. The encoder is frozen, so each row is a pure
-        function of its values: a categorical column's vocabulary is mapped
-        once and its codes gathered; Box-Cox goes through the scalar
+        row i of ``table``. The encoder never changes, so each row is a
+        pure function of its values: a categorical column's vocabulary is
+        mapped once and its codes gathered; Box-Cox goes through the scalar
         ``apply_boxcox`` one value at a time. A value outside the fitted
         Box-Cox support raises ``RowError`` naming its row."""
-        if not self.frozen:
-            raise RuntimeError("encoder must be fitted before encoding")
         cat_names, num_names = self.schema.categorical_names, self.schema.numeric_names
         cats = np.empty((len(table), len(cat_names)), dtype=np.int64)
         for i, name in enumerate(cat_names):
@@ -273,11 +253,5 @@ class EncoderState:
             nums[:, j] = column
         return cats, nums
 
-    def encode(self, row: Table) -> EncodedInstance:
-        """``encode_many`` of a one-row table, its label included (None if
-        unlabeled). No code path calls it; the benchmark's tracer wraps it
-        by name."""
-        cats, nums = self.encode_many(row)
-        label = int(row.label[0])
-        return EncodedInstance(int(row.index[0]), cats[0], nums[0],
-                               None if label == UNLABELED else label)
+    # a benchmark hook: perfbench/tracer.py wraps this name, and nothing calls it
+    encode = encode_many

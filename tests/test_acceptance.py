@@ -56,8 +56,7 @@ def test_criterion_1_incremental_batch_equivalence():
     stream = generate(cfg)
     from driftstream.preprocess import EncoderState
 
-    encoder = EncoderState(stream.predictive_schema)
-    encoder.fit(stream.table)
+    encoder = EncoderState(stream.predictive_schema, stream.table)
     all_cats, all_nums = encoder.encode_many(stream.table)
     labels = stream.table.label
     data = labels[:1000], all_cats[:1000], all_nums[:1000]

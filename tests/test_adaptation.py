@@ -604,3 +604,8 @@ def test_config_validation():
         ExperimentConfig(batch_size=0)
     with pytest.raises(ValueError):
         ExperimentConfig(mini_batch_size=0)
+    # the CLI's size flags reject 0 first, so only the library reaches these
+    with pytest.raises(ConfigError, match="warmup must be >= 1"):
+        ExperimentConfig(warmup=0)
+    with pytest.raises(ConfigError, match="rolling window must be >= 1"):
+        ExperimentConfig(window=0)

@@ -64,6 +64,13 @@ def test_generate_drift_position_bound(tmp_path):
     assert code == EXIT_CONFIG
 
 
+def test_generate_drift_at_without_a_drift_kind_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "g"
+    assert run_cli("generate", "-o", str(out), "--n", "200", "--drift-at", "50") == EXIT_CONFIG
+    assert "--drift-kind" in capsys.readouterr().err
+    assert not (out / "stream.csv").exists()
+
+
 def test_generate_profile_shape(tmp_path):
     out = tmp_path / "p"
     code = run_cli("generate", "-o", str(out), "--profile", "paper-like", "--n", "100")
@@ -187,6 +194,61 @@ def test_run_config_file_flags_override(tmp_path, small_stream):
     resolved = json.loads((out / "resolved-config.json").read_text())
     assert resolved["batch_size"] == 150  # flag wins over file
     assert resolved["strategy"] == "last"  # from file
+
+
+CONFIG_FORMS = {
+    "spaced": ("--config", "{}"),
+    "equals": ("--config={}",),
+    "abbreviated": ("--conf", "{}"),
+}
+
+
+@pytest.mark.parametrize("form", ["equals", "abbreviated"])
+def test_run_reads_every_form_of_the_config_flag(tmp_path, small_stream, form):
+    cfgfile = tmp_path / "exp.cfg"
+    cfgfile.write_text("detector=page-hinkley\nstrategy=last\nbatch_size=100\nwarmup=300\n")
+    outs = {}
+    for name in ("spaced", form):
+        outs[name] = tmp_path / name
+        flag = [part.format(cfgfile) for part in CONFIG_FORMS[name]]
+        code = run_cli("run", *flag, "--input", str(small_stream), "--label", "label",
+                       "-o", str(outs[name]))
+        assert code == EXIT_OK
+    for name in ("records.csv", "events.csv", "summary.csv"):
+        assert (outs[form] / name).read_bytes() == (outs["spaced"] / name).read_bytes()
+    resolved = json.loads((outs[form] / "resolved-config.json").read_text())
+    assert resolved["config"] == str(cfgfile)
+    assert (resolved["batch_size"], resolved["warmup"]) == (100, 300)  # from the file
+
+
+@pytest.mark.parametrize(
+    "form,key", [("equals", "hidden_context"), ("abbreviated", "hidden-context")]
+)
+def test_generate_reads_the_config_file_in_every_form(tmp_path, form, key):
+    cfgfile = tmp_path / "g.cfg"
+    cfgfile.write_text(f"n=123\n{key}=true\n")
+    out = tmp_path / "g"
+    flag = [part.format(cfgfile) for part in CONFIG_FORMS[form]]
+    assert run_cli("generate", *flag, "-o", str(out)) == EXIT_OK
+    lines = (out / "stream.csv").read_text().splitlines()
+    assert len(lines) == 1 + 123
+    assert "automation" in lines[0].split(",")
+
+
+def test_required_flag_can_come_from_the_config_file(tmp_path, small_stream):
+    cfgfile = tmp_path / "i.cfg"
+    cfgfile.write_text("feature=num0\nwindow=10\n")
+    out = tmp_path / "i"
+    code = run_cli("inspect", "--config", str(cfgfile), "--input", str(small_stream),
+                   "--label", "label", "-o", str(out))
+    assert code == EXIT_OK
+    assert len((out / "inspect_num0.csv").read_text().splitlines()) == 1 + 3000
+
+
+@pytest.mark.parametrize("flag", [("--config",), ("--config=",)], ids=["no-value", "empty"])
+def test_config_flag_without_a_file_is_a_config_error(tmp_path, capsys, flag):
+    assert run_cli("generate", "-o", str(tmp_path / "g"), *flag) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
 
 
 def test_run_env_var_output_dir(tmp_path, small_stream, monkeypatch):

@@ -79,7 +79,7 @@ def test_any_csv_gives_a_documented_exit_code(rows):
 def test_huge_warmup_label_is_a_data_error(row, label):
     # the class count is inferred from the warm-up labels, at most
     # MAX_INFERRED_CLASSES; a larger label must stop the run before it
-    # sizes the count tables or the confusion matrix
+    # sizes the count tables
     rows = _good(12)
     rows[row][2] = str(label)
     assert _run(rows) == (EXIT_OK if label < MAX_INFERRED_CLASSES else EXIT_DATA)

@@ -102,19 +102,17 @@ def test_rolling_accuracy_field_matches_rolling_mean():
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
-def per_row_bookkeeping(records, window, n_classes):
-    """Rolling accuracy and confusion matrix the way a per-row loop keeps
-    them: a deque of the last ``window`` correct flags and a running sum."""
+def per_row_rolling(records, window):
+    """Rolling accuracy the way a per-row loop keeps it: a deque of the
+    last ``window`` correct flags and a running sum."""
     win, win_sum, rolling = deque(maxlen=window), 0, []
-    confusion = [[0] * n_classes for _ in range(n_classes)]
     for r in records:
         if len(win) == window:
             win_sum -= win[0]
         win.append(r.correct)
         win_sum += r.correct
         rolling.append(win_sum / len(win))
-        confusion[r.actual][r.predicted] += 1
-    return rolling, confusion
+    return rolling
 
 
 @pytest.mark.parametrize("strategy", ["last", "mixed"])  # a drift on its retrain's row, or not
@@ -131,7 +129,7 @@ def test_written_rolling_accuracy_is_each_value_formatted(tmp_path, window, stra
                            batch_size=200, incremental=True)
     records, _ = run_experiment(table, stream.predictive_schema, cfg)
     assert max(records.predicted) >= 10 and max(records.actual) >= 10 and sum(records.drift)
-    rolling, _ = per_row_bookkeeping(records, window, 12)
+    rolling = per_row_rolling(records, window)
     texts = [f"{a:.6f}" for a in rolling]
     rows = list(records)
     write_records_csv(records, tmp_path / "r.csv")
@@ -164,16 +162,9 @@ def test_rolling_accuracy_and_confusion_equal_a_per_row_loop(window, unlabeled):
     )
     records, summary = run_experiment(table, stream.predictive_schema, cfg)
     assert len(records) == 2700 - (386 if unlabeled else 0)
-    rolling, confusion = per_row_bookkeeping(records, window, 3)
+    rolling = per_row_rolling(records, window)
     assert [r.rolling_accuracy for r in records] == rolling  # float for float
-    assert summary.confusion == confusion
     assert summary.overall_accuracy == sum(r.correct for r in records) / len(records)
-
-
-def test_confusion_counts_sum_to_predictions():
-    stream = generate(small_synth())
-    _, summary = run_experiment(stream.table, stream.predictive_schema, STATIC)
-    assert sum(map(sum, summary.confusion)) == summary.n_predictions
 
 
 def test_accuracy_is_exact_mean_of_correct_flags():
@@ -253,7 +244,7 @@ def test_block_path_equals_step_loop(
     plain = _run_capturing(monkeypatch, records, schema, cfg)
 
     assert list(block[0]) == list(plain[0])  # every prequential record
-    assert block[1] == plain[1]  # summary, confusion included
+    assert block[1] == plain[1]  # the summary
     assert block[2].retrain_history == plain[2].retrain_history
     assert block[2].n_drifts == plain[2].n_drifts
     if detector != "none":

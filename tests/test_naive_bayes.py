@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftstream.naive_bayes import NaiveBayesModel
-from driftstream.preprocess import EncodedInstance
 
 
 class Row(NamedTuple):
@@ -241,10 +240,6 @@ def test_update_bad_label_rejected():
 # -- predict ------------------------------------------------------------------
 
 
-def enc(cats=(), nums=()):
-    return EncodedInstance(0, np.array(cats, dtype=np.int64), np.array(nums, dtype=float))
-
-
 def test_symmetric_tie_breaks_to_lowest_class():
     m = fit(rows(cats=[[0], [0]], labels=[0, 1]), 2, [2], 0)
     probe = rows(cats=[[0]])[1:]
@@ -290,7 +285,7 @@ def test_predict_many_matches_predict():
     m = fit(random_rows(rng, 400), 3, (3, 5), 2)
     _, cats, nums = random_rows(rng, 150)
     batch = m.predict_many(cats, nums)
-    single = [m.predict(enc(c, x))[0] for c, x in zip(cats, nums)]
+    single = [m.predict_many(cats[i : i + 1], nums[i : i + 1])[0] for i in range(len(cats))]
     np.testing.assert_array_equal(batch, single)
 
 
@@ -304,9 +299,9 @@ def test_predict_scores_are_rows_of_the_shared_routine(n_num):
     scores = m.log_scores_many(cats, nums)
     preds = m.predict_many(cats, nums)
     for i in range(len(cats)):
-        pred, row = m.predict(enc(cats[i], nums[i]))
+        row = m.log_scores_many(cats[i : i + 1], nums[i : i + 1])[0]
         assert np.array_equal(row, scores[i])
-        assert pred == preds[i]
+        assert m.predict_many(cats[i : i + 1], nums[i : i + 1])[0] == preds[i]
 
 
 def test_tied_scores_are_bitwise_rows_of_the_shared_routine():
@@ -321,7 +316,8 @@ def test_tied_scores_are_bitwise_rows_of_the_shared_routine():
     _, cats, nums = rows(cats=[[2], [2]], nums=[[2.0, -1.0, -0.5], [0.0, 0.0, 0.0]])
     scores = m.log_scores_many(cats, nums)
     for i in range(len(cats)):
-        pred, row = m.predict(enc(cats[i], nums[i]))
+        row = m.log_scores_many(cats[i : i + 1], nums[i : i + 1])[0]
+        pred = m.predict_many(cats[i : i + 1], nums[i : i + 1])[0]
         assert row[0] == row[1]
         assert np.array_equal(row, scores[i])
         assert pred == m.predict_many(cats, nums)[i] == 0
@@ -329,8 +325,6 @@ def test_tied_scores_are_bitwise_rows_of_the_shared_routine():
 
 def test_predict_untrained_rejected():
     m = NaiveBayesModel(2, [2], 0)
-    with pytest.raises(ValueError):
-        m.predict(enc(cats=[0]))
     with pytest.raises(ValueError):
         m.predict_many(*rows(cats=[[0]])[1:])
 

@@ -1,5 +1,5 @@
 """Tests for the feature pipeline: prefix truncation, Box-Cox, target
-binning, and the frozen encoder."""
+binning, and the encoder built from its warm-up rows."""
 
 import math
 
@@ -277,53 +277,47 @@ def row(index, mat, value):
 
 
 def test_encode_known_and_unseen_category():
-    enc = EncoderState(SCHEMA)
-    enc.fit(insts([("A", 1.0), ("B", 2.0)]))
+    enc = EncoderState(SCHEMA, insts([("A", 1.0), ("B", 2.0)]))
     assert enc.cat_maps["mat"] == {"A": 0, "B": 1}
-    assert enc.encode(row(9, "B", 0.0)).cat[0] == 1
-    assert enc.encode(row(9, "C", 0.0)).cat[0] == 2
-    assert enc.n_categories("mat") == 3
-    assert enc.encode(row(9, "B", 0.0)).label is None  # an unlabeled row
-    labeled = row(9, "B", 0.0)
-    labeled.label[0] = 2
-    assert type(enc.encode(labeled).label) is int and enc.encode(labeled).label == 2
+    assert enc.encode_many(row(9, "B", 0.0))[0][0, 0] == 1
+    assert enc.encode_many(row(9, "C", 0.0))[0][0, 0] == 2
+    assert enc.cat_cardinalities == (3,)
 
 
 def test_encode_numeric_boxcox_composition():
-    enc = EncoderState(SCHEMA, boxcox_features=("value",))
-    enc.fit(insts([("A", float(v)) for v in range(1, 21)]))
+    enc = EncoderState(SCHEMA, insts([("A", float(v)) for v in range(1, 21)]),
+                       boxcox_features=("value",))
     enc.boxcox["value"] = BoxCoxParams(0.5, 0.0)  # pin for the arithmetic check
-    out = enc.encode(row(0, "A", 4.0))
-    assert out.num[0] == pytest.approx(2.0)
+    _, nums = enc.encode_many(row(0, "A", 4.0))
+    assert nums[0, 0] == pytest.approx(2.0)
 
 
 def test_prefix_truncation_applied_before_mapping():
-    enc = EncoderState(SCHEMA, prefix_len={"mat": 4})
-    enc.fit(insts([("10234567", 1.0), ("10239999", 2.0), ("55511", 3.0)]))
+    enc = EncoderState(SCHEMA, insts([("10234567", 1.0), ("10239999", 2.0), ("55511", 3.0)]),
+                       prefix_len={"mat": 4})
     assert enc.cat_maps["mat"] == {"1023": 0, "5551": 1}
 
 
 def test_fit_maps_categories_in_order_of_first_appearance_in_the_rows():
     # the vocabulary holds an unused token and lists the others out of order
     mats = DictColumn(np.array([2, 0, 2, 1]), ("x", "y", "z", "unused"))
-    enc = EncoderState(SCHEMA)
-    enc.fit(Table(np.arange(4), np.full(4, UNLABELED), {"mat": mats, "value": np.ones(4)}))
+    enc = EncoderState(SCHEMA, Table(np.arange(4), np.full(4, UNLABELED),
+                                     {"mat": mats, "value": np.ones(4)}))
     assert enc.cat_maps["mat"] == {"z": 0, "x": 1, "y": 2}
     cats, _ = enc.encode_many(insts([("unused", 1.0), ("y", 1.0), ("z", 1.0)]))
     assert cats[:, 0].tolist() == [3, 2, 0]
 
 
 def test_prefix_truncated_tokens_that_collide_share_one_index():
-    enc = EncoderState(SCHEMA, prefix_len={"mat": 2})
-    enc.fit(insts([("abX", 1.0), ("cd", 2.0), ("abY", 3.0), ("a", 4.0)]))
+    enc = EncoderState(SCHEMA, insts([("abX", 1.0), ("cd", 2.0), ("abY", 3.0), ("a", 4.0)]),
+                       prefix_len={"mat": 2})
     assert enc.cat_maps["mat"] == {"ab": 0, "cd": 1, "a": 2}
     cats, _ = enc.encode_many(insts([("abZ", 1.0), ("a", 1.0), ("cdef", 1.0), ("x", 1.0)]))
     assert cats[:, 0].tolist() == [0, 2, 1, 3]
 
 
 def test_encode_many_follows_each_tables_vocabulary():
-    enc = EncoderState(SCHEMA)
-    enc.fit(insts([("A", 1.0), ("B", 2.0)]))
+    enc = EncoderState(SCHEMA, insts([("A", 1.0), ("B", 2.0)]))
     table = insts([("B", 1.0), ("C", 1.0), ("A", 1.0)])
     for rows in (table, insts([("A", 1.0), ("B", 1.0)]), table[1:], table):
         cats, _ = enc.encode_many(rows)
@@ -332,31 +326,22 @@ def test_encode_many_follows_each_tables_vocabulary():
 
 
 def test_encoder_freeze_is_deterministic():
-    enc = EncoderState(SCHEMA)
-    enc.fit(insts([("A", 1.0), ("B", 2.0)]))
+    enc = EncoderState(SCHEMA, insts([("A", 1.0), ("B", 2.0)]))
     probe = row(3, "A", 7.5)
-    a = enc.encode(probe)
-    b = enc.encode(probe)
-    assert (a.cat == b.cat).all() and (a.num == b.num).all()
-    with pytest.raises(RuntimeError):
-        enc.fit(insts([("C", 1.0)]))
-
-
-def test_encode_before_fit_rejected():
-    enc = EncoderState(SCHEMA)
-    with pytest.raises(RuntimeError):
-        enc.encode(row(0, "A", 1.0))
+    a = enc.encode_many(probe)
+    b = enc.encode_many(probe)
+    assert (a[0] == b[0]).all() and (a[1] == b[1]).all()
 
 
 def test_boxcox_on_non_numeric_feature_rejected():
     with pytest.raises(ValueError):
-        EncoderState(SCHEMA, boxcox_features=("mat",))
+        EncoderState(SCHEMA, insts([("A", 1.0)]), boxcox_features=("mat",))
 
 
 @pytest.mark.parametrize("name", ["value", "nope"])
 def test_prefix_len_on_non_categorical_feature_rejected(name):
     with pytest.raises(ValueError, match=name):
-        EncoderState(SCHEMA, prefix_len={name: 3})
+        EncoderState(SCHEMA, insts([("A", 1.0)]), prefix_len={name: 3})
 
 
 @pytest.mark.parametrize(
@@ -365,6 +350,5 @@ def test_prefix_len_on_non_categorical_feature_rejected(name):
     ids=["constant", "too-few"],
 )
 def test_failed_boxcox_fit_names_the_feature(values, error):
-    enc = EncoderState(SCHEMA, boxcox_features=("value",))
     with pytest.raises(error, match="'value'"):
-        enc.fit(insts([("A", v) for v in values]))
+        EncoderState(SCHEMA, insts([("A", v) for v in values]), boxcox_features=("value",))
