@@ -118,21 +118,30 @@ def _floats(token: str) -> list[float]:
 
 
 def _synth_config(args) -> SynthConfig:
+    """The generator config of the ``generate`` flags; a drift flag that the
+    stream would not use is a ``ConfigError``."""
+    flags = {"--drift-at": args.drift_at, "--drift-width": args.drift_width,
+             "--magnitude": args.magnitude}
     if args.profile:
         if args.profile not in PROFILES:
             raise ConfigError(
                 f"unknown profile {args.profile!r}; available: {', '.join(PROFILES)}"
             )
+        given = [f for f, v in {"--drift-kind": args.drift_kind, **flags}.items() if v is not None]
+        if given:
+            raise ConfigError(f"--profile sets its own drift; {', '.join(given)} cannot change it")
         return PROFILES[args.profile](args.seed)
     drift = ()
-    if args.drift_kind == "none" and args.drift_at is not None:
-        raise ConfigError("--drift-at needs a --drift-kind other than none")
-    if args.drift_kind != "none":
+    if args.drift_kind in (None, "none"):
+        given = [f for f, v in flags.items() if v is not None]
+        if given:
+            raise ConfigError(f"a --drift-kind other than none is needed for {', '.join(given)}")
+    else:
         if args.drift_at is None:
             raise ConfigError("--drift-at is required for a drifting stream")
-        drift = (
-            DriftSpec(args.drift_kind, args.drift_at, args.drift_width, args.magnitude),
-        )
+        shape = {"width": args.drift_width, "magnitude": args.magnitude}
+        drift = (DriftSpec(args.drift_kind, args.drift_at,
+                           **{k: v for k, v in shape.items() if v is not None}),)
     return SynthConfig(
         n_instances=args.n,
         n_categorical=args.n_categorical,
@@ -418,10 +427,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-numeric", type=int, default=2)
     p.add_argument("--n-classes", type=int, default=3)
     p.add_argument("--n-categories", type=int, default=6)
-    p.add_argument("--drift-kind", choices=["none", "sudden", "gradual", "recurring"], default="none")
+    p.add_argument("--drift-kind", choices=["none", "sudden", "gradual", "recurring"], default=None)
     p.add_argument("--drift-at", type=int, default=None)
-    p.add_argument("--drift-width", type=int, default=0)
-    p.add_argument("--magnitude", type=float, default=1.0)
+    p.add_argument("--drift-width", type=int, default=None)
+    p.add_argument("--magnitude", type=float, default=None)
     p.add_argument("--hidden-context", action="store_true")
     p.set_defaults(func=cmd_generate)
 

@@ -10,6 +10,7 @@ feature, a ``DictColumn`` of category codes or a float64 array of values.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
@@ -415,10 +416,12 @@ def write_columns(path, header: Sequence[str], columns: Sequence) -> None:
     """Write ``columns`` under ``header`` as a CSV file in the bytes of
     ``csv.writer``'s default dialect, assembled by numpy ``CHUNK_ROWS`` rows at
     a time. A column (two or more, as csv.writer quotes a lone empty field) is
-    an integer array, a sequence of ``str`` or a pair ``(codes, texts)``."""
+    an integer array, a float64 array (each value written as its ``repr``), a
+    sequence of ``str`` or a pair ``(codes, texts)``."""
     # each column's rows, and the function from a chunk of them to its field
     columns = [(c[0], _text_field(c[1]).__getitem__) if isinstance(c, tuple) else
-               (c, _int_field if isinstance(c, np.ndarray) else _text_field) for c in columns]
+               (c, _array_field(c.dtype) if isinstance(c, np.ndarray) else _text_field)
+               for c in columns]
     if len(header) < 2 or len(header) != len(columns) or len({len(c) for c, _ in columns}) > 1:
         raise ValueError("write_columns needs two or more columns of one length, a name each")
     with open(path, "wb") as fh:
@@ -466,3 +469,198 @@ def _text_field(tokens: Sequence[str]) -> np.ndarray:
     field = np.full((len(length), w), _PAD, np.uint8)
     field[np.arange(w) >= w - length[:, None]] = raw
     return field
+
+
+def _array_field(dtype: np.dtype) -> Callable[[np.ndarray], np.ndarray]:
+    """The field function of an array column of ``dtype``."""
+    if dtype.kind in "iu":
+        return _int_field
+    if dtype == np.float64:
+        return _float_field
+    raise ValueError(f"write_columns cannot write an array of {dtype}")
+
+
+# -- float64 values as their repr -----------------------------------------
+#
+# repr writes the shortest decimal that reads back as the value, the nearest
+# such if there are several (Steele & White, PLDI 1990). _float_field finds
+# it for a whole column at once. Each value x is scaled to N = x * 10**(16-e),
+# e the decimal exponent of its first digit, so that N lies in [1e16, 1e17);
+# N is a double-double, Dekker's exact product of x and a double-double 10**k
+# (a fixed-width product, as in Ryu, Adams, PLDI 2018, not a bignum). In N's
+# units x's rounding interval is (N - below, N + above), below being half of
+# above at a power of two. The 15-, 16- and 17-digit decimals either side of
+# N are the multiples of d = 100, 10 and 1 just below and just above it; the
+# shortest length with one strictly inside the interval wins, and of two
+# there the nearer. A decision within _MARGIN of a tie or of an interval
+# edge, and a value outside _FLOAT_RANGE (NaN, the infinities and the zeros
+# too), go to repr itself.
+
+_FLOAT_RANGE = (1e-280, 1e280)  # where no partial product over- or underflows
+_E_MAX = 282  # beyond the decimal exponents of that range, log10's miss included
+_MARGIN = 1e-6  # in N's units; N and the interval's edges err by less than 1e-13
+_SPLIT = 2.0**27 + 1  # Veltkamp's splitter: a double as the sum of two 26-bit halves
+
+
+@functools.cache
+def _float_tables() -> SimpleNamespace:
+    """The tables of _float_field, built on its first use, the powers of ten
+    with integer arithmetic (Python's int-to-float conversion and int / int
+    division round correctly):
+
+    - ``hi``, ``lo``, ``hh``, ``hl``: 10**(16 - e) = hi + lo at e + _E_MAX
+      for e from -_E_MAX to _E_MAX, hi and lo each the double nearest to what
+      it stands for, and hi's two halves;
+    - ``quads``: the digits of 0 to 9999, one in each 16-bit lane of a
+      little-endian uint64, and ``zeros``, their trailing zeros (4 for 0);
+    - ``body``: at 17 * s + p, what to OR onto a body of 17 digits of which
+      s are written and p come before the point (0 for none): pads over the
+      digits after the s-th and over each point slot but the p-th, a point;
+    - ``head``: at 5 * negative + z, the sign and, for z > 0, the "0."
+      and z - 1 zeros before a first digit of exponent -z;
+    - ``tail``: what follows the last digit: at 0 nothing, at 1 the "0" of
+      ".0", and at 2 + e + _E_MAX the exponent e as repr writes it;
+    - ``exponent``: at e + _E_MAX, how repr lays out a value of exponent e:
+      the digits before its point if it writes e >= 0 positionally (else 0),
+      the z of its head and the tail after its digits (0 if positional).
+    """
+    hi, lo = [], []
+    for e in range(-_E_MAX, _E_MAX + 1):
+        if e <= 16:
+            hi.append(float(10 ** (16 - e)))
+            lo.append(float(10 ** (16 - e) - int(hi[-1])))
+        else:
+            d = 10 ** (e - 16)
+            hi.append(1 / d)
+            a, b = hi[-1].as_integer_ratio()
+            lo.append((b - a * d) / (b * d))  # 1 / d - a / b
+    hi = np.array(hi)
+    hh, hl = _halves(hi)
+    quads = [b"%04d" % i for i in range(10**4)]
+    j = np.arange(17)
+    s, p = np.arange(18)[:, None, None], np.arange(17)[:, None]
+    body = np.where(j >= s, _PAD, 0) | np.where(j == p - 1, ord("."), _PAD) << 8
+    e = np.arange(-_E_MAX, _E_MAX + 1)
+    positional = (e >= -4) & (e < 16)
+    exponent = np.stack((
+        np.where(positional & (e >= 0), e + 1, 0),
+        np.where(positional & (e < 0), -e, 0),
+        np.where(positional, 0, 2 + e + _E_MAX),
+    ), axis=1)
+    return SimpleNamespace(
+        hi=hi, lo=np.array(lo), hh=hh, hl=hl,
+        quads=np.frombuffer(b"".join(quads), np.uint8).astype("<u2").view("<u8"),
+        zeros=np.array([4 - len(q.rstrip(b"0")) for q in quads]),
+        body=body.astype("<u2").reshape(-1, 17),
+        head=_slot_rows([s + z for s in ("", "-") for z in ("", "0.", "0.0", "0.00", "0.000")], 6),
+        tail=_slot_rows(["", "0", *(f"e{k:+03d}" for k in e)], 5),
+        exponent=exponent,
+    )
+
+
+def _slot_rows(texts: Sequence[str], width: int) -> np.ndarray:
+    """A matrix row per text, its bytes after pads."""
+    raw = b"".join(t.encode("ascii").rjust(width, bytes([_PAD])) for t in texts)
+    return np.frombuffer(raw, np.uint8).reshape(len(texts), width)
+
+
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` as the sum of two doubles of at most 26 significant bits each."""
+    c = _SPLIT * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _scaled(x: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """N = x * 10**(16 - e) as ``p + t``, ``p`` the double nearest to N."""
+    tables, i = _float_tables(), e + _E_MAX
+    hi, lo, hh, hl = (np.take(a, i) for a in (tables.hi, tables.lo, tables.hh, tables.hl))
+    xh, xl = _halves(x)
+    p = x * hi
+    # x * hi - p exactly, by Dekker's product of the halves, and then x * lo
+    return p, ((xh * hh - p) + xh * hl + xl * hh) + xl * hl + x * lo
+
+
+def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """For positive ``x`` in _FLOAT_RANGE: the 17-digit integers ``c`` and
+    exponents ``e`` with c * 10**(e - 16) the decimal repr writes, and
+    whether each was decided."""
+    e = np.floor(np.log10(x)).astype(np.int64)
+    p, t = _scaled(x, e)
+    fix = np.flatnonzero((p >= 1e17) | (p <= 1e16))
+    if len(fix):  # log10 can miss by one next to a power of ten: move N into [1e16, 1e17)
+        p_, t_ = p[fix], t[fix]
+        up = (p_ > 1e17) | ((p_ == 1e17) & (t_ >= 0))
+        e[fix] += np.where(up, 1, 0) - ((p_ < 1e16) | ((p_ == 1e16) & (t_ < 0)))
+        p[fix], t[fix] = _scaled(x[fix], e[fix])
+    whole = np.floor(t)
+    n = p.astype(np.int64) + whole.astype(np.int64)  # floor(N), as p >= 1e16 is whole
+    frac = t - whole
+    m = np.frexp(x)[0]
+    above = p * (2.0**-54 / m)  # half an ulp of x
+    below = np.where(m == 0.5, above / 2, above)  # half the gap below a power of two
+    # a row per length, 15, 16 and 17 digits: floor(N / d) * d lies r below N
+    # and the next multiple of d lies d - r above it
+    floor = np.stack((n // 100 * 100, n // 10 * 10, n))
+    r = (n - floor) + frac
+    d = np.array([[100], [10], [1]])
+    lo, hi = r < below, r > d - above
+    c = floor + (hi & ~(lo & (2 * r < d))) * d  # the nearer if both are inside
+    inside = lo | hi
+    c = np.where(inside[0], c[0], np.where(inside[1], c[1], c[2]))  # the shortest
+    near = (np.abs(r - below) < _MARGIN) | (np.abs(r - (d - above)) < _MARGIN)
+    near |= np.abs(2 * r - d) < _MARGIN
+    ok = inside[2] & ~near.any(axis=0) & (n >= 10**16) & (n < 10**17)
+    carry = c == 10**17  # floor + 1 was 10**(e + 1)
+    c[carry] = 10**16
+    e[carry] += 1
+    return c, e, ok
+
+
+def _float_field(values: np.ndarray) -> np.ndarray:
+    """The ``repr`` text of float64 values, each decided by _shortest and
+    laid out as repr lays it out, or else written by ``repr`` itself."""
+    x = np.abs(values)
+    easy = np.flatnonzero((x >= _FLOAT_RANGE[0]) & (x <= _FLOAT_RANGE[1]))
+    c, e, ok = _shortest(x[easy])
+    rows = easy[ok]
+    field = _layout(c[ok], e[ok], values[rows] < 0)
+    if len(rows) == len(values):
+        return field
+    hard = np.ones(len(values), bool)
+    hard[rows] = False
+    text = _text_field(list(map(repr, values[hard].tolist())))
+    full = np.full((len(values), field.shape[1]), _PAD, np.uint8)
+    full[rows] = field
+    full[hard, : text.shape[1]] = text
+    return full
+
+
+def _layout(c: np.ndarray, e: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """The field of -c * 10**(e - 16) where ``neg``, else of c * 10**(e - 16),
+    ``c`` having 17 digits: positional for -4 <= e < 16, with ".0" after an
+    integral value, else d.ddde+XX with at least two exponent digits. A
+    field is 6 slots of head, 34 of body (a digit's slot and a point's slot
+    in turn, 17 times) and 5 of tail."""
+    tables = _float_tables()
+    top = c // 10**8
+    low = c - top * 10**8
+    first = top // 10**8
+    top -= first * 10**8
+    quads = np.empty((len(c), 4), np.int64)  # the digits after the first, four by four
+    quads[:, 0], quads[:, 2] = top // 10**4, low // 10**4
+    quads[:, 1], quads[:, 3] = top - quads[:, 0] * 10**4, low - quads[:, 2] * 10**4
+    body = np.empty((len(c), 17), "<u2")
+    body[:, 0] = first + ord("0")
+    body[:, 1:] = np.take(tables.quads, quads).view("<u2")
+    z = np.take(tables.zeros, quads)
+    z = z[:, 3] + (z[:, 3] == 4) * (z[:, 2] + (z[:, 2] == 4) * (z[:, 1] + (z[:, 1] == 4) * z[:, 0]))
+    n = 17 - z  # significant digits
+    before, zeros, tail = np.take(tables.exponent, e + _E_MAX, axis=0).T
+    point = before + ((tail > 1) & (n > 1))
+    body |= np.take(tables.body, 17 * np.maximum(n, before) + point, axis=0)
+    return np.concatenate((
+        np.take(tables.head, 5 * neg + zeros, axis=0),
+        body.view(np.uint8),
+        np.take(tables.tail, tail + (n <= before), axis=0),
+    ), axis=1)

@@ -256,7 +256,7 @@ def write_csv(table: Table, schema: FeatureSchema, path) -> None:
     """Write a stream to CSV with ``write_columns``, floats as their ``repr``;
     reads back through ``open_csv_stream`` to an equal table."""
     columns = [
-        list(map(repr, table.columns[name].tolist())) if kind == NUMERIC else
+        table.columns[name] if kind == NUMERIC else
         (table.columns[name].codes, table.columns[name].vocab) for name, kind in schema.features
     ]
     labels = table.label

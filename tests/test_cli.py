@@ -71,6 +71,38 @@ def test_generate_drift_at_without_a_drift_kind_is_a_config_error(tmp_path, caps
     assert not (out / "stream.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--n", "200", "--magnitude", "0.5", "--drift-width", "30"),
+        ("--n", "200", "--drift-width", "30"),
+        ("--n", "200", "--drift-kind", "none", "--magnitude", "0.5"),
+        ("--profile", "paper-like", "--drift-kind", "sudden", "--drift-at", "50"),
+        ("--profile", "paper-like", "--drift-kind", "none"),
+        ("--profile", "paper-like", "--drift-at", "50"),
+        ("--profile", "paper-like", "--drift-width", "30"),
+        ("--profile", "paper-like", "--magnitude", "0.5"),
+    ],
+    ids=["shape-without-kind", "width-without-kind", "magnitude-with-none", "profile-sudden",
+         "profile-none", "profile-at", "profile-width", "profile-magnitude"],
+)
+def test_generate_drift_flag_it_would_ignore_is_a_config_error(tmp_path, capsys, flags):
+    out = tmp_path / "g"
+    assert run_cli("generate", "-o", str(out), *flags) == EXIT_CONFIG
+    assert flags[-2] in capsys.readouterr().err
+    assert not (out / "stream.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [(), ("--drift-kind", "none")], ids=["absent", "none"])
+def test_generate_without_a_drift_records_only_the_flags_given(tmp_path, flags):
+    out = tmp_path / "g"
+    assert run_cli("generate", "-o", str(out), "--n", "50", *flags) == EXIT_OK
+    resolved = json.loads((out / "resolved-config.json").read_text())
+    assert resolved.get("drift_kind") == (flags[1] if flags else None)
+    assert not {"drift_at", "drift_width", "magnitude"} & resolved.keys()
+    assert (out / "concepts.csv").read_text().splitlines()[1:] == [f"{i},0" for i in range(50)]
+
+
 def test_generate_profile_shape(tmp_path):
     out = tmp_path / "p"
     code = run_cli("generate", "-o", str(out), "--profile", "paper-like", "--n", "100")

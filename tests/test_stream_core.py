@@ -288,9 +288,23 @@ _int = st.one_of(
     st.integers(-1000, 1000),
     st.sampled_from([0, -1, 9, -9, 10, -10, 10**18, -(10**18), 2**63 - 1, -(2**63)]),
 )
+
+
+# floats where repr's digits are hardest to match, either sign and one ulp
+# either side: powers of two (the gap below is half the gap above) and of ten
+# (the exponent moves), the switches between positional and exponent
+# notation, and the edges of the range the vectorised float writer decides
+_traps = np.concatenate((
+    2.0 ** np.arange(-1074, 1024),
+    [float(f"1e{k}") for k in range(-323, 309)],
+    [1e16, 1e-4, 1e-5, 9.999999999999999e22, *stream_core._FLOAT_RANGE],
+))
+_traps = np.concatenate((_traps, np.nextafter(_traps, -np.inf), np.nextafter(_traps, np.inf)))
+_FLOAT_TRAPS = np.concatenate((_traps, -_traps)).tolist()
 _float = st.one_of(
     st.floats(),
     st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e16]),
+    st.sampled_from(_FLOAT_TRAPS),
 )
 # a column as (pool of values, how a column of them is built from codes)
 _column = st.one_of(
@@ -386,14 +400,31 @@ def test_awkward_tokens_round_trip(tmp_path_factory, pools, n, seed):
     assert read(p) == table
 
 
+def test_float_columns_are_written_as_the_csv_writer_loop_writes_them(tmp_path):
+    """A million float64 values of every kind, written as repr writes them."""
+    rng = np.random.default_rng(20)
+    bits = rng.integers(0, 2**64, 250_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    normals = rng.standard_normal(250_000) * 10.0 ** rng.uniform(-15, 15, 250_000)
+    ints = rng.integers(-(10**12), 10**12, 200_000).astype(np.float64)
+    decimals = rng.integers(-(10**6), 10**6, 200_000) / 10.0 ** rng.integers(0, 7, 200_000)
+    values = np.concatenate((bits, normals, ints, decimals, _FLOAT_TRAPS))
+    values = np.concatenate((values, rng.permutation(values)[: 1_000_000 - len(values)]))
+    columns = values.reshape(4, -1)
+    header = ["a", "b", "c", "d"]
+    write_columns(tmp_path / "f.csv", header, list(columns))
+    rows = zip(*(map(repr, c.tolist()) for c in columns))
+    assert (tmp_path / "f.csv").read_bytes() == csv_writer_bytes(header, rows)
+
+
 @pytest.mark.parametrize(
     "header,columns",
     [
         (["a"], [np.arange(3)]),  # csv.writer quotes a lone empty field
         (["a", "b"], [np.arange(3), ["x", "y"]]),
         (["a", "b", "c"], [np.arange(3), ["x", "y", "z"]]),
+        (["a", "b"], [np.arange(3), np.arange(3, dtype=np.float32)]),  # not silently widened
     ],
-    ids=["one-column", "lengths-differ", "header-longer"],
+    ids=["one-column", "lengths-differ", "header-longer", "float32"],
 )
 def test_write_columns_refuses_what_it_cannot_write(tmp_path, header, columns):
     with pytest.raises(ValueError):
