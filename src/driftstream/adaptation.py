@@ -2,14 +2,15 @@
 three data-selection strategies (last / mixed / next), and the two learning
 modes (retraining and incremental mini-batch updates).
 
-Step order per instance i: predict with the current model, feed the detector
-(stable mode only), then either react to an alarm or advance a pending
-collection, then (stable mode) apply incremental mini-batch updates, and
-finally append i to the ring buffer. The alarm instance itself therefore
-belongs to no retraining set: *last* consumes the buffered window [t-B, t),
-*next* collects (t, t+B], and *mixed* uses the last ceil(B/2) buffered
-pre-alarm instances plus the next floor(B/2) collected ones. Retraining
-completes 0 / floor(B/2) / B steps after the alarm respectively.
+Step order per instance i: predict with the current model; detect (stable
+mode only): feed the detector and, unless i alarms, apply incremental
+mini-batch updates and append i to the ring buffer; act (after an alarm or
+while a collection is pending): open the strategy's collection at an alarm,
+or add i to the pending one and refit once it is complete. The alarm
+instance itself therefore belongs to no retraining set: *last* consumes the
+buffered window [t-B, t), *next* collects (t, t+B], and *mixed* uses the
+last ceil(B/2) buffered pre-alarm instances plus the next floor(B/2)
+collected ones; retraining completes 0 / floor(B/2) / B steps after it.
 
 While a collection is pending the detector is not fed and incremental
 updates pause; the detector is reset after every retraining.
@@ -355,13 +356,13 @@ class Controller:
         with one ``predict_many`` call, every row against the model version
         it would see row by row: in stable mode a block runs across
         incremental mini-batch updates, whose versions ``_plan`` stages
-        before the block is scored, and the model becomes the version in
-        force after the last row stepped. When the model leaves those
-        versions at a row (a refit at an alarm, or the updates that a
-        collection pauses), the block's records end at that row and its
-        rows after it are scored again with the model now in force. A chunk
-        holding a row without a label or with one outside [0, n_classes)
-        raises ``LabelError`` before any of its rows is stepped."""
+        before the block is scored. ``_detect`` then steps the block up to
+        its first alarm, and ``_act`` steps the alarm and a pending
+        collection. When the model leaves the staged versions at a row (a
+        refit, or the updates that a collection pauses), the block's records
+        end there and its later rows are scored again. A chunk holding a row
+        without a label or with one outside [0, n_classes) raises
+        ``LabelError`` before any of its rows is stepped."""
         for lo in range(0, len(table), _MAX_BLOCK):
             index, labels, cats, nums = self._append(table[lo : lo + _MAX_BLOCK])
             start = 0
@@ -370,63 +371,66 @@ class Controller:
                 stop = start + m
                 pred = self.model.predict_many(cats[start:stop], nums[start:stop], versions, at)
                 actual = labels[start:stop]
-                n, drift, retrained = self._step_block(index[start:stop], pred != actual, versions)
+                n, drift, edge = self._detect(pred != actual, versions)
+                retrained = 0
+                if drift >= 0 or self.collection is not None:
+                    n, retrained = self._act(index[start:stop], drift, edge)
                 flags = np.zeros((2, n), dtype=np.int64)
                 flags[0, drift] = drift >= 0  # drift -1: no alarm
                 flags[1, -1] = retrained
                 yield Records(index[start : start + n], pred[:n], actual[:n], flags[0], flags[1])
                 start += n
 
-    def _step_block(
-        self, index: np.ndarray, wrong: np.ndarray, versions: Optional[Versions]
-    ) -> tuple[int, int, int]:
-        """The state machine over a scored block (stream indices ``index``,
-        ``wrong`` where the prediction missed, ``versions`` as ``_plan``
-        staged them) from position ``_next`` on. Stable mode with a strategy
-        feeds the detector row by row up to its first alarm; the rows
-        before an alarm join the mini-batches, and the model becomes the
-        staged version after the last one they fill, so no row's update
-        runs twice. An alarm opens a collection (with no rows after the
-        alarm for *last*), which the block's later rows join as far as they
-        were scored with the model now in force, and which refits when
-        complete. The block is stepped up to that refit.
-        Returns the rows stepped, the alarm's offset (-1 if none) and 1 if
-        the last row stepped refitted, else 0."""
-        cfg = self.config
-        n, k, drift, retrained = len(index), 0, -1, 0
-        edge = n  # rows from this offset on were scored with a later model version
-        if self.collection is None:
-            k = n
-            if cfg.strategy is not None:  # without one no alarm could act
-                observe = self.detector.observe
-                for i, miss in enumerate(wrong.tolist()):
-                    if observe(1.0 if miss else 0.0):
-                        k = drift = i
-                        break
-            p = self._next
-            if cfg.incremental:
-                # every refit empties the mini-batch, and the rows of a
-                # collection join none
-                size = cfg.mini_batch_size
-                filled = (p + k - self._mb_start) // size
-                if filled:
-                    self.model.commit(versions, filled)
-                    self._mb_start += filled * size
-                edge = self._mb_start + size - p
-            if drift >= 0:
-                # last keeps the B buffered rows, mixed the last ceil(B/2), next none
-                B, a = cfg.batch_size, p + k
-                pre = {LAST: B, MIXED: math.ceil(B / 2)}.get(cfg.strategy, 0)
-                self.n_drifts += 1
-                self.collection = Collection(int(index[drift]), a, max(0, a - pre), a + 1 + B - pre)
-                k += 1
-            self._next = p + k
-        if self.collection is not None:  # the alarm row belongs to no window
-            alarm_index, a, lo, end = self.collection
-            m = min(min(n, edge) - k, end - self._next)
-            self._next, k = self._next + m, k + m
-            if self._next == end:
-                pos = slice(lo, a) if end == a + 1 else np.r_[lo:a, a + 1 : end]
-                self._refit(self._rows(pos), alarm_index, int(index[k - 1]))
-                retrained = 1
-        return k, drift, retrained
+    def _detect(self, wrong: np.ndarray, versions: Optional[Versions]) -> tuple[int, int, int]:
+        """The detect phase over a scored block (``wrong`` where the
+        prediction missed, ``versions`` as ``_plan`` staged them) from
+        position ``_next`` on. In stable mode with a strategy it feeds the
+        detector up to its first alarm and steps the rows before it, whose
+        filled mini-batches it commits. Returns the rows stepped, the
+        alarm's offset (-1 if none) and the offset from which rows were
+        scored with a later model version."""
+        cfg, n = self.config, len(wrong)
+        if self.collection is not None:
+            return 0, -1, n
+        k, drift, edge, p = n, -1, n, self._next
+        if cfg.strategy is not None:  # without one no alarm could act
+            observe = self.detector.observe
+            for i, miss in enumerate(wrong.tolist()):
+                if observe(1.0 if miss else 0.0):
+                    k = drift = i
+                    break
+        if cfg.incremental:
+            # every refit empties the mini-batch; collected rows join none
+            size = cfg.mini_batch_size
+            filled = (p + k - self._mb_start) // size
+            if filled:
+                self.model.commit(versions, filled)
+                self._mb_start += filled * size
+            edge = self._mb_start + size - p
+        self._next = p + k
+        return k, drift, edge
+
+    def _act(self, index: np.ndarray, drift: int, edge: int) -> tuple[int, int]:
+        """The act phase over the block of stream indices ``index``, after
+        ``_detect`` stepped the rows before an alarm at offset ``drift`` (or
+        none, -1): an alarm opens the collection of ``config.strategy``
+        (which strategy is read only here) and steps the alarm row. The
+        pending collection then takes the rows before offset ``edge`` and
+        refits when complete. Returns the rows stepped and 1 if the last of
+        them refitted, else 0."""
+        k = 0
+        if drift >= 0:
+            # last keeps the B buffered rows, mixed the last ceil(B/2), next none
+            B, a = self.config.batch_size, self._next
+            pre = {LAST: B, MIXED: math.ceil(B / 2)}.get(self.config.strategy, 0)
+            self.n_drifts += 1
+            self.collection = Collection(int(index[drift]), a, max(0, a - pre), a + 1 + B - pre)
+            self._next, k = a + 1, drift + 1
+        alarm_index, a, lo, end = self.collection
+        m = min(min(len(index), edge) - k, end - self._next)
+        self._next, k = self._next + m, k + m
+        if self._next < end:
+            return k, 0
+        pos = slice(lo, a) if end == a + 1 else np.r_[lo:a, a + 1 : end]
+        self._refit(self._rows(pos), alarm_index, int(index[k - 1]))
+        return k, 1

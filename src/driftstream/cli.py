@@ -177,9 +177,10 @@ def _load_stream(args) -> tuple[Table, FeatureSchema]:
     return load_stream(args.input, args.label, args.exclude, bins)
 
 
-def _experiment_config(args, **overrides) -> ExperimentConfig:
-    """The experiment config the flags give, with ``overrides`` replacing
-    fields; a field whose flag the command lacks keeps its default."""
+def _experiment_config(args, **cell) -> ExperimentConfig:
+    """The experiment config of the flags that every experiment command
+    takes (``_add_experiment``), with the fields ``cell`` gives or
+    replaces; any other field keeps its default."""
     prefix_len = []
     for part in (p for p in args.prefix_len.split(",") if p):
         name, _, plen = part.partition("=")
@@ -187,9 +188,6 @@ def _experiment_config(args, **overrides) -> ExperimentConfig:
             raise ConfigError(f"--prefix-len expects feature=length >= 1, got {part!r}")
         prefix_len.append((name, int(plen)))
     fields = dict(
-        detector=args.detector.replace("-", "_") if args.detector else "none",
-        strategy=args.strategy or None,
-        batch_size=args.batch_size,
         incremental=args.incremental,
         warmup=args.warmup,
         window=args.window,
@@ -199,9 +197,7 @@ def _experiment_config(args, **overrides) -> ExperimentConfig:
         boxcox=tuple(t for t in args.boxcox.split(",") if t),
         prefix_len=tuple(prefix_len),
     )
-    if hasattr(args, "ph_lambda"):  # gridsearch reads --lambda/--delta as grids
-        fields.update(ph_lambda=args.ph_lambda, adwin_delta=args.adwin_delta)
-    return ExperimentConfig(**{**fields, **overrides})
+    return ExperimentConfig(**{**fields, **cell})
 
 
 def _out_dir(args) -> Path:
@@ -210,9 +206,10 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _write_resolved_config(out: Path, args) -> None:
+def _write_resolved_config(out: Path, args, **ran) -> None:
+    """Write the flags, and ``ran`` over them, to ``resolved-config.json``."""
     doc = {
-        k: v for k, v in sorted(vars(args).items()) if k != "func" and v is not None
+        k: v for k, v in sorted({**vars(args), **ran}.items()) if k != "func" and v is not None
     }
     doc["version"] = __version__
     (out / "resolved-config.json").write_text(
@@ -230,7 +227,9 @@ def _say(args, message: str) -> None:
 
 def cmd_run(args) -> int:
     out = _out_dir(args)
-    cfg = _experiment_config(args)
+    cell = dict(detector=args.detector.replace("-", "_"), strategy=args.strategy,
+                batch_size=args.batch_size)
+    cfg = _experiment_config(args, **cell, ph_lambda=args.ph_lambda, adwin_delta=args.adwin_delta)
     table, schema = _load_stream(args)
     recs, summary = run_experiment(table, schema, cfg)
     _write_resolved_config(out, args)
@@ -264,7 +263,10 @@ def cmd_generate(args) -> int:
     out = _out_dir(args)
     cfg = _synth_config(args)
     stream = generate(cfg)
-    _write_resolved_config(out, args)
+    # the config's fields that are flags too: a --profile sets the sizes and
+    # the hidden context of its stream
+    ran = {k: v for k, v in vars(cfg).items() if k in vars(args)}
+    _write_resolved_config(out, args, n=cfg.n_instances, **ran)
     write_csv(stream.table, stream.schema, out / "stream.csv")
     write_concept_sidecar(stream.concept_ids, out / "concepts.csv")
     _say(args, f"wrote {cfg.n_instances} instances to {out / 'stream.csv'}")
@@ -273,16 +275,20 @@ def cmd_generate(args) -> int:
 
 def cmd_gridsearch(args) -> int:
     out = _out_dir(args)
-    detector = args.detector.replace("-", "_") if args.detector else ""
+    detector = args.detector.replace("-", "_")
     if detector not in ("page_hinkley", "adwin"):
         raise ConfigError("gridsearch needs --detector page-hinkley or adwin")
-    values = args.grid_lambda if detector == "page_hinkley" else args.grid_delta
+    grids = {"--lambda": args.grid_lambda, "--delta": args.grid_delta}
+    flag, other = ("--lambda", "--delta") if detector == "page_hinkley" else ("--delta", "--lambda")
+    if grids[other]:
+        raise ConfigError(f"gridsearch --detector {args.detector} searches {flag}, not {other}")
+    values = grids[flag]
     if not values:
         raise ConfigError("empty parameter grid")
     key = "ph_lambda" if detector == "page_hinkley" else "adwin_delta"
-    strategy = args.strategy or "last"
+    cell = dict(detector=detector, strategy=args.strategy or "last", batch_size=args.batch_size)
     # a bad grid value exits before the stream loads
-    configs = [_experiment_config(args, strategy=strategy, **{key: v}) for v in values]
+    configs = [_experiment_config(args, **cell, **{key: v}) for v in values]
     table, schema = _load_stream(args)
     summaries = experiment_matrix(table[: args.prefix], schema, configs)
     _write_resolved_config(out, args)
@@ -315,15 +321,16 @@ def cmd_matrix(args) -> int:
         raise ConfigError("matrix needs non-empty detectors, batch sizes, and strategies")
     # baseline rows: no detector in either learning mode, then the first
     # grid cell in either learning mode; then the grid in the given one
+    params = dict(ph_lambda=args.ph_lambda, adwin_delta=args.adwin_delta)
     cell0 = dict(detector=detectors[0], batch_size=batch_sizes[0], strategy=strategies[0])
     configs = [
-        _experiment_config(args, detector="none", strategy=None, incremental=False),
-        _experiment_config(args, detector="none", strategy=None, incremental=True),
-        _experiment_config(args, **cell0, incremental=False),
-        _experiment_config(args, **cell0, incremental=True),
+        _experiment_config(args, **params, incremental=False),
+        _experiment_config(args, **params, incremental=True),
+        _experiment_config(args, **params, **cell0, incremental=False),
+        _experiment_config(args, **params, **cell0, incremental=True),
     ]
     configs += [
-        _experiment_config(args, detector=d, batch_size=b, strategy=s)
+        _experiment_config(args, **params, detector=d, batch_size=b, strategy=s)
         for d in detectors
         for b in batch_sizes
         for s in strategies
@@ -388,19 +395,26 @@ def _add_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bin-days", default=None, help="day edges binning an hours-valued label, e.g. 6,39")
 
 
-def _add_experiment(p: argparse.ArgumentParser, detector_params: bool = True) -> None:
+def _add_cell(p: argparse.ArgumentParser) -> None:
+    """The flags of one cell of the grid that ``matrix`` takes as lists."""
     p.add_argument("--detector", choices=["none", "page-hinkley", "adwin"], default="none")
     p.add_argument("--strategy", choices=["last", "mixed", "next"], default=None)
     p.add_argument("--batch-size", type=_count, default=500)
+
+
+def _add_thresholds(p: argparse.ArgumentParser) -> None:
+    """The detector thresholds, which ``gridsearch`` takes as grids instead."""
+    p.add_argument("--lambda", dest="ph_lambda", type=float, default=0.6)
+    p.add_argument("--delta", dest="adwin_delta", type=float, default=0.001)
+
+
+def _add_experiment(p: argparse.ArgumentParser) -> None:
     p.add_argument("--incremental", action=argparse.BooleanOptionalAction, default=False)
     p.add_argument("--warmup", type=_count, default=2000)
     p.add_argument("--window", type=_count, default=1000)
     p.add_argument("--mini-batch", type=_count, default=10)
     p.add_argument("--ph-delta", type=float, default=0.005)
     p.add_argument("--burn-in", type=int, default=30)
-    if detector_params:  # gridsearch reads --lambda/--delta as grids
-        p.add_argument("--lambda", dest="ph_lambda", type=float, default=0.6)
-        p.add_argument("--delta", dest="adwin_delta", type=float, default=0.001)
     p.add_argument("--boxcox", default="", help="numeric features to transform, comma-separated")
     p.add_argument("--prefix-len", default="", help="category truncation, feature=len[,..]")
 
@@ -416,7 +430,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="single prequential experiment")
     _add_common(p)
     _add_source(p)
+    _add_cell(p)
     _add_experiment(p)
+    _add_thresholds(p)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("generate", help="synthetic drift stream + concept sidecar")
@@ -437,7 +453,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gridsearch", help="parameter grid search on a stream prefix")
     _add_common(p)
     _add_source(p)
-    _add_experiment(p, detector_params=False)
+    _add_cell(p)
+    _add_experiment(p)
     p.add_argument("--prefix", type=_count, default=10000)
     p.add_argument("--lambda", dest="grid_lambda", type=_floats, default="",
                    help="PH thresholds, comma-separated")
@@ -449,6 +466,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_source(p)
     _add_experiment(p)
+    _add_thresholds(p)
     p.add_argument("--detectors", default="page-hinkley,adwin")
     p.add_argument("--batch-sizes", type=_counts, default="500,1000,2000,5000")
     p.add_argument("--strategies", default="last,mixed,next")

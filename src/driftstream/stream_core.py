@@ -445,7 +445,8 @@ def _int_field(values: np.ndarray) -> np.ndarray:
     lead = u[:, None] < _POW10[w - 1 : 0 : -1]  # the zeros before the first digit
     text = np.empty((len(u), w), np.uint8)
     for k in range(w - 1, -1, -1):
-        u, text[:, k] = np.divmod(u, 10)
+        q = u // 10
+        text[:, k], u = u - q * 10, q
     text += 48
     text[:, :-1][lead] = _PAD
     text[neg, lead[neg].sum(axis=1) - 1] = ord("-")

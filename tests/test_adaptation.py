@@ -5,6 +5,7 @@ A scripted detector lets the tests fire an alarm at an exact stream index
 and observe exactly what the controller feeds back to it.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -25,7 +26,8 @@ from driftstream.adaptation import (
     LabelError,
     PrequentialRecord,
 )
-from driftstream.detectors import NoDetector
+from driftstream.detectors import NoDetector, make_detector
+from driftstream.evaluation import load_stream
 from driftstream.naive_bayes import NaiveBayesModel
 from driftstream.stream_core import (
     CATEGORICAL,
@@ -36,6 +38,7 @@ from driftstream.stream_core import (
     FeatureSchema,
     Table,
 )
+from driftstream.synth import DriftSpec, SynthConfig
 
 SCHEMA = FeatureSchema((("tok", CATEGORICAL),), "label")
 
@@ -513,6 +516,71 @@ def test_columns_hold_at_most_a_window_a_mini_batch_and_a_chunk(strategy, increm
         assert len(ctrl._cols.index) <= bound
     assert ctrl._next == 40 + 8940
     assert (ctrl.n_retrains > 0) == (strategy is not None)
+
+
+# -- the detect and act phases ------------------------------------------------
+
+DRIFTING = SynthConfig(3000, drift=(DriftSpec("sudden", 1500),), seed=5)
+PH_INCREMENTAL = dict(detector="page_hinkley", batch_size=100, incremental=True, warmup=300)
+
+
+def columns(blocks):
+    """The records of ``blocks`` as one tuple of columns."""
+    blocks = list(blocks)
+    return tuple(np.concatenate([getattr(b, c) for b in blocks])
+                 for c in ("index", "predicted", "actual", "drift", "retrain"))
+
+
+def new_controller(table, schema, config):
+    detector = make_detector(config.detector, config.ph_delta, config.ph_lambda,
+                             config.ph_burn_in, config.adwin_delta)
+    return Controller(table[: config.warmup], schema, detector, config)
+
+
+def test_a_controller_paused_at_its_first_alarm_finishes_as_a_fresh_run(monkeypatch):
+    # a controller paused between the two phases is a whole state: a copy
+    # of it acts under any strategy and then steps on like a fresh run
+    table, schema = load_stream(DRIFTING)
+    stream = table[300:]
+    paused, act = [], Controller._act
+
+    def pause(ctrl, *args):
+        if not paused:
+            paused.append(copy.deepcopy((ctrl, args)))
+        return act(ctrl, *args)
+
+    monkeypatch.setattr(Controller, "_act", pause)
+    controller = new_controller(table, schema, ExperimentConfig(strategy=LAST, **PH_INCREMENTAL))
+    for _ in controller.steps(stream):
+        pass
+    monkeypatch.undo()
+    ((ctrl, args),) = paused
+    assert (ctrl.n_drifts, ctrl.collection, args[1] >= 0) == (0, None, True)  # drift offset
+    for strategy in STRATEGIES:
+        config = ExperimentConfig(strategy=strategy, **PH_INCREMENTAL)
+        fork = copy.deepcopy(ctrl)
+        fork.config = config
+        k, _ = fork._act(*args)
+        last = int(args[0][k - 1])  # the stream index of the last row stepped
+        forked = columns(fork.steps(stream[last + 1 - 300 :]))
+        fresh = new_controller(table, schema, config)
+        after = columns(fresh.steps(stream))
+        after = tuple(c[after[0] > last] for c in after)
+        assert all(np.array_equal(a, b) for a, b in zip(forked, after))
+        assert fork.retrain_history == fresh.retrain_history
+        assert (fork.n_drifts, fork.n_retrains) == (fresh.n_drifts, fresh.n_retrains)
+        assert fresh.n_retrains > 1
+
+
+@pytest.mark.parametrize("incremental", [False, True])
+def test_a_config_without_a_detector_never_acts(monkeypatch, incremental):
+    def act(ctrl, *args):
+        raise AssertionError("_act called without a detector")
+
+    monkeypatch.setattr(Controller, "_act", act)
+    table, schema = load_stream(DRIFTING)
+    config = ExperimentConfig(incremental=incremental, warmup=300)
+    assert sum(map(len, new_controller(table, schema, config).steps(table[300:]))) == 2700
 
 
 # -- protocol -----------------------------------------------------------------

@@ -106,10 +106,14 @@ def test_generate_without_a_drift_records_only_the_flags_given(tmp_path, flags):
 def test_generate_profile_shape(tmp_path):
     out = tmp_path / "p"
     code = run_cli("generate", "-o", str(out), "--profile", "paper-like", "--n", "100")
-    # profile overrides --n with the benchmark size; keep this test light by
-    # just checking it starts writing (skip if too slow is not needed, ~1s)
+    # the profile overrides --n with the benchmark size, and the resolved
+    # config records the sizes and hidden context of the stream written
     assert code == EXIT_OK
     assert len((out / "stream.csv").read_text().splitlines()) == 70775
+    assert (out / "stream.csv").read_text().splitlines()[0].split(",")[-2] == "automation"
+    resolved = json.loads((out / "resolved-config.json").read_text())
+    sizes = ("n", "n_categorical", "n_numeric", "n_classes", "n_categories", "hidden_context")
+    assert [resolved[k] for k in sizes] == [70774, 3, 2, 3, 6, True]
 
 
 # -- run ----------------------------------------------------------------------
@@ -367,6 +371,11 @@ _COMMAND_FLAGS = {
         ("run", ("--bin-days", "nan"), "--bin-days"),
         ("run", ("--bin-days", "6,nan"), "--bin-days"),
         ("run", ("--bin-days", "6,inf"), "--bin-days"),
+        # the grid flag of the detector that gridsearch is not searching
+        ("gridsearch", ("--detector", "adwin", "--delta", "0.01,0.002", "--lambda", "5,9"),
+         "--lambda"),
+        ("gridsearch", ("--detector", "page-hinkley", "--lambda", "0.6", "--delta", "0.01"),
+         "--delta"),
     ],
 )
 def test_bad_config_value_is_a_config_error(tmp_path, small_stream, capsys, command, flags, named):
@@ -675,6 +684,27 @@ def test_matrix_config_file_can_turn_incremental_off(tmp_path, small_stream):
     assert summary.read_bytes() == (outs["flag"] / "summary.csv").read_bytes()
     resolved = json.loads((outs["file"] / "resolved-config.json").read_text())
     assert resolved["incremental"] is False
+
+
+@pytest.mark.parametrize(
+    "flag,value,read_as",
+    [("--detector", "adwin", "--detectors"), ("--batch-size", "70", "--batch-sizes"),
+     ("--strategy", "next", None)],
+)
+def test_matrix_has_no_flag_of_a_single_cell(tmp_path, small_stream, capsys, flag, value, read_as):
+    # matrix takes lists of detectors, batch sizes and strategies; argparse
+    # reads --detector and --batch-size as abbreviations of two of them
+    common = ("--input", str(small_stream), "--label", "label", "--warmup", "300",
+              "--batch-sizes", "100", "--strategies", "last", "--workers", "1")
+    code = run_cli("matrix", *common, flag, value, "-o", str(tmp_path / "flag"))
+    if read_as is None:
+        assert code == EXIT_CONFIG
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        return
+    assert code == EXIT_OK
+    assert run_cli("matrix", *common, read_as, value, "-o", str(tmp_path / "list")) == EXIT_OK
+    summary = (tmp_path / "flag" / "summary.csv").read_bytes()
+    assert summary == (tmp_path / "list" / "summary.csv").read_bytes()
 
 
 @pytest.mark.parametrize("workers", ["0", "-2", "x"])

@@ -1,16 +1,17 @@
 """Fail on unused imports in the package modules and the tests, on
-private definitions the package never reads, and on public module-level
-definitions that nothing reads.
+private definitions the package never reads, and on public definitions that
+nothing reads.
 
 An imported name counts as used when some ``Name`` node of its module reads
 it, attribute bases included (``np`` in ``np.zeros``). The package's
 ``__init__.py`` is not scanned: its imports are re-exports. A ``_name``
 function, class or method counts as used when some ``Name`` or
 ``Attribute`` node of any package module reads that name. A public
-module-level function or class of the package counts as used when some
-``Name`` or ``Attribute`` node of the package, the tests or the benchmark
-scripts (``perfbench/*.py``; the frozen ``perfbench/reference`` copy aside)
-reads that name; a re-export in ``__init__.py`` is not a read.
+module-level function or class of the package, or a public method or
+property of a module-level class, counts as used when some ``Name`` or
+``Attribute`` node of the package, the tests or the benchmark scripts
+(``perfbench/*.py``; the frozen ``perfbench/reference`` copy aside) reads
+that name; a re-export in ``__init__.py`` is not a read.
 """
 
 import ast
@@ -104,17 +105,26 @@ def test_no_unused_private_definitions():
     assert unused_private_definitions(sources) == []
 
 
+def public_definitions(tree):
+    """The public module-level functions and classes of ``tree``, and the
+    public methods and properties of its module-level classes, as
+    (qualified name, node) pairs."""
+    for node in (n for n in tree.body if isinstance(n, DEFINITIONS)):
+        if not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{m.name}", m) for m in node.body
+                        if isinstance(m, DEFINITIONS) and not m.name.startswith("_"))
+
+
 def unread_public_definitions(sources: dict[str, str], readers: list[str]) -> list[str]:
-    """The public module-level functions and classes that the modules
-    ``sources`` (file name -> source) define and no ``Name`` or
-    ``Attribute`` node of the modules ``readers`` reads, as
-    ``file:line name``."""
+    """The public definitions (``public_definitions``) that the modules
+    ``sources`` (file name -> source) make and no ``Name`` or ``Attribute``
+    node of the modules ``readers`` reads, as ``file:line name``."""
     read = names_read(ast.parse(source) for source in readers)
     return [
-        f"{name}:{node.lineno} {node.name}" for name, source in sources.items()
-        for node in ast.parse(source).body
-        if isinstance(node, DEFINITIONS) and not node.name.startswith("_")
-        and node.name not in read
+        f"{name}:{node.lineno} {qualified}" for name, source in sources.items()
+        for qualified, node in public_definitions(ast.parse(source)) if node.name not in read
     ]
 
 
@@ -130,6 +140,27 @@ def test_the_public_scan_finds_an_unread_definition():
     reader = "from a import used\nimport a\nused()\na.Read()\n"
     assert unread_public_definitions({"a.py": module}, [reader]) == [
         "a.py:2 unread", "a.py:4 Unread",
+    ]
+
+
+def test_the_public_scan_finds_an_unread_method_or_property():
+    module = (
+        "class Model:\n"
+        "    def fit(self): pass\n"
+        "    def unread(self): pass\n"
+        "    @property\n"
+        "    def size(self): return 1\n"
+        "    @property\n"
+        "    def unread_size(self): return 1\n"
+        "    def _private(self): pass\n"
+        "    def __len__(self): return 0\n"
+        "    class Inner: pass\n"
+        "class _Hidden:\n"
+        "    def unread_too(self): pass\n"
+    )
+    reader = "from a import Model\nm = Model()\nm.fit()\nprint(m.size, m.Inner)\n"
+    assert unread_public_definitions({"a.py": module}, [reader]) == [
+        "a.py:3 Model.unread", "a.py:7 Model.unread_size", "a.py:12 _Hidden.unread_too",
     ]
 
 
