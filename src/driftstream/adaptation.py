@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import compress, count, repeat
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -203,13 +203,16 @@ class RetrainEvent:
 
 class Rows(NamedTuple):
     """Encoded rows as columns, in stream order: stream indices and labels
-    (int64 arrays), an (n, n_categorical) category index matrix and an
-    (n, n_numeric) value matrix."""
+    (int64 arrays), an (n, n_categorical) category index matrix, an
+    (n, n_numeric) value matrix and each row's positions in the model's
+    count table (``NaiveBayesModel.positions``), which every staging and
+    refit of the row reads."""
 
     index: np.ndarray
     label: np.ndarray
     cats: np.ndarray
     nums: np.ndarray
+    pos: np.ndarray
 
 
 class Collection(NamedTuple):
@@ -263,7 +266,8 @@ class Controller:
         self.encoder = encoder
         self.detector = detector
         self.config = config
-        rows = (warmup.index, warmup.label, cats, nums)
+        pos = self.model.positions(warmup.label, cats)
+        rows = Rows(warmup.index, warmup.label, cats, nums, pos)
         self._cols = Rows._make(c[-config.batch_size :] for c in rows)
         self._base = 0
         self._next = self._mb_start = len(self._cols.index)
@@ -280,7 +284,7 @@ class Controller:
         sel = slice(pos.start - b, pos.stop - b) if isinstance(pos, slice) else pos - b
         return Rows._make(c[sel] for c in self._cols)
 
-    def _append(self, chunk: Table) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _append(self, chunk: Table) -> Rows:
         """Check and encode the rows of ``chunk`` and append them to the
         columns at positions ``_next`` on. Rows that neither the buffer nor
         a part-filled mini-batch can use any more are dropped first, so at
@@ -288,15 +292,14 @@ class Controller:
         A pending collection needs no more: its window spans
         ``batch_size + 1`` positions, the alarm row included, and its last
         row is not stepped yet.
-        Returns the chunk's stream indices and labels, category and value
-        matrices."""
+        Returns the chunk's rows."""
         _check_labels(chunk, self.model.n_classes)
         cats, nums = self.encoder.encode_many(chunk)
         keep = self._next - self.config.batch_size
         if self.config.incremental:  # otherwise only a refit moves _mb_start
             keep = min(keep, self._mb_start)
         keep = max(keep, self._base)
-        new = (chunk.index, chunk.label, cats, nums)
+        new = Rows(chunk.index, chunk.label, cats, nums, self.model.positions(chunk.label, cats))
         self._cols = Rows._make(map(np.concatenate, zip(self._rows(slice(keep, self._next)), new)))
         self._base = keep
         return new
@@ -308,9 +311,8 @@ class Controller:
         alarm at stream index ``alarm_index``, completed at stream index
         ``now``; end the collection and start an empty mini-batch."""
         m = self.model
-        self.model = NaiveBayesModel.fit(
-            rows.label, rows.cats, rows.nums, m.n_classes, m.cat_cardinalities, m.n_numeric
-        )
+        shape = m.n_classes, m.cat_cardinalities, m.n_numeric
+        self.model = NaiveBayesModel.fit(rows.label, rows.cats, rows.nums, *shape, rows.pos)
         self.n_retrains += 1
         self.retrain_history.append(RetrainEvent(alarm_index, now, rows.index))
         self.detector.reset()
@@ -340,8 +342,9 @@ class Controller:
         filled = (pending + n) // size
         if not filled:
             return n, None, None
-        _, label, cats, nums = self._rows(slice(self._mb_start, self._mb_start + filled * size))
-        return n, self.model.stage(label, cats, nums, size), np.arange(pending, pending + n) // size
+        rows = self._rows(slice(self._mb_start, self._mb_start + filled * size))
+        versions = self.model.stage(rows.label, rows.cats, rows.nums, size, rows.pos)
+        return n, versions, np.arange(pending, pending + n) // size
 
     def step(self, row: Table) -> PrequentialRecord:
         """``steps`` on a one-row table: test then train on its row. The
@@ -364,7 +367,7 @@ class Controller:
         without a label or with one outside [0, n_classes) raises
         ``LabelError`` before any of its rows is stepped."""
         for lo in range(0, len(table), _MAX_BLOCK):
-            index, labels, cats, nums = self._append(table[lo : lo + _MAX_BLOCK])
+            index, labels, cats, nums, _ = self._append(table[lo : lo + _MAX_BLOCK])
             start = 0
             while start < len(index):
                 m, versions, at = self._plan(len(index) - start)
@@ -394,11 +397,11 @@ class Controller:
             return 0, -1, n
         k, drift, edge, p = n, -1, n, self._next
         if cfg.strategy is not None:  # without one no alarm could act
-            observe = self.detector.observe
-            for i, miss in enumerate(wrong.tolist()):
-                if observe(1.0 if miss else 0.0):
-                    k = drift = i
-                    break
+            # one observe call per row, up to the first that alarms
+            alarms = compress(count(), map(self.detector.observe, wrong.astype(float).tolist()))
+            drift = next(alarms, -1)
+            if drift >= 0:
+                k = drift
         if cfg.incremental:
             # every refit empties the mini-batch; collected rows join none
             size = cfg.mini_batch_size

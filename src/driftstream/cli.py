@@ -118,10 +118,15 @@ def _floats(token: str) -> list[float]:
 
 
 def _synth_config(args) -> SynthConfig:
-    """The generator config of the ``generate`` flags; a drift flag that the
-    stream would not use is a ``ConfigError``."""
+    """The generator config of the ``generate`` flags; a drift or size flag
+    that the stream would not use is a ``ConfigError``. Without a profile, a
+    size flag not given takes ``SynthConfig``'s value (``--n`` 10,000)."""
     flags = {"--drift-at": args.drift_at, "--drift-width": args.drift_width,
              "--magnitude": args.magnitude}
+    sizes = {"n_instances": args.n, "n_categorical": args.n_categorical,
+             "n_numeric": args.n_numeric, "n_classes": args.n_classes,
+             "n_categories": args.n_categories, "hidden_context": args.hidden_context}
+    sizes = {k: v for k, v in sizes.items() if v is not None}
     if args.profile:
         if args.profile not in PROFILES:
             raise ConfigError(
@@ -130,6 +135,11 @@ def _synth_config(args) -> SynthConfig:
         given = [f for f, v in {"--drift-kind": args.drift_kind, **flags}.items() if v is not None]
         if given:
             raise ConfigError(f"--profile sets its own drift; {', '.join(given)} cannot change it")
+        if sizes:
+            given = ["--n" if k == "n_instances" else "--" + k.replace("_", "-") for k in sizes]
+            raise ConfigError(
+                f"--profile sets its own sizes; {', '.join(given)} cannot change them"
+            )
         return PROFILES[args.profile](args.seed)
     drift = ()
     if args.drift_kind in (None, "none"):
@@ -142,16 +152,7 @@ def _synth_config(args) -> SynthConfig:
         shape = {"width": args.drift_width, "magnitude": args.magnitude}
         drift = (DriftSpec(args.drift_kind, args.drift_at,
                            **{k: v for k, v in shape.items() if v is not None}),)
-    return SynthConfig(
-        n_instances=args.n,
-        n_categorical=args.n_categorical,
-        n_numeric=args.n_numeric,
-        n_classes=args.n_classes,
-        n_categories=args.n_categories,
-        drift=drift,
-        hidden_context=args.hidden_context,
-        seed=args.seed,
-    )
+    return SynthConfig(**{"n_instances": 10000, **sizes}, drift=drift, seed=args.seed)
 
 
 def _load_stream(args) -> tuple[Table, FeatureSchema]:
@@ -438,16 +439,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="synthetic drift stream + concept sidecar")
     _add_common(p)
     p.add_argument("--profile", default=None, help="named profile (paper-like)")
-    p.add_argument("--n", type=int, default=10000)
-    p.add_argument("--n-categorical", type=int, default=3)
-    p.add_argument("--n-numeric", type=int, default=2)
-    p.add_argument("--n-classes", type=int, default=3)
-    p.add_argument("--n-categories", type=int, default=6)
+    p.add_argument("--n", type=int, default=None, help="rows (default 10000)")
+    p.add_argument("--n-categorical", type=int, default=None)
+    p.add_argument("--n-numeric", type=int, default=None)
+    p.add_argument("--n-classes", type=int, default=None)
+    p.add_argument("--n-categories", type=int, default=None)
     p.add_argument("--drift-kind", choices=["none", "sudden", "gradual", "recurring"], default=None)
     p.add_argument("--drift-at", type=int, default=None)
     p.add_argument("--drift-width", type=int, default=None)
     p.add_argument("--magnitude", type=float, default=None)
-    p.add_argument("--hidden-context", action="store_true")
+    p.add_argument("--hidden-context", action="store_true", default=None)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("gridsearch", help="parameter grid search on a stream prefix")

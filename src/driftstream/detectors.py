@@ -52,13 +52,15 @@ class PageHinkley:
         return self.m_t - self.m_min
 
     def observe(self, x: float) -> bool:
-        x = _check_input(x)
-        self.t += 1
-        self.running_mean += (x - self.running_mean) / self.t
-        self.m_t += x - self.running_mean - self.delta
-        if self.m_t < self.m_min:
-            self.m_min = self.m_t
-        return self.t > self.burn_in and self.m_t - self.m_min > self.lam
+        if not 0.0 <= x <= 1.0:  # _check_input's test, without a call per row
+            raise ValueError(f"observation {x!r} outside [0, 1]")
+        x = float(x)
+        t = self.t = self.t + 1
+        mean = self.running_mean = self.running_mean + (x - self.running_mean) / t
+        m_t = self.m_t = self.m_t + (x - mean - self.delta)
+        if m_t < self.m_min:
+            self.m_min = m_t
+        return t > self.burn_in and m_t - self.m_min > self.lam
 
 
 class Adwin:

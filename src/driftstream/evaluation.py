@@ -48,8 +48,9 @@ def run_experiment(
     # copied out as it comes, so no block outlives its step
     n, cols = 0, np.zeros((5, len(table) - config.warmup), dtype=np.int64)
     for b in controller.steps(table[config.warmup :].labeled()):
-        cols[:, n : n + len(b)] = b.index, b.predicted, b.actual, b.drift, b.retrain
-        n += len(b)
+        stop = n + len(b.index)
+        cols[:, n:stop] = b.index, b.predicted, b.actual, b.drift, b.retrain
+        n = stop
     records = Records(*cols[:, :n], window=config.window)
     summary = ExperimentSummary(
         overall_accuracy=int(records.correct.sum()) / n if n else 0.0,

@@ -88,9 +88,9 @@ def reference_step(ctrl, row):
     react to an alarm or advance the collection, or add the row to the
     mini-batch and update once it is full. It drives the controller's own
     columns, ``collection``, ``_mb_start`` and refit."""
-    (index,), labels, cats, nums = ctrl._append(row)
-    index = int(index)
-    label, pred = int(labels[0]), int(ctrl.model.predict_many(cats, nums)[0])
+    new = ctrl._append(row)
+    index = int(new.index[0])
+    label, pred = int(new.label[0]), int(ctrl.model.predict_many(new.cats, new.nums)[0])
     cfg, p = ctrl.config, ctrl._next
     ctrl._next = p + 1
     correct = int(pred == label)
@@ -103,8 +103,8 @@ def reference_step(ctrl, row):
             pre = {LAST: B, MIXED: math.ceil(B / 2), NEXT: 0}[cfg.strategy]
             ctrl.collection = Collection(index, p, max(0, p - pre), p + 1 + B - pre)
         elif cfg.incremental and p + 1 - ctrl._mb_start >= cfg.mini_batch_size:
-            _, labels, cats, nums = ctrl._rows(slice(ctrl._mb_start, p + 1))
-            ctrl.model.update(labels, cats, nums)
+            batch = ctrl._rows(slice(ctrl._mb_start, p + 1))
+            ctrl.model.update(batch.label, batch.cats, batch.nums)
             ctrl._mb_start = p + 1
     # a collection refits once its last row is stepped (*last* at its
     # alarm); the alarm row belongs to no window
@@ -426,7 +426,7 @@ def test_block_walk_equals_step_loop(monkeypatch, strategy, batch_size, incremen
         plain.collection, plain._next, plain._mb_start)
     assert model_state(block.model) == model_state(plain.model)
     buffered = slice(max(0, block._next - batch_size), block._next)  # the last B rows stepped
-    for a, b in zip(block._rows(buffered), plain._rows(buffered)):  # index, label, cats, nums
+    for a, b in zip(block._rows(buffered), plain._rows(buffered)):  # index, label, cats, nums, pos
         assert len(a) and np.array_equal(a, b)
     # the stream exercises what it is meant to: alarms on the first and on
     # the last row of a block, and (where blocks exceed one row) blocks cut

@@ -103,11 +103,31 @@ def test_generate_without_a_drift_records_only_the_flags_given(tmp_path, flags):
     assert (out / "concepts.csv").read_text().splitlines()[1:] == [f"{i},0" for i in range(50)]
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ("--n", "100"),
+        ("--n-categorical", "2"),
+        ("--n-numeric", "1"),
+        ("--n-classes", "4"),
+        ("--n-categories", "3"),
+        ("--hidden-context",),
+    ],
+    ids=lambda flags: flags[0].lstrip("-"),
+)
+def test_generate_size_flag_with_a_profile_is_a_config_error(tmp_path, capsys, flags):
+    out = tmp_path / "g"
+    assert run_cli("generate", "-o", str(out), "--profile", "paper-like", *flags) == EXIT_CONFIG
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("driftstream: config error:") and flags[0] in line
+    assert not (out / "stream.csv").exists()
+
+
 def test_generate_profile_shape(tmp_path):
     out = tmp_path / "p"
-    code = run_cli("generate", "-o", str(out), "--profile", "paper-like", "--n", "100")
-    # the profile overrides --n with the benchmark size, and the resolved
-    # config records the sizes and hidden context of the stream written
+    code = run_cli("generate", "-o", str(out), "--profile", "paper-like")
+    # the profile sets the benchmark size, and the resolved config records
+    # the sizes and hidden context of the stream written
     assert code == EXIT_OK
     assert len((out / "stream.csv").read_text().splitlines()) == 70775
     assert (out / "stream.csv").read_text().splitlines()[0].split(",")[-2] == "automation"

@@ -430,6 +430,7 @@ def test_column_fit_is_bitwise_the_reference(stream, data):
     model = NaiveBayesModel.fit(labels[lo:hi], cats[lo:hi], nums[lo:hi], n_classes, cards, n_numeric)
     ref = reference_fit(instances_at(range(lo, hi), labels, cats, nums), n_classes, cards, n_numeric)
     assert state(model) == state(ref)
+    assert state(fit_from_positions(labels[lo:hi], cats[lo:hi], nums[lo:hi], model)) == state(ref)
     # a *mixed* window: the rows around an alarm row, which is left out
     alarm = data.draw(st.integers(lo, hi - 1))
     pos = np.concatenate((np.arange(lo, alarm), np.arange(alarm + 1, hi)))
@@ -437,6 +438,14 @@ def test_column_fit_is_bitwise_the_reference(stream, data):
         model = NaiveBayesModel.fit(labels[pos], cats[pos], nums[pos], n_classes, cards, n_numeric)
         ref = reference_fit(instances_at(pos, labels, cats, nums), n_classes, cards, n_numeric)
         assert state(model) == state(ref)
+        assert state(fit_from_positions(labels[pos], cats[pos], nums[pos], model)) == state(ref)
+
+
+def fit_from_positions(labels, cats, nums, like):
+    """A fit of the rows from their count positions, as a refit of the
+    controller takes them, for a model shaped like ``like``."""
+    shape = like.n_classes, like.cat_cardinalities, like.n_numeric
+    return NaiveBayesModel.fit(labels, cats, nums, *shape, like.positions(labels, cats))
 
 
 @settings(max_examples=150, deadline=None)
@@ -524,7 +533,14 @@ def assert_staged_is_update_then_score(model_args, labels, cats, nums, start, pe
     ref = reference_fit(instances_at(range(start), *columns), *model_args)
     lo, hi = start + pending, start + pending + block
     n_versions = (pending + block) // size
-    staged = model.stage(*part(columns, slice(start, start + n_versions * size)), size)
+    staged_rows = part(columns, slice(start, start + n_versions * size))
+    staged = model.stage(*staged_rows, size)
+    # staged from the rows' count positions, as the controller stages: the
+    # same versions, bit for bit
+    from_positions = model.stage(*staged_rows, size, model.positions(*staged_rows[:2]))
+    assert [a.tobytes() for a in from_positions] == [a.tobytes() for a in staged]
+    # a class with fewer than two rows has the least variance in every version
+    assert (staged.gauss[2][staged.table[:, -2] < 2] == model.var_floor).all()
     at = np.arange(pending, pending + block) // size
     scores = model.log_scores_many(cats[lo:hi], nums[lo:hi], staged, at)
     assert len(staged.n_trained) == n_versions + 1
