@@ -127,6 +127,18 @@ class NaiveBayesModel:
     def n_trained(self, n: int) -> None:
         self._table[-1] = n
 
+    # views of the count table and of the Gaussian accumulators, which a copy
+    # or a pickle would hold as arrays of their own
+    _VIEWS = ("_counts", "class_counts", "g_mean", "g_m2", "cat_counts")
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k not in self._VIEWS}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._hold(self._table)
+        self.g_mean, self.g_m2 = self._gauss
+
     @functools.cached_property
     def cat_counts(self) -> tuple[np.ndarray, ...]:
         bounds = self._layout.bounds

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import math
+import re
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 from types import SimpleNamespace
@@ -308,6 +310,14 @@ def open_csv_stream(
     ``UNLABELED`` is a parse error. A parse error names the first bad
     cell in row order (the features in schema order, then the label); a
     byte that is not UTF-8 raises ``EncodingError`` naming its file line.
+
+    The file is read as bytes, ``CHUNK_ROWS`` lines at a time, and a chunk
+    of plain lines is parsed from the positions of its delimiters
+    (``_scan_chunk``). ``csv.reader`` reads whatever else, and it alone
+    raises parse errors: a chunk that ``_scan_chunk`` refuses, and, from
+    the first chunk holding a quote on (a quoted cell may span lines), the
+    rest of the file; with a ``label_map`` other than ``int``, or a header
+    line that is not plain, the whole file.
     """
     try:
         yield from _read_csv(path, schema, label_map)
@@ -316,35 +326,72 @@ def open_csv_stream(
 
 
 def _read_csv(path, schema, label_map) -> Iterator[Table]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            return  # empty file: empty stream
-        col = {name: i for i, name in enumerate(header)}
-        for name in schema.names:
-            if name not in col:
-                raise SchemaError(f"missing column {name!r} in {path}")
-        if schema.label_column and schema.label_column not in col:
-            raise SchemaError(f"missing label column {schema.label_column!r} in {path}")
-        cells = [col[name] for name in schema.names]
-        if schema.label_column:
-            cells.append(col[schema.label_column])
-        width = max(cells, default=-1) + 1
+    with open(path, "rb") as fh:
+        first = fh.readline()
+        head = first.removesuffix(b"\n").removesuffix(b"\r")
+        if label_map is not int or not head or b'"' in head or b"\r" in head:
+            fh.seek(0)
+            text = io.TextIOWrapper(fh, "utf-8", newline="")
+            yield from _read_records(text, path, schema, label_map)
+            return
+        header = head.decode("utf-8").split(",")
+        col, width = _header_columns(header, path, schema)
+        index, offset = 0, len(first)  # the next chunk's first stream index and byte
+        for chunk in _line_chunks(fh):
+            if b'"' in chunk:
+                fh.seek(offset)
+                records = csv.reader(io.TextIOWrapper(fh, "utf-8", newline=""))
+                yield from _record_tables(records, index, col, width, schema, label_map)
+                return
+            table = _scan_chunk(chunk, index, len(header), col, schema)
+            if table is not None:
+                tables = [table]
+            else:
+                records = csv.reader(io.StringIO(chunk.decode("utf-8"), newline=""))
+                tables = _record_tables(records, index, col, width, schema, label_map)
+            for table in tables:
+                yield table
+                index += len(table)
+            offset += len(chunk)
 
-        index, rownum = 0, 2
-        while rows := list(islice(reader, CHUNK_ROWS)):
-            if min(map(len, rows)) < width:
-                rows = [r + [""] * (width - len(r)) for r in rows]
-            try:
-                table = _parse_rows(rows, index, col, schema, label_map)
-            except (ValueError, OverflowError):
-                _raise_first_bad_cell(rows, rownum, col, schema, label_map)
-                raise
-            yield table
-            index += len(rows)
-            rownum += len(rows)
+
+def _read_records(text, path, schema, label_map) -> Iterator[Table]:
+    """The tables of the CSV text stream ``text`` of file ``path``, each of
+    its records read by ``csv.reader``."""
+    records = csv.reader(text)
+    header = next(records, None)
+    if header is None:
+        return  # empty file: empty stream
+    col, width = _header_columns(header, path, schema)
+    yield from _record_tables(records, 0, col, width, schema, label_map)
+
+
+def _header_columns(header, path, schema) -> tuple[dict[str, int], int]:
+    """Each ``header`` column's place by name (the last of a repeated name)
+    and the least row length that holds every column ``schema`` uses."""
+    col = {name: i for i, name in enumerate(header)}
+    for name in schema.names:
+        if name not in col:
+            raise SchemaError(f"missing column {name!r} in {path}")
+    if schema.label_column and schema.label_column not in col:
+        raise SchemaError(f"missing label column {schema.label_column!r} in {path}")
+    cells = [col[name] for name in (*schema.names, schema.label_column) if name]
+    return col, max(cells, default=-1) + 1
+
+
+def _record_tables(records, index, col, width, schema, label_map) -> Iterator[Table]:
+    """The tables of ``csv.reader`` ``records``, the first at stream index
+    ``index``."""
+    while rows := list(islice(records, CHUNK_ROWS)):
+        if min(map(len, rows)) < width:
+            rows = [r + [""] * (width - len(r)) for r in rows]
+        try:
+            table = _parse_rows(rows, index, col, schema, label_map)
+        except (ValueError, OverflowError):
+            _raise_first_bad_cell(rows, index + 2, col, schema, label_map)
+            raise
+        yield table
+        index += len(rows)
 
 
 def _parse_rows(rows, index, col, schema, label_map) -> Table:
@@ -356,11 +403,7 @@ def _parse_rows(rows, index, col, schema, label_map) -> Table:
     for name, kind in schema.features:
         tokens = cells[col[name]]
         if kind == CATEGORICAL:
-            column = DictColumn.from_tokens(tokens)
-            if "" in column.vocab:  # an empty cell is the category MISSING_TOKEN
-                vocab = DictColumn.from_tokens([t or MISSING_TOKEN for t in column.vocab])
-                column = DictColumn(vocab.codes[column.codes], vocab.vocab)
-            columns[name] = column
+            columns[name] = _missing_coded(DictColumn.from_tokens(tokens))
         else:
             values = np.array(tokens, dtype=np.float64)  # float() of each str
             if not np.isfinite(values).all():
@@ -404,10 +447,136 @@ def _raise_first_bad_cell(rows, first_row, col, schema, label_map) -> None:
                 )
 
 
+# bytes that _line_chunks reads at a time
+_BLOCK = 1 << 20
+# the widest feature or label cell, in bytes, that _scan_chunk reads
+_WIDE = 256
+# at k, a little-endian uint64 of k bytes of ones and then 8 - k of zeros
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
+# the bytes that end a cell, each translated to a comma
+_COMMAS = bytes.maketrans(b"\r\n", b",,")
+# a label token that _scan_chunk reads, empty or an int of at most 18 digits
+_INT_LABEL = re.compile(r"(-?[0-9]{1,18})?")
+
+
+def _line_chunks(fh) -> Iterator[bytes]:
+    """The rest of binary file ``fh`` in chunks of ``CHUNK_ROWS`` lines (the
+    last of fewer), a line ending at a line feed or at the end of the file."""
+    parts, lines = [], 0  # the bytes read since the last chunk, and their lines
+    while block := fh.read(_BLOCK):
+        lf = np.flatnonzero(np.frombuffer(block, np.uint8) == ord("\n"))
+        lo = 0
+        for hi in (lf[CHUNK_ROWS - lines - 1 :: CHUNK_ROWS] + 1).tolist():
+            yield b"".join((*parts, block[lo:hi]))
+            parts, lo = [], hi
+        parts.append(block[lo:])
+        lines = (lines + len(lf)) % CHUNK_ROWS
+    if rest := b"".join(parts):
+        yield rest
+
+
+def _scan_chunk(chunk: bytes, index: int, n_fields: int, col, schema) -> Optional[Table]:
+    """The table of ``chunk``'s lines, the first at stream index ``index``,
+    parsed from the positions of their delimiters; ``None`` unless each line
+    holds ``n_fields`` fields of ASCII other than NUL and the quote, ends in
+    LF or CRLF (a CR stands only before an LF) and parses as ``csv.reader``
+    and ``_parse_rows`` read it, each label empty or an ``int`` token of the
+    form ``-?[0-9]{1,18}``."""
+    if not chunk.isascii() or b"\0" in chunk:
+        return None
+    if not chunk.endswith(b"\n"):
+        chunk += b"\n"  # the last line of the file
+    a = np.frombuffer(chunk + bytes(_WIDE + 8), np.uint8)  # NULs after, for _cell_matrix
+    ends = np.flatnonzero((a == ord(",")) | (a == ord("\n")))  # of every field
+    n = len(ends) // n_fields
+    lf = a[ends] == ord("\n")
+    if len(ends) != n * n_fields or np.count_nonzero(lf) != n:
+        return None  # a line of another field count
+    if not lf[n_fields - 1 :: n_fields].all():
+        return None
+    ends = ends.reshape(n, n_fields)
+    starts = np.concatenate(([0], ends.ravel()[:-1] + 1)).reshape(n, n_fields)
+    crlf = a[ends[:, -1] - 1] == ord("\r")
+    if np.count_nonzero(crlf) != chunk.count(b"\r"):
+        return None  # a CR but before an LF
+    ends[:, -1] -= crlf
+    used = [col[name] for name in (*schema.names, schema.label_column) if name]
+    width = ends - starts
+    if width.max() > csv.field_size_limit() or width[:, used].max(initial=0) > _WIDE:
+        return None
+    columns: dict[str, Union[DictColumn, np.ndarray]] = {}
+    for name, kind in schema.features:
+        s, e = starts[:, col[name]], ends[:, col[name]]
+        if kind == CATEGORICAL:
+            columns[name] = _missing_coded(_dict_column(_cell_matrix(a, s, e)))
+            continue
+        # the cells as str, as _parse_rows reads them: each with the byte
+        # after it, less the pads, split at those bytes read as commas
+        cells = _cell_matrix(a, s, e + 1)
+        tokens = cells.tobytes().translate(_COMMAS, b"\0").decode("ascii").split(",")
+        try:
+            values = np.array(tokens[:-1], dtype=np.float64)  # float() of each str
+        except ValueError:
+            return None
+        if not np.isfinite(values).all():
+            return None
+        columns[name] = values
+    if schema.label_column:
+        j = col[schema.label_column]
+        coded = _dict_column(_cell_matrix(a, starts[:, j], ends[:, j]))
+        if not all(map(_INT_LABEL.fullmatch, coded.vocab)):
+            return None
+        ids = [int(t) if t else UNLABELED for t in coded.vocab]  # int() of each distinct token
+        labels = np.array(ids, np.int64)[coded.codes]
+    else:
+        labels = np.full(n, UNLABELED, np.int64)
+    return Table(np.arange(index, index + n, dtype=np.int64), labels, columns)
+
+
+def _cell_matrix(a: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """The cells ``a[starts[i]:ends[i]]``, at most ``_WIDE + 1`` bytes each,
+    as the rows of a byte matrix of 8 or a multiple of 8 columns, each followed
+    by NUL pads (``a`` ends in ``_WIDE + 8`` NULs). The matrix is gathered
+    8 bytes at a time, from a view of ``a`` with a uint64 at every offset."""
+    width = ends - starts
+    words = np.ndarray((len(a) - 7,), "<u8", a, 0, (1,))
+    cells = np.empty((len(starts), max(-(-int(width.max(initial=0)) // 8), 1)), "<u8")
+    for j in range(cells.shape[1]):
+        np.bitwise_and(words[starts + 8 * j], _LOW_BYTES[np.clip(width - 8 * j, 0, 8)],
+                       out=cells[:, j])
+    return cells.view(np.uint8)
+
+
+def _dict_column(cells: np.ndarray) -> DictColumn:
+    """The column of the tokens of ``_cell_matrix`` rows, its vocabulary in
+    order of first appearance."""
+    n, w = cells.shape
+    if w == 8:  # each cell as one unsigned int, the narrower the faster to sort
+        keys = cells.view("<u8").ravel()
+        keys = keys.astype(np.min_scalar_type(keys.max(initial=0)))
+    else:
+        keys = cells.view(f"S{w}").ravel()
+    _, first, codes = np.unique(keys, return_index=True, return_inverse=True)
+    order = first.argsort()
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    vocab = tuple(cells[i].tobytes().rstrip(b"\0").decode("ascii") for i in first[order].tolist())
+    return DictColumn(rank[codes.ravel()], vocab)
+
+
+def _missing_coded(column: DictColumn) -> DictColumn:
+    """``column`` with its empty token read as ``MISSING_TOKEN``."""
+    if "" not in column.vocab:
+        return column
+    vocab = DictColumn.from_tokens([t or MISSING_TOKEN for t in column.vocab])
+    return DictColumn(vocab.codes[column.codes], vocab.vocab)
+
+
 # -- CSV writer -----------------------------------------------------------
 
 # a field: a matrix row per column row, its UTF-8 text after pads (a byte UTF-8 never holds)
 _PAD = 0xFF
+_PADS = bytes([_PAD])
 _POW10 = 10 ** np.arange(20, dtype=np.uint64)
 _CSV_LINE = csv.writer(SimpleNamespace(write=str))  # its writerow returns the line
 
@@ -433,7 +602,7 @@ def write_columns(path, header: Sequence[str], columns: Sequence) -> None:
             parts = [*chain.from_iterable((field, comma) for field in fields), comma]
             lines = np.concatenate(parts, axis=1)
             lines[:, -2:] = np.frombuffer(b"\r\n", np.uint8)  # in place of the last two commas
-            fh.write(lines[lines != _PAD].tobytes())
+            fh.write(lines.tobytes().translate(None, _PADS))
 
 
 def _int_field(values: np.ndarray) -> np.ndarray:
@@ -561,7 +730,7 @@ def _float_tables() -> SimpleNamespace:
 
 def _slot_rows(texts: Sequence[str], width: int) -> np.ndarray:
     """A matrix row per text, its bytes after pads."""
-    raw = b"".join(t.encode("ascii").rjust(width, bytes([_PAD])) for t in texts)
+    raw = b"".join(t.encode("ascii").rjust(width, _PADS) for t in texts)
     return np.frombuffer(raw, np.uint8).reshape(len(texts), width)
 
 

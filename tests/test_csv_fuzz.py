@@ -4,10 +4,13 @@ never lets an exception escape.
 
 The streams mix arbitrary cell text with empty cells, numeric-looking
 tokens, short rows (trailing cells missing, the label among them), long
-rows (extra cells), labels out of range and unlabeled rows.
+rows (extra cells), labels out of range and unlabeled rows. Their lines end
+in CRLF, LF or CR, the last one with or without its terminator, so both of
+the reader's paths (its byte scan and ``csv.reader``) meet them.
 """
 
 import csv
+import io
 import tempfile
 from pathlib import Path
 
@@ -41,13 +44,17 @@ _good_row = st.tuples(st.sampled_from(["a", "b"]), st.integers(-5, 5), st.intege
 _rows = st.lists(st.one_of(_good_row, _good_row, _row), max_size=30)
 
 
-def _run(rows: list[list[str]]) -> int:
+def _run(rows: list[list[str]], terminator: str = "\r\n", last_ended: bool = True) -> int:
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf, lineterminator=terminator)
+    w.writerow(HEADER)
+    w.writerows(rows)
+    text = buf.getvalue()
+    if not last_ended:
+        text = text.removesuffix(terminator)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "stream.csv"
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            w.writerow(HEADER)
-            w.writerows(rows)
+        path.write_bytes(text.encode("utf-8"))
         return main([
             "run", "--input", str(path), "--label", "label", "--warmup", str(WARMUP),
             "--quiet", "-o", str(Path(tmp) / "out"),
@@ -59,14 +66,16 @@ def _good(n: int) -> list[list[str]]:
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(_rows)
-@example(_good(12) + [["a", "0.5"]])  # short row without its label cell, after warm-up
-@example(_good(2) + [["a", "0.5"]] + _good(9))  # the same inside the warm-up
-@example(_good(12) + [["a"]])  # short row without its numeric cell
-@example(_good(8) + [["a", "1", "7"]] + _good(4))  # label out of range
-@example(_good(8) + [["a", "1", "", "x", "y"]] + _good(4))  # long unlabeled row
-def test_any_csv_gives_a_documented_exit_code(rows):
-    assert _run(rows) in (EXIT_OK, EXIT_CONFIG, EXIT_DATA)
+@given(_rows, st.sampled_from(["\r\n", "\n", "\r"]), st.booleans())
+@example(_good(12) + [["a", "0.5"]], "\r\n", True)  # short row without its label, after warm-up
+@example(_good(2) + [["a", "0.5"]] + _good(9), "\r\n", True)  # the same inside the warm-up
+@example(_good(12) + [["a"]], "\r\n", True)  # short row without its numeric cell
+@example(_good(8) + [["a", "1", "7"]] + _good(4), "\r\n", True)  # label out of range
+@example(_good(8) + [["a", "1", "", "x", "y"]] + _good(4), "\r\n", True)  # long unlabeled row
+@example(_good(12), "\r", False)  # CR line ends: csv.reader's rows, not the byte scan's lines
+@example(_good(12), "\n", False)  # a last line without its line end
+def test_any_csv_gives_a_documented_exit_code(rows, terminator, last_ended):
+    assert _run(rows, terminator, last_ended) in (EXIT_OK, EXIT_CONFIG, EXIT_DATA)
 
 
 @settings(max_examples=40, deadline=None)

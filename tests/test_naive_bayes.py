@@ -5,6 +5,8 @@ The hand-checkable posteriors are verified against a brute-force reference
 that computes smoothed priors and likelihoods directly from the raw counts.
 """
 
+import copy
+import pickle
 from typing import NamedTuple
 
 import numpy as np
@@ -225,6 +227,34 @@ def test_fit_vs_update_equivalence_randomized():
         np.testing.assert_allclose(whole.g_mean, parts.g_mean, atol=1e-9)
         np.testing.assert_allclose(whole.g_m2, parts.g_m2, atol=1e-9)
         np.testing.assert_array_equal(whole.predict_many(*probe), parts.predict_many(*probe))
+
+
+@pytest.mark.parametrize("copied", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))],
+                         ids=["deepcopy", "pickle"])
+def test_a_copied_model_keeps_its_views_on_its_own_tables(copied):
+    # class_counts, _counts, g_mean, g_m2 and cat_counts are views of the
+    # count table and the Gaussian accumulators; a copy must take them anew
+    # from its own, or its update would leave them (and stage's counts) stale
+    rng = np.random.default_rng(3)
+    data = random_rows(rng, 60)
+    model = fit(part(data, slice(30)), 3, (3, 5), 2)
+    model.cat_counts  # cached before the copy
+    before = state(model)
+    twin = copied(model)
+    twin.update(*part(data, slice(30, None)))
+    assert state(model) == before
+    updated = fit(part(data, slice(30)), 3, (3, 5), 2).update(*part(data, slice(30, None)))
+    assert state(twin) == state(updated)
+    np.testing.assert_array_equal(twin.class_counts, twin._table[-2])
+    np.testing.assert_array_equal(twin._counts, twin._table[:-2])
+    np.testing.assert_array_equal(twin.g_mean, twin._gauss[0])
+    np.testing.assert_array_equal(twin.g_m2, twin._gauss[1])
+    np.testing.assert_array_equal(twin.class_counts, np.bincount(data[0], minlength=3))
+    for f, counts in enumerate(twin.cat_counts):
+        np.testing.assert_array_equal(counts.sum(axis=1), twin.class_counts)
+        cells = np.zeros((3, (3, 5)[f]), np.int64)
+        np.add.at(cells, (data[0], data[1][:, f]), 1)
+        np.testing.assert_array_equal(counts, cells)
 
 
 def test_update_bad_label_rejected():

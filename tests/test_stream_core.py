@@ -15,6 +15,7 @@ from driftstream.adaptation import LabelError
 from driftstream.stream_core import (
     CATEGORICAL,
     MISSING_TOKEN,
+    DataError,
     NUMERIC,
     CHUNK_ROWS,
     UNLABELED,
@@ -28,7 +29,7 @@ from driftstream.stream_core import (
     open_csv_stream,
     write_columns,
 )
-from driftstream.synth import write_csv
+from driftstream.synth import generate, paper_like_config, write_csv
 
 SCHEMA = FeatureSchema(
     (("color", CATEGORICAL), ("size", NUMERIC)), label_column="label"
@@ -251,11 +252,17 @@ _numeric_token = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_numeric_token, min_size=1, max_size=6))
-def test_numeric_column_parses_each_cell_as_float_does(tokens):
+def test_numeric_column_parses_each_cell_as_float_does(tmp_path_factory, tokens):
     """A numeric column holds float()'s bits for each cell, or the table is
     refused (ValueError) when float() refuses a cell or reads a non-finite
-    value."""
+    value. So does a one-column file of the tokens read by
+    ``open_csv_stream``, refusing with ``StreamParseError``: plain tokens
+    take its byte path, and awkward ones (quoted, empty, NUL, non-ASCII)
+    fall back to ``csv.reader``."""
     schema = FeatureSchema((("x", NUMERIC),))
+    p = tmp_path_factory.mktemp("num") / "x.csv"
+    with open(p, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([["x"], *([t] for t in tokens)])
     try:
         expected = [float(t) for t in tokens]
     except ValueError:
@@ -263,9 +270,135 @@ def test_numeric_column_parses_each_cell_as_float_does(tokens):
     if expected is not None and all(map(np.isfinite, expected)):
         table = stream_core._parse_rows([[t] for t in tokens], 0, {"x": 0}, schema, int)
         assert table.columns["x"].tobytes() == np.array(expected).tobytes()
+        assert read(p, schema).columns["x"].tobytes() == np.array(expected).tobytes()
     else:
         with pytest.raises(ValueError):
             stream_core._parse_rows([[t] for t in tokens], 0, {"x": 0}, schema, int)
+        with pytest.raises(StreamParseError):
+            read(p, schema)
+
+
+# -- the byte scan against csv.reader -------------------------------------------
+
+_SCAN_SCHEMA = FeatureSchema((("cat", CATEGORICAL), ("num", NUMERIC)), label_column="label")
+_scan_cells = {
+    "cat": st.one_of(
+        st.sampled_from(["a", "b", "c3", "", MISSING_TOKEN, " a", "a ", "\t", "é", "x,y", 'q"q',
+                         "l\nf", "c\rr"]),
+        st.text(max_size=4),
+    ),
+    "num": st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False).map(repr),
+        st.integers(-(10**6), 10**6).map(str),
+        st.sampled_from(["1e5", "1E-3", "1_0", "inf", "-inf", "nan", "", " 1.5", "2.5 ", "+.5",
+                         "x", "1e400", "0x10", "١"]),
+    ),
+    "label": st.one_of(
+        st.integers(0, 2).map(str),
+        st.sampled_from(["", "+1", "01", " 2", "-0", "-1", "1_0", "x", "9" * 19, "-" + "9" * 18]),
+    ),
+    "extra": st.text(max_size=3),
+}
+# cells that the byte scan reads itself
+_plain_cells = {
+    "cat": st.sampled_from(["a", "b", "c3", "", MISSING_TOKEN, " a", "a "]),
+    "num": st.one_of(st.floats(-1e6, 1e6).map(repr), st.integers(-99, 99).map(str)),
+    "label": st.sampled_from(["0", "1", "2", "", "-1"]),
+    "extra": st.sampled_from(["e", "", "x y"]),
+}
+_line_end = st.sampled_from(["\r\n", "\n", "\r"])
+
+
+@st.composite
+def _csv_files(draw):
+    """A file's text: a header of the schema's columns and an extra one in
+    any order, optionally plain lines up to near the CHUNK_ROWS-th, then
+    drawn lines. These are either all plain rows, or a mix of rows (short,
+    long, quoted or not) and blank lines, each ending in the file's line end
+    or now and then another."""
+    header = draw(st.permutations(["cat", "num", "label", "extra"]))
+    end = draw(st.sampled_from(["\r\n", "\n"]))
+    plain = draw(st.booleans())
+    filler = {"cat": "a", "num": "1.5", "label": "0", "extra": "e"}
+    lines = [",".join(header) + end]
+    lines += [",".join(filler[c] for c in header) + end] * draw(
+        st.one_of(st.just(0), st.integers(CHUNK_ROWS - 6, CHUNK_ROWS - 1)))
+    for _ in range(draw(st.integers(0, 12))):
+        if plain:
+            lines.append(",".join(draw(_plain_cells[c]) for c in header) + end)
+            continue
+        width = draw(st.sampled_from([4, 4, 4, 4, 1, 2, 3, 5, 6]))  # short and long rows too
+        cells = [draw(_scan_cells[header[i] if i < 4 else "extra"]) for i in range(width)]
+        quote_all = draw(st.integers(0, 7)) == 0
+        text = ",".join(
+            '"' + c.replace('"', '""') + '"' if quote_all or any(x in c for x in ',"\r\n') else c
+            for c in cells
+        )
+        if draw(st.integers(0, 9)) == 0:
+            text = ""  # a blank line
+        lines.append(text + draw(st.one_of(st.just(end), st.just(end), st.just(end), _line_end)))
+    text = "".join(lines)
+    if draw(st.booleans()):
+        text = text.removesuffix("\n").removesuffix("\r")  # the last line without its end
+    return text
+
+
+def _by_csv_reader(p, schema):
+    """The tables of file ``p`` with each record read by ``csv.reader``."""
+    with open(p, newline="", encoding="utf-8") as fh:
+        yield from stream_core._read_records(fh, p, schema, int)
+
+
+def _outcome(tables, schema=_SCAN_SCHEMA):
+    """What reading ``tables`` (a generator) gives: the error's type and
+    text, or the stream's indices, labels, each categorical column's
+    vocabulary and codes and each numeric column's bytes."""
+    try:
+        tables = list(tables)
+    except DataError as e:
+        return type(e), str(e)
+    assert all(len(t) <= CHUNK_ROWS for t in tables)
+    table = Table.concat(schema, tables)
+    return (
+        table.index.tolist(),
+        table.label.tolist(),
+        {n: (c.vocab, c.codes.tolist()) if isinstance(c, DictColumn) else c.tobytes()
+         for n, c in table.columns.items()},
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_csv_files())
+@example("num,label,cat\r\n1.5,0,b\r\n2.5,1,a\r\n")  # first appearance; no CR in a cell
+# a quoted newline across the CHUNK_ROWS-th line
+@example("cat,num,label\n" + "a,1.5,0\n" * (CHUNK_ROWS - 1) + 'x,2.5,1\n"l\nf",3.5,2\n')
+def test_open_csv_stream_reads_as_csv_reader_does(tmp_path_factory, text):
+    """``open_csv_stream``, which scans plain chunks as bytes, gives what
+    ``csv.reader`` gives for the file: the same tables, or the same error
+    at the same row. (The files are UTF-8; a byte that is not is tested on
+    its own.)"""
+    p = tmp_path_factory.mktemp("scan") / "s.csv"
+    p.write_bytes(text.encode("utf-8"))
+    assert _outcome(open_csv_stream(p, _SCAN_SCHEMA)) == _outcome(_by_csv_reader(p, _SCAN_SCHEMA))
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_paper_like_chunks_all_take_the_byte_path(tmp_path, monkeypatch, seed):
+    stream = generate(paper_like_config(seed))
+    p = tmp_path / "stream.csv"
+    write_csv(stream.table, stream.schema, p)
+    scanned, scan = [], stream_core._scan_chunk
+
+    def spy(*args):
+        scanned.append(scan(*args))
+        return scanned[-1]
+
+    monkeypatch.setattr(stream_core, "_scan_chunk", spy)
+    schema = stream.predictive_schema
+    tables = list(open_csv_stream(p, schema))
+    assert len(scanned) == -(-len(stream.table) // CHUNK_ROWS)
+    assert all(t is not None for t in scanned)  # no chunk went to csv.reader
+    assert _outcome(iter(tables), schema) == _outcome(_by_csv_reader(p, schema), schema)
 
 
 # -- write_columns ------------------------------------------------------------
