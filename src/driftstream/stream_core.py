@@ -313,11 +313,12 @@ def open_csv_stream(
 
     The file is read as bytes, ``CHUNK_ROWS`` lines at a time, and a chunk
     of plain lines is parsed from the positions of its delimiters
-    (``_scan_chunk``). ``csv.reader`` reads whatever else, and it alone
-    raises parse errors: a chunk that ``_scan_chunk`` refuses, and, from
-    the first chunk holding a quote on (a quoted cell may span lines), the
-    rest of the file; with a ``label_map`` other than ``int``, or a header
-    line that is not plain, the whole file.
+    (``_scan_chunk``). ``csv.reader`` reads the rest of the file from the
+    first chunk that ``_scan_chunk`` refuses or that holds a quote (a
+    quoted cell may span lines), or from where ``_CHUNK_BYTES`` bytes hold
+    fewer lines than a chunk; it reads the whole file with a ``label_map``
+    other than ``int``, or a header line that is not plain or not ended
+    within ``_BLOCK`` bytes. So ``csv.reader`` alone raises parse errors.
     """
     try:
         yield from _read_csv(path, schema, label_map)
@@ -327,9 +328,10 @@ def open_csv_stream(
 
 def _read_csv(path, schema, label_map) -> Iterator[Table]:
     with open(path, "rb") as fh:
-        first = fh.readline()
+        first = fh.readline(_BLOCK)
         head = first.removesuffix(b"\n").removesuffix(b"\r")
-        if label_map is not int or not head or b'"' in head or b"\r" in head:
+        if (label_map is not int or not first.endswith(b"\n") or not head
+                or b'"' in head or b"\r" in head):
             fh.seek(0)
             text = io.TextIOWrapper(fh, "utf-8", newline="")
             yield from _read_records(text, path, schema, label_map)
@@ -338,21 +340,19 @@ def _read_csv(path, schema, label_map) -> Iterator[Table]:
         col, width = _header_columns(header, path, schema)
         index, offset = 0, len(first)  # the next chunk's first stream index and byte
         for chunk in _line_chunks(fh):
-            if b'"' in chunk:
-                fh.seek(offset)
-                records = csv.reader(io.TextIOWrapper(fh, "utf-8", newline=""))
-                yield from _record_tables(records, index, col, width, schema, label_map)
-                return
-            table = _scan_chunk(chunk, index, len(header), col, schema)
-            if table is not None:
-                tables = [table]
-            else:
-                records = csv.reader(io.StringIO(chunk.decode("utf-8"), newline=""))
-                tables = _record_tables(records, index, col, width, schema, label_map)
-            for table in tables:
-                yield table
-                index += len(table)
+            if chunk is None or b'"' in chunk or (
+                table := _scan_chunk(chunk, index, len(header), col, schema)
+            ) is None:
+                break
+            yield table
+            index += len(table)
             offset += len(chunk)
+        else:
+            return
+        del chunk  # the loop left, no bytes read ahead are held
+        fh.seek(offset)
+        records = csv.reader(io.TextIOWrapper(fh, "utf-8", newline=""))
+        yield from _record_tables(records, index, col, width, schema, label_map)
 
 
 def _read_records(text, path, schema, label_map) -> Iterator[Table]:
@@ -449,6 +449,8 @@ def _raise_first_bad_cell(rows, first_row, col, schema, label_map) -> None:
 
 # bytes that _line_chunks reads at a time
 _BLOCK = 1 << 20
+# the most bytes that _line_chunks gathers towards a chunk
+_CHUNK_BYTES = 4 * _BLOCK
 # the widest feature or label cell, in bytes, that _scan_chunk reads
 _WIDE = 256
 # at k, a little-endian uint64 of k bytes of ones and then 8 - k of zeros
@@ -459,18 +461,24 @@ _COMMAS = bytes.maketrans(b"\r\n", b",,")
 _INT_LABEL = re.compile(r"(-?[0-9]{1,18})?")
 
 
-def _line_chunks(fh) -> Iterator[bytes]:
+def _line_chunks(fh) -> Iterator[Optional[bytes]]:
     """The rest of binary file ``fh`` in chunks of ``CHUNK_ROWS`` lines (the
-    last of fewer), a line ending at a line feed or at the end of the file."""
-    parts, lines = [], 0  # the bytes read since the last chunk, and their lines
+    last of fewer), a line ending at a line feed or at the end of the file;
+    ``None``, and no more, once over ``_CHUNK_BYTES`` bytes are read
+    without completing a chunk."""
+    parts, lines, size = [], 0, 0  # the bytes read since the last chunk, their lines and length
     while block := fh.read(_BLOCK):
         lf = np.flatnonzero(np.frombuffer(block, np.uint8) == ord("\n"))
         lo = 0
         for hi in (lf[CHUNK_ROWS - lines - 1 :: CHUNK_ROWS] + 1).tolist():
             yield b"".join((*parts, block[lo:hi]))
-            parts, lo = [], hi
+            parts, lo, size = [], hi, 0
         parts.append(block[lo:])
         lines = (lines + len(lf)) % CHUNK_ROWS
+        size += len(block) - lo
+        if size > _CHUNK_BYTES:
+            yield None
+            return
     if rest := b"".join(parts):
         yield rest
 

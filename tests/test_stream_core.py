@@ -4,6 +4,7 @@ writer."""
 import csv
 import io
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -399,6 +400,25 @@ def test_paper_like_chunks_all_take_the_byte_path(tmp_path, monkeypatch, seed):
     assert len(scanned) == -(-len(stream.table) // CHUNK_ROWS)
     assert all(t is not None for t in scanned)  # no chunk went to csv.reader
     assert _outcome(iter(tables), schema) == _outcome(_by_csv_reader(p, schema), schema)
+
+
+@pytest.mark.parametrize("header_end", ["\n", "\r"])
+def test_a_file_without_line_feeds_is_read_in_bounded_pieces(tmp_path, header_end):
+    """A file of about 10 MB whose data lines end in CR alone, so that no
+    ``CHUNK_ROWS`` of its lines end in LF, is read as ``csv.reader`` reads
+    it, without holding much more than ``_CHUNK_BYTES`` of it at once."""
+    lines = (f"c{i % 7},{i % 1000}.5,{i % 3},{'p' * 40}\r" for i in range(200_000))
+    p = tmp_path / "cr.csv"
+    p.write_bytes(("cat,num,label,extra" + header_end + "".join(lines)).encode("ascii"))
+    tracemalloc.start()
+    try:
+        for _ in open_csv_stream(p, _SCAN_SCHEMA):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stream_core._CHUNK_BYTES + 4 * stream_core._BLOCK < p.stat().st_size
+    assert _outcome(open_csv_stream(p, _SCAN_SCHEMA)) == _outcome(_by_csv_reader(p, _SCAN_SCHEMA))
 
 
 # -- write_columns ------------------------------------------------------------
