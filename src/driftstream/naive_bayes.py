@@ -96,7 +96,7 @@ class NaiveBayesModel:
 
     def __init__(self, n_classes: int, cat_cardinalities: Sequence[int], n_numeric: int):
         self._shape(n_classes, cat_cardinalities, n_numeric)
-        self._hold(np.zeros((self._layout.bounds[-1] + 2, n_classes), dtype=np.int64))
+        self._table = np.zeros((self._layout.bounds[-1] + 2, n_classes), dtype=np.int64)
 
     def _shape(self, n_classes: int, cat_cardinalities: Sequence[int], n_numeric: int) -> None:
         """All of an untrained model but its count table."""
@@ -108,16 +108,10 @@ class NaiveBayesModel:
         self._layout = _layout(self.cat_cardinalities, self.alpha, n_classes)
         # the Gaussian means and M2s as one (2, K, n_numeric) array
         self._gauss = np.zeros((2, n_classes, n_numeric))
-        self.g_mean, self.g_m2 = self._gauss
         self._state: Optional[Versions] = None
         top = self._layout.bounds[-1]
         rows = 2 * top + len(self.cat_cardinalities) + 4  # count and term tables
         self.version_cells = 1 + (rows + 4 * n_numeric) * n_classes
-
-    def _hold(self, table: np.ndarray) -> None:
-        """Take ``table`` as the count table."""
-        self._table = table
-        self._counts, self.class_counts = table[:-2], table[-2]
 
     @property
     def n_trained(self) -> int:
@@ -127,19 +121,14 @@ class NaiveBayesModel:
     def n_trained(self, n: int) -> None:
         self._table[-1] = n
 
-    # views of the count table and of the Gaussian accumulators, which a copy
-    # or a pickle would hold as arrays of their own
-    _VIEWS = ("_counts", "class_counts", "g_mean", "g_m2", "cat_counts")
+    # views of the count table and of the Gaussian accumulators, taken when
+    # read, so that a copy or a pickle holds the tables alone
+    class_counts = property(lambda self: self._table[-2])
+    _counts = property(lambda self: self._table[:-2])
+    g_mean = property(lambda self: self._gauss[0])
+    g_m2 = property(lambda self: self._gauss[1])
 
-    def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k not in self._VIEWS}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._hold(self._table)
-        self.g_mean, self.g_m2 = self._gauss
-
-    @functools.cached_property
+    @property
     def cat_counts(self) -> tuple[np.ndarray, ...]:
         bounds = self._layout.bounds
         return tuple(self._counts[lo:hi].T for lo, hi in zip(bounds, bounds[1:]))
@@ -188,7 +177,7 @@ class NaiveBayesModel:
         shape = (model._layout.bounds[-1] + 2, n_classes)
         table = np.bincount(pos.ravel(), minlength=shape[0] * shape[1]).reshape(shape)
         table[-1] = len(labels)
-        model._hold(table)
+        model._table = table
         if n_numeric:
             # the arithmetic of xs.mean(axis=0) and ((xs - mean) ** 2).sum(axis=0)
             # on each class's rows xs, in row order: a slice of the rows

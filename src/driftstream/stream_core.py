@@ -13,9 +13,9 @@ import csv
 import functools
 import io
 import math
-import re
+import operator
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain, islice, repeat
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -306,19 +306,22 @@ def open_csv_stream(
     numeric cells are parsed as ``float`` parses them, and an empty or
     non-finite one is a parse error. An empty label cell leaves the row
     unlabeled; ``label_map`` converts a non-empty label token to a class id
-    (the default expects integer tokens), and one outside int64 or equal to
-    ``UNLABELED`` is a parse error. A parse error names the first bad
-    cell in row order (the features in schema order, then the label); a
-    byte that is not UTF-8 raises ``EncodingError`` naming its file line.
+    (the default expects integer tokens), and a token for which it raises
+    ``ValueError`` or ``OverflowError``, or whose id is outside int64 or
+    equal to ``UNLABELED``, is a parse error. ``label_map`` may be called
+    once per distinct token rather than once per cell, so its id must
+    depend on the token alone. A parse error names the first bad cell in
+    row order (the features in schema order, then the label); a byte that
+    is not UTF-8 raises ``EncodingError`` naming its file line.
 
     The file is read as bytes, ``CHUNK_ROWS`` lines at a time, and a chunk
     of plain lines is parsed from the positions of its delimiters
     (``_scan_chunk``). ``csv.reader`` reads the rest of the file from the
     first chunk that ``_scan_chunk`` refuses or that holds a quote (a
     quoted cell may span lines), or from where ``_CHUNK_BYTES`` bytes hold
-    fewer lines than a chunk; it reads the whole file with a ``label_map``
-    other than ``int``, or a header line that is not plain or not ended
-    within ``_BLOCK`` bytes. So ``csv.reader`` alone raises parse errors.
+    fewer lines than a chunk; it reads the whole file if the header line is
+    not plain or not ended within ``_BLOCK`` bytes. So ``csv.reader`` alone
+    raises parse errors.
     """
     try:
         yield from _read_csv(path, schema, label_map)
@@ -330,18 +333,17 @@ def _read_csv(path, schema, label_map) -> Iterator[Table]:
     with open(path, "rb") as fh:
         first = fh.readline(_BLOCK)
         head = first.removesuffix(b"\n").removesuffix(b"\r")
-        if (label_map is not int or not first.endswith(b"\n") or not head
-                or b'"' in head or b"\r" in head):
+        if not first.endswith(b"\n") or not head or b'"' in head or b"\r" in head:
             fh.seek(0)
             text = io.TextIOWrapper(fh, "utf-8", newline="")
             yield from _read_records(text, path, schema, label_map)
             return
         header = head.decode("utf-8").split(",")
-        col, width = _header_columns(header, path, schema)
+        col = _header_columns(header, path, schema)
         index, offset = 0, len(first)  # the next chunk's first stream index and byte
         for chunk in _line_chunks(fh):
             if chunk is None or b'"' in chunk or (
-                table := _scan_chunk(chunk, index, len(header), col, schema)
+                table := _scan_chunk(chunk, index, len(header), col, schema, label_map)
             ) is None:
                 break
             yield table
@@ -352,7 +354,7 @@ def _read_csv(path, schema, label_map) -> Iterator[Table]:
         del chunk  # the loop left, no bytes read ahead are held
         fh.seek(offset)
         records = csv.reader(io.TextIOWrapper(fh, "utf-8", newline=""))
-        yield from _record_tables(records, index, col, width, schema, label_map)
+        yield from _record_tables(records, index, col, schema, label_map)
 
 
 def _read_records(text, path, schema, label_map) -> Iterator[Table]:
@@ -362,33 +364,35 @@ def _read_records(text, path, schema, label_map) -> Iterator[Table]:
     header = next(records, None)
     if header is None:
         return  # empty file: empty stream
-    col, width = _header_columns(header, path, schema)
-    yield from _record_tables(records, 0, col, width, schema, label_map)
+    yield from _record_tables(records, 0, _header_columns(header, path, schema), schema, label_map)
 
 
-def _header_columns(header, path, schema) -> tuple[dict[str, int], int]:
-    """Each ``header`` column's place by name (the last of a repeated name)
-    and the least row length that holds every column ``schema`` uses."""
+def _header_columns(header, path, schema) -> dict[str, int]:
+    """The place in ``header`` of each column that ``schema`` uses by name
+    (the last of a repeated name), its features in turn, then its label."""
     col = {name: i for i, name in enumerate(header)}
     for name in schema.names:
         if name not in col:
             raise SchemaError(f"missing column {name!r} in {path}")
     if schema.label_column and schema.label_column not in col:
         raise SchemaError(f"missing label column {schema.label_column!r} in {path}")
-    cells = [col[name] for name in (*schema.names, schema.label_column) if name]
-    return col, max(cells, default=-1) + 1
+    return {name: col[name] for name in (*schema.names, schema.label_column) if name}
 
 
-def _record_tables(records, index, col, width, schema, label_map) -> Iterator[Table]:
+def _record_tables(records, index, col, schema, label_map) -> Iterator[Table]:
     """The tables of ``csv.reader`` ``records``, the first at stream index
-    ``index``."""
-    while rows := list(islice(records, CHUNK_ROWS)):
-        if min(map(len, rows)) < width:
-            rows = [r + [""] * (width - len(r)) for r in rows]
+    ``index``, each record kept as it is read as the tuple of the cells that
+    ``schema`` uses (a short record read as padded with empty cells)."""
+    used = list(col.values())
+    pad = [""] * (max(used, default=-1) + 1)
+    pick = operator.itemgetter(*used) if len(used) > 1 else lambda r: tuple(r[i] for i in used)
+    kept = {name: k for k, name in enumerate(col)}  # each column's place in a kept record
+    cells = map(pick, map(operator.add, records, repeat(pad)))
+    while rows := list(islice(cells, CHUNK_ROWS)):
         try:
-            table = _parse_rows(rows, index, col, schema, label_map)
+            table = _parse_rows(rows, index, kept, schema, label_map)
         except (ValueError, OverflowError):
-            _raise_first_bad_cell(rows, index + 2, col, schema, label_map)
+            _raise_first_bad_cell(rows, index + 2, kept, schema, label_map)
             raise
         yield table
         index += len(rows)
@@ -457,8 +461,6 @@ _WIDE = 256
 _LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)
 # the bytes that end a cell, each translated to a comma
 _COMMAS = bytes.maketrans(b"\r\n", b",,")
-# a label token that _scan_chunk reads, empty or an int of at most 18 digits
-_INT_LABEL = re.compile(r"(-?[0-9]{1,18})?")
 
 
 def _line_chunks(fh) -> Iterator[Optional[bytes]]:
@@ -483,13 +485,15 @@ def _line_chunks(fh) -> Iterator[Optional[bytes]]:
         yield rest
 
 
-def _scan_chunk(chunk: bytes, index: int, n_fields: int, col, schema) -> Optional[Table]:
+def _scan_chunk(chunk: bytes, index: int, n_fields: int, col, schema, label_map) -> Optional[Table]:
     """The table of ``chunk``'s lines, the first at stream index ``index``,
     parsed from the positions of their delimiters; ``None`` unless each line
     holds ``n_fields`` fields of ASCII other than NUL and the quote, ends in
     LF or CRLF (a CR stands only before an LF) and parses as ``csv.reader``
-    and ``_parse_rows`` read it, each label empty or an ``int`` token of the
-    form ``-?[0-9]{1,18}``."""
+    and ``_parse_rows`` read it. ``label_map`` reads each distinct non-empty
+    label token once; one for which it raises ``ValueError`` or
+    ``OverflowError``, or whose id is outside int64 or is ``UNLABELED``,
+    refuses the chunk."""
     if not chunk.isascii() or b"\0" in chunk:
         return None
     if not chunk.endswith(b"\n"):
@@ -508,9 +512,8 @@ def _scan_chunk(chunk: bytes, index: int, n_fields: int, col, schema) -> Optiona
     if np.count_nonzero(crlf) != chunk.count(b"\r"):
         return None  # a CR but before an LF
     ends[:, -1] -= crlf
-    used = [col[name] for name in (*schema.names, schema.label_column) if name]
     width = ends - starts
-    if width.max() > csv.field_size_limit() or width[:, used].max(initial=0) > _WIDE:
+    if width.max() > csv.field_size_limit() or width[:, list(col.values())].max(initial=0) > _WIDE:
         return None
     columns: dict[str, Union[DictColumn, np.ndarray]] = {}
     for name, kind in schema.features:
@@ -532,10 +535,13 @@ def _scan_chunk(chunk: bytes, index: int, n_fields: int, col, schema) -> Optiona
     if schema.label_column:
         j = col[schema.label_column]
         coded = _dict_column(_cell_matrix(a, starts[:, j], ends[:, j]))
-        if not all(map(_INT_LABEL.fullmatch, coded.vocab)):
+        try:
+            ids = np.array([label_map(t) if t else UNLABELED for t in coded.vocab], np.int64)
+        except (ValueError, OverflowError):
             return None
-        ids = [int(t) if t else UNLABELED for t in coded.vocab]  # int() of each distinct token
-        labels = np.array(ids, np.int64)[coded.codes]
+        if np.count_nonzero(ids == UNLABELED) > ("" in coded.vocab):
+            return None  # a label cell that maps to UNLABELED
+        labels = ids[coded.codes]
     else:
         labels = np.full(n, UNLABELED, np.int64)
     return Table(np.arange(index, index + n, dtype=np.int64), labels, columns)

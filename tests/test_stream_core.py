@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from driftstream import stream_core
 from driftstream.adaptation import LabelError
+from driftstream.preprocess import BinBoundaries, bin_target
 from driftstream.stream_core import (
     CATEGORICAL,
     MISSING_TOKEN,
@@ -296,7 +297,9 @@ _scan_cells = {
     ),
     "label": st.one_of(
         st.integers(0, 2).map(str),
-        st.sampled_from(["", "+1", "01", " 2", "-0", "-1", "1_0", "x", "9" * 19, "-" + "9" * 18]),
+        st.integers(0, 2000).map(str),  # hours
+        st.sampled_from(["", "+1", "01", " 2", "-0", "-1", "1_0", "x", "9" * 19, "-" + "9" * 18,
+                         "12.5", "960.0", "-1.5", "nan", "inf", "1e400"]),
     ),
     "extra": st.text(max_size=3),
 }
@@ -304,7 +307,7 @@ _scan_cells = {
 _plain_cells = {
     "cat": st.sampled_from(["a", "b", "c3", "", MISSING_TOKEN, " a", "a "]),
     "num": st.one_of(st.floats(-1e6, 1e6).map(repr), st.integers(-99, 99).map(str)),
-    "label": st.sampled_from(["0", "1", "2", "", "-1"]),
+    "label": st.sampled_from(["0", "1", "2", "", "-1", "150", "1000"]),
     "extra": st.sampled_from(["e", "", "x y"]),
 }
 _line_end = st.sampled_from(["\r\n", "\n", "\r"])
@@ -344,10 +347,16 @@ def _csv_files(draw):
     return text
 
 
-def _by_csv_reader(p, schema):
+def _bin_days(token):
+    """The class of an hours-valued label token, as ``run --bin-days 6,39``
+    reads it."""
+    return bin_target(float(token), BinBoundaries((6, 39), 24.0))
+
+
+def _by_csv_reader(p, schema, label_map=int):
     """The tables of file ``p`` with each record read by ``csv.reader``."""
     with open(p, newline="", encoding="utf-8") as fh:
-        yield from stream_core._read_records(fh, p, schema, int)
+        yield from stream_core._read_records(fh, p, schema, label_map)
 
 
 def _outcome(tables, schema=_SCAN_SCHEMA):
@@ -356,7 +365,7 @@ def _outcome(tables, schema=_SCAN_SCHEMA):
     vocabulary and codes and each numeric column's bytes."""
     try:
         tables = list(tables)
-    except DataError as e:
+    except (DataError, csv.Error) as e:
         return type(e), str(e)
     assert all(len(t) <= CHUNK_ROWS for t in tables)
     table = Table.concat(schema, tables)
@@ -368,26 +377,39 @@ def _outcome(tables, schema=_SCAN_SCHEMA):
     )
 
 
+_HEADER = "cat,num,label,extra\n"
+
+
 @settings(max_examples=200, deadline=None)
-@given(_csv_files())
-@example("num,label,cat\r\n1.5,0,b\r\n2.5,1,a\r\n")  # first appearance; no CR in a cell
+@given(text=_csv_files(), label_map=st.sampled_from([int, _bin_days]))
+# first appearance; no CR in a cell
+@example(text="num,label,cat\r\n1.5,0,b\r\n2.5,1,a\r\n", label_map=int)
 # a quoted newline across the CHUNK_ROWS-th line
-@example("cat,num,label\n" + "a,1.5,0\n" * (CHUNK_ROWS - 1) + 'x,2.5,1\n"l\nf",3.5,2\n')
-def test_open_csv_stream_reads_as_csv_reader_does(tmp_path_factory, text):
+@example(text="cat,num,label\n" + "a,1.5,0\n" * (CHUNK_ROWS - 1) + 'x,2.5,1\n"l\nf",3.5,2\n',
+         label_map=int)
+# field counts that total a multiple of the header's, a CR inside a cell, an
+# unused cell over csv.field_size_limit() (csv.Error on either path), and a
+# label token that int reads as UNLABELED
+@example(text=_HEADER + "a,1.5,0\n1,b,2.5,1,e\n", label_map=int)
+@example(text=_HEADER + "a\rb,1.5,0,e\n", label_map=int)
+@example(text=_HEADER + "a,1.5,0," + "e" * 140_000 + "\n", label_map=int)
+@example(text=_HEADER + f"a,1.5,{UNLABELED},e\n", label_map=int)
+def test_open_csv_stream_reads_as_csv_reader_does(tmp_path_factory, text, label_map):
     """``open_csv_stream``, which scans plain chunks as bytes, gives what
     ``csv.reader`` gives for the file: the same tables, or the same error
-    at the same row. (The files are UTF-8; a byte that is not is tested on
-    its own.)"""
+    at the same row, with labels read by ``int`` or as ``run --bin-days``
+    reads hours. (The files are UTF-8; a byte that is not is tested on its
+    own.)"""
     p = tmp_path_factory.mktemp("scan") / "s.csv"
     p.write_bytes(text.encode("utf-8"))
-    assert _outcome(open_csv_stream(p, _SCAN_SCHEMA)) == _outcome(_by_csv_reader(p, _SCAN_SCHEMA))
+    assert _outcome(open_csv_stream(p, _SCAN_SCHEMA, label_map)) == _outcome(
+        _by_csv_reader(p, _SCAN_SCHEMA, label_map))
 
 
-@pytest.mark.parametrize("seed", [42, 7])
-def test_paper_like_chunks_all_take_the_byte_path(tmp_path, monkeypatch, seed):
-    stream = generate(paper_like_config(seed))
-    p = tmp_path / "stream.csv"
-    write_csv(stream.table, stream.schema, p)
+def _read_on_the_byte_path(p, stream, label_map, monkeypatch):
+    """The tables of file ``p``, which holds ``stream``, checked to come from
+    ``_scan_chunk`` alone, one chunk after another, as ``csv.reader``
+    reads them."""
     scanned, scan = [], stream_core._scan_chunk
 
     def spy(*args):
@@ -396,10 +418,45 @@ def test_paper_like_chunks_all_take_the_byte_path(tmp_path, monkeypatch, seed):
 
     monkeypatch.setattr(stream_core, "_scan_chunk", spy)
     schema = stream.predictive_schema
-    tables = list(open_csv_stream(p, schema))
+    tables = list(open_csv_stream(p, schema, label_map))
     assert len(scanned) == -(-len(stream.table) // CHUNK_ROWS)
     assert all(t is not None for t in scanned)  # no chunk went to csv.reader
-    assert _outcome(iter(tables), schema) == _outcome(_by_csv_reader(p, schema), schema)
+    assert _outcome(iter(tables), schema) == _outcome(_by_csv_reader(p, schema, label_map), schema)
+    return tables
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_paper_like_chunks_all_take_the_byte_path(tmp_path, monkeypatch, seed):
+    stream = generate(paper_like_config(seed))
+    p = tmp_path / "stream.csv"
+    write_csv(stream.table, stream.schema, p)
+    _read_on_the_byte_path(p, stream, int, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_paper_like_chunks_with_hours_binned_all_take_the_byte_path(tmp_path, monkeypatch, seed):
+    """The paper-like stream with each class written as whole hours inside
+    its ``--bin-days 6,39`` bin is read on the byte path too, to its classes."""
+    stream = generate(paper_like_config(seed))
+    y = stream.table.label
+    lo, hi = np.array([0, 168, 960]), np.array([168, 960, 2400])
+    hours = np.random.default_rng(seed).integers(lo[y], hi[y])
+    p = tmp_path / "hours.csv"
+    write_csv(Table(stream.table.index, hours, stream.table.columns), stream.schema, p)
+    tables = _read_on_the_byte_path(p, stream, _bin_days, monkeypatch)
+    assert Table.concat(stream.predictive_schema, tables).label.tolist() == y.tolist()
+
+
+def _peak_reading(p):
+    """The ``tracemalloc`` peak of reading file ``p`` through, and its outcome."""
+    tracemalloc.start()
+    try:
+        for _ in open_csv_stream(p, _SCAN_SCHEMA):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, _outcome(open_csv_stream(p, _SCAN_SCHEMA))
 
 
 @pytest.mark.parametrize("header_end", ["\n", "\r"])
@@ -410,15 +467,39 @@ def test_a_file_without_line_feeds_is_read_in_bounded_pieces(tmp_path, header_en
     lines = (f"c{i % 7},{i % 1000}.5,{i % 3},{'p' * 40}\r" for i in range(200_000))
     p = tmp_path / "cr.csv"
     p.write_bytes(("cat,num,label,extra" + header_end + "".join(lines)).encode("ascii"))
-    tracemalloc.start()
-    try:
-        for _ in open_csv_stream(p, _SCAN_SCHEMA):
-            pass
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak, outcome = _peak_reading(p)
     assert peak < stream_core._CHUNK_BYTES + 4 * stream_core._BLOCK < p.stat().st_size
-    assert _outcome(open_csv_stream(p, _SCAN_SCHEMA)) == _outcome(_by_csv_reader(p, _SCAN_SCHEMA))
+    assert outcome == _outcome(_by_csv_reader(p, _SCAN_SCHEMA))
+
+
+def test_csv_reader_keeps_only_the_used_cells_of_a_record(tmp_path):
+    """A file that ``csv.reader`` reads whole (its header ends in CR alone)
+    is held as the cells the schema uses: an unused column of 1,000 bytes a
+    cell costs no more than 1 MiB over one of 1 byte, and both read alike."""
+    peaks, outcomes = [], []
+    for width in (1, 1000):
+        lines = (f"c{i % 7},{i % 1000}.5,{i % 3},{'p' * width}\r" for i in range(20_000))
+        p = tmp_path / f"extra{width}.csv"
+        p.write_bytes(("cat,num,label,extra\r" + "".join(lines)).encode("ascii"))
+        peak, outcome = _peak_reading(p)
+        peaks.append(peak)
+        outcomes.append(outcome)
+    assert peaks[1] < peaks[0] + (1 << 20)
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][1] == [i % 3 for i in range(20_000)]
+
+
+def test_a_wide_category_sends_its_chunk_to_csv_reader(tmp_path):
+    """A chunk whose last line holds a category of 20,000 bytes is read by
+    ``csv.reader``, as it reads it, not gathered into a byte matrix as wide
+    as that cell for each of its lines."""
+    lines = ["a,1.5,0,e\n"] * 3999 + ["x" * 20_000 + ",2.5,1,e\n"]
+    p = tmp_path / "wide.csv"
+    p.write_bytes((_HEADER + "".join(lines)).encode("ascii"))
+    peak, outcome = _peak_reading(p)
+    assert peak < 16 << 20
+    assert outcome == _outcome(_by_csv_reader(p, _SCAN_SCHEMA))
+    assert outcome[2]["cat"][0] == ("a", "x" * 20_000)
 
 
 # -- write_columns ------------------------------------------------------------
