@@ -278,17 +278,13 @@ def infer_schema(path, label: str, exclude: Sequence[str]) -> FeatureSchema:
         if name == label or name in exclude:
             continue
         tokens = [row[i] for row in sample if i < len(row) and row[i] != ""]
-        numeric = bool(tokens) and all(map(_is_float, tokens))
-        feats.append((name, NUMERIC if numeric else CATEGORICAL))
+        kind = NUMERIC if tokens else CATEGORICAL
+        try:
+            np.array(tokens, dtype=np.float64)  # float() of each str, as _table reads it
+        except ValueError:
+            kind = CATEGORICAL
+        feats.append((name, kind))
     return FeatureSchema(tuple(feats), label_column=label)
-
-
-def _is_float(token: str) -> bool:
-    try:
-        float(token)
-        return True
-    except ValueError:
-        return False
 
 
 def open_csv_stream(
@@ -301,27 +297,28 @@ def open_csv_stream(
 
     The header row must contain every schema column (extra columns are
     ignored); an empty file or a header alone is an empty stream. A row
-    shorter than the header reads its missing cells as empty. A table's
-    categorical columns are coded once, empty cells as ``MISSING_TOKEN``;
-    numeric cells are parsed as ``float`` parses them, and an empty or
-    non-finite one is a parse error. An empty label cell leaves the row
-    unlabeled; ``label_map`` converts a non-empty label token to a class id
-    (the default expects integer tokens), and a token for which it raises
+    shorter than the header reads its missing cells as empty. The cells of
+    a chunk become its table by one rule (``_table``): its categorical
+    columns are coded once, empty cells as ``MISSING_TOKEN``; numeric cells
+    are parsed as ``float`` parses them, and an empty or non-finite one is
+    a parse error. An empty label cell leaves the row unlabeled;
+    ``label_map`` converts a non-empty label token to a class id (the
+    default expects integer tokens), and a token for which it raises
     ``ValueError`` or ``OverflowError``, or whose id is outside int64 or
-    equal to ``UNLABELED``, is a parse error. ``label_map`` may be called
-    once per distinct token rather than once per cell, so its id must
-    depend on the token alone. A parse error names the first bad cell in
-    row order (the features in schema order, then the label); a byte that
-    is not UTF-8 raises ``EncodingError`` naming its file line.
+    equal to ``UNLABELED``, is a parse error. ``label_map`` is called once
+    per distinct non-empty token of each chunk, so its id must depend on
+    the token alone. A parse error names the first bad cell in row order
+    (the features in schema order, then the label); a byte that is not
+    UTF-8 raises ``EncodingError`` naming its file line.
 
     The file is read as bytes, ``CHUNK_ROWS`` lines at a time, and a chunk
     of plain lines is parsed from the positions of its delimiters
     (``_scan_chunk``). ``csv.reader`` reads the rest of the file from the
-    first chunk that ``_scan_chunk`` refuses or that holds a quote (a
-    quoted cell may span lines), or from where ``_CHUNK_BYTES`` bytes hold
-    fewer lines than a chunk; it reads the whole file if the header line is
-    not plain or not ended within ``_BLOCK`` bytes. So ``csv.reader`` alone
-    raises parse errors.
+    first chunk that ``_scan_chunk`` refuses (one holding a quote, say, as
+    a quoted cell may span lines), or from where ``_CHUNK_BYTES`` bytes
+    hold fewer lines than a chunk; it reads the whole file, its header
+    too, if the header line is not plain or not ended within ``_BLOCK``
+    bytes. So ``csv.reader`` alone raises parse errors.
     """
     try:
         yield from _read_csv(path, schema, label_map)
@@ -333,38 +330,29 @@ def _read_csv(path, schema, label_map) -> Iterator[Table]:
     with open(path, "rb") as fh:
         first = fh.readline(_BLOCK)
         head = first.removesuffix(b"\n").removesuffix(b"\r")
-        if not first.endswith(b"\n") or not head or b'"' in head or b"\r" in head:
-            fh.seek(0)
-            text = io.TextIOWrapper(fh, "utf-8", newline="")
-            yield from _read_records(text, path, schema, label_map)
-            return
-        header = head.decode("utf-8").split(",")
-        col = _header_columns(header, path, schema)
-        index, offset = 0, len(first)  # the next chunk's first stream index and byte
-        for chunk in _line_chunks(fh):
-            if chunk is None or b'"' in chunk or (
-                table := _scan_chunk(chunk, index, len(header), col, schema, label_map)
-            ) is None:
-                break
-            yield table
-            index += len(table)
-            offset += len(chunk)
-        else:
-            return
-        del chunk  # the loop left, no bytes read ahead are held
+        index = offset = 0  # the first stream index and byte that csv.reader reads
+        if first.endswith(b"\n") and head and b'"' not in head and b"\r" not in head:
+            header = head.decode("utf-8").split(",")
+            col = _header_columns(header, path, schema)
+            offset = len(first)
+            for chunk in _line_chunks(fh):
+                if chunk is None or (
+                    table := _scan_chunk(chunk, index, len(header), col, schema, label_map)
+                ) is None:
+                    break
+                yield table
+                index += len(table)
+                offset += len(chunk)
+            else:
+                return
+            del chunk  # the loop left, no bytes read ahead are held
         fh.seek(offset)
         records = csv.reader(io.TextIOWrapper(fh, "utf-8", newline=""))
+        if offset == 0:
+            if (header := next(records, None)) is None:
+                return  # empty file: empty stream
+            col = _header_columns(header, path, schema)
         yield from _record_tables(records, index, col, schema, label_map)
-
-
-def _read_records(text, path, schema, label_map) -> Iterator[Table]:
-    """The tables of the CSV text stream ``text`` of file ``path``, each of
-    its records read by ``csv.reader``."""
-    records = csv.reader(text)
-    header = next(records, None)
-    if header is None:
-        return  # empty file: empty stream
-    yield from _record_tables(records, 0, _header_columns(header, path, schema), schema, label_map)
 
 
 def _header_columns(header, path, schema) -> dict[str, int]:
@@ -402,25 +390,38 @@ def _parse_rows(rows, index, col, schema, label_map) -> Table:
     """The table of ``rows`` (each long enough to hold every used column),
     the first at stream index ``index``; raises ``ValueError`` or
     ``OverflowError`` if a cell is bad."""
-    cells = list(zip(*rows))  # a tuple of tokens per file column
+    tokens = list(zip(*rows))  # a tuple of tokens per column of rows
+    numeric = set(schema.numeric_names)
+    cells = {name: tokens[j] if name in numeric else DictColumn.from_tokens(tokens[j])
+             for name, j in col.items()}
+    return _table(index, len(rows), schema, label_map, cells)
+
+
+def _table(index, n, schema, label_map, cells) -> Table:
+    """The table of ``n`` rows, the first at stream index ``index``, from
+    ``cells``, the cells of each column that ``schema`` uses by name: a
+    ``DictColumn`` of the tokens of a categorical feature or of the label,
+    and a sequence of the ``str`` tokens of a numeric feature. Raises
+    ``ValueError`` or ``OverflowError`` if a cell is bad; ``label_map``
+    reads each distinct non-empty label token once."""
     columns: dict[str, Union[DictColumn, np.ndarray]] = {}
     for name, kind in schema.features:
-        tokens = cells[col[name]]
         if kind == CATEGORICAL:
-            columns[name] = _missing_coded(DictColumn.from_tokens(tokens))
+            columns[name] = _missing_coded(cells[name])
         else:
-            values = np.array(tokens, dtype=np.float64)  # float() of each str
+            values = np.array(cells[name], dtype=np.float64)  # float() of each str
             if not np.isfinite(values).all():
                 raise ValueError("non-finite value")
             columns[name] = values
     if schema.label_column:
-        tokens = cells[col[schema.label_column]]
-        labels = np.fromiter((label_map(t) if t else UNLABELED for t in tokens), np.int64, len(rows))
-        if np.count_nonzero(labels == UNLABELED) != tokens.count(""):
+        coded = cells[schema.label_column]
+        ids = np.array([label_map(t) if t else UNLABELED for t in coded.vocab], np.int64)
+        if np.count_nonzero(ids == UNLABELED) > ("" in coded.vocab):
             raise ValueError("a label cell maps to UNLABELED")
+        labels = ids[coded.codes]
     else:
-        labels = np.full(len(rows), UNLABELED, np.int64)
-    return Table(np.arange(index, index + len(rows), dtype=np.int64), labels, columns)
+        labels = np.full(n, UNLABELED, np.int64)
+    return Table(np.arange(index, index + n, dtype=np.int64), labels, columns)
 
 
 def _raise_first_bad_cell(rows, first_row, col, schema, label_map) -> None:
@@ -489,12 +490,10 @@ def _scan_chunk(chunk: bytes, index: int, n_fields: int, col, schema, label_map)
     """The table of ``chunk``'s lines, the first at stream index ``index``,
     parsed from the positions of their delimiters; ``None`` unless each line
     holds ``n_fields`` fields of ASCII other than NUL and the quote, ends in
-    LF or CRLF (a CR stands only before an LF) and parses as ``csv.reader``
-    and ``_parse_rows`` read it. ``label_map`` reads each distinct non-empty
-    label token once; one for which it raises ``ValueError`` or
-    ``OverflowError``, or whose id is outside int64 or is ``UNLABELED``,
-    refuses the chunk."""
-    if not chunk.isascii() or b"\0" in chunk:
+    LF or CRLF (a CR stands only before an LF), has no used cell wider than
+    ``_WIDE`` bytes and has cells that ``_table`` reads without error, so
+    that it parses as ``csv.reader`` and ``_parse_rows`` read it."""
+    if not chunk.isascii() or b"\0" in chunk or b'"' in chunk:
         return None
     if not chunk.endswith(b"\n"):
         chunk += b"\n"  # the last line of the file
@@ -515,36 +514,20 @@ def _scan_chunk(chunk: bytes, index: int, n_fields: int, col, schema, label_map)
     width = ends - starts
     if width.max() > csv.field_size_limit() or width[:, list(col.values())].max(initial=0) > _WIDE:
         return None
-    columns: dict[str, Union[DictColumn, np.ndarray]] = {}
-    for name, kind in schema.features:
-        s, e = starts[:, col[name]], ends[:, col[name]]
-        if kind == CATEGORICAL:
-            columns[name] = _missing_coded(_dict_column(_cell_matrix(a, s, e)))
+    numeric = set(schema.numeric_names)
+    cells = {}
+    for name, j in col.items():
+        if name not in numeric:
+            cells[name] = _dict_column(_cell_matrix(a, starts[:, j], ends[:, j]))
             continue
-        # the cells as str, as _parse_rows reads them: each with the byte
+        # the cells as str, as csv.reader reads them: each with the byte
         # after it, less the pads, split at those bytes read as commas
-        cells = _cell_matrix(a, s, e + 1)
-        tokens = cells.tobytes().translate(_COMMAS, b"\0").decode("ascii").split(",")
-        try:
-            values = np.array(tokens[:-1], dtype=np.float64)  # float() of each str
-        except ValueError:
-            return None
-        if not np.isfinite(values).all():
-            return None
-        columns[name] = values
-    if schema.label_column:
-        j = col[schema.label_column]
-        coded = _dict_column(_cell_matrix(a, starts[:, j], ends[:, j]))
-        try:
-            ids = np.array([label_map(t) if t else UNLABELED for t in coded.vocab], np.int64)
-        except (ValueError, OverflowError):
-            return None
-        if np.count_nonzero(ids == UNLABELED) > ("" in coded.vocab):
-            return None  # a label cell that maps to UNLABELED
-        labels = ids[coded.codes]
-    else:
-        labels = np.full(n, UNLABELED, np.int64)
-    return Table(np.arange(index, index + n, dtype=np.int64), labels, columns)
+        matrix = _cell_matrix(a, starts[:, j], ends[:, j] + 1)
+        cells[name] = matrix.tobytes().translate(_COMMAS, b"\0").decode("ascii").split(",")[:-1]
+    try:
+        return _table(index, n, schema, label_map, cells)
+    except (ValueError, OverflowError):
+        return None
 
 
 def _cell_matrix(a: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:

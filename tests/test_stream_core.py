@@ -1,10 +1,12 @@
 """Tests for the stream data model, the CSV stream source and the CSV
 writer."""
 
+import collections
 import csv
 import io
 import pickle
 import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -316,15 +318,18 @@ _line_end = st.sampled_from(["\r\n", "\n", "\r"])
 @st.composite
 def _csv_files(draw):
     """A file's text: a header of the schema's columns and an extra one in
-    any order, optionally plain lines up to near the CHUNK_ROWS-th, then
-    drawn lines. These are either all plain rows, or a mix of rows (short,
-    long, quoted or not) and blank lines, each ending in the file's line end
-    or now and then another."""
+    any order, now and then not plain (its first cell quoted, or the line
+    ended by CR alone, so that ``csv.reader`` reads the whole file),
+    optionally plain lines up to near the CHUNK_ROWS-th, then drawn lines.
+    These are either all plain rows, or a mix of rows (short, long, quoted
+    or not) and blank lines, each ending in the file's line end or now and
+    then another."""
     header = draw(st.permutations(["cat", "num", "label", "extra"]))
     end = draw(st.sampled_from(["\r\n", "\n"]))
     plain = draw(st.booleans())
     filler = {"cat": "a", "num": "1.5", "label": "0", "extra": "e"}
-    lines = [",".join(header) + end]
+    names, quoted = ",".join(header), ",".join([f'"{header[0]}"', *header[1:]])
+    lines = [draw(st.sampled_from([names + end, names + end, quoted + end, names + "\r"]))]
     lines += [",".join(filler[c] for c in header) + end] * draw(
         st.one_of(st.just(0), st.integers(CHUNK_ROWS - 6, CHUNK_ROWS - 1)))
     for _ in range(draw(st.integers(0, 12))):
@@ -356,7 +361,10 @@ def _bin_days(token):
 def _by_csv_reader(p, schema, label_map=int):
     """The tables of file ``p`` with each record read by ``csv.reader``."""
     with open(p, newline="", encoding="utf-8") as fh:
-        yield from stream_core._read_records(fh, p, schema, label_map)
+        records = csv.reader(fh)
+        if (header := next(records, None)) is not None:
+            col = stream_core._header_columns(header, p, schema)
+            yield from stream_core._record_tables(records, 0, col, schema, label_map)
 
 
 def _outcome(tables, schema=_SCAN_SCHEMA):
@@ -388,12 +396,13 @@ _HEADER = "cat,num,label,extra\n"
 @example(text="cat,num,label\n" + "a,1.5,0\n" * (CHUNK_ROWS - 1) + 'x,2.5,1\n"l\nf",3.5,2\n',
          label_map=int)
 # field counts that total a multiple of the header's, a CR inside a cell, an
-# unused cell over csv.field_size_limit() (csv.Error on either path), and a
-# label token that int reads as UNLABELED
+# unused cell over csv.field_size_limit() (csv.Error on either path), a
+# label token that int reads as UNLABELED, and a quoted cell in a full row
 @example(text=_HEADER + "a,1.5,0\n1,b,2.5,1,e\n", label_map=int)
 @example(text=_HEADER + "a\rb,1.5,0,e\n", label_map=int)
 @example(text=_HEADER + "a,1.5,0," + "e" * 140_000 + "\n", label_map=int)
 @example(text=_HEADER + f"a,1.5,{UNLABELED},e\n", label_map=int)
+@example(text=_HEADER + '"a",1.5,0,e\n', label_map=int)
 def test_open_csv_stream_reads_as_csv_reader_does(tmp_path_factory, text, label_map):
     """``open_csv_stream``, which scans plain chunks as bytes, gives what
     ``csv.reader`` gives for the file: the same tables, or the same error
@@ -406,10 +415,8 @@ def test_open_csv_stream_reads_as_csv_reader_does(tmp_path_factory, text, label_
         _by_csv_reader(p, _SCAN_SCHEMA, label_map))
 
 
-def _read_on_the_byte_path(p, stream, label_map, monkeypatch):
-    """The tables of file ``p``, which holds ``stream``, checked to come from
-    ``_scan_chunk`` alone, one chunk after another, as ``csv.reader``
-    reads them."""
+def _spied_scans(monkeypatch):
+    """The list to which each later ``_scan_chunk`` call appends its result."""
     scanned, scan = [], stream_core._scan_chunk
 
     def spy(*args):
@@ -417,6 +424,14 @@ def _read_on_the_byte_path(p, stream, label_map, monkeypatch):
         return scanned[-1]
 
     monkeypatch.setattr(stream_core, "_scan_chunk", spy)
+    return scanned
+
+
+def _read_on_the_byte_path(p, stream, label_map, monkeypatch):
+    """The tables of file ``p``, which holds ``stream``, checked to come from
+    ``_scan_chunk`` alone, one chunk after another, as ``csv.reader``
+    reads them."""
+    scanned = _spied_scans(monkeypatch)
     schema = stream.predictive_schema
     tables = list(open_csv_stream(p, schema, label_map))
     assert len(scanned) == -(-len(stream.table) // CHUNK_ROWS)
@@ -445,6 +460,32 @@ def test_paper_like_chunks_with_hours_binned_all_take_the_byte_path(tmp_path, mo
     write_csv(Table(stream.table.index, hours, stream.table.columns), stream.schema, p)
     tables = _read_on_the_byte_path(p, stream, _bin_days, monkeypatch)
     assert Table.concat(stream.predictive_schema, tables).label.tolist() == y.tolist()
+
+
+@pytest.mark.parametrize("first_cell", ["c0", '"c0"'], ids=["byte-path", "csv-reader"])
+def test_label_map_reads_each_distinct_label_token_once_per_chunk(tmp_path, monkeypatch,
+                                                                 first_cell):
+    """``label_map`` is called once for each distinct non-empty label token
+    of each chunk, whether ``_scan_chunk`` reads every chunk or, the first
+    cell being quoted, ``csv.reader`` reads the file from its first chunk on."""
+    n = 2 * CHUNK_ROWS + 100
+    labels = ["" if i % 5 == 0 else str(i // 1000) for i in range(n)]  # some in two chunks
+    lines = [f"c{i % 3},{i % 10}.5,{labels[i]},e\n" for i in range(n)]
+    lines[0] = lines[0].replace("c0", first_cell, 1)
+    p = tmp_path / "labels.csv"
+    p.write_bytes((_HEADER + "".join(lines)).encode("ascii"))
+    scanned = _spied_scans(monkeypatch)
+    calls = collections.Counter()
+
+    def counting(token):
+        calls[token] += 1
+        return int(token)
+
+    table = Table.concat(_SCAN_SCHEMA, open_csv_stream(p, _SCAN_SCHEMA, counting))
+    assert [t is not None for t in scanned] == ([True] * 3 if first_cell == "c0" else [False])
+    assert table.label.tolist() == [int(t) if t else UNLABELED for t in labels]
+    chunks = (set(labels[lo : lo + CHUNK_ROWS]) - {""} for lo in range(0, n, CHUNK_ROWS))
+    assert calls == collections.Counter(chain.from_iterable(chunks))
 
 
 def _peak_reading(p):
