@@ -15,9 +15,9 @@ import numpy as np
 
 from .adaptation import Controller, ExperimentConfig, Records
 from .detectors import make_detector
-from .preprocess import BinBoundaries, bin_target
+from .preprocess import BinBoundaries
 from .stream_core import (
-    ConfigError, FeatureSchema, Table, infer_schema, open_csv_stream, write_columns,
+    ConfigError, FeatureSchema, Table, class_ids, infer_schema, open_csv_stream, write_columns,
 )
 from .synth import SynthConfig, generate
 
@@ -91,7 +91,7 @@ def load_stream(
         stream = generate(source)
         return stream.table, stream.predictive_schema
     schema = infer_schema(source, label, exclude)
-    label_map = (lambda token: bin_target(float(token), bins)) if bins else int
+    label_map = bins.classes if bins else class_ids
     return Table.concat(schema, open_csv_stream(source, schema, label_map)), schema
 
 

@@ -125,6 +125,17 @@ class BinBoundaries:
     def n_classes(self) -> int:
         return len(self.upper_edges) + 1
 
+    def classes(self, tokens: Sequence[str]) -> np.ndarray:
+        """The class of each target token, as ``bin_target(float(token),
+        self)`` gives it: the label map of ``open_csv_stream`` under
+        ``--bin-days``. Raises ``ValueError`` if either refuses a token."""
+        x = np.array(tokens, dtype=np.float64)  # float() of each str
+        u = x if self.unit_divisor == 1.0 else np.floor(x / self.unit_divisor)
+        if (x < 0).any() or not (self.unit_divisor == 1.0 or np.isfinite(u).all()):
+            raise ValueError("target must be >= 0, and finite with a unit divisor")
+        # the count of edges below u, and none below NaN
+        return np.where(np.isnan(u), 0, np.searchsorted(self.upper_edges, u, side="left"))
+
 
 def fit_target_bins(
     values: Sequence[float],
@@ -149,7 +160,8 @@ def fit_target_bins(
 
 def bin_target(hours: float, bins: BinBoundaries) -> int:
     """Class label for a non-negative target value. With a unit divisor the
-    value is floored into whole units first, making integer day edges exact."""
+    value is floored into whole units first, making integer day edges exact.
+    No command calls it; it is the per-value reference of ``classes``."""
     if hours < 0:
         raise ValueError("target must be >= 0")
     u = math.floor(hours / bins.unit_divisor) if bins.unit_divisor != 1.0 else hours

@@ -9,6 +9,7 @@ feature, a ``DictColumn`` of category codes or a float64 array of values.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
@@ -287,38 +288,39 @@ def infer_schema(path, label: str, exclude: Sequence[str]) -> FeatureSchema:
     return FeatureSchema(tuple(feats), label_column=label)
 
 
+def class_ids(tokens: Sequence[str]) -> np.ndarray:
+    """The default label map: each token's class id as ``int`` reads it."""
+    return np.fromiter(map(int, tokens), np.int64, len(tokens))
+
+
 def open_csv_stream(
     path,
     schema: FeatureSchema,
-    label_map: Callable[[str], int] = int,
+    label_map: Callable[[Sequence[str]], np.ndarray] = class_ids,
 ) -> Iterator[Table]:
     """Yield the stream of a CSV file as tables of at most ``CHUNK_ROWS``
     rows, in file order, indices starting at 0.
 
     The header row must contain every schema column (extra columns are
     ignored); an empty file or a header alone is an empty stream. A row
-    shorter than the header reads its missing cells as empty. The cells of
-    a chunk become its table by one rule (``_table``): its categorical
-    columns are coded once, empty cells as ``MISSING_TOKEN``; numeric cells
-    are parsed as ``float`` parses them, and an empty or non-finite one is
-    a parse error. An empty label cell leaves the row unlabeled;
-    ``label_map`` converts a non-empty label token to a class id (the
-    default expects integer tokens), and a token for which it raises
-    ``ValueError`` or ``OverflowError``, or whose id is outside int64 or
-    equal to ``UNLABELED``, is a parse error. ``label_map`` is called once
-    per distinct non-empty token of each chunk, so its id must depend on
-    the token alone. A parse error names the first bad cell in row order
-    (the features in schema order, then the label); a byte that is not
-    UTF-8 raises ``EncodingError`` naming its file line.
+    shorter than the header reads its missing cells as empty. ``_table``
+    makes each chunk's cells its table: categorical columns are coded once,
+    empty cells as ``MISSING_TOKEN``; a numeric cell reads as ``float``
+    reads it, and an empty or non-finite one is bad; an empty label cell
+    leaves its row unlabeled, and the column map ``label_map`` returns the
+    int64 class ids of a chunk's distinct non-empty label tokens, or raises
+    ``ValueError`` or ``OverflowError``; a label cell is bad if the map
+    refuses its token alone or maps it to ``UNLABELED``. ``StreamParseError``
+    names the first bad cell in row order (the features in schema order,
+    then the label), and ``EncodingError`` the file line of a byte not UTF-8.
 
-    The file is read as bytes, ``CHUNK_ROWS`` lines at a time, and a chunk
-    of plain lines is parsed from the positions of its delimiters
-    (``_scan_chunk``). ``csv.reader`` reads the rest of the file from the
-    first chunk that ``_scan_chunk`` refuses (one holding a quote, say, as
-    a quoted cell may span lines), or from where ``_CHUNK_BYTES`` bytes
-    hold fewer lines than a chunk; it reads the whole file, its header
-    too, if the header line is not plain or not ended within ``_BLOCK``
-    bytes. So ``csv.reader`` alone raises parse errors.
+    The file is read as bytes, ``CHUNK_ROWS`` lines at a time, and
+    ``_scan_chunk`` splits a chunk of plain lines at its delimiters.
+    ``csv.reader`` reads the rest of the file from the first chunk that
+    it refuses (one holding a quote, say, as a quoted cell may span
+    lines), or from where ``_CHUNK_BYTES`` bytes hold fewer lines than a
+    chunk; it reads the whole file if the header line is not plain or not
+    ended within ``_BLOCK`` bytes.
     """
     try:
         yield from _read_csv(path, schema, label_map)
@@ -374,82 +376,65 @@ def _record_tables(records, index, col, schema, label_map) -> Iterator[Table]:
     used = list(col.values())
     pad = [""] * (max(used, default=-1) + 1)
     pick = operator.itemgetter(*used) if len(used) > 1 else lambda r: tuple(r[i] for i in used)
-    kept = {name: k for k, name in enumerate(col)}  # each column's place in a kept record
+    numeric = set(schema.numeric_names)
     cells = map(pick, map(operator.add, records, repeat(pad)))
     while rows := list(islice(cells, CHUNK_ROWS)):
-        try:
-            table = _parse_rows(rows, index, kept, schema, label_map)
-        except (ValueError, OverflowError):
-            _raise_first_bad_cell(rows, index + 2, kept, schema, label_map)
-            raise
-        yield table
+        tokens = zip(col, zip(*rows))  # each used column's name and tokens
+        yield _table(index, len(rows), schema, label_map,
+                     {name: t if name in numeric else DictColumn.from_tokens(t) for name, t in tokens})
         index += len(rows)
-
-
-def _parse_rows(rows, index, col, schema, label_map) -> Table:
-    """The table of ``rows`` (each long enough to hold every used column),
-    the first at stream index ``index``; raises ``ValueError`` or
-    ``OverflowError`` if a cell is bad."""
-    tokens = list(zip(*rows))  # a tuple of tokens per column of rows
-    numeric = set(schema.numeric_names)
-    cells = {name: tokens[j] if name in numeric else DictColumn.from_tokens(tokens[j])
-             for name, j in col.items()}
-    return _table(index, len(rows), schema, label_map, cells)
 
 
 def _table(index, n, schema, label_map, cells) -> Table:
     """The table of ``n`` rows, the first at stream index ``index``, from
-    ``cells``, the cells of each column that ``schema`` uses by name: a
-    ``DictColumn`` of the tokens of a categorical feature or of the label,
-    and a sequence of the ``str`` tokens of a numeric feature. Raises
-    ``ValueError`` or ``OverflowError`` if a cell is bad; ``label_map``
-    reads each distinct non-empty label token once."""
+    ``cells``, each used column by name: a ``DictColumn`` of categorical or
+    label tokens, or a numeric feature's ``str`` tokens. ``StreamParseError``
+    names the first bad cell in row order, at file row ``index + 2`` on."""
     columns: dict[str, Union[DictColumn, np.ndarray]] = {}
+    faults = []  # the row and the message of each bad column's first bad cell
     for name, kind in schema.features:
         if kind == CATEGORICAL:
             columns[name] = _missing_coded(cells[name])
-        else:
-            values = np.array(cells[name], dtype=np.float64)  # float() of each str
-            if not np.isfinite(values).all():
-                raise ValueError("non-finite value")
-            columns[name] = values
-    if schema.label_column:
-        coded = cells[schema.label_column]
-        ids = np.array([label_map(t) if t else UNLABELED for t in coded.vocab], np.int64)
-        if np.count_nonzero(ids == UNLABELED) > ("" in coded.vocab):
-            raise ValueError("a label cell maps to UNLABELED")
-        labels = ids[coded.codes]
-    else:
-        labels = np.full(n, UNLABELED, np.int64)
-    return Table(np.arange(index, index + n, dtype=np.int64), labels, columns)
+            continue
+        with contextlib.suppress(ValueError):  # a bad cell, found below
+            columns[name] = np.array(cells[name], dtype=np.float64)  # float() of each str
+        if name not in columns or not np.isfinite(columns[name]).all():
+            row, why = next((i, w) for i, t in enumerate(cells[name]) if (w := _numeric_fault(t)))
+            faults.append((row, f"{why} in column {name!r}"))
+    # a stream without labels reads as if its label cells were all empty
+    coded = cells.get(schema.label_column, DictColumn(np.zeros(n, np.int64), ("",)))
+    k = coded.vocab.index("") if "" in coded.vocab else len(coded.vocab)  # the empty token's code
+    tokens = coded.vocab[:k] + coded.vocab[k + 1 :]
+    try:
+        ids = label_map(tokens)
+    except (ValueError, OverflowError):
+        ids = [_label_id(label_map, t) for t in tokens]
+    ids = np.insert(np.asarray(ids, np.int64), k, UNLABELED)  # the empty token's
+    if (refused := ids == UNLABELED).sum() > 1:  # more than at k
+        refused[k] = False
+        row = int(np.argmax(refused[coded.codes]))
+        faults.append((row, f"bad label {coded.vocab[coded.codes[row]]!r} "
+                            f"in column {schema.label_column!r}"))
+    if faults:
+        row, message = min(faults, key=operator.itemgetter(0))  # the first of a row's faults
+        raise StreamParseError(message, index + 2 + row)
+    return Table(np.arange(index, index + n, dtype=np.int64), ids[coded.codes], columns)
 
 
-def _raise_first_bad_cell(rows, first_row, col, schema, label_map) -> None:
-    """Raise ``StreamParseError`` for the first bad cell of ``rows``, the
-    first of which is file row ``first_row``, in row order."""
-    for rownum, row in enumerate(rows, start=first_row):
-        for name in schema.numeric_names:
-            token = row[col[name]]
-            if token == "":
-                raise StreamParseError(f"empty numeric cell in column {name!r}", rownum)
-            try:
-                x = float(token)
-            except ValueError:
-                raise StreamParseError(
-                    f"non-numeric value {token!r} in column {name!r}", rownum
-                ) from None
-            if not math.isfinite(x):
-                raise StreamParseError(f"non-finite value {token!r} in column {name!r}", rownum)
-        token = row[col[schema.label_column]] if schema.label_column else ""
-        if token != "":
-            try:
-                y = label_map(token)
-            except (ValueError, OverflowError):
-                y = UNLABELED  # bad as well
-            if not UNLABELED < y <= np.iinfo(np.int64).max:
-                raise StreamParseError(
-                    f"bad label {token!r} in column {schema.label_column!r}", rownum
-                )
+def _numeric_fault(token: str) -> Optional[str]:
+    """Why a numeric cell of ``token`` is bad, or ``None`` if it is good."""
+    try:
+        return None if math.isfinite(float(token)) else f"non-finite value {token!r}"
+    except ValueError:
+        return f"non-numeric value {token!r}" if token else "empty numeric cell"
+
+
+def _label_id(label_map, token: str) -> int:
+    """The id of ``token`` alone, or ``UNLABELED`` if ``label_map`` refuses it."""
+    try:
+        return int(label_map([token])[0])
+    except (ValueError, OverflowError):
+        return UNLABELED
 
 
 # bytes that _line_chunks reads at a time
@@ -487,12 +472,12 @@ def _line_chunks(fh) -> Iterator[Optional[bytes]]:
 
 
 def _scan_chunk(chunk: bytes, index: int, n_fields: int, col, schema, label_map) -> Optional[Table]:
-    """The table of ``chunk``'s lines, the first at stream index ``index``,
-    parsed from the positions of their delimiters; ``None`` unless each line
-    holds ``n_fields`` fields of ASCII other than NUL and the quote, ends in
-    LF or CRLF (a CR stands only before an LF), has no used cell wider than
-    ``_WIDE`` bytes and has cells that ``_table`` reads without error, so
-    that it parses as ``csv.reader`` and ``_parse_rows`` read it."""
+    """The table of ``chunk``'s lines by ``_table``, the first at stream
+    index ``index``, split at the positions of their delimiters; ``None``
+    unless each line holds ``n_fields`` fields of ASCII other than NUL and
+    the quote, ends in LF or CRLF (a CR stands only before an LF) and has no
+    used cell wider than ``_WIDE`` bytes, so that ``csv.reader`` splits it
+    alike."""
     if not chunk.isascii() or b"\0" in chunk or b'"' in chunk:
         return None
     if not chunk.endswith(b"\n"):
@@ -514,20 +499,12 @@ def _scan_chunk(chunk: bytes, index: int, n_fields: int, col, schema, label_map)
     width = ends - starts
     if width.max() > csv.field_size_limit() or width[:, list(col.values())].max(initial=0) > _WIDE:
         return None
-    numeric = set(schema.numeric_names)
     cells = {}
-    for name, j in col.items():
-        if name not in numeric:
-            cells[name] = _dict_column(_cell_matrix(a, starts[:, j], ends[:, j]))
-            continue
-        # the cells as str, as csv.reader reads them: each with the byte
-        # after it, less the pads, split at those bytes read as commas
-        matrix = _cell_matrix(a, starts[:, j], ends[:, j] + 1)
-        cells[name] = matrix.tobytes().translate(_COMMAS, b"\0").decode("ascii").split(",")[:-1]
-    try:
-        return _table(index, n, schema, label_map, cells)
-    except (ValueError, OverflowError):
-        return None
+    for name, j in col.items():  # a numeric cell with the byte after it, which ends it
+        numeric = name in schema.numeric_names
+        matrix = _cell_matrix(a, starts[:, j], ends[:, j] + numeric)
+        cells[name] = _tokens(matrix) if numeric else _dict_column(matrix)
+    return _table(index, n, schema, label_map, cells)
 
 
 def _cell_matrix(a: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
@@ -557,8 +534,15 @@ def _dict_column(cells: np.ndarray) -> DictColumn:
     order = first.argsort()
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    vocab = tuple(cells[i].tobytes().rstrip(b"\0").decode("ascii") for i in first[order].tolist())
-    return DictColumn(rank[codes.ravel()], vocab)
+    vocab = cells[first[order]]
+    vocab = np.hstack((vocab, np.full((len(vocab), 1), ord(","), np.uint8)))  # each ended by a comma
+    return DictColumn(rank[codes.ravel()], tuple(_tokens(vocab)))
+
+
+def _tokens(cells: np.ndarray) -> list[str]:
+    """The ``str`` tokens, as ``csv.reader`` reads them, of ``_cell_matrix``
+    rows that each hold the byte that ends the cell (a comma, CR or LF)."""
+    return cells.tobytes().translate(_COMMAS, b"\0").decode("ascii").split(",")[:-1]
 
 
 def _missing_coded(column: DictColumn) -> DictColumn:

@@ -11,7 +11,7 @@ import pytest
 import driftstream
 from driftstream import cli, evaluation
 from driftstream.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
-from driftstream.stream_core import ConfigError, DataError
+from driftstream.stream_core import CHUNK_ROWS, ConfigError, DataError
 
 
 def run_cli(*args):
@@ -779,6 +779,21 @@ def test_matrix_data_error_names_its_row_for_any_worker_count(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert code == EXIT_DATA
     assert message in err and "Traceback" not in err
+
+
+def test_bad_cell_is_reported_before_a_later_chunks_byte_not_utf8(tmp_path, capsys):
+    """A plain file whose second chunk holds a non-numeric cell and whose
+    third holds a byte that is not UTF-8 on its fourth line stops at the
+    bad cell: the chunks are judged in turn, and no decoder reads ahead."""
+    lines = [f"{'abc'[i % 3]},{i % 13}.5,{i % 3}".encode() for i in range(3 * CHUNK_ROWS)]
+    lines[CHUNK_ROWS + 10] = b"a,abc,0"  # file row CHUNK_ROWS + 12
+    lines[2 * CHUNK_ROWS + 3] = b"\xff,1.5,0"
+    stream = tmp_path / "s.csv"
+    stream.write_bytes(b"tok,x,label\n" + b"\n".join(lines) + b"\n")
+    code = run_cli("run", "--input", str(stream), "--label", "label", "-o", str(tmp_path / "r"))
+    err = capsys.readouterr().err
+    assert code == EXIT_DATA
+    assert f"row {CHUNK_ROWS + 12}: non-numeric value 'abc'" in err and "Traceback" not in err
 
 
 def test_matrix_with_a_zero_baseline_accuracy_is_a_data_error(tmp_path, capsys):

@@ -259,6 +259,48 @@ def test_bin_boundaries_must_ascend():
         BinBoundaries((39, 6))
 
 
+def _bin_target_of(token, bins):
+    """``bin_target`` of the value ``float`` reads from ``token``, or None if
+    either refuses it."""
+    try:
+        return bin_target(float(token), bins)
+    except (ValueError, OverflowError):
+        return None
+
+
+# each edge e and e + 1 in the divisor's units, and the doubles either side
+_at_edges = [float(k) * d for k in (6, 7, 39, 40) for d in (24.0, 1.0)]
+_at_edges += [math.nextafter(x, t) for x in _at_edges for t in (-math.inf, math.inf)]
+_target_token = st.one_of(
+    st.sampled_from(_at_edges).map(repr),
+    st.floats().map(repr),  # negatives, NaN and the infinities among them
+    st.sampled_from(["0", "-0.0", "-1e-300", "-1", "-inf", "inf", "nan", "1e400", "-1e400",
+                     "1e308", "x", "", "1_0", " 168 "]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([24.0, 1.0]), st.lists(_target_token, min_size=1, max_size=8))
+def test_bin_classes_equal_bin_target_value_by_value(divisor, tokens):
+    """``BinBoundaries.classes``, the column map of ``--bin-days``, gives each
+    token ``bin_target``'s class, alone or in a column, and refuses a token
+    alone, and any column holding it, exactly where ``float`` or
+    ``bin_target`` refuses it."""
+    bins = BinBoundaries((6, 39), unit_divisor=divisor)
+    expected = [_bin_target_of(t, bins) for t in tokens]
+    for token, y in zip(tokens, expected):
+        if y is None:
+            with pytest.raises(ValueError):
+                bins.classes([token])
+        else:
+            assert bins.classes([token]).tolist() == [y]
+    if None in expected:
+        with pytest.raises(ValueError):
+            bins.classes(tokens)
+    else:
+        assert bins.classes(tokens).tolist() == expected
+
+
 # -- encoder ------------------------------------------------------------------
 
 

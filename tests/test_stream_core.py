@@ -4,6 +4,7 @@ writer."""
 import collections
 import csv
 import io
+import math
 import pickle
 import tracemalloc
 from itertools import chain
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from driftstream import stream_core
 from driftstream.adaptation import LabelError
-from driftstream.preprocess import BinBoundaries, bin_target
+from driftstream.preprocess import BinBoundaries
 from driftstream.stream_core import (
     CATEGORICAL,
     MISSING_TOKEN,
@@ -30,6 +31,7 @@ from driftstream.stream_core import (
     EncodingError,
     RowError,
     Table,
+    class_ids,
     open_csv_stream,
     write_columns,
 )
@@ -217,6 +219,80 @@ def test_first_bad_cell_in_row_order_is_reported(tmp_path, rows, row, message):
     assert exc.value.row == CHUNK_ROWS - 1 + row
 
 
+def _first_bad_cell(rows, col, schema, label_map):
+    """The message and file row of the first bad cell of ``rows``, the file's
+    rows after its header, each long enough to hold every column of ``col``,
+    in row order (the features in schema order, then the label), judged
+    cell by cell; ``None`` if every cell is good."""
+    for rownum, row in enumerate(rows, start=2):
+        for name in schema.numeric_names:
+            token = row[col[name]]
+            if token == "":
+                return f"empty numeric cell in column {name!r}", rownum
+            try:
+                x = float(token)
+            except ValueError:
+                return f"non-numeric value {token!r} in column {name!r}", rownum
+            if not math.isfinite(x):
+                return f"non-finite value {token!r} in column {name!r}", rownum
+        token = row[col[schema.label_column]] if schema.label_column else ""
+        if token != "":
+            try:
+                y = label_map([token])[0]
+            except (ValueError, OverflowError):
+                y = UNLABELED  # bad as well
+            if y == UNLABELED:
+                return f"bad label {token!r} in column {schema.label_column!r}", rownum
+    return None
+
+
+# the file's columns in another order than the schema's, and an unused one
+_PLANT_SCHEMA = FeatureSchema((("x", NUMERIC), ("cat", CATEGORICAL), ("y", NUMERIC)), "label")
+_PLANT_HEADER = ["y", "label", "cat", "extra", "x"]
+_PLANT_ROWS = 2 * CHUNK_ROWS + 100
+_bad_numeric = st.sampled_from(["", "abc", "1.5x", "nan", "-NaN", "inf", "-inf", "1e400"])
+_bad_label = {
+    "int": st.sampled_from(["1.5", "x", " ", "9" * 19, "-" + "9" * 19, str(UNLABELED)]),
+    "bins": st.sampled_from(["-1", "-0.5", "-1e-300", "nan", "inf", "-inf", "1e400", "x"]),
+}
+_plant_row = st.one_of(
+    st.integers(0, _PLANT_ROWS - 1),
+    st.sampled_from([0, CHUNK_ROWS - 1, CHUNK_ROWS, 2 * CHUNK_ROWS - 1, 2 * CHUNK_ROWS,
+                     _PLANT_ROWS - 1]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from(["int", "bins"]))
+def test_first_bad_cell_of_a_multi_chunk_file_is_the_cell_by_cell_rules(tmp_path_factory, data,
+                                                                         labels):
+    """Bad cells planted at drawn rows and columns of a file of three chunks
+    raise the ``StreamParseError`` of the first of them that the cell-by-cell
+    rules find, message and row, on the byte path and again with the first
+    cell quoted, so that ``csv.reader`` reads the file."""
+    label_map = {"int": class_ids, "bins": _bin_days}[labels]
+    rows = [[f"{i % 7}.5", "" if i % 5 == 0 else str(i % 3), f"c{i % 4}", "e", str(i % 11)]
+            for i in range(_PLANT_ROWS)]
+    for _ in range(data.draw(st.integers(1, 4))):
+        name = data.draw(st.sampled_from(["x", "y", "label"]))
+        bad = _bad_label[labels] if name == "label" else _bad_numeric
+        rows[data.draw(_plant_row)][_PLANT_HEADER.index(name)] = data.draw(bad)
+    col = {name: _PLANT_HEADER.index(name) for name in ("x", "cat", "y", "label")}
+    expected = _first_bad_cell(rows, col, _PLANT_SCHEMA, label_map)
+    p = tmp_path_factory.mktemp("plant") / "s.csv"
+    for quoted in (False, True):
+        lines = [",".join(row) for row in rows]
+        if quoted:
+            lines[0] = f'"{rows[0][0]}",' + lines[0].split(",", 1)[1]
+        p.write_text(",".join(_PLANT_HEADER) + "\n" + "\n".join(lines) + "\n")
+        with pytest.MonkeyPatch.context() as m:
+            scanned = _spied_scans(m)
+            with pytest.raises(StreamParseError) as exc:
+                list(open_csv_stream(p, _PLANT_SCHEMA, label_map))
+        assert (exc.value.args[0], exc.value.row) == expected
+        assert (scanned == [None]) if quoted else all(t is not None for t in scanned)
+
+
 def test_byte_not_utf8_names_its_file_line(tmp_path):
     # a quoted cell spanning two lines: file lines, not CSV rows, are counted
     rows = [b'"re\nd",1.0,0'] + [b"red,1.0,0"] * (CHUNK_ROWS + 100)
@@ -258,8 +334,8 @@ _numeric_token = st.one_of(
 @given(st.lists(_numeric_token, min_size=1, max_size=6))
 def test_numeric_column_parses_each_cell_as_float_does(tmp_path_factory, tokens):
     """A numeric column holds float()'s bits for each cell, or the table is
-    refused (ValueError) when float() refuses a cell or reads a non-finite
-    value. So does a one-column file of the tokens read by
+    refused (StreamParseError) when float() refuses a cell or reads a
+    non-finite value. So does a one-column file of the tokens read by
     ``open_csv_stream``, refusing with ``StreamParseError``: plain tokens
     take its byte path, and awkward ones (quoted, empty, NUL, non-ASCII)
     fall back to ``csv.reader``."""
@@ -272,12 +348,12 @@ def test_numeric_column_parses_each_cell_as_float_does(tmp_path_factory, tokens)
     except ValueError:
         expected = None
     if expected is not None and all(map(np.isfinite, expected)):
-        table = stream_core._parse_rows([[t] for t in tokens], 0, {"x": 0}, schema, int)
+        table = stream_core._table(0, len(tokens), schema, class_ids, {"x": tokens})
         assert table.columns["x"].tobytes() == np.array(expected).tobytes()
         assert read(p, schema).columns["x"].tobytes() == np.array(expected).tobytes()
     else:
-        with pytest.raises(ValueError):
-            stream_core._parse_rows([[t] for t in tokens], 0, {"x": 0}, schema, int)
+        with pytest.raises(StreamParseError):
+            stream_core._table(0, len(tokens), schema, class_ids, {"x": tokens})
         with pytest.raises(StreamParseError):
             read(p, schema)
 
@@ -352,13 +428,11 @@ def _csv_files(draw):
     return text
 
 
-def _bin_days(token):
-    """The class of an hours-valued label token, as ``run --bin-days 6,39``
-    reads it."""
-    return bin_target(float(token), BinBoundaries((6, 39), 24.0))
+#: The label map of ``run --bin-days 6,39``: the class of each hours-valued token.
+_bin_days = BinBoundaries((6, 39), 24.0).classes
 
 
-def _by_csv_reader(p, schema, label_map=int):
+def _by_csv_reader(p, schema, label_map=class_ids):
     """The tables of file ``p`` with each record read by ``csv.reader``."""
     with open(p, newline="", encoding="utf-8") as fh:
         records = csv.reader(fh)
@@ -389,26 +463,26 @@ _HEADER = "cat,num,label,extra\n"
 
 
 @settings(max_examples=200, deadline=None)
-@given(text=_csv_files(), label_map=st.sampled_from([int, _bin_days]))
+@given(text=_csv_files(), label_map=st.sampled_from([class_ids, _bin_days]))
 # first appearance; no CR in a cell
-@example(text="num,label,cat\r\n1.5,0,b\r\n2.5,1,a\r\n", label_map=int)
+@example(text="num,label,cat\r\n1.5,0,b\r\n2.5,1,a\r\n", label_map=class_ids)
 # a quoted newline across the CHUNK_ROWS-th line
 @example(text="cat,num,label\n" + "a,1.5,0\n" * (CHUNK_ROWS - 1) + 'x,2.5,1\n"l\nf",3.5,2\n',
-         label_map=int)
+         label_map=class_ids)
 # field counts that total a multiple of the header's, a CR inside a cell, an
 # unused cell over csv.field_size_limit() (csv.Error on either path), a
 # label token that int reads as UNLABELED, and a quoted cell in a full row
-@example(text=_HEADER + "a,1.5,0\n1,b,2.5,1,e\n", label_map=int)
-@example(text=_HEADER + "a\rb,1.5,0,e\n", label_map=int)
-@example(text=_HEADER + "a,1.5,0," + "e" * 140_000 + "\n", label_map=int)
-@example(text=_HEADER + f"a,1.5,{UNLABELED},e\n", label_map=int)
-@example(text=_HEADER + '"a",1.5,0,e\n', label_map=int)
+@example(text=_HEADER + "a,1.5,0\n1,b,2.5,1,e\n", label_map=class_ids)
+@example(text=_HEADER + "a\rb,1.5,0,e\n", label_map=class_ids)
+@example(text=_HEADER + "a,1.5,0," + "e" * 140_000 + "\n", label_map=class_ids)
+@example(text=_HEADER + f"a,1.5,{UNLABELED},e\n", label_map=class_ids)
+@example(text=_HEADER + '"a",1.5,0,e\n', label_map=class_ids)
 def test_open_csv_stream_reads_as_csv_reader_does(tmp_path_factory, text, label_map):
     """``open_csv_stream``, which scans plain chunks as bytes, gives what
     ``csv.reader`` gives for the file: the same tables, or the same error
-    at the same row, with labels read by ``int`` or as ``run --bin-days``
-    reads hours. (The files are UTF-8; a byte that is not is tested on its
-    own.)"""
+    at the same row, with labels read by ``class_ids`` or as ``run
+    --bin-days`` reads hours. (The files are UTF-8; a byte that is not is
+    tested on its own.)"""
     p = tmp_path_factory.mktemp("scan") / "s.csv"
     p.write_bytes(text.encode("utf-8"))
     assert _outcome(open_csv_stream(p, _SCAN_SCHEMA, label_map)) == _outcome(
@@ -445,7 +519,7 @@ def test_paper_like_chunks_all_take_the_byte_path(tmp_path, monkeypatch, seed):
     stream = generate(paper_like_config(seed))
     p = tmp_path / "stream.csv"
     write_csv(stream.table, stream.schema, p)
-    _read_on_the_byte_path(p, stream, int, monkeypatch)
+    _read_on_the_byte_path(p, stream, class_ids, monkeypatch)
 
 
 @pytest.mark.parametrize("seed", [42, 7])
@@ -465,9 +539,10 @@ def test_paper_like_chunks_with_hours_binned_all_take_the_byte_path(tmp_path, mo
 @pytest.mark.parametrize("first_cell", ["c0", '"c0"'], ids=["byte-path", "csv-reader"])
 def test_label_map_reads_each_distinct_label_token_once_per_chunk(tmp_path, monkeypatch,
                                                                  first_cell):
-    """``label_map`` is called once for each distinct non-empty label token
-    of each chunk, whether ``_scan_chunk`` reads every chunk or, the first
-    cell being quoted, ``csv.reader`` reads the file from its first chunk on."""
+    """``label_map`` is called once per chunk, with each distinct non-empty
+    label token of the chunk once, whether ``_scan_chunk`` reads every chunk
+    or, the first cell being quoted, ``csv.reader`` reads the file from its
+    first chunk on."""
     n = 2 * CHUNK_ROWS + 100
     labels = ["" if i % 5 == 0 else str(i // 1000) for i in range(n)]  # some in two chunks
     lines = [f"c{i % 3},{i % 10}.5,{labels[i]},e\n" for i in range(n)]
@@ -475,17 +550,19 @@ def test_label_map_reads_each_distinct_label_token_once_per_chunk(tmp_path, monk
     p = tmp_path / "labels.csv"
     p.write_bytes((_HEADER + "".join(lines)).encode("ascii"))
     scanned = _spied_scans(monkeypatch)
-    calls = collections.Counter()
+    calls, tokens = [], collections.Counter()
 
-    def counting(token):
-        calls[token] += 1
-        return int(token)
+    def counting(chunk_tokens):
+        calls.append(chunk_tokens)
+        tokens.update(chunk_tokens)
+        return class_ids(chunk_tokens)
 
     table = Table.concat(_SCAN_SCHEMA, open_csv_stream(p, _SCAN_SCHEMA, counting))
     assert [t is not None for t in scanned] == ([True] * 3 if first_cell == "c0" else [False])
     assert table.label.tolist() == [int(t) if t else UNLABELED for t in labels]
     chunks = (set(labels[lo : lo + CHUNK_ROWS]) - {""} for lo in range(0, n, CHUNK_ROWS))
-    assert calls == collections.Counter(chain.from_iterable(chunks))
+    assert tokens == collections.Counter(chain.from_iterable(chunks))
+    assert len(calls) == 3
 
 
 def _peak_reading(p):
