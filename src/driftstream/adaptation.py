@@ -114,8 +114,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         try:  # the detectors hold the bounds of their parameters
-            make_detector(self.detector, self.ph_delta, self.ph_lambda, self.ph_burn_in,
-                          self.adwin_delta)
+            make_detector(self)
         except ValueError as e:
             raise ConfigError(str(e)) from None
         if self.strategy is not None and self.strategy not in STRATEGIES:
@@ -236,11 +235,11 @@ class Controller:
     mini-batch is positions ``_mb_start .. _next - 1``.
     """
 
-    def __init__(self, warmup: Table, schema: FeatureSchema, detector, config: ExperimentConfig):
-        """Build the encoder from the warm-up rows (with the config's
-        Box-Cox features and prefix lengths), train the initial
-        model on them (as many classes as the warm-up labels imply, at most
-        ``MAX_INFERRED_CLASSES``), and pre-fill the buffer with their tail.
+    def __init__(self, warmup: Table, schema: FeatureSchema, config: ExperimentConfig):
+        """Build the encoder from the warm-up rows (with the config's Box-Cox
+        features and prefix lengths), train the initial model on them (as many
+        classes as the warm-up labels imply, at most ``MAX_INFERRED_CLASSES``),
+        pre-fill the buffer with their tail and build the config's detector.
         No warm-up rows, or encoder settings that cannot apply to them,
         raise ``ConfigError``; a row without a label, or a label that would
         infer more classes, raises ``LabelError``."""
@@ -264,7 +263,7 @@ class Controller:
             warmup.label, cats, nums, n_classes, encoder.cat_cardinalities, encoder.n_numeric
         )
         self.encoder = encoder
-        self.detector = detector
+        self.detector = make_detector(config)
         self.config = config
         pos = self.model.positions(warmup.label, cats)
         rows = Rows(warmup.index, warmup.label, cats, nums, pos)
@@ -273,7 +272,6 @@ class Controller:
         self._next = self._mb_start = len(self._cols.index)
         self.collection: Optional[Collection] = None
         self.n_drifts = 0
-        self.n_retrains = 0
         self.retrain_history: list[RetrainEvent] = []
 
     # -- rows -------------------------------------------------------------
@@ -313,7 +311,6 @@ class Controller:
         m = self.model
         shape = m.n_classes, m.cat_cardinalities, m.n_numeric
         self.model = NaiveBayesModel.fit(rows.label, rows.cats, rows.nums, *shape, rows.pos)
-        self.n_retrains += 1
         self.retrain_history.append(RetrainEvent(alarm_index, now, rows.index))
         self.detector.reset()
         self.collection = None

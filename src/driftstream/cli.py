@@ -47,6 +47,7 @@ from .synth import (
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
+_RUN = ExperimentConfig()  # the default run, whose fields the experiment flags default to
 
 
 # -- config file ----------------------------------------------------------
@@ -60,7 +61,8 @@ def _config_file_args(argv: list[str]) -> list[str]:
     names in a command's arguments ``argv`` translate to, a key's
     underscores read as dashes; none without the flag. The flag is read as
     argparse reads it: ``--config FILE``, ``--config=FILE`` or an
-    abbreviation such as ``--conf FILE``."""
+    abbreviation such as ``--conf FILE``. A line that is not key=value, or
+    a byte that is not UTF-8, is a ``ConfigError`` naming its line."""
     parser = argparse.ArgumentParser(add_help=False, exit_on_error=False)
     parser.add_argument("--config")
     try:
@@ -71,9 +73,14 @@ def _config_file_args(argv: list[str]) -> list[str]:
         return []
     args: list[str] = []
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as e:
         raise ConfigError(f"cannot read config file {path}: {e}")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:  # the bad byte's line: the lines before it, plus its own
+        lineno = len((data[: e.start].decode("utf-8") + "_").splitlines())
+        raise ConfigError(f"{path}:{lineno}: byte 0x{data[e.start]:02x} is not UTF-8") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -161,7 +168,7 @@ def _load_stream(args) -> tuple[Table, FeatureSchema]:
     if bool(args.input) == bool(args.synth):
         raise ConfigError("exactly one of --input or --synth must be given")
     if args.synth:
-        if args.label or args.exclude or args.bin_days:
+        if args.label is not None or args.exclude or args.bin_days is not None:
             raise ConfigError("--label, --exclude and --bin-days apply to --input only")
         if args.synth not in PROFILES:
             raise ConfigError(f"unknown synth profile {args.synth!r}")
@@ -169,7 +176,7 @@ def _load_stream(args) -> tuple[Table, FeatureSchema]:
     if not args.label:
         raise ConfigError("--label is required with --input")
     bins = None
-    if args.bin_days:
+    if args.bin_days is not None:
         try:
             edges = tuple(float(d) for d in args.bin_days.split(","))
             bins = BinBoundaries(edges, unit_divisor=24.0)
@@ -398,26 +405,28 @@ def _add_source(p: argparse.ArgumentParser) -> None:
 
 def _add_cell(p: argparse.ArgumentParser) -> None:
     """The flags of one cell of the grid that ``matrix`` takes as lists."""
-    p.add_argument("--detector", choices=["none", "page-hinkley", "adwin"], default="none")
-    p.add_argument("--strategy", choices=["last", "mixed", "next"], default=None)
-    p.add_argument("--batch-size", type=_count, default=500)
+    p.add_argument("--detector", choices=["none", "page-hinkley", "adwin"], default=_RUN.detector)
+    p.add_argument("--strategy", choices=["last", "mixed", "next"], default=_RUN.strategy)
+    p.add_argument("--batch-size", type=_count, default=_RUN.batch_size)
 
 
 def _add_thresholds(p: argparse.ArgumentParser) -> None:
     """The detector thresholds, which ``gridsearch`` takes as grids instead."""
-    p.add_argument("--lambda", dest="ph_lambda", type=float, default=0.6)
-    p.add_argument("--delta", dest="adwin_delta", type=float, default=0.001)
+    p.add_argument("--lambda", dest="ph_lambda", type=float, default=_RUN.ph_lambda)
+    p.add_argument("--delta", dest="adwin_delta", type=float, default=_RUN.adwin_delta)
 
 
 def _add_experiment(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--incremental", action=argparse.BooleanOptionalAction, default=False)
-    p.add_argument("--warmup", type=_count, default=2000)
-    p.add_argument("--window", type=_count, default=1000)
-    p.add_argument("--mini-batch", type=_count, default=10)
-    p.add_argument("--ph-delta", type=float, default=0.005)
-    p.add_argument("--burn-in", type=int, default=30)
-    p.add_argument("--boxcox", default="", help="numeric features to transform, comma-separated")
-    p.add_argument("--prefix-len", default="", help="category truncation, feature=len[,..]")
+    p.add_argument("--incremental", action=argparse.BooleanOptionalAction, default=_RUN.incremental)
+    p.add_argument("--warmup", type=_count, default=_RUN.warmup)
+    p.add_argument("--window", type=_count, default=_RUN.window)
+    p.add_argument("--mini-batch", type=_count, default=_RUN.mini_batch_size)
+    p.add_argument("--ph-delta", type=float, default=_RUN.ph_delta)
+    p.add_argument("--burn-in", type=int, default=_RUN.ph_burn_in)
+    p.add_argument("--boxcox", default=",".join(_RUN.boxcox),
+                   help="numeric features to transform, comma-separated")
+    p.add_argument("--prefix-len", default=",".join(f"{f}={n}" for f, n in _RUN.prefix_len),
+                   help="category truncation, feature=len[,..]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -478,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_source(p)
     p.add_argument("--feature", required=True)
-    p.add_argument("--window", type=_count, default=1000)
+    p.add_argument("--window", type=_count, default=_RUN.window)
     p.set_defaults(func=cmd_inspect)
 
     return parser

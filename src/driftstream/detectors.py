@@ -161,19 +161,12 @@ class NoDetector:
         return self
 
 
-def make_detector(
-    name: str,
-    ph_delta: float = 0.005,
-    ph_lambda: float = 0.6,
-    ph_burn_in: int = 30,
-    adwin_delta: float = 0.001,
-):
-    """Factory used by the experiment drivers; name in
-    {none, page_hinkley, adwin}."""
-    if name == "none":
+def make_detector(config):
+    """The detector, with its parameters, that ``config`` (an ``ExperimentConfig``) names."""
+    if config.detector == "none":
         return NoDetector()
-    if name == "page_hinkley":
-        return PageHinkley(delta=ph_delta, lam=ph_lambda, burn_in=ph_burn_in)
-    if name == "adwin":
-        return Adwin(delta=adwin_delta)
-    raise ValueError(f"unknown detector {name!r}")
+    if config.detector == "page_hinkley":
+        return PageHinkley(config.ph_delta, config.ph_lambda, config.ph_burn_in)
+    if config.detector == "adwin":
+        return Adwin(config.adwin_delta)
+    raise ValueError(f"unknown detector {config.detector!r}")

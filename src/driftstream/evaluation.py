@@ -14,7 +14,6 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .adaptation import Controller, ExperimentConfig, Records
-from .detectors import make_detector
 from .preprocess import BinBoundaries
 from .stream_core import (
     ConfigError, FeatureSchema, Table, class_ids, infer_schema, open_csv_stream, write_columns,
@@ -40,9 +39,7 @@ def run_experiment(
     given the stream and config."""
     if len(table) < config.warmup:
         raise ConfigError(f"stream has only {len(table)} rows, warm-up needs {config.warmup}")
-    detector = make_detector(config.detector, config.ph_delta, config.ph_lambda,
-                             config.ph_burn_in, config.adwin_delta)
-    controller = Controller(table[: config.warmup], schema, detector, config)
+    controller = Controller(table[: config.warmup], schema, config)
 
     # unlabeled rows cannot be scored prequentially; each block's columns are
     # copied out as it comes, so no block outlives its step
@@ -56,7 +53,7 @@ def run_experiment(
         overall_accuracy=int(records.correct.sum()) / n if n else 0.0,
         n_predictions=n,
         n_drifts=controller.n_drifts,
-        n_retrains=controller.n_retrains,
+        n_retrains=len(controller.retrain_history),
     )
     return records, summary
 

@@ -372,16 +372,31 @@ def _header_columns(header, path, schema) -> dict[str, int]:
 def _record_tables(records, index, col, schema, label_map) -> Iterator[Table]:
     """The tables of ``csv.reader`` ``records``, the first at stream index
     ``index``, each record kept as it is read as the tuple of the cells that
-    ``schema`` uses (a short record read as padded with empty cells)."""
+    ``schema`` uses (a short record read as padded with empty cells). If
+    reading raises ``UnicodeDecodeError``, a bad cell among the records read
+    before it is raised in its place, as on the byte path."""
     used = list(col.values())
     pad = [""] * (max(used, default=-1) + 1)
     pick = operator.itemgetter(*used) if len(used) > 1 else lambda r: tuple(r[i] for i in used)
     numeric = set(schema.numeric_names)
     cells = map(pick, map(operator.add, records, repeat(pad)))
-    while rows := list(islice(cells, CHUNK_ROWS)):
+
+    def table(rows) -> Table:
         tokens = zip(col, zip(*rows))  # each used column's name and tokens
-        yield _table(index, len(rows), schema, label_map,
-                     {name: t if name in numeric else DictColumn.from_tokens(t) for name, t in tokens})
+        columns = {name: t if name in numeric else DictColumn.from_tokens(t) for name, t in tokens}
+        return _table(index, len(rows), schema, label_map, columns)
+
+    while True:
+        rows = []
+        try:
+            rows.extend(islice(cells, CHUNK_ROWS))  # keeps the records read before an error
+        except UnicodeDecodeError:
+            if rows:
+                table(rows)
+            raise
+        if not rows:
+            return
+        yield table(rows)
         index += len(rows)
 
 

@@ -183,9 +183,10 @@ def test_criterion_4_window_algebra():
             stream = Table(np.arange(n), np.arange(n) % 2, {"tok": tokens})
             det = ArmedDetector()
             ctrl = Controller(
-                stream[:warmup], schema, det,
+                stream[:warmup], schema,
                 ExperimentConfig(detector="page_hinkley", strategy=strategy, batch_size=B),
             )
+            ctrl.detector = det
             for rec in stream[warmup:]:
                 if rec.index[0] == t:
                     det.fire = True

@@ -26,7 +26,7 @@ from driftstream.adaptation import (
     LabelError,
     PrequentialRecord,
 )
-from driftstream.detectors import NoDetector, make_detector
+from driftstream.detectors import NoDetector
 from driftstream.evaluation import load_stream
 from driftstream.naive_bayes import NaiveBayesModel
 from driftstream.stream_core import (
@@ -62,8 +62,8 @@ class ScriptedDetector:
 
 
 def make_config(strategy=None, **kw):
-    """An ExperimentConfig for ``strategy``. The tests hand the controller
-    its detector, so the detector named here only satisfies the config."""
+    """An ExperimentConfig for ``strategy``. A test that scripts alarms
+    assigns its detector to ``ctrl.detector`` once the controller is built."""
     return ExperimentConfig(
         detector="none" if strategy is None else "page_hinkley", strategy=strategy, **kw
     )
@@ -125,7 +125,8 @@ def run_with_alarm(strategy, batch_size, alarm_at, n=300, warmup=50, **cfg_kw):
     stream = make_stream(n)
     det = ScriptedDetector()
     cfg = make_config(strategy=strategy, batch_size=batch_size, **cfg_kw)
-    ctrl = Controller(stream[:warmup], SCHEMA, det, cfg)
+    ctrl = Controller(stream[:warmup], SCHEMA, cfg)
+    ctrl.detector = det
     results = []
     for rec in stream[warmup:]:
         if rec.index[0] == alarm_at:
@@ -221,7 +222,7 @@ def test_early_drift_short_buffer_uses_what_is_available():
 def test_stream_end_mid_collection_skips_retraining():
     ctrl, _, _ = run_with_alarm(NEXT, 10, alarm_at=95, n=100, warmup=50)
     assert ctrl.n_drifts == 1
-    assert ctrl.n_retrains == 0
+    assert len(ctrl.retrain_history) == 0
     assert ctrl.retrain_history == []
 
 
@@ -239,7 +240,8 @@ def test_detector_suppressed_during_collection():
     stream = make_stream(300)
     det = ScriptedDetector()
     cfg = make_config(strategy=NEXT, batch_size=20)
-    ctrl = Controller(stream[:50], SCHEMA, det, cfg)
+    ctrl = Controller(stream[:50], SCHEMA, cfg)
+    ctrl.detector = det
     for rec in stream[50:]:
         if rec.index[0] == 100:
             det.fire = True
@@ -261,7 +263,8 @@ def test_at_most_one_outstanding_retraining():
     stream = make_stream(300)
     det = ScriptedDetector()
     cfg = make_config(strategy=NEXT, batch_size=30)
-    ctrl = Controller(stream[:50], SCHEMA, det, cfg)
+    ctrl = Controller(stream[:50], SCHEMA, cfg)
+    ctrl.detector = det
     results = []
     for rec in stream[50:]:
         if rec.index[0] in (100, 110):  # second arm falls inside collection
@@ -279,7 +282,7 @@ def test_at_most_one_outstanding_retraining():
 def test_incremental_updates_apply_every_mini_batch():
     stream = make_stream(100)
     cfg = make_config(strategy=None, incremental=True, mini_batch_size=10)
-    ctrl = Controller(stream[:50], SCHEMA, NoDetector(), cfg)
+    ctrl = Controller(stream[:50], SCHEMA, cfg)
     for rec in stream[50:65]:
         ctrl.step(rec)
     # one full mini-batch applied, five instances still pending
@@ -293,7 +296,8 @@ def test_incremental_pauses_during_collection():
     cfg = make_config(
         strategy=NEXT, batch_size=20, incremental=True, mini_batch_size=5
     )
-    ctrl = Controller(stream[:50], SCHEMA, det, cfg)
+    ctrl = Controller(stream[:50], SCHEMA, cfg)
+    ctrl.detector = det
     for rec in stream[50:]:
         if rec.index[0] == 100:
             det.fire = True
@@ -311,7 +315,8 @@ def test_retraining_replaces_incrementally_updated_model():
     stream = make_stream(300)
     det = ScriptedDetector()
     cfg = make_config(strategy=LAST, batch_size=10, incremental=True)
-    ctrl = Controller(stream[:50], SCHEMA, det, cfg)
+    ctrl = Controller(stream[:50], SCHEMA, cfg)
+    ctrl.detector = det
     for rec in stream[50:]:
         if rec.index[0] == 100:
             det.fire = True
@@ -325,7 +330,8 @@ def test_retraining_replaces_incrementally_updated_model():
 def test_static_config_freezes_everything():
     stream = make_stream(200)
     det = ScriptedDetector()
-    ctrl = Controller(stream[:50], SCHEMA, det, make_config(batch_size=10))
+    ctrl = Controller(stream[:50], SCHEMA, make_config(batch_size=10))
+    ctrl.detector = det
     det.fire = True  # an alarm without a strategy changes nothing
     trained = ctrl.model.n_trained
     results = [ctrl.step(rec) for rec in stream[50:]]
@@ -337,7 +343,7 @@ def test_static_config_freezes_everything():
 def test_static_prediction_is_pure_function_of_instance():
     stream = make_stream(100)
     cfg = make_config()
-    ctrl = Controller(stream[:50], SCHEMA, NoDetector(), cfg)
+    ctrl = Controller(stream[:50], SCHEMA, cfg)
     probe = stream[60]
     first = ctrl.step(probe).predicted
     for rec in stream[51:60]:
@@ -397,8 +403,9 @@ def test_block_walk_equals_step_loop(monkeypatch, strategy, batch_size, incremen
         incremental=incremental,
         mini_batch_size=mini_batch_size,
     )
-    block = Controller(stream[:60], MIXED_SCHEMA, CountingDetector(fire_on), cfg)
-    plain = Controller(stream[:60], MIXED_SCHEMA, CountingDetector(fire_on), cfg)
+    block = Controller(stream[:60], MIXED_SCHEMA, cfg)
+    plain = Controller(stream[:60], MIXED_SCHEMA, cfg)
+    block.detector, plain.detector = CountingDetector(fire_on), CountingDetector(fire_on)
     block_detector, plain_detector = block.detector, plain.detector
 
     walked, blocks, versions = [], [], []
@@ -420,7 +427,8 @@ def test_block_walk_equals_step_loop(monkeypatch, strategy, batch_size, incremen
     assert walked == stepped
     assert yielded == len(blocks)  # one record block per scored block
     assert block.retrain_history == plain.retrain_history
-    assert (block.n_drifts, block.n_retrains) == (plain.n_drifts, plain.n_retrains)
+    assert (block.n_drifts, len(block.retrain_history)) == (
+        plain.n_drifts, len(plain.retrain_history))
     assert block_detector.calls == plain_detector.calls
     assert (block.collection, block._next, block._mb_start) == (
         plain.collection, plain._next, plain._mb_start)
@@ -451,7 +459,7 @@ def test_block_walk_scores_each_row_once_when_no_alarm_can_refit(
     # part-filled: no score is computed and dropped
     stream = noisy_stream(4560)
     cfg = make_config(incremental=incremental, mini_batch_size=mini_batch_size)
-    ctrl = Controller(stream[:60], MIXED_SCHEMA, NoDetector(), cfg)
+    ctrl = Controller(stream[:60], MIXED_SCHEMA, cfg)
     sizes = []
     predict_many = NaiveBayesModel.predict_many
 
@@ -480,8 +488,8 @@ def test_staged_versions_of_a_wide_model_stay_under_the_cap(monkeypatch):
         {"tok": DictColumn.from_tokens(toks), "x": rng.normal(size=len(labels)) + labels},
     )
     cfg = make_config(incremental=True, mini_batch_size=1)
-    block = Controller(stream[:warmup], MIXED_SCHEMA, NoDetector(), cfg)
-    plain = Controller(stream[:warmup], MIXED_SCHEMA, NoDetector(), cfg)
+    block = Controller(stream[:warmup], MIXED_SCHEMA, cfg)
+    plain = Controller(stream[:warmup], MIXED_SCHEMA, cfg)
     assert block.model.cat_cardinalities == (n_tokens + 1,)
     staged = []
     stage = NaiveBayesModel.stage
@@ -510,12 +518,13 @@ def test_columns_hold_at_most_a_window_a_mini_batch_and_a_chunk(strategy, increm
     stream = noisy_stream(9000)
     cfg = make_config(strategy, batch_size=40, incremental=incremental, mini_batch_size=10)
     detector = NoDetector() if strategy is None else CountingDetector(range(100, 9000, 300))
-    ctrl = Controller(stream[:60], MIXED_SCHEMA, detector, cfg)
+    ctrl = Controller(stream[:60], MIXED_SCHEMA, cfg)
+    ctrl.detector = detector
     bound = cfg.batch_size + cfg.mini_batch_size + adaptation._MAX_BLOCK
     for _ in ctrl.steps(stream[60:]):
         assert len(ctrl._cols.index) <= bound
     assert ctrl._next == 40 + 8940
-    assert (ctrl.n_retrains > 0) == (strategy is not None)
+    assert (len(ctrl.retrain_history) > 0) == (strategy is not None)
 
 
 # -- the detect and act phases ------------------------------------------------
@@ -532,9 +541,7 @@ def columns(blocks):
 
 
 def new_controller(table, schema, config):
-    detector = make_detector(config.detector, config.ph_delta, config.ph_lambda,
-                             config.ph_burn_in, config.adwin_delta)
-    return Controller(table[: config.warmup], schema, detector, config)
+    return Controller(table[: config.warmup], schema, config)
 
 
 def test_a_controller_paused_at_its_first_alarm_finishes_as_a_fresh_run(monkeypatch):
@@ -568,8 +575,9 @@ def test_a_controller_paused_at_its_first_alarm_finishes_as_a_fresh_run(monkeypa
         after = tuple(c[after[0] > last] for c in after)
         assert all(np.array_equal(a, b) for a, b in zip(forked, after))
         assert fork.retrain_history == fresh.retrain_history
-        assert (fork.n_drifts, fork.n_retrains) == (fresh.n_drifts, fresh.n_retrains)
-        assert fresh.n_retrains > 1
+        assert (fork.n_drifts, len(fork.retrain_history)) == (
+            fresh.n_drifts, len(fresh.retrain_history))
+        assert len(fresh.retrain_history) > 1
 
 
 @pytest.mark.parametrize("incremental", [False, True])
@@ -589,8 +597,8 @@ def test_a_config_without_a_detector_never_acts(monkeypatch, incremental):
 def test_test_then_train_label_cannot_leak():
     stream = make_stream(100)
     cfg = make_config(strategy=None, incremental=True, mini_batch_size=1)
-    a = Controller(stream[:50], SCHEMA, NoDetector(), cfg)
-    b = Controller(stream[:50], SCHEMA, NoDetector(), cfg)
+    a = Controller(stream[:50], SCHEMA, cfg)
+    b = Controller(stream[:50], SCHEMA, cfg)
     probe = stream[50]
     flipped = Table(probe.index, 1 - probe.label, probe.columns)
     assert a.step(probe).predicted == b.step(flipped).predicted
@@ -606,11 +614,11 @@ def test_replay_reproduces_events_and_predictions():
 
 def test_warmup_requires_labeled_instances():
     with pytest.raises(ConfigError):
-        Controller(make_stream(0), SCHEMA, NoDetector(), make_config())
+        Controller(make_stream(0), SCHEMA, make_config())
     tok = {"tok": DictColumn.from_tokens(["a"])}
     bare = Table(np.zeros(1, np.int64), np.array([UNLABELED]), tok)
     with pytest.raises(LabelError) as info:
-        Controller(bare, SCHEMA, NoDetector(), make_config())
+        Controller(bare, SCHEMA, make_config())
     assert "row has no label" in str(info.value)
 
 
@@ -618,7 +626,7 @@ def test_warmup_requires_labeled_instances():
 def test_label_outside_classes_rejected_before_its_chunk_is_stepped(walk):
     stream = make_stream(120)
     stream.label[90] = 2  # 2 classes seen in warm-up
-    ctrl = Controller(stream[:50], SCHEMA, NoDetector(), make_config())
+    ctrl = Controller(stream[:50], SCHEMA, make_config())
     stepped = []
     with pytest.raises(LabelError) as info:
         if walk == "steps":  # rows 50..119 form one chunk
@@ -635,7 +643,7 @@ def test_unlabeled_warmup_row_named_in_the_error():
     stream = make_stream(50)
     stream.label[7] = UNLABELED
     with pytest.raises(LabelError) as info:
-        Controller(stream, SCHEMA, NoDetector(), make_config())
+        Controller(stream, SCHEMA, make_config())
     assert (info.value.index, info.value.row) == (7, 9)
 
 
@@ -644,7 +652,7 @@ def test_first_unusable_warmup_row_named_whichever_its_kind():
     stream.label[3] = -1  # outside the 2 classes
     stream.label[7] = UNLABELED
     with pytest.raises(LabelError) as info:
-        Controller(stream, SCHEMA, NoDetector(), make_config())
+        Controller(stream, SCHEMA, make_config())
     assert (info.value.index, info.value.row) == (3, 5)
     assert "label -1 outside [0, 2)" in str(info.value)
 
@@ -654,13 +662,13 @@ def test_inferred_class_count_is_bounded_by_the_largest_label_row():
     stream.label[7] = MAX_INFERRED_CLASSES
     stream.label[30] = stream.label[40] = MAX_INFERRED_CLASSES + 5
     with pytest.raises(LabelError) as info:
-        Controller(stream, SCHEMA, NoDetector(), make_config())
+        Controller(stream, SCHEMA, make_config())
     assert (info.value.index, info.value.row) == (30, 32)
 
 
 def test_n_classes_inferred_from_warmup():
     ctrl = Controller(
-        make_stream(50), SCHEMA, NoDetector(), make_config()
+        make_stream(50), SCHEMA, make_config()
     )
     assert ctrl.model.n_classes == 2
 

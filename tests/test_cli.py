@@ -210,8 +210,10 @@ def test_exclude_drops_the_column_from_the_schema(small_stream):
 
 
 @pytest.mark.parametrize(
-    "flags", [("--label", "nope"), ("--exclude", "num0"), ("--bin-days", "6,39")],
-    ids=["label", "exclude", "bin-days"],
+    "flags",
+    [("--label", "nope"), ("--exclude", "num0"), ("--bin-days", "6,39"), ("--label", ""),
+     ("--bin-days", "")],
+    ids=["label", "exclude", "bin-days", "empty-label", "empty-bin-days"],
 )
 def test_input_only_flag_with_synth_is_a_config_error(tmp_path, capsys, flags):
     assert run_cli("run", "--synth", "paper-like", *flags, "-o", str(tmp_path / "x")) == EXIT_CONFIG
@@ -307,6 +309,16 @@ def test_config_flag_without_a_file_is_a_config_error(tmp_path, capsys, flag):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_config_file_byte_not_utf8_is_a_config_error(tmp_path, capsys, end):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_bytes(end.join([b"seed=42", b"warmup=\xff100", b"window=50"]))
+    code = run_cli("run", "--synth", "paper-like", "--config", str(cfgfile), "-o", str(tmp_path / "x"))
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"{cfgfile}:2: byte 0xff is not UTF-8" in err and "Traceback" not in err
+
+
 def test_run_env_var_output_dir(tmp_path, small_stream, monkeypatch):
     monkeypatch.setenv("DRIFTSTREAM_OUT", str(tmp_path / "envout"))
     flags = run_flags(small_stream, "ignored")
@@ -396,6 +408,7 @@ _COMMAND_FLAGS = {
          "--lambda"),
         ("gridsearch", ("--detector", "page-hinkley", "--lambda", "0.6", "--delta", "0.01"),
          "--delta"),
+        ("run", ("--bin-days", ""), "--bin-days"),  # empty: no edges, not no flag
     ],
 )
 def test_bad_config_value_is_a_config_error(tmp_path, small_stream, capsys, command, flags, named):
@@ -781,11 +794,15 @@ def test_matrix_data_error_names_its_row_for_any_worker_count(tmp_path, capsys, 
     assert message in err and "Traceback" not in err
 
 
-def test_bad_cell_is_reported_before_a_later_chunks_byte_not_utf8(tmp_path, capsys):
-    """A plain file whose second chunk holds a non-numeric cell and whose
-    third holds a byte that is not UTF-8 on its fourth line stops at the
-    bad cell: the chunks are judged in turn, and no decoder reads ahead."""
+@pytest.mark.parametrize("first", [b"a,0.5,0", b'"a",0.5,0'], ids=["bytes", "csv-reader"])
+def test_bad_cell_is_reported_before_a_later_chunks_byte_not_utf8(tmp_path, capsys, first):
+    """A file whose second chunk holds a non-numeric cell and whose third
+    holds a byte that is not UTF-8 on its fourth line stops at the bad cell:
+    the chunks are judged in turn. With its first cell quoted, ``csv.reader``
+    reads the file, and its decoder's read-ahead meets the byte before the
+    second chunk is complete."""
     lines = [f"{'abc'[i % 3]},{i % 13}.5,{i % 3}".encode() for i in range(3 * CHUNK_ROWS)]
+    lines[0] = first
     lines[CHUNK_ROWS + 10] = b"a,abc,0"  # file row CHUNK_ROWS + 12
     lines[2 * CHUNK_ROWS + 3] = b"\xff,1.5,0"
     stream = tmp_path / "s.csv"

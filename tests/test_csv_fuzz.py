@@ -6,13 +6,17 @@ The streams mix arbitrary cell text with empty cells, numeric-looking
 tokens, short rows (trailing cells missing, the label among them), long
 rows (extra cells), labels out of range and unlabeled rows. Their lines end
 in CRLF, LF or CR, the last one with or without its terminator, so both of
-the reader's paths (its byte scan and ``csv.reader``) meet them.
+the reader's paths (its byte scan and ``csv.reader``) meet them. A byte of
+the file, the header's included, may be overwritten with 0xFF, which is not
+UTF-8.
 """
 
+import contextlib
 import csv
 import io
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -44,7 +48,12 @@ _good_row = st.tuples(st.sampled_from(["a", "b"]), st.integers(-5, 5), st.intege
 _rows = st.lists(st.one_of(_good_row, _good_row, _row), max_size=30)
 
 
-def _run(rows: list[list[str]], terminator: str = "\r\n", last_ended: bool = True) -> int:
+def _run(
+    rows: list[list[str]], terminator: str = "\r\n", last_ended: bool = True,
+    bad: Optional[int] = None,
+) -> int:
+    """The exit code of ``run`` on the file of ``rows``, its byte at ``bad``
+    (modulo the file length) overwritten with 0xFF; no traceback is printed."""
     buf = io.StringIO(newline="")
     w = csv.writer(buf, lineterminator=terminator)
     w.writerow(HEADER)
@@ -54,11 +63,18 @@ def _run(rows: list[list[str]], terminator: str = "\r\n", last_ended: bool = Tru
         text = text.removesuffix(terminator)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "stream.csv"
-        path.write_bytes(text.encode("utf-8"))
-        return main([
-            "run", "--input", str(path), "--label", "label", "--warmup", str(WARMUP),
-            "--quiet", "-o", str(Path(tmp) / "out"),
-        ])
+        data = bytearray(text.encode("utf-8"))
+        if bad is not None:
+            data[bad % len(data)] = 0xFF
+        path.write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([
+                "run", "--input", str(path), "--label", "label", "--warmup", str(WARMUP),
+                "--quiet", "-o", str(Path(tmp) / "out"),
+            ])
+    assert "Traceback" not in err.getvalue()
+    return code
 
 
 def _good(n: int) -> list[list[str]]:
@@ -66,16 +82,22 @@ def _good(n: int) -> list[list[str]]:
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(_rows, st.sampled_from(["\r\n", "\n", "\r"]), st.booleans())
-@example(_good(12) + [["a", "0.5"]], "\r\n", True)  # short row without its label, after warm-up
-@example(_good(2) + [["a", "0.5"]] + _good(9), "\r\n", True)  # the same inside the warm-up
-@example(_good(12) + [["a"]], "\r\n", True)  # short row without its numeric cell
-@example(_good(8) + [["a", "1", "7"]] + _good(4), "\r\n", True)  # label out of range
-@example(_good(8) + [["a", "1", "", "x", "y"]] + _good(4), "\r\n", True)  # long unlabeled row
-@example(_good(12), "\r", False)  # CR line ends: csv.reader's rows, not the byte scan's lines
-@example(_good(12), "\n", False)  # a last line without its line end
-def test_any_csv_gives_a_documented_exit_code(rows, terminator, last_ended):
-    assert _run(rows, terminator, last_ended) in (EXIT_OK, EXIT_CONFIG, EXIT_DATA)
+@given(
+    _rows, st.sampled_from(["\r\n", "\n", "\r"]), st.booleans(),
+    st.one_of(st.none(), st.integers(0, 10**4)),
+)
+@example(_good(12) + [["a", "0.5"]], "\r\n", True, None)  # short row without its label, after warm-up
+@example(_good(2) + [["a", "0.5"]] + _good(9), "\r\n", True, None)  # the same inside the warm-up
+@example(_good(12) + [["a"]], "\r\n", True, None)  # short row without its numeric cell
+@example(_good(8) + [["a", "1", "7"]] + _good(4), "\r\n", True, None)  # label out of range
+@example(_good(8) + [["a", "1", "", "x", "y"]] + _good(4), "\r\n", True, None)  # long unlabeled row
+@example(_good(12), "\r", False, None)  # CR line ends: csv.reader's rows, not the byte scan's lines
+@example(_good(12), "\n", False, None)  # a last line without its line end
+# a quoted cell ("x,y", bytes 14-18) sends the file to csv.reader, whose decoder meets 0xFF
+# on line 1,832, past the rows and the first 8 KiB that schema inference reads
+@example([["x,y", "1", "0"]] + _good(2000), "\n", True, 11000)
+def test_any_csv_gives_a_documented_exit_code(rows, terminator, last_ended, bad):
+    assert _run(rows, terminator, last_ended, bad) in (EXIT_OK, EXIT_CONFIG, EXIT_DATA)
 
 
 @settings(max_examples=40, deadline=None)

@@ -7,10 +7,12 @@ cuts (no histogram compression).
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from driftstream.adaptation import ExperimentConfig
 from driftstream.detectors import Adwin, NoDetector, PageHinkley, make_detector
 
 
@@ -283,18 +285,23 @@ def test_adwin_parameter_validation():
 # -- factory and NoDetector ---------------------------------------------------
 
 
+def config(detector, **params):
+    """An ``ExperimentConfig`` naming ``detector``, with a strategy if it alarms."""
+    return ExperimentConfig(detector, None if detector == "none" else "last", **params)
+
+
 def test_factory_names():
-    assert isinstance(make_detector("none"), NoDetector)
-    assert isinstance(make_detector("page_hinkley"), PageHinkley)
-    assert isinstance(make_detector("adwin"), Adwin)
-    with pytest.raises(ValueError):
-        make_detector("cusum")
+    assert isinstance(make_detector(config("none")), NoDetector)
+    assert isinstance(make_detector(config("page_hinkley")), PageHinkley)
+    assert isinstance(make_detector(config("adwin")), Adwin)
+    with pytest.raises(ValueError):  # read by attribute: ExperimentConfig would refuse it first
+        make_detector(SimpleNamespace(detector="cusum"))
 
 
 def test_factory_forwards_parameters():
-    ph = make_detector("page_hinkley", ph_delta=0.01, ph_lambda=0.9, ph_burn_in=5)
+    ph = make_detector(config("page_hinkley", ph_delta=0.01, ph_lambda=0.9, ph_burn_in=5))
     assert (ph.delta, ph.lam, ph.burn_in) == (0.01, 0.9, 5)
-    ad = make_detector("adwin", adwin_delta=0.01)
+    ad = make_detector(config("adwin", adwin_delta=0.01))
     assert ad.delta == 0.01
 
 

@@ -31,7 +31,7 @@ from driftstream.stream_core import (
     FeatureSchema,
     Table,
 )
-from driftstream.synth import SUDDEN, DriftSpec, SynthConfig, generate, write_csv
+from driftstream.synth import SUDDEN, DriftSpec, SynthConfig, generate, paper_like_config, write_csv
 from test_adaptation import reference_step
 from test_stream_core import csv_writer_bytes
 
@@ -249,6 +249,42 @@ def test_block_path_equals_step_loop(
     assert block[2].n_drifts == plain[2].n_drifts
     if detector != "none":
         assert plain[2].n_drifts >= 2
+
+
+@pytest.fixture(scope="module")
+def paper_like_stream():
+    return load_stream(paper_like_config(seed=42))
+
+
+@pytest.mark.parametrize(
+    "params,alarms",
+    [
+        (dict(detector="page_hinkley", ph_lambda=0.9), 1102),  # 1,201 at the default 0.6
+        (dict(detector="page_hinkley", ph_delta=0.01, ph_lambda=0.8, ph_burn_in=50), None),
+        (dict(detector="adwin", adwin_delta=0.01), None),
+    ],
+    ids=["ph-lambda", "ph-all", "adwin"],
+)
+def test_controller_runs_the_detector_its_config_names(paper_like_stream, params, alarms):
+    # the controller builds its detector from the config, so a controller
+    # stepped by hand gives the records of run_experiment on that config
+    table, schema = paper_like_stream
+    cfg = ExperimentConfig(strategy="last", batch_size=500, incremental=True, **params)
+    ctrl = Controller(table[: cfg.warmup], schema, cfg)
+    if cfg.detector == "page_hinkley":
+        ph = ctrl.detector
+        assert (ph.delta, ph.lam, ph.burn_in) == (cfg.ph_delta, cfg.ph_lambda, cfg.ph_burn_in)
+    else:
+        assert ctrl.detector.delta == cfg.adwin_delta
+    blocks = list(ctrl.steps(table[cfg.warmup :].labeled()))
+    records, summary = run_experiment(table, schema, cfg)
+    for name in ("index", "predicted", "actual", "drift", "retrain"):
+        stepped = np.concatenate([getattr(b, name) for b in blocks])
+        assert np.array_equal(stepped, getattr(records, name))
+    assert (ctrl.n_drifts, len(ctrl.retrain_history)) == (summary.n_drifts, summary.n_retrains)
+    assert summary.n_drifts == int(records.drift.sum()) > 0
+    if alarms is not None:
+        assert summary.n_drifts == alarms
 
 
 # -- config validation --------------------------------------------------------
