@@ -35,7 +35,12 @@ from its warm-up rows, so no retraining window is empty.
 One ``ExperimentConfig`` describes a run: the detector, the strategy, the
 batch and mini-batch sizes, the learning mode and the encoder settings. The
 controller reads its part of it and yields the records of each block as
-columns (``Records``), whose rolling-accuracy window the evaluation sets.
+columns (``Records``), whose rolling-accuracy window the evaluation sets,
+and whose drift and retrain flags give a run's alarm and refit counts. Each
+refit is also kept as a ``RetrainEvent`` of four stream indices: its alarm,
+the row that completed it, and the first and last rows of its window. The
+window is every row stepped, or held from the warm-up, between those two,
+the alarm row excepted.
 """
 
 from __future__ import annotations
@@ -181,23 +186,17 @@ class Records:
                    self.drift.tolist(), self.retrain.tolist())
 
 
-@dataclass(frozen=True, eq=False)
-class RetrainEvent:
-    """A refit: the stream indices of its alarm, of the row that completed
-    it and, as an int64 array, of the rows it used."""
+class RetrainEvent(NamedTuple):
+    """A refit, as stream indices: its alarm, the row that completed it, and
+    the first and last rows of its window. A window is a run of consecutive
+    rows that the controller stepped or held from its warm-up, so the refit
+    used every such row from ``first_index`` to ``last_index`` but the
+    alarm row."""
 
     alarm_index: int
     retrain_index: int
-    used: np.ndarray
-
-    @property
-    def used_indices(self) -> tuple[int, ...]:
-        return tuple(self.used.tolist())
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RetrainEvent) and (
-            (self.alarm_index, self.retrain_index, self.used_indices)
-            == (other.alarm_index, other.retrain_index, other.used_indices))
+    first_index: int
+    last_index: int
 
 
 class Rows(NamedTuple):
@@ -232,7 +231,8 @@ class Controller:
     positions 0 .. len-1 and each stepped row takes the next one. ``_cols``
     holds the rows from position ``_base`` on; ``_next`` is the position of
     the next row. In stable mode (``collection`` None) the pending
-    mini-batch is positions ``_mb_start .. _next - 1``.
+    mini-batch is positions ``_mb_start .. _next - 1``. ``retrain_history``
+    holds one ``RetrainEvent`` per refit, in order.
     """
 
     def __init__(self, warmup: Table, schema: FeatureSchema, config: ExperimentConfig):
@@ -271,7 +271,6 @@ class Controller:
         self._base = 0
         self._next = self._mb_start = len(self._cols.index)
         self.collection: Optional[Collection] = None
-        self.n_drifts = 0
         self.retrain_history: list[RetrainEvent] = []
 
     # -- rows -------------------------------------------------------------
@@ -311,7 +310,8 @@ class Controller:
         m = self.model
         shape = m.n_classes, m.cat_cardinalities, m.n_numeric
         self.model = NaiveBayesModel.fit(rows.label, rows.cats, rows.nums, *shape, rows.pos)
-        self.retrain_history.append(RetrainEvent(alarm_index, now, rows.index))
+        first, last = int(rows.index[0]), int(rows.index[-1])
+        self.retrain_history.append(RetrainEvent(alarm_index, now, first, last))
         self.detector.reset()
         self.collection = None
         self._mb_start = self._next
@@ -423,7 +423,6 @@ class Controller:
             # last keeps the B buffered rows, mixed the last ceil(B/2), next none
             B, a = self.config.batch_size, self._next
             pre = {LAST: B, MIXED: math.ceil(B / 2)}.get(self.config.strategy, 0)
-            self.n_drifts += 1
             self.collection = Collection(int(index[drift]), a, max(0, a - pre), a + 1 + B - pre)
             self._next, k = a + 1, drift + 1
         alarm_index, a, lo, end = self.collection

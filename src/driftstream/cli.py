@@ -198,7 +198,6 @@ def _experiment_config(args, **cell) -> ExperimentConfig:
     fields = dict(
         incremental=args.incremental,
         warmup=args.warmup,
-        window=args.window,
         mini_batch_size=args.mini_batch,
         ph_delta=args.ph_delta,
         ph_burn_in=args.burn_in,
@@ -237,7 +236,8 @@ def cmd_run(args) -> int:
     out = _out_dir(args)
     cell = dict(detector=args.detector.replace("-", "_"), strategy=args.strategy,
                 batch_size=args.batch_size)
-    cfg = _experiment_config(args, **cell, ph_lambda=args.ph_lambda, adwin_delta=args.adwin_delta)
+    cfg = _experiment_config(args, **cell, window=args.window, ph_lambda=args.ph_lambda,
+                             adwin_delta=args.adwin_delta)
     table, schema = _load_stream(args)
     recs, summary = run_experiment(table, schema, cfg)
     _write_resolved_config(out, args)
@@ -419,7 +419,6 @@ def _add_thresholds(p: argparse.ArgumentParser) -> None:
 def _add_experiment(p: argparse.ArgumentParser) -> None:
     p.add_argument("--incremental", action=argparse.BooleanOptionalAction, default=_RUN.incremental)
     p.add_argument("--warmup", type=_count, default=_RUN.warmup)
-    p.add_argument("--window", type=_count, default=_RUN.window)
     p.add_argument("--mini-batch", type=_count, default=_RUN.mini_batch_size)
     p.add_argument("--ph-delta", type=float, default=_RUN.ph_delta)
     p.add_argument("--burn-in", type=int, default=_RUN.ph_burn_in)
@@ -443,6 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cell(p)
     _add_experiment(p)
     _add_thresholds(p)
+    p.add_argument("--window", type=_count, default=_RUN.window)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("generate", help="synthetic drift stream + concept sidecar")

@@ -35,8 +35,9 @@ def run_experiment(
     config: ExperimentConfig,
 ) -> tuple[Records, ExperimentSummary]:
     """Drive the adaptation controller over the post-warm-up stream; one
-    prequential record per labeled prediction, as columns. Deterministic
-    given the stream and config."""
+    prequential record per labeled prediction, as columns, whose correct,
+    drift and retrain flags the summary counts. Deterministic given the
+    stream and config."""
     if len(table) < config.warmup:
         raise ConfigError(f"stream has only {len(table)} rows, warm-up needs {config.warmup}")
     controller = Controller(table[: config.warmup], schema, config)
@@ -52,8 +53,8 @@ def run_experiment(
     summary = ExperimentSummary(
         overall_accuracy=int(records.correct.sum()) / n if n else 0.0,
         n_predictions=n,
-        n_drifts=controller.n_drifts,
-        n_retrains=len(controller.retrain_history),
+        n_drifts=int(records.drift.sum()),
+        n_retrains=int(records.retrain.sum()),
     )
     return records, summary
 

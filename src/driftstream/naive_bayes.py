@@ -95,11 +95,6 @@ class NaiveBayesModel:
     var_floor = 1e-9
 
     def __init__(self, n_classes: int, cat_cardinalities: Sequence[int], n_numeric: int):
-        self._shape(n_classes, cat_cardinalities, n_numeric)
-        self._table = np.zeros((self._layout.bounds[-1] + 2, n_classes), dtype=np.int64)
-
-    def _shape(self, n_classes: int, cat_cardinalities: Sequence[int], n_numeric: int) -> None:
-        """All of an untrained model but its count table."""
         if n_classes < 1:
             raise ValueError("need at least one class")
         self.n_classes = n_classes
@@ -112,6 +107,7 @@ class NaiveBayesModel:
         top = self._layout.bounds[-1]
         rows = 2 * top + len(self.cat_cardinalities) + 4  # count and term tables
         self.version_cells = 1 + (rows + 4 * n_numeric) * n_classes
+        self._table = np.zeros((top + 2, n_classes), dtype=np.int64)
 
     @property
     def n_trained(self) -> int:
@@ -167,14 +163,13 @@ class NaiveBayesModel:
         be in [0, n_classes); the labels are checked otherwise."""
         if not len(labels):
             raise ValueError("cannot fit on an empty instance list")
-        model = cls.__new__(cls)
-        model._shape(n_classes, cat_cardinalities, n_numeric)
+        model = cls(n_classes, cat_cardinalities, n_numeric)
         if pos is None:
             labels = np.asarray(labels, dtype=np.int64)
             if labels.min() < 0 or labels.max() >= n_classes:
                 raise ValueError("label id outside [0, n_classes)")
             pos = model.positions(labels, cats)
-        shape = (model._layout.bounds[-1] + 2, n_classes)
+        shape = model._table.shape
         table = np.bincount(pos.ravel(), minlength=shape[0] * shape[1]).reshape(shape)
         table[-1] = len(labels)
         model._table = table

@@ -35,6 +35,7 @@ from driftstream.preprocess import (
 from driftstream.stream_core import CATEGORICAL, DictColumn, FeatureSchema, Table
 from driftstream.synth import SynthConfig, generate, paper_like_config
 from driftstream.cli import EXIT_OK, main as cli_main
+from test_adaptation import used_indices
 
 
 def report(name: str, ok: bool, detail: str = "") -> bool:
@@ -192,7 +193,7 @@ def test_criterion_4_window_algebra():
                     det.fire = True
                 ctrl.step(rec)
             (event,) = ctrl.retrain_history
-            used = event.used_indices
+            used = used_indices(event)
             if strategy == LAST:
                 ok &= used == tuple(range(t - B, t)) and event.retrain_index == t
             elif strategy == NEXT:
@@ -202,7 +203,7 @@ def test_criterion_4_window_algebra():
                 pre = tuple(range(t - math.ceil(B / 2), t))
                 post = tuple(range(t + 1, t + B // 2 + 1))
                 ok &= used == pre + post and event.retrain_index == t + B // 2
-            ok &= t not in used and all(type(i) is int for i in used)
+            ok &= t not in used and all(type(i) is int for i in (*used, *event))
     elapsed = time.perf_counter() - start
     ok &= elapsed < 5.0
     assert report("criterion 4: retraining window algebra", ok, f"{elapsed:.1f}s")

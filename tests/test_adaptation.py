@@ -98,7 +98,6 @@ def reference_step(ctrl, row):
     if ctrl.collection is None:
         if cfg.strategy is not None and ctrl.detector.observe(0.0 if correct else 1.0):
             drift = 1
-            ctrl.n_drifts += 1
             B = cfg.batch_size
             pre = {LAST: B, MIXED: math.ceil(B / 2), NEXT: 0}[cfg.strategy]
             ctrl.collection = Collection(index, p, max(0, p - pre), p + 1 + B - pre)
@@ -114,6 +113,16 @@ def reference_step(ctrl, row):
         ctrl._refit(ctrl._rows(window), alarm_index, index)
         retrained = 1
     return PrequentialRecord(index, pred, label, correct, 0.0, drift, retrained)
+
+
+def used_indices(event, stepped=None):
+    """The stream indices of the rows that the refit ``event`` used, read
+    from its bounds: each index of ``stepped`` (the rows the controller
+    stepped or held from its warm-up; every index if None) from
+    ``first_index`` to ``last_index``, the alarm row excepted."""
+    first, last = event.first_index, event.last_index
+    rows = range(first, last + 1) if stepped is None else (i for i in stepped if first <= i <= last)
+    return tuple(i for i in rows if i != event.alarm_index)
 
 
 def make_stream(n):
@@ -143,7 +152,7 @@ def test_last_uses_the_b_instances_before_the_alarm():
     (event,) = ctrl.retrain_history
     assert event.alarm_index == 100
     assert event.retrain_index == 100  # zero collection delay
-    assert event.used_indices == tuple(range(90, 100))
+    assert used_indices(event) == tuple(range(90, 100))
     r = next(r for r in results if r.index == 100)
     assert r.drift_flag and r.retrain_flag
 
@@ -153,7 +162,7 @@ def test_next_uses_the_b_instances_after_the_alarm():
     (event,) = ctrl.retrain_history
     assert event.alarm_index == 100
     assert event.retrain_index == 110
-    assert event.used_indices == tuple(range(101, 111))
+    assert used_indices(event) == tuple(range(101, 111))
     assert not next(r for r in results if r.index == 100).retrain_flag
     assert next(r for r in results if r.index == 110).retrain_flag
 
@@ -162,14 +171,15 @@ def test_mixed_splits_half_and_half_around_the_alarm():
     ctrl, det, results = run_with_alarm(MIXED, 10, alarm_at=100)
     (event,) = ctrl.retrain_history
     assert event.retrain_index == 105
-    assert event.used_indices == tuple(range(95, 100)) + tuple(range(101, 106))
+    assert used_indices(event) == tuple(range(95, 100)) + tuple(range(101, 106))
 
 
 def test_mixed_odd_batch_size_puts_extra_instance_before():
     ctrl, _, _ = run_with_alarm(MIXED, 7, alarm_at=100)
     (event,) = ctrl.retrain_history
-    pre = [i for i in event.used_indices if i < 100]
-    post = [i for i in event.used_indices if i > 100]
+    used = used_indices(event)
+    pre = [i for i in used if i < 100]
+    post = [i for i in used if i > 100]
     assert len(pre) == 4 and len(post) == 3  # ceil(7/2) / floor(7/2)
     assert event.retrain_index == 103
 
@@ -178,7 +188,7 @@ def test_alarm_instance_in_no_retraining_set():
     for strategy in STRATEGIES:
         ctrl, _, _ = run_with_alarm(strategy, 8, alarm_at=100)
         (event,) = ctrl.retrain_history
-        assert 100 not in event.used_indices
+        assert 100 not in used_indices(event)
 
 
 @settings(max_examples=30, deadline=None)
@@ -191,14 +201,14 @@ def test_window_contracts_property(strategy, batch_size, offset):
     alarm_at = 60 + offset
     ctrl, _, _ = run_with_alarm(strategy, batch_size, alarm_at, n=150, warmup=40)
     (event,) = ctrl.retrain_history
-    t, B = alarm_at, batch_size
-    pre = [i for i in event.used_indices if i < t]
-    post = [i for i in event.used_indices if i > t]
+    t, B, used = alarm_at, batch_size, used_indices(event)
+    pre = [i for i in used if i < t]
+    post = [i for i in used if i > t]
     if strategy == LAST:
-        assert not post and event.used_indices == tuple(range(t - B, t))
+        assert not post and used == tuple(range(t - B, t))
         assert event.retrain_index == t
     elif strategy == NEXT:
-        assert not pre and event.used_indices == tuple(range(t + 1, t + B + 1))
+        assert not pre and used == tuple(range(t + 1, t + B + 1))
         assert event.retrain_index == t + B
     else:
         assert len(pre) == math.ceil(B / 2) and len(post) == B // 2
@@ -209,19 +219,19 @@ def test_mixed_batch_size_one_retrains_immediately():
     ctrl, _, _ = run_with_alarm(MIXED, 1, alarm_at=100)
     (event,) = ctrl.retrain_history
     assert event.retrain_index == 100
-    assert event.used_indices == (99,)
+    assert used_indices(event) == (99,)
 
 
 def test_early_drift_short_buffer_uses_what_is_available():
     ctrl, _, _ = run_with_alarm(LAST, 10, alarm_at=6, n=50, warmup=5)
     (event,) = ctrl.retrain_history
     # buffer held the 5 warm-up instances plus index 5
-    assert event.used_indices == (0, 1, 2, 3, 4, 5)
+    assert used_indices(event) == (0, 1, 2, 3, 4, 5)
 
 
 def test_stream_end_mid_collection_skips_retraining():
-    ctrl, _, _ = run_with_alarm(NEXT, 10, alarm_at=95, n=100, warmup=50)
-    assert ctrl.n_drifts == 1
+    ctrl, _, results = run_with_alarm(NEXT, 10, alarm_at=95, n=100, warmup=50)
+    assert sum(r.drift_flag for r in results) == 1
     assert len(ctrl.retrain_history) == 0
     assert ctrl.retrain_history == []
 
@@ -230,7 +240,7 @@ def test_buffer_clamped_to_warmup_size():
     # a 5,000-row *last* window after a 50-row warm-up uses the buffer: the whole warm-up
     ctrl, _, _ = run_with_alarm(LAST, 5000, alarm_at=50, n=60, warmup=50)
     (event,) = ctrl.retrain_history
-    assert event.used_indices == tuple(range(50))
+    assert used_indices(event) == tuple(range(50))
 
 
 # -- detector interaction -----------------------------------------------------
@@ -427,8 +437,8 @@ def test_block_walk_equals_step_loop(monkeypatch, strategy, batch_size, incremen
     assert walked == stepped
     assert yielded == len(blocks)  # one record block per scored block
     assert block.retrain_history == plain.retrain_history
-    assert (block.n_drifts, len(block.retrain_history)) == (
-        plain.n_drifts, len(plain.retrain_history))
+    drifts = [sum(r.drift_flag for r in records) for records in (walked, stepped)]
+    assert (drifts[0], len(block.retrain_history)) == (drifts[1], len(plain.retrain_history))
     assert block_detector.calls == plain_detector.calls
     assert (block.collection, block._next, block._mb_start) == (
         plain.collection, plain._next, plain._mb_start)
@@ -562,7 +572,7 @@ def test_a_controller_paused_at_its_first_alarm_finishes_as_a_fresh_run(monkeypa
         pass
     monkeypatch.undo()
     ((ctrl, args),) = paused
-    assert (ctrl.n_drifts, ctrl.collection, args[1] >= 0) == (0, None, True)  # drift offset
+    assert (ctrl.retrain_history, ctrl.collection, args[1] >= 0) == ([], None, True)  # drift offset
     for strategy in STRATEGIES:
         config = ExperimentConfig(strategy=strategy, **PH_INCREMENTAL)
         fork = copy.deepcopy(ctrl)
@@ -575,8 +585,8 @@ def test_a_controller_paused_at_its_first_alarm_finishes_as_a_fresh_run(monkeypa
         after = tuple(c[after[0] > last] for c in after)
         assert all(np.array_equal(a, b) for a, b in zip(forked, after))
         assert fork.retrain_history == fresh.retrain_history
-        assert (fork.n_drifts, len(fork.retrain_history)) == (
-            fresh.n_drifts, len(fresh.retrain_history))
+        assert (int(forked[3].sum()), len(fork.retrain_history)) == (
+            int(after[3].sum()), len(fresh.retrain_history))
         assert len(fresh.retrain_history) > 1
 
 

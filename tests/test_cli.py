@@ -603,6 +603,17 @@ def test_gridsearch_empty_grid(tmp_path, small_stream):
     assert code == EXIT_CONFIG
 
 
+def test_gridsearch_has_no_window(tmp_path, small_stream, capsys):
+    # a grid search writes no rolling accuracy, so no --window is read
+    code = run_cli(
+        "gridsearch", "--input", str(small_stream), "--label", "label", "--warmup", "300",
+        "--detector", "page-hinkley", "--lambda", "0.6", "--window", "50",
+        "-o", str(tmp_path / "gs"),
+    )
+    assert code == EXIT_CONFIG
+    assert "unrecognized arguments: --window" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("grid,loads,code", [("0,0.6", 0, EXIT_CONFIG), ("0.6", 1, EXIT_OK)])
 def test_gridsearch_checks_every_grid_value_before_loading(tmp_path, monkeypatch, grid, loads, code):
     calls = []
@@ -722,7 +733,7 @@ def test_matrix_config_file_can_turn_incremental_off(tmp_path, small_stream):
 @pytest.mark.parametrize(
     "flag,value,read_as",
     [("--detector", "adwin", "--detectors"), ("--batch-size", "70", "--batch-sizes"),
-     ("--strategy", "next", None)],
+     ("--strategy", "next", None), ("--window", "50", None)],
 )
 def test_matrix_has_no_flag_of_a_single_cell(tmp_path, small_stream, capsys, flag, value, read_as):
     # matrix takes lists of detectors, batch sizes and strategies; argparse

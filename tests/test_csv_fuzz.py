@@ -8,7 +8,9 @@ rows (extra cells), labels out of range and unlabeled rows. Their lines end
 in CRLF, LF or CR, the last one with or without its terminator, so both of
 the reader's paths (its byte scan and ``csv.reader``) meet them. A byte of
 the file, the header's included, may be overwritten with 0xFF, which is not
-UTF-8.
+UTF-8. Half the files start with 250 good rows that fill the first 200 rows
+and 8 KiB, which schema inference reads, so that junk rows and bad bytes
+also reach the stream reader.
 """
 
 import contextlib
@@ -44,8 +46,17 @@ _row = st.tuples(_cat, _num, _label, st.lists(_text, max_size=2), st.integers(0,
 _good_row = st.tuples(st.sampled_from(["a", "b"]), st.integers(-5, 5), st.integers(0, 2)).map(
     lambda t: [t[0], str(t[1]), str(t[2])]
 )
-# mostly well-formed rows, so that runs also get past the warm-up
-_rows = st.lists(st.one_of(_good_row, _good_row, _row), max_size=30)
+
+
+def _good(n: int, width: int = 1) -> list[list[str]]:
+    return [["ab"[i % 2] * width, str(i % 3), str(i % 2)] for i in range(n)]
+
+
+# mostly well-formed rows, so that runs also get past the warm-up, after
+# none or 250 rows of some 40 bytes
+_rows = st.tuples(
+    st.sampled_from([0, 250]), st.lists(st.one_of(_good_row, _good_row, _row), max_size=30)
+).map(lambda t: _good(t[0], width=32) + t[1])
 
 
 def _run(
@@ -53,7 +64,8 @@ def _run(
     bad: Optional[int] = None,
 ) -> int:
     """The exit code of ``run`` on the file of ``rows``, its byte at ``bad``
-    (modulo the file length) overwritten with 0xFF; no traceback is printed."""
+    (modulo the file length, so a negative one counts from the end)
+    overwritten with 0xFF; no traceback is printed."""
     buf = io.StringIO(newline="")
     w = csv.writer(buf, lineterminator=terminator)
     w.writerow(HEADER)
@@ -77,14 +89,10 @@ def _run(
     return code
 
 
-def _good(n: int) -> list[list[str]]:
-    return [["ab"[i % 2], str(i % 3), str(i % 2)] for i in range(n)]
-
-
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     _rows, st.sampled_from(["\r\n", "\n", "\r"]), st.booleans(),
-    st.one_of(st.none(), st.integers(0, 10**4)),
+    st.one_of(st.none(), st.integers(0, 10**4), st.integers(-200, -1)),
 )
 @example(_good(12) + [["a", "0.5"]], "\r\n", True, None)  # short row without its label, after warm-up
 @example(_good(2) + [["a", "0.5"]] + _good(9), "\r\n", True, None)  # the same inside the warm-up

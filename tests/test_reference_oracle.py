@@ -191,11 +191,10 @@ def encoder_flags(draw, table: Table, schema: FeatureSchema):
 
 @st.composite
 def learning_flags(draw, n: int):
-    """Warm-up (at most half the stream), rolling window, mini-batch and
-    Page-Hinkley's delta and burn-in, all inside their ranges."""
+    """Warm-up (at most half the stream), mini-batch and Page-Hinkley's
+    delta and burn-in, all inside their ranges."""
     return [
         "--warmup", str(draw(st.integers(100, n // 2))),
-        "--window", str(draw(st.integers(1, 1500))),
         "--mini-batch", str(draw(st.integers(1, 50))),
         "--ph-delta", repr(draw(st.floats(0.0, 0.05))),
         "--burn-in", str(draw(st.integers(0, 60))),
@@ -206,7 +205,7 @@ def learning_flags(draw, n: int):
 def run_flags(draw, table: Table, schema: FeatureSchema):
     detector = draw(st.sampled_from(["none", "page-hinkley", "adwin"]))
     flags = ["--detector", detector, *draw(learning_flags(len(table))),
-             *draw(encoder_flags(table, schema))]
+             "--window", str(draw(st.integers(1, 1500))), *draw(encoder_flags(table, schema))]
     if detector != "none":
         flags += ["--strategy", draw(st.sampled_from(STRATEGIES)),
                   "--batch-size", str(draw(st.integers(1, 600)))]
