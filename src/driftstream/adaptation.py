@@ -33,10 +33,10 @@ columns, so a refit or an update reads a slice of them. A controller is built
 from its warm-up rows, so no retraining window is empty.
 
 One ``ExperimentConfig`` describes a run: the detector, the strategy, the
-batch and mini-batch sizes, the learning mode and the encoder settings. The
-controller reads its part of it and yields the records of each block as
-columns (``Records``), whose rolling-accuracy window the evaluation sets,
-and whose drift and retrain flags give a run's alarm and refit counts. Each
+batch and mini-batch sizes, the learning mode, the warm-up and the encoder
+settings. The controller reads its part of it and yields the records of
+each block as columns (``Records``), as complete as those of a whole run,
+whose drift and retrain flags give a run's alarm and refit counts. Each
 refit is also kept as a ``RetrainEvent`` of four stream indices: its alarm,
 the row that completed it, and the first and last rows of its window. The
 window is every row stepped, or held from the warm-up, between those two,
@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, count, repeat
+from itertools import compress, count
 from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
@@ -101,14 +101,13 @@ def _check_labels(rows: Table, n_classes: int) -> None:
 class ExperimentConfig:
     """One run: detector and its parameters, data-selection strategy,
     retraining batch size, learning mode (incremental mini-batches or
-    not), warm-up and rolling-window lengths, and encoder settings."""
+    not), warm-up length and encoder settings."""
 
     detector: str = "none"
     strategy: Optional[str] = None
     batch_size: int = 500
     incremental: bool = False
     warmup: int = 2000
-    window: int = 1000
     mini_batch_size: int = 10
     ph_delta: float = 0.005
     ph_lambda: float = 0.6
@@ -134,8 +133,6 @@ class ExperimentConfig:
             raise ConfigError(f"mini_batch_size must be >= 1, got {self.mini_batch_size}")
         if self.warmup < 1:
             raise ConfigError("warmup must be >= 1")
-        if self.window < 1:
-            raise ConfigError("rolling window must be >= 1")
 
 
 class PrequentialRecord(NamedTuple):
@@ -145,7 +142,6 @@ class PrequentialRecord(NamedTuple):
     predicted: int
     actual: int
     correct: int
-    rolling_accuracy: float
     drift_flag: int
     retrain_flag: int
 
@@ -153,36 +149,25 @@ class PrequentialRecord(NamedTuple):
 @dataclass(eq=False)
 class Records:
     """Scored rows as int64 columns: stream indices, predicted and actual
-    classes, 0/1 drift and retrain flags; and the rolling-accuracy ``window``,
-    set by ``run_experiment``. Iterating yields ``PrequentialRecord`` rows of
-    Python numbers (rolling accuracy 0.0 without a window)."""
+    classes, 0/1 drift and retrain flags. Iterating yields
+    ``PrequentialRecord`` rows of Python ints."""
 
     index: np.ndarray
     predicted: np.ndarray
     actual: np.ndarray
     drift: np.ndarray
     retrain: np.ndarray
-    window: int = 0
 
     @cached_property
     def correct(self) -> np.ndarray:
         return (self.predicted == self.actual).astype(np.int64)
 
-    @cached_property
-    def in_window(self) -> np.ndarray:
-        """Each row's correct count over its last ``window`` rows."""
-        counts = np.cumsum(self.correct)
-        counts[self.window :] -= counts[: -self.window].copy()
-        return counts
-
     def __len__(self) -> int:
         return len(self.index)
 
     def __iter__(self) -> Iterator[PrequentialRecord]:
-        n, w = len(self), self.window  # the rolling accuracy: an int/int division
-        acc = (self.in_window / np.minimum(np.arange(1, n + 1), w)).tolist() if w else repeat(0.0)
         return map(PrequentialRecord, self.index.tolist(), self.predicted.tolist(),
-                   self.actual.tolist(), self.correct.tolist(), acc,
+                   self.actual.tolist(), self.correct.tolist(),
                    self.drift.tolist(), self.retrain.tolist())
 
 
@@ -344,9 +329,9 @@ class Controller:
         return n, versions, np.arange(pending, pending + n) // size
 
     def step(self, row: Table) -> PrequentialRecord:
-        """``steps`` on a one-row table: test then train on its row. The
-        engine never calls it; it stays as a benchmark hook
-        (``perfbench/tracer.py`` wraps it)."""
+        """``steps`` on a one-row table: test then train on its row, and
+        return the row's record. The engine never calls it; it stays as a
+        benchmark hook (``perfbench/tracer.py`` wraps it)."""
         ((record,),) = self.steps(row)
         return record
 

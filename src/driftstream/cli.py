@@ -48,6 +48,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 _RUN = ExperimentConfig()  # the default run, whose fields the experiment flags default to
+_WINDOW = 1000  # the default rolling window of run's accuracies and inspect's means
 
 
 # -- config file ----------------------------------------------------------
@@ -168,7 +169,7 @@ def _load_stream(args) -> tuple[Table, FeatureSchema]:
     if bool(args.input) == bool(args.synth):
         raise ConfigError("exactly one of --input or --synth must be given")
     if args.synth:
-        if args.label is not None or args.exclude or args.bin_days is not None:
+        if args.label is not None or args.exclude is not None or args.bin_days is not None:
             raise ConfigError("--label, --exclude and --bin-days apply to --input only")
         if args.synth not in PROFILES:
             raise ConfigError(f"unknown synth profile {args.synth!r}")
@@ -182,7 +183,7 @@ def _load_stream(args) -> tuple[Table, FeatureSchema]:
             bins = BinBoundaries(edges, unit_divisor=24.0)
         except ValueError as e:
             raise ConfigError(f"--bin-days expects ascending day edges such as 6,39: {e}")
-    return load_stream(args.input, args.label, args.exclude, bins)
+    return load_stream(args.input, args.label, args.exclude or (), bins)
 
 
 def _experiment_config(args, **cell) -> ExperimentConfig:
@@ -236,13 +237,12 @@ def cmd_run(args) -> int:
     out = _out_dir(args)
     cell = dict(detector=args.detector.replace("-", "_"), strategy=args.strategy,
                 batch_size=args.batch_size)
-    cfg = _experiment_config(args, **cell, window=args.window, ph_lambda=args.ph_lambda,
-                             adwin_delta=args.adwin_delta)
+    cfg = _experiment_config(args, **cell, ph_lambda=args.ph_lambda, adwin_delta=args.adwin_delta)
     table, schema = _load_stream(args)
     recs, summary = run_experiment(table, schema, cfg)
     _write_resolved_config(out, args)
-    write_records_csv(recs, out / "records.csv")
-    write_curves_csv(recs, out / "curves.csv")
+    write_records_csv(recs, args.window, out / "records.csv")
+    write_curves_csv(recs, args.window, out / "curves.csv")
     write_events_csv(recs, out / "events.csv")
     write_summary_csv(
         [
@@ -399,7 +399,7 @@ def _add_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", default=None, help="chronological CSV stream")
     p.add_argument("--synth", default=None, help="synthetic profile (paper-like)")
     p.add_argument("--label", default=None, help="label column for --input")
-    p.add_argument("--exclude", default=[], nargs="*", help="input columns to drop")
+    p.add_argument("--exclude", default=None, nargs="*", help="input columns to drop")
     p.add_argument("--bin-days", default=None, help="day edges binning an hours-valued label, e.g. 6,39")
 
 
@@ -442,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cell(p)
     _add_experiment(p)
     _add_thresholds(p)
-    p.add_argument("--window", type=_count, default=_RUN.window)
+    p.add_argument("--window", type=_count, default=_WINDOW)
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("generate", help="synthetic drift stream + concept sidecar")
@@ -487,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_source(p)
     p.add_argument("--feature", required=True)
-    p.add_argument("--window", type=_count, default=_RUN.window)
+    p.add_argument("--window", type=_count, default=_WINDOW)
     p.set_defaults(func=cmd_inspect)
 
     return parser

@@ -49,7 +49,7 @@ def run_experiment(
         stop = n + len(b.index)
         cols[:, n:stop] = b.index, b.predicted, b.actual, b.drift, b.retrain
         n = stop
-    records = Records(*cols[:, :n], window=config.window)
+    records = Records(*cols[:, :n])
     summary = ExperimentSummary(
         overall_accuracy=int(records.correct.sum()) / n if n else 0.0,
         n_predictions=n,
@@ -125,24 +125,31 @@ def experiment_matrix(
 # -- CSV output (fixed 6-decimal float formatting for reproducible files) --
 
 
-def _rolling_column(records: Records) -> tuple[np.ndarray, list[str]]:
-    """The rolling accuracies as codes into texts: the first ``window - 1`` rows'
-    one by one, then the ``window + 1`` values a full window can take."""
-    n, w, head = len(records), records.window, min(records.window - 1, len(records))
-    texts = [f"{a:.6f}" for a in (records.in_window[:head] / np.arange(1, head + 1)).tolist()]
-    texts += [f"{c / w:.6f}" for c in range(min(w, n) + 1)]
-    return np.concatenate((np.arange(head), records.in_window[head:] + head)), texts
+def _rolling_column(records: Records, window: int) -> tuple[np.ndarray, list[str]]:
+    """The rolling accuracies over ``window`` rows as codes into texts: the
+    first ``window - 1`` rows' one by one, then the ``window + 1`` values a
+    full window can take. A row's accuracy is its correct count over its
+    last ``window`` rows (one ``cumsum``) divided by the rows counted, an
+    int/int division, as a per-row loop would compute it."""
+    if window < 1:
+        raise ValueError("rolling window must be >= 1")
+    n, head = len(records), min(window - 1, len(records))
+    counts = np.cumsum(records.correct)
+    counts[window:] -= counts[:-window].copy()
+    texts = [f"{a:.6f}" for a in (counts[:head] / np.arange(1, head + 1)).tolist()]
+    texts += [f"{c / window:.6f}" for c in range(min(window, n) + 1)]
+    return np.concatenate((np.arange(head), counts[head:] + head)), texts
 
 
-def write_records_csv(records: Records, path) -> None:
+def write_records_csv(records: Records, window: int, path) -> None:
     r = records
     names = ("index", "predicted", "actual", "correct", "rolling_accuracy", "drift", "retrain")
     ints = (r.predicted, r.actual, r.correct)
-    write_columns(path, names, (r.index, *ints, _rolling_column(r), r.drift, r.retrain))
+    write_columns(path, names, (r.index, *ints, _rolling_column(r, window), r.drift, r.retrain))
 
 
-def write_curves_csv(records: Records, path) -> None:
-    columns = (records.index, _rolling_column(records))
+def write_curves_csv(records: Records, window: int, path) -> None:
+    columns = (records.index, _rolling_column(records, window))
     write_columns(path, ("index", "rolling_accuracy"), columns)
 
 

@@ -57,14 +57,13 @@ def _layout(cards: tuple[int, ...], alpha: float, n_classes: int) -> _Layout:
 
 
 class Versions(NamedTuple):
-    """Versions of a model, stacked (``stage``): rows trained on; the count
-    tables; the Gaussian means and M2s, followed, as score state, by the
-    variances and their ``log(2 pi var)``, with the versions on the second
-    axis; and the term tables (the smoothed log counts, the log denominator
-    of each categorical feature, the log prior and its log denominator,
-    each a row of K)."""
+    """Versions of a model, stacked (``stage``): the count tables, whose last
+    row holds each version's rows trained on; the Gaussian means and M2s,
+    followed, as score state, by the variances and their ``log(2 pi var)``,
+    with the versions on the second axis; and the term tables (the smoothed
+    log counts, the log denominator of each categorical feature, the log
+    prior and its log denominator, each a row of K)."""
 
-    n_trained: np.ndarray  # (V,), a view of the tables
     table: np.ndarray  # (V, sum of cardinalities + 2, K)
     gauss: np.ndarray  # (4, V, K, n_numeric): mean, M2, var, log(2 pi var)
     terms: np.ndarray  # (V, sum of cardinalities + n_categorical + 2, K)
@@ -106,7 +105,7 @@ class NaiveBayesModel:
         self._state: Optional[Versions] = None
         top = self._layout.bounds[-1]
         rows = 2 * top + len(self.cat_cardinalities) + 4  # count and term tables
-        self.version_cells = 1 + (rows + 4 * n_numeric) * n_classes
+        self.version_cells = (rows + 4 * n_numeric) * n_classes
         self._table = np.zeros((top + 2, n_classes), dtype=np.int64)
 
     @property
@@ -270,16 +269,15 @@ class NaiveBayesModel:
         terms = np.add(table.take(layout.term_rows, axis=1), layout.term_add)
         np.log(terms, out=terms)
         terms[:, -2] -= terms[:, -1]
-        return Versions(table[:, -1, 0], table, gauss, terms)
+        return Versions(table, gauss, terms)
 
     def commit(self, versions: Versions, v: int) -> "NaiveBayesModel":
         """Become version ``v`` of ``versions``, which ``stage`` made from
         this model: its counts, accumulators and score state."""
-        n_trained, table, gauss, terms = versions
+        table, gauss, terms = versions
         self._table[:] = table[v]
         self._gauss[:] = gauss[:2, v]
-        self._state = Versions(n_trained[v : v + 1], table[v : v + 1], gauss[:, v : v + 1],
-                               terms[v : v + 1])
+        self._state = Versions(table[v : v + 1], gauss[:, v : v + 1], terms[v : v + 1])
         return self
 
     # -- prediction -------------------------------------------------------

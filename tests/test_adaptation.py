@@ -25,9 +25,10 @@ from driftstream.adaptation import (
     ExperimentConfig,
     LabelError,
     PrequentialRecord,
+    Records,
 )
 from driftstream.detectors import NoDetector
-from driftstream.evaluation import load_stream
+from driftstream.evaluation import load_stream, write_curves_csv, write_records_csv
 from driftstream.naive_bayes import NaiveBayesModel
 from driftstream.stream_core import (
     CATEGORICAL,
@@ -112,7 +113,7 @@ def reference_step(ctrl, row):
         window = np.concatenate((np.arange(lo, a), np.arange(a + 1, end)))
         ctrl._refit(ctrl._rows(window), alarm_index, index)
         retrained = 1
-    return PrequentialRecord(index, pred, label, correct, 0.0, drift, retrained)
+    return PrequentialRecord(index, pred, label, correct, drift, retrained)
 
 
 def used_indices(event, stepped=None):
@@ -506,7 +507,7 @@ def test_staged_versions_of_a_wide_model_stay_under_the_cap(monkeypatch):
 
     def spy(model, *args):
         versions = stage(model, *args)
-        staged.append((len(versions.n_trained), sum(a.size for a in versions)))
+        staged.append((len(versions.table), sum(a.size for a in versions)))
         return versions
 
     monkeypatch.setattr(NaiveBayesModel, "stage", spy)
@@ -683,7 +684,7 @@ def test_n_classes_inferred_from_warmup():
     assert ctrl.model.n_classes == 2
 
 
-def test_config_validation():
+def test_config_validation(tmp_path):
     with pytest.raises(ValueError):
         ExperimentConfig(strategy="newest")
     with pytest.raises(ValueError):
@@ -693,5 +694,8 @@ def test_config_validation():
     # the CLI's size flags reject 0 first, so only the library reaches these
     with pytest.raises(ConfigError, match="warmup must be >= 1"):
         ExperimentConfig(warmup=0)
-    with pytest.raises(ConfigError, match="rolling window must be >= 1"):
-        ExperimentConfig(window=0)
+    # the rolling window is the writers' own; the CLI's --window rejects 0 first
+    records = Records(*np.zeros((5, 3), dtype=np.int64))
+    for write in (write_records_csv, write_curves_csv):
+        with pytest.raises(ValueError, match="rolling window must be >= 1"):
+            write(records, 0, tmp_path / "r.csv")

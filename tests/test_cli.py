@@ -212,8 +212,8 @@ def test_exclude_drops_the_column_from_the_schema(small_stream):
 @pytest.mark.parametrize(
     "flags",
     [("--label", "nope"), ("--exclude", "num0"), ("--bin-days", "6,39"), ("--label", ""),
-     ("--bin-days", "")],
-    ids=["label", "exclude", "bin-days", "empty-label", "empty-bin-days"],
+     ("--exclude",), ("--bin-days", "")],
+    ids=["label", "exclude", "bin-days", "empty-label", "empty-exclude", "empty-bin-days"],
 )
 def test_input_only_flag_with_synth_is_a_config_error(tmp_path, capsys, flags):
     assert run_cli("run", "--synth", "paper-like", *flags, "-o", str(tmp_path / "x")) == EXIT_CONFIG
@@ -409,6 +409,7 @@ _COMMAND_FLAGS = {
         ("gridsearch", ("--detector", "page-hinkley", "--lambda", "0.6", "--delta", "0.01"),
          "--delta"),
         ("run", ("--bin-days", ""), "--bin-days"),  # empty: no edges, not no flag
+        ("run", ("--window", "0"), "--window"),
     ],
 )
 def test_bad_config_value_is_a_config_error(tmp_path, small_stream, capsys, command, flags, named):

@@ -94,13 +94,13 @@ def test_stream_shorter_than_warmup_rejected():
         run_experiment(constant_stream([0]), SCHEMA, cfg)
 
 
-def test_rolling_accuracy_field_matches_rolling_mean():
+def test_rolling_accuracy_field_matches_rolling_mean(tmp_path):
     stream = generate(small_synth())
-    cfg = dataclasses.replace(STATIC, window=50)
-    records, _ = run_experiment(stream.table, stream.predictive_schema, cfg)
-    expected = rolling_mean([r.correct for r in records], 50)
-    got = [r.rolling_accuracy for r in records]
-    np.testing.assert_allclose(got, expected, atol=1e-12)
+    records, _ = run_experiment(stream.table, stream.predictive_schema, STATIC)
+    expected = [f"{m:.6f}" for m in rolling_mean([r.correct for r in records], 50)]
+    write_curves_csv(records, 50, tmp_path / "c.csv")
+    got = [line.split(",")[1] for line in (tmp_path / "c.csv").read_text().splitlines()[1:]]
+    assert got == expected
 
 
 def per_row_rolling(records, window):
@@ -126,15 +126,15 @@ def test_written_rolling_accuracy_is_each_value_formatted(tmp_path, window, stra
     labels = np.where((stream.table.index > 300) & (stream.table.index % 7 == 0), UNLABELED,
                       stream.table.label)
     table = Table(stream.table.index, labels, stream.table.columns)
-    cfg = ExperimentConfig(warmup=300, window=window, detector="page_hinkley", strategy=strategy,
+    cfg = ExperimentConfig(warmup=300, detector="page_hinkley", strategy=strategy,
                            batch_size=200, incremental=True)
     records, _ = run_experiment(table, stream.predictive_schema, cfg)
     assert max(records.predicted) >= 10 and max(records.actual) >= 10 and sum(records.drift)
     rolling = per_row_rolling(records, window)
     texts = [f"{a:.6f}" for a in rolling]
     rows = list(records)
-    write_records_csv(records, tmp_path / "r.csv")
-    write_curves_csv(records, tmp_path / "c.csv")
+    write_records_csv(records, window, tmp_path / "r.csv")
+    write_curves_csv(records, window, tmp_path / "c.csv")
     write_events_csv(records, tmp_path / "e.csv")
     assert (tmp_path / "r.csv").read_bytes() == csv_writer_bytes(
         ["index", "predicted", "actual", "correct", "rolling_accuracy", "drift", "retrain"],
@@ -149,22 +149,52 @@ def test_written_rolling_accuracy_is_each_value_formatted(tmp_path, window, stra
     assert (tmp_path / "e.csv").read_bytes() == csv_writer_bytes(["index", "event"], events)
 
 
+@pytest.mark.parametrize("window", [1, 7, 1000])
+def test_each_block_of_steps_writes_as_a_per_row_loop(tmp_path, window):
+    """Each block that ``Controller.steps`` yields is a whole ``Records``:
+    both writers write it as a per-row csv.writer loop over its own rows
+    does, rolling accuracies from a deque."""
+    stream = generate(small_synth())
+    table, schema = stream.table, stream.predictive_schema
+    cfg = dataclasses.replace(
+        STATIC, detector="page_hinkley", strategy="last", batch_size=200, incremental=True
+    )
+    ctrl = Controller(table[:300], schema, cfg)
+    blocks = drifts = 0
+    for block in ctrl.steps(table[300:]):
+        rows = list(block)
+        texts = [f"{a:.6f}" for a in per_row_rolling(rows, window)]
+        write_records_csv(block, window, tmp_path / "r.csv")
+        write_curves_csv(block, window, tmp_path / "c.csv")
+        assert (tmp_path / "r.csv").read_bytes() == csv_writer_bytes(
+            ["index", "predicted", "actual", "correct", "rolling_accuracy", "drift", "retrain"],
+            [(r.index, r.predicted, r.actual, r.correct, t, r.drift_flag, r.retrain_flag)
+             for r, t in zip(rows, texts)],
+        )
+        assert (tmp_path / "c.csv").read_bytes() == csv_writer_bytes(
+            ["index", "rolling_accuracy"], [(r.index, t) for r, t in zip(rows, texts)]
+        )
+        blocks, drifts = blocks + 1, drifts + int(block.drift.sum())
+    assert blocks > 1 and drifts
+
+
 @pytest.mark.parametrize("window", [1, 50, 10_000])  # 10,000 > the 2,700 predictions
 @pytest.mark.parametrize("unlabeled", [False, True])
-def test_rolling_accuracy_and_confusion_equal_a_per_row_loop(window, unlabeled):
+def test_rolling_accuracy_and_confusion_equal_a_per_row_loop(tmp_path, window, unlabeled):
     stream = generate(small_synth())
     table = stream.table
     if unlabeled:  # every 7th post-warm-up row, skipped by the run
         labels = np.where((table.index > 300) & (table.index % 7 == 0), UNLABELED, table.label)
         table = Table(table.index, labels, table.columns)
     cfg = dataclasses.replace(
-        STATIC, window=window, detector="page_hinkley", strategy="last", batch_size=200,
-        incremental=True,
+        STATIC, detector="page_hinkley", strategy="last", batch_size=200, incremental=True,
     )
     records, summary = run_experiment(table, stream.predictive_schema, cfg)
     assert len(records) == 2700 - (386 if unlabeled else 0)
     rolling = per_row_rolling(records, window)
-    assert [r.rolling_accuracy for r in records] == rolling  # float for float
+    write_curves_csv(records, window, tmp_path / "c.csv")
+    written = [line.split(",")[1] for line in (tmp_path / "c.csv").read_text().splitlines()[1:]]
+    assert written == [f"{a:.6f}" for a in rolling]
     assert summary.overall_accuracy == sum(r.correct for r in records) / len(records)
 
 
@@ -219,7 +249,8 @@ def drifting_stream():
 @pytest.mark.parametrize("incremental", [False, True])
 @pytest.mark.parametrize("batch_size,mini_batch_size", [(1, 1), (1, 10), (40, 10), (40, 1)])
 def test_block_path_equals_step_loop(
-    monkeypatch, drifting_stream, detector, strategy, incremental, batch_size, mini_batch_size
+    monkeypatch, tmp_path, drifting_stream, detector, strategy, incremental, batch_size,
+    mini_batch_size,
 ):
     cfg = ExperimentConfig(
         detector=detector,
@@ -228,7 +259,6 @@ def test_block_path_equals_step_loop(
         incremental=incremental,
         mini_batch_size=mini_batch_size,
         warmup=200,
-        window=50,
         ph_lambda=2.0,
         adwin_delta=0.5,
     )
@@ -245,6 +275,9 @@ def test_block_path_equals_step_loop(
     plain = _run_capturing(monkeypatch, records, schema, cfg)
 
     assert list(block[0]) == list(plain[0])  # every prequential record
+    write_records_csv(block[0], 50, tmp_path / "block.csv")
+    write_records_csv(plain[0], 50, tmp_path / "plain.csv")
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
     assert block[1] == plain[1]  # the summary
     assert block[2].retrain_history == plain[2].retrain_history
     assert block[1].n_drifts == plain[1].n_drifts
@@ -548,8 +581,8 @@ def test_record_and_curve_csvs(tmp_path):
     cfg = ExperimentConfig(warmup=4)
     records, _ = run_experiment(constant_stream([0, 1, 0]), SCHEMA, cfg)
     rp, cp, ep = tmp_path / "r.csv", tmp_path / "c.csv", tmp_path / "e.csv"
-    write_records_csv(records, rp)
-    write_curves_csv(records, cp)
+    write_records_csv(records, 1000, rp)
+    write_curves_csv(records, 1000, cp)
     write_events_csv(records, ep)
     rows = rp.read_text().splitlines()
     assert rows[0] == "index,predicted,actual,correct,rolling_accuracy,drift,retrain"

@@ -573,7 +573,7 @@ def assert_staged_is_update_then_score(model_args, labels, cats, nums, start, pe
     assert (staged.gauss[2][staged.table[:, -2] < 2] == model.var_floor).all()
     at = np.arange(pending, pending + block) // size
     scores = model.log_scores_many(cats[lo:hi], nums[lo:hi], staged, at)
-    assert len(staged.n_trained) == n_versions + 1
+    assert len(staged.table) == n_versions + 1
     expected, states = [], [state(ref)]
     for edge in range(start, start + (n_versions + 1) * size, size):
         rows = slice(max(lo, edge), min(hi, edge + size))
